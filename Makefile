@@ -52,8 +52,9 @@ sweep-smoke: build
 
 # Job-service smoke: start `sparkxd serve` on a random port, submit a
 # tiny sweep twice through the Go client (same deterministic job ID),
-# poll to completion, and `cmp` the fetched artifact payload against the
-# in-process `sparkxd sweep` output.
+# poll to completion, `cmp` the fetched artifact payload against the
+# in-process `sparkxd sweep` output, and check the local job's trace
+# nests job -> queue-wait + lease -> execute -> stage:*.
 serve-smoke: build
 	./scripts/serve-smoke.sh
 

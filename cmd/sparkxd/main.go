@@ -26,10 +26,11 @@
 //	sparkxd job submit -addr http://127.0.0.1:8080 -spec job.json
 //
 // The serve subcommand exposes the pipeline and sweep engine as an HTTP
-// job service over a content-addressed artifact store; with -dispatch
-// fleet or hybrid it coordinates `sparkxd worker` processes over a
-// lease protocol (at-most-one lease per job, TTL heartbeats, requeue on
-// expiry) and serves completed jobs from durable store records across
+// job service over a content-addressed artifact store. Every job runs
+// under a lease protocol (at-most-one lease per job, TTL heartbeats,
+// requeue on expiry): on the server's in-process worker, on `sparkxd
+// worker` processes that join it, or — with -dispatch fleet — on those
+// alone. Completed jobs are served from durable store records across
 // restarts. job is the service's command-line client (see DESIGN.md
 // §8/§9 and the sparkxd/client package).
 package main
@@ -68,7 +69,7 @@ Commands:
   sweep     evaluate one model over a (voltage x BER x error model x
             policy) scenario grid on the batched sweep engine
   serve     run the HTTP job service over a content-addressed store
-            (-dispatch fleet|hybrid coordinates remote workers;
+            (workers may join; -dispatch fleet leaves them all jobs;
             -shard i/m federates coordinators over the job-ID space)
   store     expose a local artifact store over HTTP ("store serve") so
             coordinators, workers, and CLI runs can share one store

@@ -17,16 +17,18 @@ import (
 // runServe starts the HTTP job service: submit pipeline-stage and sweep
 // jobs over POST /v1/jobs, poll GET /v1/jobs/{id}, stream progress from
 // GET /v1/jobs/{id}/events, and fetch content-addressed artifacts from
-// GET /v1/artifacts/{key}. With -dispatch fleet or hybrid the server
-// also coordinates `sparkxd worker` processes over the lease protocol
-// (POST /v1/leases, heartbeats, uploads). The listening address is
-// printed on stdout ("listening on http://HOST:PORT"), so scripts can
-// bind -addr to port 0 and discover the port.
+// GET /v1/artifacts/{key}. Jobs execute under leases (POST /v1/leases,
+// heartbeats, uploads): in the default local dispatch an in-process
+// worker runs -workers of them at a time, and `sparkxd worker`
+// processes may join to add slots; -dispatch fleet leaves all execution
+// to them. The listening address is printed on stdout ("listening on
+// http://HOST:PORT"), so scripts can bind -addr to port 0 and discover
+// the port.
 //
-// SIGINT/SIGTERM triggers a graceful drain: no new leases or local
-// batches are started, in-flight jobs get -drain-timeout to finish (the
-// HTTP API stays up so workers can still upload and complete), and
-// whatever is left is requeued instead of stranded in "running".
+// SIGINT/SIGTERM triggers a graceful drain: no new leases are granted,
+// in-flight jobs get -drain-timeout to finish (the HTTP API stays up so
+// workers can still upload and complete), and whatever is left is
+// requeued instead of stranded in "running".
 //
 // With -shard i/m and -peers, the server joins a federation: it owns
 // only the job IDs hashing to slice i and answers the rest with 421 +
@@ -39,8 +41,8 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		storeDir  = fs.String("store", "", "artifact store directory or remote store URL (empty = in-memory, lost on exit)")
-		workers   = fs.Int("workers", 0, "local job execution pool size (0 = GOMAXPROCS)")
-		dispatch  = fs.String("dispatch", "local", "who executes jobs: local, fleet (remote workers only), or hybrid")
+		workers   = fs.Int("workers", 0, "jobs the in-process worker runs at once in local dispatch (0 = GOMAXPROCS)")
+		dispatch  = fs.String("dispatch", "local", "who executes jobs: local (in-process slots plus any workers that join) or fleet (remote workers only)")
 		leaseTTL  = fs.Duration("lease-ttl", server.DefaultLeaseTTL, "worker lease TTL (silent workers expire and their jobs requeue)")
 		drain     = fs.Duration("drain-timeout", 30*time.Second, "how long a signalled server waits for in-flight jobs before requeueing them")
 		maxWarm   = fs.Int("max-warm-systems", 0, "bound on cached warm System engines, LRU-evicted (0 = unbounded)")
@@ -124,9 +126,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return 1
 	}
 	fmt.Fprintf(stdout, "listening on http://%s\n", ln.Addr())
-	if mode != server.DispatchLocal {
-		fmt.Fprintf(stdout, "dispatch %s: join workers with `sparkxd worker -join http://%s`\n", mode, ln.Addr())
-	}
+	fmt.Fprintf(stdout, "dispatch %s: join workers with `sparkxd worker -join http://%s`\n", mode, ln.Addr())
 
 	hs := &http.Server{Handler: srv.Handler()}
 	done := make(chan struct{})

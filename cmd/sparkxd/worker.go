@@ -14,12 +14,14 @@ import (
 	"sparkxd/internal/worker"
 )
 
-// runWorker joins a coordinator (`sparkxd serve -dispatch fleet` or
-// `hybrid`) as a fleet worker: lease queued jobs, execute them on the
-// local pool, stream events back, upload result envelopes, and
-// complete. SIGINT/SIGTERM drains: in-flight jobs get -drain-timeout to
-// finish; whatever is still running has its lease released so the
-// coordinator requeues it immediately.
+// runWorker joins a coordinator (`sparkxd serve`, either dispatch mode)
+// as a fleet worker: lease queued jobs, execute them on the local pool,
+// stream events back, upload result envelopes, and complete. An idle
+// lease request waits on the coordinator for up to -poll, so a
+// submission is picked up as it arrives. SIGINT/SIGTERM drains:
+// in-flight jobs get -drain-timeout to finish; whatever is still
+// running has its lease released so the coordinator requeues it
+// immediately.
 //
 // In a federation, -store points the worker at the shared artifact
 // store (a directory or a `sparkxd store serve` URL) so results bypass
@@ -31,7 +33,7 @@ func runWorker(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		join      = fs.String("join", "http://127.0.0.1:8080", "coordinator base URL to join")
 		workers   = fs.Int("workers", 0, "concurrent job slots (0 = GOMAXPROCS; also sizes the sweep pool)")
 		name      = fs.String("name", "", "worker name (default <hostname>-<pid>)")
-		poll      = fs.Duration("poll", 500*time.Millisecond, "idle lease poll interval")
+		poll      = fs.Duration("poll", 500*time.Millisecond, "how long one idle lease request waits for work")
 		drain     = fs.Duration("drain-timeout", 30*time.Second, "how long a signalled worker keeps finishing in-flight jobs")
 		maxWarm   = fs.Int("max-warm-systems", 0, "bound on cached warm System engines, LRU-evicted (0 = unbounded)")
 		storeLoc  = fs.String("store", "", "shared artifact store (directory or store URL); empty = upload via the coordinator")

@@ -6,7 +6,8 @@
 // The protocol is four verbs over plain HTTP/JSON:
 //
 //	POST   /v1/workers              register (idempotent presence ping)
-//	POST   /v1/leases               lease up to `capacity` queued jobs
+//	POST   /v1/leases               lease up to `capacity` queued jobs,
+//	                                waiting up to `wait_ms` for one
 //	POST   /v1/leases/{id}/renew    heartbeat: extend the lease TTL
 //	POST   /v1/leases/{id}/events   forward engine events for SSE bridging
 //	POST   /v1/leases/{id}/complete finish the job (artifacts or error)
@@ -34,8 +35,8 @@ type RegisterResponse struct {
 	// LeaseTTLMillis is the coordinator's lease TTL; workers heartbeat
 	// a few times per TTL window.
 	LeaseTTLMillis int64 `json:"lease_ttl_ms"`
-	// Dispatch echoes the coordinator's dispatch mode ("local" means
-	// this worker will never be handed work).
+	// Dispatch echoes the coordinator's dispatch mode (informational:
+	// workers lease in either mode).
 	Dispatch string `json:"dispatch"`
 }
 
@@ -43,6 +44,11 @@ type RegisterResponse struct {
 type LeaseRequest struct {
 	Worker   string `json:"worker"`
 	Capacity int    `json:"capacity"`
+	// WaitMillis lets the coordinator hold the request, up to its own
+	// cap, until a job is grantable instead of answering empty at once
+	// (a long-poll). Zero answers at once; coordinators that predate the
+	// field ignore it.
+	WaitMillis int64 `json:"wait_ms,omitempty"`
 }
 
 // Grant is one leased job: the worker owns it until the lease expires,

@@ -1,9 +1,9 @@
 // Package jobrun executes one job-service JobSpec against a warm
 // sparkxd.System and returns the produced artifacts by role. It is the
-// single execution path shared by the coordinator's local dispatcher
-// (internal/server) and the fleet worker (internal/worker), so a job
-// produces byte-identical artifacts no matter which process ran it —
-// the property that makes lease requeue after a worker crash safe.
+// execution path of internal/worker — both a coordinator's in-process
+// worker and remote `sparkxd worker` processes — so a job produces
+// byte-identical artifacts no matter which process ran it: the property
+// that makes lease requeue after a worker crash safe.
 package jobrun
 
 import (
@@ -15,8 +15,8 @@ import (
 	"sparkxd"
 )
 
-// Systems is the fingerprint-keyed cache of warm engines both executors
-// share: jobs whose ConfigSpecs hash to the same fingerprint run
+// Systems is a worker's fingerprint-keyed cache of warm engines: jobs
+// whose ConfigSpecs hash to the same fingerprint run
 // against one lazily-built *sparkxd.System, so datasets, device
 // profiles, and sweep caches are derived once per configuration per
 // process. The observer receives every engine event tagged with the

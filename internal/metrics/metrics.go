@@ -299,13 +299,21 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 // WritePrometheus renders every registered family in the Prometheus
 // text exposition format, families sorted by name and series by label
 // values, so output is deterministic for a given state.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
+func (r *Registry) WritePrometheus(w io.Writer) error { return WritePrometheus(w, r) }
+
+// WritePrometheus renders the families of several registries as one
+// exposition, sorted by name across all of them (e.g. a coordinator's
+// registry plus its in-process worker's). The registries must not share
+// a family name.
+func WritePrometheus(w io.Writer, regs ...*Registry) error {
+	var fams []*family
+	for _, r := range regs {
+		r.mu.Lock()
+		for _, f := range r.families {
+			fams = append(fams, f)
+		}
+		r.mu.Unlock()
 	}
-	r.mu.Unlock()
 	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
 
 	for _, f := range fams {
@@ -343,11 +351,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // Handler serves the registry as a Prometheus scrape target.
-func (r *Registry) Handler() http.Handler {
+func (r *Registry) Handler() http.Handler { return Handler(r) }
+
+// Handler serves several registries as one Prometheus scrape target
+// (see WritePrometheus).
+func Handler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		_ = r.WritePrometheus(w)
+		_ = WritePrometheus(w, regs...)
 	})
 }
 

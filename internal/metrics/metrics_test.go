@@ -65,6 +65,23 @@ func TestDeterministicOrdering(t *testing.T) {
 	}
 }
 
+// Several registries render as one exposition, families sorted by name
+// across all of them (a coordinator plus its in-process worker).
+func TestMergedRegistriesSortAcross(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.NewGauge("c_gauge", "")
+	b.NewGauge("b_gauge", "")
+	a.NewGauge("a_gauge", "")
+	var sb strings.Builder
+	if err := WritePrometheus(&sb, a, b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE a_gauge gauge\na_gauge 0\n# TYPE b_gauge gauge\nb_gauge 0\n# TYPE c_gauge gauge\nc_gauge 0\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("merged exposition:\n got: %q\nwant: %q", got, want)
+	}
+}
+
 func TestVecReturnsSameChild(t *testing.T) {
 	r := NewRegistry()
 	v := r.NewCounterVec("x_total", "", "k")

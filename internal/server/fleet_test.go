@@ -344,6 +344,39 @@ func TestRestartServedFromPersistedRecord(t *testing.T) {
 	}
 }
 
+// Local slots are leased one job at a time, not claimed in batches: a
+// quick job submitted while a slow one runs takes the idle second slot
+// at once and finishes first.
+func TestQuickJobPassesSlowJobOnIdleSlot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training skipped in -short mode")
+	}
+	srv, err := New(Config{Workers: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	slowCfg := tinyConfig()
+	slowCfg.Neurons, slowCfg.TrainSamples, slowCfg.BaseEpochs = 100, 400, 3
+	slow, _, err := srv.Submit(sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Config: slowCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, srv, slow.ID, "running", func(st sparkxd.JobStatus) bool {
+		return st.State == sparkxd.JobRunning
+	})
+	quick, _, err := srv.Submit(sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Stage: "train", Config: tinyConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitDone(t, srv, quick.ID); final.State != sparkxd.JobDone {
+		t.Fatalf("quick job failed: %s", final.Error)
+	}
+	if st, _ := srv.Job(slow.ID); st.State.Terminal() {
+		t.Errorf("slow job reached %s before the quick job finished: the quick job waited for its slot", st.State)
+	}
+}
+
 // Shutting down mid-execution requeues the in-flight job instead of
 // stranding it in "running" or spuriously failing it.
 func TestCloseRequeuesInFlightJob(t *testing.T) {

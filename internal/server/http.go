@@ -36,7 +36,8 @@ import (
 //	                                verified against its content address)
 //	POST   /v1/workers              register a fleet worker
 //	GET    /v1/workers              list registered workers
-//	POST   /v1/leases               lease queued jobs (fleet/hybrid)
+//	POST   /v1/leases               lease queued jobs, long-polling up to
+//	                                wait_ms (capped) for one
 //	POST   /v1/leases/{id}/renew    heartbeat a lease
 //	POST   /v1/leases/{id}/events   bridge worker events into the SSE feed
 //	POST   /v1/leases/{id}/complete finish a leased job
@@ -71,12 +72,19 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/leases/{id}/complete", s.handleLeaseComplete)
 	mux.HandleFunc("DELETE /v1/leases/{id}", s.handleLeaseRelease)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.Handle("GET /metrics", s.metrics.reg.Handler())
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
-// Metrics exposes the server's registry (worker-side and test use).
-func (s *Server) Metrics() *metrics.Registry { return s.metrics.reg }
+// handleMetrics serves the coordinator's registry plus, in local
+// dispatch, its in-process worker's as one exposition.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	regs := []*metrics.Registry{s.metrics.reg}
+	if s.local != nil {
+		regs = append(regs, s.local.Metrics())
+	}
+	metrics.Handler(regs...).ServeHTTP(w, r)
+}
 
 // apiError is the JSON error body of every non-2xx response. Owner is
 // set only on 421 Misdirected Request: the base URL of the federation
@@ -369,7 +377,8 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode lease request: %v", err)
 		return
 	}
-	grants, err := s.AcquireLeases(req.Worker, req.Capacity)
+	wait := time.Duration(req.WaitMillis) * time.Millisecond
+	grants, err := s.awaitLeases(r.Context(), req.Worker, req.Capacity, wait)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

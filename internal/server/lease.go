@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -64,29 +65,65 @@ func (s *Server) Workers() []fleetapi.WorkerStatus {
 	return out
 }
 
-// AcquireLeases hands up to capacity queued jobs to a worker. Jobs
-// whose earlier lease expired on this same worker are skipped (the
-// worker is excluded — it already demonstrated it cannot finish them),
-// and each granted job carries exactly one live lease. In local
-// dispatch mode, and while draining, no work is handed out.
+// maxLeaseWait caps how long POST /v1/leases holds a request that asked
+// to wait for work; a worker asking for longer simply asks again.
+const maxLeaseWait = 10 * time.Second
+
+// AcquireLeases hands up to capacity queued jobs to a worker without
+// waiting. Jobs whose earlier lease expired on this same worker are
+// skipped (the worker is excluded — it already demonstrated it cannot
+// finish them), and each granted job carries exactly one live lease.
+// While draining, no work is handed out.
 func (s *Server) AcquireLeases(worker string, capacity int) ([]fleetapi.Grant, error) {
+	return s.awaitLeases(context.Background(), worker, capacity, 0)
+}
+
+// awaitLeases is AcquireLeases as a long-poll: with nothing grantable
+// it waits up to wait (capped at maxLeaseWait) for a job to enter the
+// queue, so an idle worker is handed a submission as soon as it
+// arrives instead of at its next poll. A drain, a close, or ctx ending
+// answers empty at once.
+func (s *Server) awaitLeases(ctx context.Context, worker string, capacity int, wait time.Duration) ([]fleetapi.Grant, error) {
 	if worker == "" {
 		return nil, fmt.Errorf("empty worker name")
 	}
 	if capacity <= 0 {
 		return nil, nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	timeout := time.NewTimer(min(wait, maxLeaseWait))
+	defer timeout.Stop()
+	for {
+		s.mu.Lock()
+		grants := s.grantLocked(worker, capacity)
+		// Read the wake channel under the same lock as the empty grant, so
+		// a submission landing in between is not missed.
+		enqueued := s.enqueued
+		idle := len(grants) == 0 && !s.draining && !s.closed
+		s.mu.Unlock()
+		if !idle || wait <= 0 {
+			return grants, nil
+		}
+		select {
+		case <-enqueued:
+		case <-timeout.C:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, nil
+		}
+	}
+}
+
+// grantLocked leases up to capacity queued jobs to worker, in aged
+// priority order. Caller holds s.mu.
+func (s *Server) grantLocked(worker string, capacity int) []fleetapi.Grant {
 	s.touchWorkerLocked(worker, 0)
-	if s.dispatch == DispatchLocal || s.draining || s.closed {
-		return nil, nil
+	if s.draining || s.closed {
+		return nil
 	}
 	var (
 		grants []fleetapi.Grant
 		keep   []*jobRec
 	)
-	// Grants follow the same aged-priority order as local dispatch.
 	s.sortQueueLocked(time.Now())
 	// Exclusion must never starve a job: if every worker seen alive
 	// recently has an expired lease on it, the exclusion set has lost its
@@ -127,9 +164,9 @@ func (s *Server) AcquireLeases(worker string, capacity int) ([]fleetapi.Grant, e
 		s.leases[l.id] = l
 		rec.leaseID = l.id
 		rec.status.State = sparkxd.JobRunning
-		s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "leased",
+		s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "running",
 			Message: fmt.Sprintf("worker %s (lease %s)", worker, l.id)})
-		s.log.Info("job leased", "job", rec.status.ID, "trace", rec.status.TraceID,
+		s.log.Info("job running", "job", rec.status.ID, "trace", rec.status.TraceID,
 			"worker", worker, "lease", l.id)
 		s.metrics.leaseOps.With("grant").Inc()
 		grants = append(grants, fleetapi.Grant{
@@ -141,7 +178,7 @@ func (s *Server) AcquireLeases(worker string, capacity int) ([]fleetapi.Grant, e
 		})
 	}
 	s.queue = keep
-	return grants, nil
+	return grants
 }
 
 // RenewLease extends a live lease's TTL (the worker heartbeat). A lost
@@ -200,7 +237,8 @@ func (s *Server) IngestEvents(id string, evs []sparkxd.Event) error {
 	return nil
 }
 
-// CompleteLease finishes a leased job: either with an artifact role map
+// CompleteLease finishes a leased job — the only done/failed transition
+// of an executed job, wherever it ran: either with an artifact role map
 // the worker has already uploaded to the store, or with a failure
 // message. Artifact keys are verified present before the job is marked
 // done — a completion must never dangle. spans carries the worker's
@@ -240,11 +278,12 @@ func (s *Server) CompleteLease(id string, arts map[string]sparkxd.ArtifactKey, f
 	for _, sd := range spans {
 		s.addSpanLocked(rec, sd)
 	}
+	executor := s.executorOf(l.worker)
 	if failure != "" {
 		rec.status.State = sparkxd.JobFailed
 		rec.status.Error = failure
 		s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "failed", Message: failure})
-		s.metrics.observeTerminal(rec, "failed", "fleet")
+		s.metrics.observeTerminal(rec, "failed", executor)
 		s.closeLeaseSpanLocked(l, "failed")
 		s.log.Warn("job failed on worker", "job", rec.status.ID, "trace", rec.status.TraceID,
 			"worker", l.worker, "err", failure)
@@ -254,7 +293,7 @@ func (s *Server) CompleteLease(id string, arts map[string]sparkxd.ArtifactKey, f
 	}
 	rec.status.State = sparkxd.JobDone
 	rec.status.Artifacts = arts
-	s.metrics.observeTerminal(rec, "done", "fleet")
+	s.metrics.observeTerminal(rec, "done", executor)
 	s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "done",
 		Message: fmt.Sprintf("%d artifacts (worker %s)", len(arts), l.worker)})
 	s.closeLeaseSpanLocked(l, "completed")
@@ -289,8 +328,8 @@ func (s *Server) PutUploadedArtifact(key sparkxd.ArtifactKey, env *sparkxd.Artif
 }
 
 // reapLoop expires overdue leases, requeueing their jobs with the dead
-// worker excluded. Runs for the server's lifetime in fleet and hybrid
-// modes.
+// worker excluded. Runs for the server's lifetime in both dispatch
+// modes: local jobs are leases too.
 func (s *Server) reapLoop() {
 	defer s.wg.Done()
 	interval := s.leaseTTL / 4

@@ -9,9 +9,11 @@ import (
 )
 
 // serverMetrics is the coordinator's instrument set, exposed at
-// GET /metrics in Prometheus text format. Naming follows DESIGN.md §11:
-// everything under the sparkxd_ prefix, _total counters, _seconds
-// histograms on the shared DefLatencyBuckets ladder.
+// GET /metrics in Prometheus text format together with the in-process
+// worker's registry (stage durations, the warm-System and sweep-profile
+// caches) in local dispatch. Naming follows DESIGN.md §11: everything
+// under the sparkxd_ prefix, _total counters, _seconds histograms on the
+// shared DefLatencyBuckets ladder.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -26,8 +28,6 @@ type serverMetrics struct {
 	// do not reset the clock: the latency a client sees is measured
 	// from first submission.
 	jobLatency *metrics.HistogramVec
-	// stageDur times individual pipeline stages (jobrun.Produce).
-	stageDur *metrics.HistogramVec
 	// leaseOps counts lease-protocol transitions:
 	// grant | renew | expire | release | complete.
 	leaseOps *metrics.CounterVec
@@ -44,8 +44,8 @@ type serverMetrics struct {
 }
 
 // newServerMetrics builds the registry and binds the read-through
-// instruments (queue depth, warm-engine cache, fleet size) to live
-// server state; they are sampled at scrape time under s.mu.
+// instruments (queue depth, live leases, fleet size) to live server
+// state; they are sampled at scrape time under s.mu.
 func newServerMetrics(s *Server) *serverMetrics {
 	r := metrics.NewRegistry()
 	m := &serverMetrics{
@@ -58,8 +58,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Jobs returned to the queue (lease expiry, release, drain, shutdown)."),
 		jobLatency: r.NewHistogramVec("sparkxd_job_latency_seconds",
 			"Submit-to-terminal latency by job kind.", metrics.DefLatencyBuckets, "kind"),
-		stageDur: r.NewHistogramVec("sparkxd_job_stage_duration_seconds",
-			"Wall time of locally executed pipeline stages.", metrics.DefLatencyBuckets, "stage"),
 		leaseOps: r.NewCounterVec("sparkxd_leases_total",
 			"Lease-protocol operations.", "op"),
 		sse: r.NewGauge("sparkxd_sse_subscribers",
@@ -75,37 +73,19 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Jobs queued and not yet claimed by any executor.",
 		func() float64 { return float64(s.QueueDepth()) })
 	r.NewGaugeFunc("sparkxd_jobs_inflight",
-		"Jobs executing right now (local pool slots plus live leases).",
+		"Jobs executing right now (live leases, the in-process worker's included).",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return float64(s.inflight + len(s.leases))
+			return float64(len(s.leases))
 		})
 	r.NewGaugeFunc("sparkxd_workers_registered",
-		"Fleet workers that have ever registered with this coordinator.",
+		"Workers that have ever registered with this coordinator (the in-process one included).",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(len(s.fleet))
 		})
-	r.NewGaugeFunc("sparkxd_warm_systems",
-		"Warm System engines currently cached (bounded by -max-warm-systems).",
-		func() float64 { return float64(s.systems.Len()) })
-	r.NewCounterFunc("sparkxd_warm_systems_hits_total",
-		"Warm-System cache acquisitions served by an existing engine.",
-		func() uint64 { h, _, _ := s.systems.Stats(); return h })
-	r.NewCounterFunc("sparkxd_warm_systems_misses_total",
-		"Warm-System cache acquisitions that built a new engine.",
-		func() uint64 { _, m, _ := s.systems.Stats(); return m })
-	r.NewCounterFunc("sparkxd_warm_systems_evictions_total",
-		"Warm System engines evicted by the LRU bound.",
-		func() uint64 { _, _, e := s.systems.Stats(); return e })
-	r.NewCounterFunc("sparkxd_sweep_profile_cache_hits_total",
-		"Device-profile sweep cache hits across cached engines (SweepCacheStats).",
-		func() uint64 { h, _ := s.systems.SweepCacheStats(); return h })
-	r.NewCounterFunc("sparkxd_sweep_profile_cache_misses_total",
-		"Device-profile sweep cache misses across cached engines (SweepCacheStats).",
-		func() uint64 { _, m := s.systems.SweepCacheStats(); return m })
 	// A coordinator backed by a read-through composite (remote store +
 	// local cache) surfaces the cache's counters; s.st is still the raw
 	// configured store here (the metered wrap happens after metrics).
@@ -127,11 +107,6 @@ func registerReadThrough(r *metrics.Registry, rt *store.ReadThrough) {
 	r.NewCounterFunc("sparkxd_store_cache_fills_total",
 		"Remote envelopes copied into the read-through local cache.",
 		func() uint64 { _, _, f := rt.Stats(); return f })
-}
-
-// observeStage is the jobrun.StageObserver of locally executed jobs.
-func (m *serverMetrics) observeStage(stage string, d time.Duration) {
-	m.stageDur.With(stage).Observe(d.Seconds())
 }
 
 // observeTerminal records a terminal transition: outcome counter plus

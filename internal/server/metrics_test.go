@@ -85,6 +85,17 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if !strings.Contains(out, `sparkxd_store_ops_total{op="put"}`) {
 		t.Errorf("/metrics missing store put counter:\n%s", out)
 	}
+	// The coordinator's and its in-process worker's registries merge
+	// into one exposition with every family exactly once.
+	seen := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			if seen[f[2]] {
+				t.Errorf("/metrics repeats the # TYPE line of %s", f[2])
+			}
+			seen[f[2]] = true
+		}
+	}
 }
 
 // Admission control: past the burst, submissions answer 429 with a

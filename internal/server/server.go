@@ -1,8 +1,8 @@
 // Package server is the sparkxd job service: an HTTP/JSON API that
-// accepts pipeline-stage and scenario-sweep jobs, executes them
-// asynchronously — on its own internal/sched pool, on a fleet of
-// lease-holding remote workers, or both — and persists every result
-// into a content-addressed artifact store.
+// accepts pipeline-stage and scenario-sweep jobs, hands them out over
+// one lease protocol — to the coordinator's own in-process worker, to
+// remote `sparkxd worker` processes, or both — and persists every
+// result into a content-addressed artifact store.
 //
 // Three properties shape the design (DESIGN.md §8/§9):
 //
@@ -10,10 +10,11 @@
 //     spec, so submitting the same work twice — from one client or many —
 //     addresses the same job: the second submission returns the first
 //     job's status without re-executing anything.
-//   - Shared warm engines. Jobs whose specs share a configuration
-//     fingerprint run against one shared *sparkxd.System, so device
-//     profiles, datasets, and sweep caches derived for an earlier job are
-//     reused by later ones instead of re-derived per request.
+//   - One executor. Every job runs under a lease on an
+//     internal/worker.Worker; local dispatch is such a worker living in
+//     the coordinator's process, leasing through direct handler calls
+//     instead of a socket. A job therefore has one lifecycle, one event
+//     path, and one trace shape wherever it runs.
 //   - Content-addressed results. Artifacts are stored under
 //     <kind>/<sha256-of-canonical-json>; because execution is
 //     deterministic in the spec, re-running an identical job reproduces
@@ -33,32 +34,28 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"runtime"
+	"net/http"
+	"net/http/httptest"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"sparkxd"
-	"sparkxd/internal/jobrun"
 	"sparkxd/internal/logging"
-	"sparkxd/internal/sched"
 	"sparkxd/internal/tracing"
+	"sparkxd/internal/worker"
 )
 
 // Dispatch selects who executes queued jobs.
 type Dispatch string
 
 const (
-	// DispatchLocal: the server's own sched pool runs everything; lease
-	// requests from workers return no work.
+	// DispatchLocal: an in-process worker runs Config.Workers jobs at a
+	// time, and remote workers that join lease alongside it.
 	DispatchLocal Dispatch = "local"
-	// DispatchFleet: only lease-holding remote workers execute; the
-	// server is a pure coordinator.
+	// DispatchFleet: zero local slots; only remote workers execute, and
+	// the server is a pure coordinator.
 	DispatchFleet Dispatch = "fleet"
-	// DispatchHybrid: the local pool executes jobs in bounded batches
-	// while remote workers lease whatever is queued between batches.
-	DispatchHybrid Dispatch = "hybrid"
 )
 
 // ParseDispatch canonicalizes a dispatch-mode name.
@@ -68,11 +65,9 @@ func ParseDispatch(s string) (Dispatch, error) {
 		return DispatchLocal, nil
 	case DispatchFleet:
 		return DispatchFleet, nil
-	case DispatchHybrid:
-		return DispatchHybrid, nil
 	default:
-		return "", fmt.Errorf("unknown dispatch mode %q (valid: %s, %s, %s)",
-			s, DispatchLocal, DispatchFleet, DispatchHybrid)
+		return "", fmt.Errorf("unknown dispatch mode %q (valid: %s, %s)",
+			s, DispatchLocal, DispatchFleet)
 	}
 }
 
@@ -83,9 +78,11 @@ const DefaultLeaseTTL = 15 * time.Second
 type Config struct {
 	// Store receives every job artifact; nil means an in-memory store.
 	Store sparkxd.ArtifactStore
-	// Workers sizes the local job execution pool (<= 0: GOMAXPROCS).
+	// Workers is how many jobs the in-process worker of local dispatch
+	// runs at once (<= 0: GOMAXPROCS, the worker's default); fleet
+	// dispatch has no local slots.
 	Workers int
-	// Dispatch selects local, fleet, or hybrid execution (zero: local).
+	// Dispatch selects local or fleet execution (zero: local).
 	Dispatch Dispatch
 	// LeaseTTL bounds how long a worker may go silent before its leases
 	// expire and their jobs requeue (zero: DefaultLeaseTTL).
@@ -119,12 +116,11 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Server owns the job table, the execution pool, the lease table, and
-// the artifact store. Create with New, serve its Handler, optionally
-// Drain it on shutdown, and Close it to stop the pool.
+// Server owns the job table, the lease table, the artifact store, and —
+// in local dispatch — the in-process worker. Create with New, serve its
+// Handler, optionally Drain it on shutdown, and Close it to stop.
 type Server struct {
 	st       sparkxd.ArtifactStore
-	workers  int
 	dispatch Dispatch
 	leaseTTL time.Duration
 	shard    shardInfo
@@ -134,26 +130,26 @@ type Server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu       sync.Mutex
-	jobs     map[string]*jobRec
-	queue    []*jobRec
-	wake     chan struct{}
+	mu    sync.Mutex
+	jobs  map[string]*jobRec
+	queue []*jobRec
+	// enqueued is closed and replaced whenever a job enters the queue,
+	// and on drain and close: it wakes every lease request waiting for
+	// work (see awaitLeases).
+	enqueued chan struct{}
 	closed   bool
 	draining bool
-	inflight int                             // jobs executing on the local pool right now
-	systems  *jobrun.Systems                 // shared warm engines, one per config fingerprint
-	running  map[string]map[*jobRec]struct{} // config fingerprint -> jobs executing now
 	leases   map[string]*lease
 	leaseSeq uint64
 	jobSeq   uint64                 // submission order (priority tiebreak)
 	fleet    map[string]*workerInfo // worker name -> registration/presence
 
+	// local is the in-process worker running local dispatch's slots (nil
+	// in fleet dispatch). Set once in New, before any request.
+	local *worker.Worker
+
 	metrics *serverMetrics
 	admit   *admitter // nil: admission control disabled
-
-	// cache persists across execution batches so sched jobs can share
-	// single-flight artifacts the way the experiment suite does.
-	cache *sched.Cache
 }
 
 // maxJobEvents bounds one job's retained event history. Engine events
@@ -168,8 +164,6 @@ const maxJobEvents = 1024
 // that makes submission idempotent — but their event logs are bounded.
 type jobRec struct {
 	status  sparkxd.JobStatus
-	fp      string // config fingerprint (the System-sharing key)
-	cost    float64
 	events  []sparkxd.Event
 	dropped int           // events trimmed off the front of the log
 	notify  chan struct{} // closed and replaced on every update
@@ -215,15 +209,12 @@ type workerInfo struct {
 }
 
 // New builds a Server, preloads persisted job records from the store,
-// and starts its dispatcher and lease reaper.
+// and starts its lease reaper and, in local dispatch, its in-process
+// worker.
 func New(cfg Config) (*Server, error) {
 	st := cfg.Store
 	if st == nil {
 		st = sparkxd.MemoryStore()
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	dispatch, err := ParseDispatch(string(cfg.Dispatch))
 	if err != nil {
@@ -240,7 +231,6 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		st:       st,
-		workers:  workers,
 		dispatch: dispatch,
 		leaseTTL: leaseTTL,
 		shard:    shard,
@@ -248,28 +238,79 @@ func New(cfg Config) (*Server, error) {
 		ctx:      ctx,
 		cancel:   cancel,
 		jobs:     make(map[string]*jobRec),
-		wake:     make(chan struct{}, 1),
-		running:  make(map[string]map[*jobRec]struct{}),
+		enqueued: make(chan struct{}),
 		leases:   make(map[string]*lease),
 		fleet:    make(map[string]*workerInfo),
-		cache:    sched.NewCache(),
 	}
-	s.systems = jobrun.NewSystems(workers, cfg.MaxWarmSystems, s.fanout)
 	s.metrics = newServerMetrics(s)
 	// Meter the store after metrics exist; every Get/Put from here on
 	// (job records, artifacts, worker uploads) is counted.
 	s.st = meteredStore{ArtifactStore: s.st, ops: s.metrics.storeOps}
 	s.admit = newAdmitter(cfg.Rate, cfg.Burst)
 	s.loadRecords()
-	if dispatch != DispatchFleet {
-		s.wg.Add(1)
-		go s.dispatchLoop()
+	if dispatch == DispatchLocal {
+		if err := s.startLocal(cfg.Workers, cfg.MaxWarmSystems); err != nil {
+			cancel()
+			return nil, err
+		}
 	}
-	if dispatch != DispatchLocal {
-		s.wg.Add(1)
-		go s.reapLoop()
-	}
+	s.wg.Add(1)
+	go s.reapLoop()
 	return s, nil
+}
+
+// startLocal starts the in-process worker of local dispatch. It leases
+// from this coordinator by calling its handler directly (no socket, no
+// listener) and writes artifacts straight into the coordinator's store,
+// so local jobs take the same lease, event, and trace path as remote
+// ones. Its lease holder name is what marks a job's executor "local".
+func (s *Server) startLocal(slots, maxWarm int) error {
+	w, err := worker.New(worker.Config{
+		Coordinator:    "http://" + s.procName(),
+		Name:           s.procName() + "-local",
+		Slots:          slots,
+		MaxWarmSystems: maxWarm,
+		// Every lease request may wait the whole cap: submissions wake it.
+		Poll: maxLeaseWait,
+		// Server.Drain is the drain window; once Close stops the worker,
+		// in-flight jobs are cancelled at once and their leases released.
+		DrainTimeout: time.Nanosecond,
+		HTTPClient:   &http.Client{Transport: handlerTransport{s.Handler()}},
+		Store:        s.st,
+		Logger:       s.log,
+	})
+	if err != nil {
+		return err
+	}
+	s.local = w
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		_ = w.Run(s.ctx) // nil once s.ctx ends and in-flight leases are released
+	}()
+	return nil
+}
+
+// handlerTransport serves each request by calling a handler directly:
+// the in-process worker's socket-free path to its coordinator.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, req)
+	if req.Body != nil {
+		req.Body.Close() // a RoundTripper owns the request body
+	}
+	return rec.Result(), nil
+}
+
+// executorOf names who ran a lease holder's jobs: "local" for the
+// in-process worker, "fleet" for any remote one.
+func (s *Server) executorOf(workerName string) string {
+	if s.local != nil && workerName == s.local.Name() {
+		return "local"
+	}
+	return "fleet"
 }
 
 // Store returns the artifact store the server persists into.
@@ -278,28 +319,26 @@ func (s *Server) Store() sparkxd.ArtifactStore { return s.st }
 // DispatchMode returns the server's dispatch mode.
 func (s *Server) DispatchMode() Dispatch { return s.dispatch }
 
-// Close stops accepting work, cancels running jobs, and waits for the
-// dispatcher and reaper to drain. Jobs interrupted mid-execution are
-// requeued (not failed) — see finish — so a Ctrl-C'd server never
-// strands a job in "running"; call Drain first to give in-flight work a
-// bounded chance to complete.
+// Close stops accepting work and waits for the in-process worker and
+// the reaper to exit. The in-process worker's in-flight jobs are
+// cancelled and their leases released, so they are requeued (not
+// failed) before Close returns and a Ctrl-C'd server never strands a
+// job in "running"; call Drain first to give in-flight work a bounded
+// chance to complete.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
+	s.wakeLocked()
 	s.mu.Unlock()
 	s.cancel()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
 	s.wg.Wait()
 }
 
-// Drain stops handing out work — no new leases, no new local batches —
-// and waits up to timeout for in-flight jobs (local and leased) to
-// complete. Whatever is still outstanding afterwards is requeued:
-// active leases are revoked so their jobs go back to queued state
-// immediately rather than waiting for TTL expiry.
+// Drain stops handing out work and waits up to timeout for leased jobs
+// (the in-process worker's included) to complete. Whatever is still
+// outstanding afterwards is requeued: active leases are revoked so their
+// jobs go back to queued state immediately rather than waiting for TTL
+// expiry.
 func (s *Server) Drain(timeout time.Duration) {
 	s.mu.Lock()
 	if s.draining {
@@ -307,13 +346,14 @@ func (s *Server) Drain(timeout time.Duration) {
 		return
 	}
 	s.draining = true
+	s.wakeLocked()
 	s.mu.Unlock()
 	s.log.Info("draining", "timeout", timeout)
 
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		s.mu.Lock()
-		busy := s.inflight + len(s.leases)
+		busy := len(s.leases)
 		s.mu.Unlock()
 		if busy == 0 {
 			return
@@ -361,10 +401,6 @@ func (s *Server) SubmitTraced(spec sparkxd.JobSpec, traceparent string) (sparkxd
 	if err != nil {
 		return sparkxd.JobStatus{}, false, err
 	}
-	fp, err := norm.Config.Fingerprint()
-	if err != nil {
-		return sparkxd.JobStatus{}, false, err
-	}
 
 	s.mu.Lock()
 	if rec, ok := s.jobs[id]; ok {
@@ -386,8 +422,6 @@ func (s *Server) SubmitTraced(spec sparkxd.JobSpec, traceparent string) (sparkxd
 	s.jobSeq++
 	rec := &jobRec{
 		status:   sparkxd.JobStatus{ID: id, State: sparkxd.JobQueued, Spec: norm},
-		fp:       fp,
-		cost:     float64(norm.Config.Neurons),
 		notify:   make(chan struct{}),
 		seq:      s.jobSeq,
 		queuedAt: time.Now(),
@@ -401,10 +435,7 @@ func (s *Server) SubmitTraced(spec sparkxd.JobSpec, traceparent string) (sparkxd
 	s.jobs[id] = rec
 	s.queue = append(s.queue, rec)
 	s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "queued", Message: id})
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.wakeLocked()
 	status := copyStatus(rec.status)
 	s.mu.Unlock()
 	// Persist the queued-state record outside the lock (store writes do
@@ -553,8 +584,7 @@ func (s *Server) loadRecords() {
 		if rec == nil {
 			continue
 		}
-		fp, err := rec.Spec.Config.Fingerprint()
-		if err != nil {
+		if _, err := rec.Spec.Config.Fingerprint(); err != nil {
 			continue
 		}
 		if c.done != nil {
@@ -566,7 +596,6 @@ func (s *Server) loadRecords() {
 					Artifacts: rec.Artifacts,
 					TraceID:   rec.TraceID,
 				},
-				fp:       fp,
 				notify:   make(chan struct{}),
 				traceKey: rec.TraceKey,
 			}
@@ -579,8 +608,6 @@ func (s *Server) loadRecords() {
 		s.jobSeq++
 		jr := &jobRec{
 			status:   sparkxd.JobStatus{ID: rec.JobID, State: sparkxd.JobQueued, Spec: rec.Spec},
-			fp:       fp,
-			cost:     float64(rec.Spec.Config.Neurons),
 			notify:   make(chan struct{}),
 			seq:      s.jobSeq,
 			queuedAt: time.Now(),
@@ -594,12 +621,6 @@ func (s *Server) loadRecords() {
 		s.appendEventLocked(jr, sparkxd.Event{Stage: "job", Phase: "queued",
 			Message: "requeued from durable record (coordinator takeover)"})
 		requeued++
-	}
-	if requeued > 0 {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
 	}
 	if loaded > 0 || requeued > 0 {
 		s.log.Info("job records restored", "completed", loaded, "requeued", requeued)
@@ -627,28 +648,6 @@ func (s *Server) persistRecord(status sparkxd.JobStatus, traceKey sparkxd.Artifa
 	}
 	if _, err := sparkxd.PutArtifact(s.st, rec); err != nil {
 		s.log.Warn("persist record failed", "job", status.ID, "err", err)
-	}
-}
-
-// dispatchLoop runs queued jobs in batches on a fresh sched pool per
-// batch (sharing one cache), so concurrent submissions fan out across
-// workers with the scheduler's cost-aware work stealing. Not started in
-// fleet mode.
-func (s *Server) dispatchLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-s.wake:
-		}
-		for {
-			batch := s.takeQueued()
-			if len(batch) == 0 {
-				break
-			}
-			s.runBatch(batch)
-		}
 	}
 }
 
@@ -681,218 +680,6 @@ func (s *Server) sortQueueLocked(now time.Time) {
 	})
 }
 
-// takeQueued claims jobs for local execution in aged-priority order.
-// Batches are bounded by the pool size — in hybrid mode so queued work
-// stays leasable by fleet workers between batches, and in local mode so
-// later-arriving high-priority jobs sort ahead of the backlog at the
-// next batch boundary instead of waiting out the whole queue.
-func (s *Server) takeQueued() []*jobRec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return nil
-	}
-	s.sortQueueLocked(time.Now())
-	n := len(s.queue)
-	if n > s.workers {
-		n = s.workers
-	}
-	batch := s.queue[:n:n]
-	s.queue = append([]*jobRec(nil), s.queue[n:]...)
-	s.inflight += len(batch)
-	for _, rec := range batch {
-		s.closeQueueSpanLocked(rec, "local")
-	}
-	return batch
-}
-
-// runBatch executes one claimed batch on the work-stealing pool. Job IDs
-// are the sched job names and the neuron count is the cost hint, so big
-// configurations start first and idle workers steal small ones.
-func (s *Server) runBatch(batch []*jobRec) {
-	sch, err := sched.New(sched.Config{Workers: s.workers, Seed: 1, Cache: s.cache})
-	if err != nil {
-		for _, rec := range batch {
-			s.finish(rec, nil, err)
-		}
-		return
-	}
-	for _, rec := range batch {
-		rec := rec
-		err := sch.Add(sched.Job{
-			Name: rec.status.ID,
-			Cost: rec.cost,
-			Run: func(*sched.Ctx) (any, error) {
-				s.execute(rec)
-				return nil, nil
-			},
-		})
-		if err != nil {
-			s.finish(rec, nil, err)
-		}
-	}
-	sch.Run() // job failures are recorded on the recs, not here
-}
-
-// execute runs one job end to end and records its outcome. Panics are
-// contained here (not just in sched) so a crashed job reaches JobFailed
-// instead of sticking in JobRunning.
-func (s *Server) execute(rec *jobRec) {
-	s.setRunning(rec)
-	var (
-		arts map[string]sparkxd.ArtifactKey
-		err  error
-	)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}()
-		arts, err = s.run(rec)
-	}()
-	s.finish(rec, arts, err)
-}
-
-// run performs the job's work and returns the artifact role map. The
-// whole local execution is wrapped in an "execute" span (a child of the
-// job root) with warm-build, per-stage, and artifact-store child spans —
-// the local-dispatch mirror of what a fleet worker emits.
-func (s *Server) run(rec *jobRec) (map[string]sparkxd.ArtifactKey, error) {
-	proc := s.procName()
-	s.mu.Lock()
-	var parent tracing.SpanContext
-	if rec.trace != nil {
-		parent = rec.trace.root
-	}
-	s.mu.Unlock()
-	exec := tracing.Start(parent, proc, "execute")
-	exec.SetAttr("executor", "local")
-	fail := func(err error) (map[string]sparkxd.ArtifactKey, error) {
-		exec.SetAttr("outcome", "failed")
-		s.addSpan(rec, exec.End())
-		return nil, err
-	}
-
-	acqStart := time.Now()
-	sys, built, release, err := s.systems.Acquire(rec.fp, rec.status.Spec.Config)
-	if err != nil {
-		release()
-		return fail(err)
-	}
-	defer release()
-	if built {
-		s.addSpan(rec, tracing.Completed(exec.Context(), proc, "warm-system-build",
-			acqStart, time.Since(acqStart), map[string]string{"fingerprint": rec.fp}))
-	}
-	s.markRunningOn(rec)
-	defer s.unmarkRunningOn(rec)
-
-	observe := func(stage string, d time.Duration) {
-		s.metrics.observeStage(stage, d)
-		s.addSpan(rec, tracing.Completed(exec.Context(), proc, "stage:"+stage,
-			time.Now().Add(-d), d, nil))
-	}
-	produced, err := jobrun.Produce(s.ctx, sys, rec.status.Spec, observe)
-	if err != nil {
-		return fail(err)
-	}
-	storeStart := time.Now()
-	arts := make(map[string]sparkxd.ArtifactKey, len(produced))
-	for role, v := range produced {
-		key, err := sparkxd.PutArtifact(s.st, v)
-		if err != nil {
-			return fail(fmt.Errorf("store %s: %w", role, err))
-		}
-		arts[role] = key
-	}
-	s.addSpan(rec, tracing.Completed(exec.Context(), proc, "store-artifacts",
-		storeStart, time.Since(storeStart), map[string]string{"artifacts": strconv.Itoa(len(arts))}))
-	exec.SetAttr("outcome", "done")
-	s.addSpan(rec, exec.End())
-	return arts, nil
-}
-
-// fanout delivers an engine event to every job currently executing on
-// that engine (configuration fingerprint).
-func (s *Server) fanout(fp string, ev sparkxd.Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for rec := range s.running[fp] {
-		s.appendEventLocked(rec, ev)
-	}
-}
-
-func (s *Server) markRunningOn(rec *jobRec) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	set := s.running[rec.fp]
-	if set == nil {
-		set = make(map[*jobRec]struct{})
-		s.running[rec.fp] = set
-	}
-	set[rec] = struct{}{}
-}
-
-func (s *Server) unmarkRunningOn(rec *jobRec) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.running[rec.fp], rec)
-}
-
-// setRunning transitions a job to JobRunning.
-func (s *Server) setRunning(rec *jobRec) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec.status.State = sparkxd.JobRunning
-	s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "running", Message: rec.status.ID})
-	s.log.Info("job running", "job", rec.status.ID, "trace", rec.status.TraceID)
-}
-
-// finish records a local job's terminal state — or requeues it when the
-// failure is the server's own shutdown cancellation, so Ctrl-C never
-// strands (or spuriously fails) a job that merely had the bad luck of
-// being in flight.
-func (s *Server) finish(rec *jobRec, arts map[string]sparkxd.ArtifactKey, err error) {
-	s.mu.Lock()
-	if s.inflight > 0 {
-		s.inflight--
-	}
-	if rec.status.State.Terminal() {
-		s.mu.Unlock()
-		return
-	}
-	if err != nil && s.ctx.Err() != nil {
-		// Shutdown cancellation, not a real failure of the job.
-		s.requeueLocked(rec, "server shutting down")
-		s.mu.Unlock()
-		return
-	}
-	if err != nil {
-		rec.status.State = sparkxd.JobFailed
-		rec.status.Error = err.Error()
-		s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "failed", Message: err.Error()})
-		s.metrics.observeTerminal(rec, "failed", "local")
-		s.log.Warn("job failed", "job", rec.status.ID, "trace", rec.status.TraceID, "err", err)
-		s.mu.Unlock()
-		s.finalizeTrace(rec)
-		return
-	}
-	rec.status.State = sparkxd.JobDone
-	rec.status.Artifacts = arts
-	s.metrics.observeTerminal(rec, "done", "local")
-	s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "done",
-		Message: fmt.Sprintf("%d artifacts", len(arts))})
-	s.log.Info("job done", "job", rec.status.ID, "trace", rec.status.TraceID, "artifacts", len(arts))
-	s.mu.Unlock()
-	s.finalizeTrace(rec)
-	s.mu.Lock()
-	status := copyStatus(rec.status)
-	traceKey := rec.traceKey
-	s.mu.Unlock()
-	s.persistRecord(status, traceKey)
-}
-
 // requeueLocked returns a non-terminal job to the front of the queue.
 // Caller holds s.mu (and has already removed any lease on the job).
 func (s *Server) requeueLocked(rec *jobRec, msg string) {
@@ -902,11 +689,15 @@ func (s *Server) requeueLocked(rec *jobRec, msg string) {
 	s.reopenQueueSpanLocked(rec)
 	s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "requeued", Message: msg})
 	s.queue = append([]*jobRec{rec}, s.queue...)
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.wakeLocked()
 	s.log.Info("job requeued", "job", rec.status.ID, "trace", rec.status.TraceID, "reason", msg)
+}
+
+// wakeLocked wakes every lease request waiting for work: they re-check
+// the queue (and see a drain or close). Caller holds s.mu.
+func (s *Server) wakeLocked() {
+	close(s.enqueued)
+	s.enqueued = make(chan struct{})
 }
 
 // appendEventLocked records an event on a job (trimming the log's

@@ -13,9 +13,9 @@ import (
 // jobTraceState from submission: the root "job" span context (a child
 // of the client's traceparent when one arrived, a fresh trace
 // otherwise) plus the spans recorded so far. The coordinator emits
-// queue-wait, admission, lease-lifecycle, and local-execution spans;
-// worker spans arrive through the lease event batches and the
-// completion payload. At the terminal transition the whole set is
+// queue-wait, admission, and lease-lifecycle spans; worker spans — the
+// in-process worker's included — arrive through the lease event batches
+// and the completion payload. At the terminal transition the whole set is
 // assembled, sorted, and persisted as a content-addressed KindJobTrace
 // artifact.
 //
@@ -80,13 +80,6 @@ func (s *Server) procName() string {
 	return "coordinator"
 }
 
-// addSpan records one finished span on a job (locking wrapper).
-func (s *Server) addSpan(rec *jobRec, sd sparkxd.TraceSpan) {
-	s.mu.Lock()
-	s.addSpanLocked(rec, sd)
-	s.mu.Unlock()
-}
-
 // addSpanLocked records one finished span on a job. Caller holds s.mu.
 func (s *Server) addSpanLocked(rec *jobRec, sd sparkxd.TraceSpan) {
 	tr := rec.trace
@@ -146,6 +139,7 @@ func (s *Server) closeLeaseSpanLocked(l *lease, outcome string) {
 		return
 	}
 	l.span.SetAttr("worker", l.worker)
+	l.span.SetAttr("executor", s.executorOf(l.worker))
 	l.span.SetAttr("lease_id", l.id)
 	l.span.SetAttr("outcome", outcome)
 	l.span.SetAttr("renews", strconv.Itoa(l.renews))

@@ -218,9 +218,10 @@ func TestTraceAcrossLeaseHandoff(t *testing.T) {
 	}
 }
 
-// A locally-executed job's trace nests and sums consistently: stage
-// spans under the local execute span, execute and queue-wait under the
-// root, and every child interval inside its parent's.
+// A locally-executed job's trace has the one lease shape and nests
+// consistently: a lease (executor=local) and queue-wait under the root,
+// the in-process worker's execute under the lease, stage spans under
+// execute, and every child interval inside its parent's.
 func TestTraceLocalExecutionNesting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short mode")
@@ -252,9 +253,13 @@ func TestTraceLocalExecutionNesting(t *testing.T) {
 	if root == nil {
 		t.Fatalf("no job root span:\n%s", dumpTrace(tr))
 	}
+	leases := findSpans(tr, "lease")
+	if len(leases) != 1 || leases[0].Attrs["executor"] != "local" || leases[0].Parent != root.SpanID {
+		t.Fatalf("local lease span missing or mis-parented:\n%s", dumpTrace(tr))
+	}
 	execs := findSpans(tr, "execute")
-	if len(execs) != 1 || execs[0].Attrs["executor"] != "local" || execs[0].Parent != root.SpanID {
-		t.Fatalf("local execute span missing or mis-parented:\n%s", dumpTrace(tr))
+	if len(execs) != 1 || execs[0].Parent != leases[0].SpanID {
+		t.Fatalf("execute span missing or not nested under the lease:\n%s", dumpTrace(tr))
 	}
 	stages := findSpans(tr, "stage:train")
 	if len(stages) != 1 || stages[0].Parent != execs[0].SpanID {

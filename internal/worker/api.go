@@ -49,11 +49,12 @@ func (c *coordClient) register(ctx context.Context, name string, slots int) (fle
 	return resp, err
 }
 
-// acquire leases up to capacity queued jobs.
-func (c *coordClient) acquire(ctx context.Context, name string, capacity int) (fleetapi.LeaseResponse, error) {
+// acquire leases up to capacity queued jobs, letting the coordinator
+// hold the request up to wait for one.
+func (c *coordClient) acquire(ctx context.Context, name string, capacity int, wait time.Duration) (fleetapi.LeaseResponse, error) {
 	var resp fleetapi.LeaseResponse
 	err := c.do(ctx, http.MethodPost, "/v1/leases",
-		fleetapi.LeaseRequest{Worker: name, Capacity: capacity}, &resp)
+		fleetapi.LeaseRequest{Worker: name, Capacity: capacity, WaitMillis: wait.Milliseconds()}, &resp)
 	return resp, err
 }
 

@@ -10,10 +10,11 @@ import (
 
 // workerMetrics is the worker's instrument set, served by
 // MetricsHandler on a local address (the worker has no public API; the
-// endpoint exists purely for scraping). Names follow DESIGN.md §11 with
-// a sparkxd_worker_ prefix for worker-specific series; the warm-System
-// cache instruments reuse the coordinator's names — same cache, same
-// meaning, different process.
+// endpoint exists purely for scraping) and, for a coordinator's
+// in-process worker, as part of the coordinator's /metrics. Names follow
+// DESIGN.md §11 with a sparkxd_worker_ prefix for lease-client series;
+// the stage, warm-System, and sweep-profile instruments carry plain
+// sparkxd_ names, the same on every process that executes jobs.
 type workerMetrics struct {
 	reg *metrics.Registry
 
@@ -65,6 +66,12 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 	r.NewCounterFunc("sparkxd_warm_systems_evictions_total",
 		"Warm System engines evicted by the LRU bound.",
 		func() uint64 { _, _, e := w.systems.Stats(); return e })
+	r.NewCounterFunc("sparkxd_sweep_profile_cache_hits_total",
+		"Device-profile sweep cache hits across cached engines (SweepCacheStats).",
+		func() uint64 { h, _ := w.systems.SweepCacheStats(); return h })
+	r.NewCounterFunc("sparkxd_sweep_profile_cache_misses_total",
+		"Device-profile sweep cache misses across cached engines (SweepCacheStats).",
+		func() uint64 { _, m := w.systems.SweepCacheStats(); return m })
 	// A worker uploading through a read-through composite (remote store
 	// + local cache) surfaces the cache's counters, mirroring the
 	// coordinator's series names.
@@ -90,3 +97,7 @@ func (m *workerMetrics) observeStage(stage string, d time.Duration) {
 // MetricsHandler serves the worker's Prometheus metrics; mount it on a
 // local listener (`sparkxd worker -metrics`).
 func (w *Worker) MetricsHandler() http.Handler { return w.metrics.reg.Handler() }
+
+// Metrics returns the worker's registry, for a process that exposes it
+// alongside its own (a coordinator's in-process worker).
+func (w *Worker) Metrics() *metrics.Registry { return w.metrics.reg }

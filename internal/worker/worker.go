@@ -1,10 +1,11 @@
-// Package worker is the fleet-execution half of the sparkxd job
-// service (DESIGN.md §9): a `sparkxd worker` process joins a
-// coordinator (`sparkxd serve -dispatch fleet|hybrid`), leases queued
-// jobs over HTTP, executes them through the exact same engine/pipeline
-// path the coordinator would use locally (internal/jobrun), streams
-// stage events back for SSE bridging, uploads result envelopes into the
-// coordinator's content-addressed store, and completes the lease.
+// Package worker is the one executor of the sparkxd job service
+// (DESIGN.md §9): a Worker leases queued jobs from a coordinator,
+// executes them through internal/jobrun, streams stage events back for
+// SSE bridging, stores result envelopes in the coordinator's
+// content-addressed store, and completes the lease. A `sparkxd worker`
+// process joins a coordinator over HTTP; a coordinator in local
+// dispatch runs its own slots as a Worker in its process, leasing
+// through direct handler calls.
 //
 // Liveness is lease-based: the worker heartbeats each lease a few times
 // per TTL window; a worker that crashes or partitions simply goes
@@ -49,8 +50,10 @@ type Config struct {
 	// MaxWarmSystems bounds the warm-System engine cache; 0 keeps it
 	// unbounded (mirrors the coordinator's -max-warm-systems).
 	MaxWarmSystems int
-	// Poll is how long an idle worker waits between lease requests
-	// (zero: 500ms).
+	// Poll is how long an idle worker waits for work per lease request
+	// (zero: 500ms): the coordinator holds the request until a job is
+	// queued, and one that answers empty sooner is asked again only once
+	// Poll has passed.
 	Poll time.Duration
 	// DrainTimeout bounds how long a signalled worker keeps finishing
 	// in-flight jobs before releasing their leases (zero: 30s).
@@ -62,10 +65,11 @@ type Config struct {
 	// its connection pool.
 	HTTPClient *http.Client
 	// Store, when non-nil, receives result artifacts directly (e.g. the
-	// federation's shared remote store, optionally wrapped read-through)
-	// instead of uploading them through the coordinator's artifact
-	// endpoint. The coordinator must be backed by the same store, or
-	// completions will fail its artifact verification.
+	// federation's shared remote store, optionally wrapped read-through,
+	// or a coordinator's own store for its in-process worker) instead of
+	// uploading them through the coordinator's artifact endpoint. The
+	// coordinator must be backed by the same store, or completions will
+	// fail its artifact verification.
 	Store sparkxd.ArtifactStore
 	// Logger, when non-nil, receives structured logs (job/lease/trace
 	// IDs as attrs). Takes precedence over Logf.
@@ -92,8 +96,11 @@ type Worker struct {
 
 	mu      sync.Mutex
 	running int
-	systems *jobrun.Systems // shared warm engines, as on the coordinator
+	systems *jobrun.Systems // shared warm engines, one per config fingerprint
 	byFP    map[string]map[*task]struct{}
+	// freed receives (without blocking) whenever an execution ends, so
+	// a worker with every slot busy asks for work as soon as one frees.
+	freed chan struct{}
 }
 
 // task is one in-flight leased job.
@@ -174,6 +181,7 @@ func New(cfg Config) (*Worker, error) {
 		api:           api,
 		st:            cfg.Store,
 		byFP:          make(map[string]map[*task]struct{}),
+		freed:         make(chan struct{}, 1),
 	}
 	w.systems = jobrun.NewSystems(slots, cfg.MaxWarmSystems, w.fanout)
 	w.metrics = newWorkerMetrics(w)
@@ -203,50 +211,56 @@ func (w *Worker) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
 
 	for ctx.Err() == nil {
-		granted := 0
-		if free := w.freeSlots(); free > 0 {
-			resp, err := w.api.acquire(ctx, w.name, free)
-			if err != nil {
-				if ctx.Err() == nil {
-					w.log.Warn("lease request failed", "err", err)
-				}
-			} else {
-				w.metrics.queueDepth.Set(int64(resp.QueueDepth))
-			}
-			grants := resp.Leases
-			for _, g := range grants {
-				g := g
-				w.addRunning(1)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer w.addRunning(-1)
-					w.execute(jobCtx, g)
-				}()
-			}
-			granted = len(grants)
-		}
-		if granted == 0 {
+		free := w.freeSlots()
+		if free == 0 {
 			select {
 			case <-ctx.Done():
-			case <-time.After(w.poll):
+			case <-w.freed:
+			}
+			continue
+		}
+		asked := time.Now()
+		resp, err := w.api.acquire(ctx, w.name, free, w.poll)
+		if err != nil {
+			if ctx.Err() == nil {
+				w.log.Warn("lease request failed", "err", err)
+			}
+		} else {
+			w.metrics.queueDepth.Set(int64(resp.QueueDepth))
+		}
+		for _, g := range resp.Leases {
+			w.addRunning(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer w.addRunning(-1)
+				w.execute(jobCtx, g)
+			}()
+		}
+		if len(resp.Leases) == 0 {
+			// A coordinator that answered empty before Poll was up (one
+			// predating the long-poll, a draining one, or a failed request)
+			// is asked again only once Poll has passed: never spin.
+			select {
+			case <-ctx.Done():
+			case <-time.After(w.poll - time.Since(asked)):
 			}
 		}
 	}
 
 	// Drain: let in-flight jobs finish inside the window.
-	if n := w.runningCount(); n > 0 {
-		w.log.Info("draining", "inflight", n, "timeout", w.drainTimeout)
-	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(w.drainTimeout):
-		w.log.Warn("drain timeout: releasing remaining leases")
-		cancelJobs() // execute() sees jobCtx cancelled and releases the lease
-		<-done
+	if n := w.runningCount(); n > 0 {
+		w.log.Info("draining", "inflight", n, "timeout", w.drainTimeout)
+		select {
+		case <-done:
+		case <-time.After(w.drainTimeout):
+			w.log.Warn("drain timeout: releasing remaining leases")
+			cancelJobs() // execute() sees jobCtx cancelled and releases the lease
+		}
 	}
+	<-done
 	return nil
 }
 
@@ -263,9 +277,6 @@ func (w *Worker) register(ctx context.Context) error {
 			}
 			w.log.Info("registered", "coordinator", w.api.base, "worker", w.name,
 				"slots", w.slots, "lease_ttl", w.ttl, "dispatch", resp.Dispatch)
-			if resp.Dispatch == "local" {
-				w.log.Warn("coordinator dispatches locally only; this worker will idle")
-			}
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -298,7 +309,6 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 	// throwaway trace — the coordinator drops spans for untraced jobs.
 	parent, _ := tracing.ParseTraceparent(g.Traceparent)
 	exec := tracing.Start(parent, w.name, "execute")
-	exec.SetAttr("executor", "fleet")
 	exec.SetAttr("lease_id", g.LeaseID)
 	failWith := func(failure string) {
 		exec.SetAttr("outcome", "failed")
@@ -389,48 +399,51 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 		return
 	}
 
-	// Upload every produced artifact as a canonical envelope (the
-	// heartbeat keeps the lease alive throughout), then mark the job
-	// complete with the role → key map. With a configured Store the
-	// envelopes go there directly — the coordinator shares the store, so
-	// its completion-time Stat verification still passes. The upload and
+	// Store every produced artifact (the heartbeat keeps the lease alive
+	// throughout), then mark the job complete with the role → key map.
+	// With a configured Store the values go there directly and the store
+	// derives each key — the coordinator shares the store, so its
+	// completion-time Stat verification still passes; otherwise each is
+	// encoded once and uploaded through the coordinator. The upload and
 	// execution-envelope spans travel in the completion request: no
 	// event batch is flushed after this point.
 	uploadStart := time.Now()
 	arts := make(map[string]sparkxd.ArtifactKey, len(produced))
 	for role, v := range produced {
-		kind, kerr := sparkxd.ArtifactKind(v)
-		if kerr != nil {
+		kind, err := sparkxd.ArtifactKind(v)
+		if err != nil {
 			stopHeartbeat()
-			failWith(fmt.Sprintf("artifact %s: %v", role, kerr))
+			failWith(fmt.Sprintf("artifact %s: %v", role, err))
 			return
 		}
-		key, envelope, eerr := store.Encode(kind, v)
-		if eerr != nil {
-			stopHeartbeat()
-			failWith(fmt.Sprintf("artifact %s: %v", role, eerr))
-			return
-		}
-		var uerr error
+		var key sparkxd.ArtifactKey
 		if w.st != nil {
-			_, uerr = w.st.Put(kind, v)
+			key, err = w.st.Put(kind, v)
 		} else {
+			var envelope []byte
+			if key, envelope, err = store.Encode(kind, v); err != nil {
+				stopHeartbeat()
+				failWith(fmt.Sprintf("artifact %s: %v", role, err))
+				return
+			}
 			opCtx, opCancel := w.opContext()
-			uerr = w.api.putArtifact(opCtx, sparkxd.ArtifactKey(key), envelope)
+			err = w.api.putArtifact(opCtx, key, envelope)
 			opCancel()
+			if err == nil {
+				w.metrics.uploadBytes.Add(uint64(len(envelope)))
+			}
 		}
-		if uerr != nil {
+		if err != nil {
 			w.metrics.jobs.With("abandoned").Inc()
-			w.log.Warn("upload failed; abandoning (lease will expire)", "job", g.JobID, "key", key, "err", uerr)
+			w.log.Warn("upload failed; abandoning (lease will expire)", "job", g.JobID, "role", role, "err", err)
 			return
 		}
-		w.metrics.uploadBytes.Add(uint64(len(envelope)))
 		if t.isLost() {
 			w.metrics.jobs.With("abandoned").Inc()
 			w.log.Warn("lease lost mid-upload, abandoning result", "job", g.JobID, "lease", g.LeaseID)
 			return
 		}
-		arts[role] = sparkxd.ArtifactKey(key)
+		arts[role] = key
 	}
 	upload := tracing.Completed(exec.Context(), w.name, "artifact-upload",
 		uploadStart, time.Since(uploadStart), map[string]string{"artifacts": strconv.Itoa(len(arts))})
@@ -549,7 +562,7 @@ func (w *Worker) flushEvents(t *task) {
 }
 
 // fanout buffers an engine event on every task currently executing on
-// that fingerprint (mirrors the coordinator's own event scoping).
+// that fingerprint.
 func (w *Worker) fanout(fp string, ev sparkxd.Event) {
 	w.mu.Lock()
 	tasks := make([]*task, 0, len(w.byFP[fp]))
@@ -583,6 +596,12 @@ func (w *Worker) addRunning(d int) {
 	w.mu.Lock()
 	w.running += d
 	w.mu.Unlock()
+	if d < 0 {
+		select {
+		case w.freed <- struct{}{}:
+		default:
+		}
+	}
 }
 
 func (w *Worker) runningCount() int {

@@ -44,7 +44,7 @@ wait_line() {
 }
 
 echo "pprof-smoke: starting coordinator, worker, and store server with debug listeners"
-"$workdir/sparkxd" serve -addr 127.0.0.1:0 -dispatch hybrid -workers 2 \
+"$workdir/sparkxd" serve -addr 127.0.0.1:0 -workers 2 \
 	-debug-addr 127.0.0.1:0 \
 	> "$workdir/serve.out" 2> "$workdir/serve.err" &
 server_pid=$!

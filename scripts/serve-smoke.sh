@@ -8,6 +8,8 @@
 # 4. Poll the job to completion and fetch the sweep artifact payload.
 # 5. `cmp` the fetched payload against the in-process report: the job
 #    service must reproduce the direct run byte for byte.
+# 6. Fetch the job's trace: a locally executed job has the one lease
+#    shape, job -> queue-wait + lease -> execute -> stage:*.
 set -euo pipefail
 
 workdir="$(mktemp -d)"
@@ -78,3 +80,24 @@ fi
 
 cmp "$workdir/direct.json" "$workdir/served.json"
 echo "serve-smoke: served artifact is byte-identical to the in-process sweep"
+
+"$workdir/sparkxd" trace -addr "$addr" -json "$id1" > "$workdir/trace.json"
+if ! jq -e '
+	[.spans[] | select(.name == "job") | .span_id] as $roots |
+	[.spans[] | select(.name == "lease") | .span_id] as $leases |
+	[.spans[] | select(.name == "execute")
+		| select([.parent_span_id] | inside($leases)) | .span_id] as $execs |
+	(($roots | length) == 1) and
+	(([.spans[] | select(.name == "queue-wait")
+		| select([.parent_span_id] | inside($roots))] | length) >= 1) and
+	(([.spans[] | select(.name == "lease")
+		| select([.parent_span_id] | inside($roots))] | length) >= 1) and
+	(($execs | length) >= 1) and
+	(([.spans[] | select(.name | startswith("stage:"))
+		| select([.parent_span_id] | inside($execs))] | length) >= 1)
+' "$workdir/trace.json" > /dev/null; then
+	echo "serve-smoke: local job's trace lacks the job -> lease -> execute -> stage nesting:" >&2
+	cat "$workdir/trace.json" >&2
+	exit 1
+fi
+echo "serve-smoke: local job's trace nests job -> queue-wait + lease -> execute -> stage"
