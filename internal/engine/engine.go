@@ -5,16 +5,24 @@
 // fans the cross-product out over the internal/sched work-stealing pool,
 // and returns one deterministic accuracy/energy record per scenario.
 //
-// The sweep decomposes into independent scenario jobs that share their
-// expensive invariants:
+// The sweep decomposes into independent scenario jobs, and each distinct
+// piece of scenario work is done once:
 //
 //   - device error profiles are derived once per device point through a
 //     single-flight sched.Cache keyed by (voltage, error-model kind,
 //     device seed) — a (2 voltages × 7 BERs × policies) grid derives 2
 //     profiles, not 14×;
-//   - DRAM layouts and prepared injectors (weak-cell sets) are cached per
-//     (profile, policy, threshold), so every baseline-policy scenario of
-//     one device point shares a single placement pass;
+//   - DRAM placements are cached by what placement reads (policy, image
+//     size and, for sparkxd, the device point and threshold), never by
+//     error-model kind, so every kind shares one layout;
+//   - prepared injectors (weak-cell sets) and the energy replay are
+//     cached per (profile, policy, threshold), so every baseline-policy
+//     scenario of one device point shares a single preparation pass and
+//     a single replay;
+//   - within one Run, every scenario whose injection flipped no bit
+//     evaluates the same weights — the storage round trip of its master
+//     weights — so each (encoder, bitwidth, prune level) group of such
+//     scenarios is evaluated once;
 //   - each worker corrupts weights into its own pooled scratch buffer and
 //     evaluates through its own snn.Evaluator, so the hot path allocates
 //     nothing per scenario after warm-up.
@@ -181,8 +189,12 @@ type Engine struct {
 	// profiles single-flights device-profile derivation, keyed by
 	// (voltage | uniform BER, error-model kind, device seed).
 	profiles *sched.Cache
-	// prepared single-flights layout construction and injector weak-cell
-	// preparation, keyed by (profile key, policy, threshold, image size,
+	// layouts single-flights placement, keyed by (policy, stored format,
+	// image size and — for sparkxd — device point and threshold). Profiles
+	// do not depend on the error-model kind, so neither does this key.
+	layouts *sched.Cache
+	// prepared single-flights injector weak-cell preparation and the
+	// energy replay, keyed by (profile key, policy, threshold, image size,
 	// and — when non-default — the scenario bitwidth).
 	prepared *sched.Cache
 	// encMu/encs cache the encoded test sets across Run calls, one entry
@@ -196,7 +208,7 @@ type Engine struct {
 
 // New returns an engine over the framework's device models.
 func New(fw *core.Framework) *Engine {
-	return &Engine{fw: fw, profiles: sched.NewCache(), prepared: sched.NewCache()}
+	return &Engine{fw: fw, profiles: sched.NewCache(), layouts: sched.NewCache(), prepared: sched.NewCache()}
 }
 
 // ProfileCacheStats returns the cumulative hit/miss counts of the
@@ -311,15 +323,25 @@ type scratch struct {
 	ev  *snn.Evaluator
 }
 
-// prep is one cached (layout, prepared injector) pair. effTh and safe
-// are only meaningful for the sparkxd policy, whose cache key includes
-// the threshold; the baseline prep is shared across BER points and its
+// placement is one cached layout. effTh (the threshold Algorithm 2
+// settled on) and safe (the subarrays at or below it) are only
+// meaningful for the sparkxd policy, whose cache key includes the
+// threshold; the baseline layout is shared across BER points and its
 // per-scenario threshold fields are derived by the caller instead.
-type prep struct {
+type placement struct {
 	layout *mapping.Layout
-	inj    *errmodel.Injector
 	effTh  float64
 	safe   int
+}
+
+// prep is one cached (placement, prepared injector, energy replay)
+// entry. The placement is shared across error-model kinds through the
+// layout cache; energyMJ and hitRate are zero on uniform grids.
+type prep struct {
+	*placement
+	inj      *errmodel.Injector
+	energyMJ float64
+	hitRate  float64
 }
 
 // Run evaluates every scenario of the grid against the network and test
@@ -366,10 +388,11 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 	}
 
 	// Pruned master-weight variants are shared across the scenarios of
-	// one prune level, but must NOT outlive this Run: pruning depends on
-	// the actual weight values, which may differ between Run calls on a
-	// persistent Engine.
-	pruned := sched.NewCache()
+	// one prune level, and zero-flip accuracies across the scenarios of
+	// one (encoder, bitwidth, prune level) group, but neither may outlive
+	// this Run: both depend on the network's weights and thresholds,
+	// which may differ between Run calls on a persistent Engine.
+	pruned, evals := sched.NewCache(), sched.NewCache()
 
 	pool := sync.Pool{New: func() any {
 		return &scratch{ev: snn.NewEvaluatorWorkers(net, evalWorkers)}
@@ -387,7 +410,7 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			return e.runScenario(ctx, sc, spec, weights, encSets, pruned, &pool, c.RNG)
+			return e.runScenario(ctx, sc, spec, weights, encSets, pruned, evals, &pool, c.RNG)
 		}})
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
@@ -407,10 +430,10 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 
 // runScenario evaluates one grid point. r is the scenario's private
 // stream (derived by the scheduler from the scenario key); encSets maps
-// encoder-axis names to the run-wide encoded test sets; pruned is the
-// run-local pruned-master-weights cache.
+// encoder-axis names to the run-wide encoded test sets; pruned and evals
+// are the run-local pruned-master-weights and zero-flip accuracy caches.
 func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
-	weights []float32, encSets map[string]*snn.EncodedSet, pruned *sched.Cache,
+	weights []float32, encSets map[string]*snn.EncodedSet, pruned, evals *sched.Cache,
 	pool *sync.Pool, r *rng.Stream) (Result, error) {
 	format, err := formatForBits(sc.Bits, e.fw.Format)
 	if err != nil {
@@ -420,14 +443,14 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 	if err != nil {
 		return Result{}, err
 	}
-	p, err := e.prepFor(sc, profileKey, profile, len(weights), format)
+	p, err := e.prepFor(sc, spec, profileKey, profile, len(weights), format)
 	if err != nil {
 		return Result{}, err
 	}
 	effTh, safe := p.effTh, p.safe
 	if sc.Policy == PolicyBaseline {
-		// The baseline prep is shared across BER points (the layout does
-		// not depend on the threshold), so the per-scenario threshold
+		// The baseline placement is shared across BER points (the layout
+		// does not depend on the threshold), so the per-scenario threshold
 		// fields must be derived here, not read from the cache.
 		effTh, safe = sc.BER, profile.SafeCount(sc.BER)
 	}
@@ -438,28 +461,46 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 			return Result{}, err
 		}
 	}
-
-	s := pool.Get().(*scratch)
-	defer pool.Put(s)
-	flips, err := e.corruptInto(s, w, p, format, r.Derive("inject"))
-	if err != nil {
-		return Result{}, err
-	}
 	es := encSets[sc.Encoder.Name]
 	if es == nil {
 		return Result{}, fmt.Errorf("engine: no encoded test set for encoder axis %q", sc.Encoder.Name)
 	}
-	// Point the pooled evaluator at the scenario's encoder so the
-	// encoded-set identity check passes; evaluation itself reads only the
-	// pre-encoded trains, so results do not depend on which scenario last
-	// used this scratch.
-	s.ev.SetEncoder(sc.Encoder.Coder)
-	acc, err := s.ev.EvaluateWeightsEncoded(ctx, es, s.w)
+
+	s := pool.Get().(*scratch)
+	defer pool.Put(s)
+	flips, err := e.injectInto(s, w, p, format, r.Derive("inject"))
 	if err != nil {
 		return Result{}, err
 	}
+	evaluate := func() (float64, error) {
+		if err := decodeInto(s, len(w), format); err != nil {
+			return 0, err
+		}
+		// Point the pooled evaluator at the scenario's encoder so the
+		// encoded-set identity check passes; evaluation itself reads only
+		// the pre-encoded trains, so results do not depend on which
+		// scenario last used this scratch.
+		s.ev.SetEncoder(sc.Encoder.Coder)
+		return s.ev.EvaluateWeightsEncoded(ctx, es, s.w)
+	}
+	var acc float64
+	if flips == 0 {
+		// An image with no flipped bit decodes to exactly the storage
+		// round trip of w, whatever the scenario's device point, policy
+		// or error model: every zero-flip scenario of one (encoder, stored
+		// format, prune level) evaluates identical weights on identical
+		// spike trains, so the first one to get here evaluates for all.
+		key := fmt.Sprintf("eval/enc-%s/%s/pr%.4f", sc.Encoder.Name, format, sc.Prune)
+		v, err := evals.GetOrCompute(key, func() (any, error) { return evaluate() })
+		if err != nil {
+			return Result{}, err
+		}
+		acc = v.(float64)
+	} else if acc, err = evaluate(); err != nil {
+		return Result{}, err
+	}
 
-	res := Result{
+	return Result{
 		Key:            sc.Key(),
 		Voltage:        sc.Voltage,
 		BER:            sc.BER,
@@ -472,16 +513,9 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 		PruneLevel:     sc.Prune,
 		Encoder:        sc.Encoder.Name,
 		Accuracy:       acc,
-	}
-	if !spec.Uniform {
-		energy, err := e.fw.EvaluateEnergy(p.layout, sc.Voltage)
-		if err != nil {
-			return Result{}, err
-		}
-		res.EnergyMJ = energy.TotalMJ()
-		res.HitRate = energy.Stats.HitRate()
-	}
-	return res, nil
+		EnergyMJ:       p.energyMJ,
+		HitRate:        p.hitRate,
+	}, nil
 }
 
 // encodedTestSets returns the sweep's pre-encoded spike trains, one set
@@ -554,15 +588,21 @@ func prunedWeights(cache *sched.Cache, weights []float32, level float64) ([]floa
 	return v.([]float32), nil
 }
 
+// devicePoint names the scenario's device point: its voltage, or its
+// uniform BER on uniform grids. Profiles depend on nothing else but the
+// framework's device seed (ProfileAt and UniformProfile ignore the
+// error-model kind).
+func devicePoint(sc Scenario, spec Spec) string {
+	if spec.Uniform {
+		return fmt.Sprintf("uniform/ber%.3e", sc.BER)
+	}
+	return fmt.Sprintf("v%.4f", sc.Voltage)
+}
+
 // profileFor returns the scenario's device profile through the
 // single-flight cache, deriving it at most once per device point.
 func (e *Engine) profileFor(sc Scenario, spec Spec) (*errmodel.Profile, string, error) {
-	var key string
-	if spec.Uniform {
-		key = fmt.Sprintf("profile/uniform/ber%.3e/%s/seed%d", sc.BER, sc.Kind, e.fw.DeviceSeed)
-	} else {
-		key = fmt.Sprintf("profile/v%.4f/%s/seed%d", sc.Voltage, sc.Kind, e.fw.DeviceSeed)
-	}
+	key := fmt.Sprintf("profile/%s/%s/seed%d", devicePoint(sc, spec), sc.Kind, e.fw.DeviceSeed)
 	v, err := e.profiles.GetOrCompute(key, func() (any, error) {
 		if spec.Uniform {
 			return errmodel.UniformProfile(e.fw.Geom, sc.BER, e.fw.DeviceSeed)
@@ -575,11 +615,43 @@ func (e *Engine) profileFor(sc Scenario, spec Spec) (*errmodel.Profile, string, 
 	return v.(*errmodel.Profile), key, nil
 }
 
-// prepFor returns the scenario's (layout, prepared injector) pair through
-// the single-flight cache. Prepared injectors are read-only during
-// Inject, so concurrent scenarios of the same device point share one
-// weak-cell derivation pass.
-func (e *Engine) prepFor(sc Scenario, profileKey string, profile *errmodel.Profile, weightCount int, format quant.Format) (*prep, error) {
+// layoutFor returns the scenario's placement through the engine-lifetime
+// single-flight cache. The key holds exactly what LayoutForWeightsIn and
+// MapAdaptiveWithProfileIn read: the policy, the stored format and weight
+// count, and for sparkxd the device point (whose profile decides which
+// subarrays are safe) and the requested threshold. The error-model kind
+// is absent, so all kinds of one device point share one layout.
+func (e *Engine) layoutFor(sc Scenario, spec Spec, profile *errmodel.Profile, weightCount int, format quant.Format) (*placement, error) {
+	key := fmt.Sprintf("layout/%s/%s/n%d", sc.Policy, format, weightCount)
+	if sc.Policy == PolicySparkXD {
+		key = fmt.Sprintf("%s/%s/seed%d/th%.3e", key, devicePoint(sc, spec), e.fw.DeviceSeed, sc.BER)
+	}
+	v, err := e.layouts.GetOrCompute(key, func() (any, error) {
+		if sc.Policy == PolicyBaseline {
+			layout, err := e.fw.LayoutForWeightsIn(format, weightCount, nil)
+			return &placement{layout: layout}, err
+		}
+		layout, th, err := e.fw.MapAdaptiveWithProfileIn(format, profile, weightCount, sc.BER)
+		if err != nil {
+			return nil, err
+		}
+		return &placement{layout: layout, effTh: th, safe: profile.SafeCount(th)}, nil
+	})
+	if err != nil {
+		if sc.Policy == PolicySparkXD {
+			err = fmt.Errorf("engine: scenario %s: %w", sc.Key(), err)
+		}
+		return nil, err
+	}
+	return v.(*placement), nil
+}
+
+// prepFor returns the scenario's (layout, prepared injector, energy)
+// triple through the single-flight cache. Prepared injectors are
+// read-only during Inject, so concurrent scenarios of the same device
+// point share one weak-cell derivation pass; on voltage-derived grids the
+// energy replay of the layout at the prep's voltage runs once here too.
+func (e *Engine) prepFor(sc Scenario, spec Spec, profileKey string, profile *errmodel.Profile, weightCount int, format quant.Format) (*prep, error) {
 	key := fmt.Sprintf("prep/%s/%s/n%d", profileKey, sc.Policy, weightCount)
 	if sc.Policy == PolicySparkXD {
 		key = fmt.Sprintf("prep/%s/%s/th%.3e/n%d", profileKey, sc.Policy, sc.BER, weightCount)
@@ -591,24 +663,19 @@ func (e *Engine) prepFor(sc Scenario, profileKey string, profile *errmodel.Profi
 		key = fmt.Sprintf("%s/bw%d", key, sc.Bits)
 	}
 	v, err := e.prepared.GetOrCompute(key, func() (any, error) {
-		p := &prep{effTh: sc.BER}
-		switch sc.Policy {
-		case PolicyBaseline:
-			layout, err := e.fw.LayoutForWeightsIn(format, weightCount, nil)
+		pl, err := e.layoutFor(sc, spec, profile, weightCount, format)
+		if err != nil {
+			return nil, err
+		}
+		p := &prep{placement: pl, inj: errmodel.NewInjector(sc.Kind, profile)}
+		p.inj.Prepare(p.layout)
+		if !spec.Uniform {
+			energy, err := e.fw.EvaluateEnergy(p.layout, sc.Voltage)
 			if err != nil {
 				return nil, err
 			}
-			p.layout = layout
-		case PolicySparkXD:
-			layout, th, err := e.fw.MapAdaptiveWithProfileIn(format, profile, weightCount, sc.BER)
-			if err != nil {
-				return nil, fmt.Errorf("engine: scenario %s: %w", sc.Key(), err)
-			}
-			p.layout, p.effTh = layout, th
+			p.energyMJ, p.hitRate = energy.TotalMJ(), energy.Stats.HitRate()
 		}
-		p.safe = profile.SafeCount(p.effTh)
-		p.inj = errmodel.NewInjector(sc.Kind, profile)
-		p.inj.Prepare(p.layout)
 		return p, nil
 	})
 	if err != nil {
@@ -617,11 +684,9 @@ func (e *Engine) prepFor(sc Scenario, profileKey string, profile *errmodel.Profi
 	return v.(*prep), nil
 }
 
-// corruptInto serializes the master weights into the scratch image in
-// the scenario's stored-weight format, injects the scenario's bit
-// errors, and deserializes into the scratch weight buffer — the pooled
-// equivalent of core.CorruptWeights.
-func (e *Engine) corruptInto(s *scratch, weights []float32, p *prep, format quant.Format, r *rng.Stream) (int64, error) {
+// injectInto serializes the master weights into the scratch image in the
+// scenario's stored-weight format and injects the scenario's bit errors.
+func (e *Engine) injectInto(s *scratch, weights []float32, p *prep, format quant.Format, r *rng.Stream) (int64, error) {
 	need := format.ImageSize(len(weights), p.layout.UnitBytes())
 	if cap(s.img) < need {
 		s.img = make([]byte, need)
@@ -636,13 +701,19 @@ func (e *Engine) corruptInto(s *scratch, weights []float32, p *prep, format quan
 	if err := quant.Serialize(weights, format, s.img); err != nil {
 		return 0, fmt.Errorf("engine: serialize: %w", err)
 	}
-	flips := p.inj.Inject(s.img, p.layout, r)
-	if cap(s.w) < len(weights) {
-		s.w = make([]float32, len(weights))
+	return p.inj.Inject(s.img, p.layout, r), nil
+}
+
+// decodeInto deserializes the scratch image into the scratch weight
+// buffer; with injectInto it is the pooled equivalent of
+// core.CorruptWeights.
+func decodeInto(s *scratch, n int, format quant.Format) error {
+	if cap(s.w) < n {
+		s.w = make([]float32, n)
 	}
-	s.w = s.w[:len(weights)]
+	s.w = s.w[:n]
 	if err := quant.Deserialize(s.img, format, s.w); err != nil {
-		return 0, fmt.Errorf("engine: deserialize: %w", err)
+		return fmt.Errorf("engine: deserialize: %w", err)
 	}
-	return flips, nil
+	return nil
 }

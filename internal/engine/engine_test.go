@@ -53,12 +53,19 @@ func gridSpec(workers int) Spec {
 // TestSweepDeterministicAcrossWorkers is the core determinism contract
 // (and, under -race, the shared-stream detector: if any scenario drew
 // from a stream owned by another goroutine, the race detector would
-// flag the xoshiro state mutation).
+// flag the xoshiro state mutation). Nominal voltage joins the grid so
+// that groups of zero-flip scenarios, which share one evaluation, wait
+// on each other concurrently.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	net, test := testFixture(t)
 	ctx := context.Background()
+	grid := func(workers int) Spec {
+		spec := gridSpec(workers)
+		spec.Voltages = append([]float64{voltscale.VNominal}, spec.Voltages...)
+		return spec
+	}
 
-	one, err := New(core.NewFramework()).Run(ctx, net, test, gridSpec(1))
+	one, err := New(core.NewFramework()).Run(ctx, net, test, grid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +73,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if workers < 8 {
 		workers = 8
 	}
-	many, err := New(core.NewFramework()).Run(ctx, net, test, gridSpec(workers))
+	many, err := New(core.NewFramework()).Run(ctx, net, test, grid(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +89,8 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("workers=1 and workers=%d diverge:\n%s\n---\n%s", workers, a, b)
 	}
-	if len(one) != 24 {
-		t.Fatalf("got %d results, want 24", len(one))
+	if len(one) != 36 {
+		t.Fatalf("got %d results, want 36", len(one))
 	}
 	for i := 1; i < len(one); i++ {
 		if one[i-1].Key >= one[i].Key {
@@ -319,11 +326,13 @@ func TestMultiAxisDeterministicAcrossWorkers(t *testing.T) {
 	net, test := testFixture(t)
 	ctx := context.Background()
 
-	// Trim the voltage/BER axes to keep the grid small: 1x1x2x2 legacy
-	// x 2 bitwidths x 2 prune levels x 2 encoders = 32 scenarios.
+	// Trim the BER axis and swap the low voltage for nominal, whose
+	// scenarios flip no bit and share evaluations, to keep the grid small:
+	// 2x1x2x2 legacy x 2 bitwidths x 2 prune levels x 2 encoders = 64
+	// scenarios.
 	shrink := func(workers int) Spec {
 		spec := multiAxisSpec(workers)
-		spec.Voltages = spec.Voltages[:1]
+		spec.Voltages = []float64{voltscale.VNominal, spec.Voltages[0]}
 		spec.BERs = spec.BERs[:1]
 		return spec
 	}
@@ -346,8 +355,8 @@ func TestMultiAxisDeterministicAcrossWorkers(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("workers=1 and workers=8 diverge on extended axes:\n%s\n---\n%s", a, b)
 	}
-	if len(one) != 32 {
-		t.Fatalf("got %d results, want 32", len(one))
+	if len(one) != 64 {
+		t.Fatalf("got %d results, want 64", len(one))
 	}
 	for _, r := range one {
 		if r.Bitwidth != 0 && r.Bitwidth != 16 {

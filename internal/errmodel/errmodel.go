@@ -237,8 +237,8 @@ type region struct {
 	absBits  []int64 // weakBits translated to absolute image bit indices
 	weakBLOf [][]int32
 	weakRow  []bool
-	rows     []int32 // per unit: row within subarray (Model2)
-	cols     []int32 // per unit: column within row (Model1)
+	rows     []int32 // per unit: row within subarray (Model2 only)
+	cols     []int32 // per unit: column within row (Model1 only)
 }
 
 // NewInjector returns an injector for the given model kind and profile.
@@ -283,8 +283,14 @@ func (in *Injector) Prepare(pl Placement) {
 			in.regions[lin] = reg
 		}
 		reg.unitIdx = append(reg.unitIdx, int32(u))
-		reg.rows = append(reg.rows, int32(c.Row))
-		reg.cols = append(reg.cols, int32(c.Column))
+		// Only the wordline and bitline models read a unit's row and
+		// column; the other kinds keep neither array.
+		switch in.Kind {
+		case Model2:
+			reg.rows = append(reg.rows, int32(c.Row))
+		case Model1:
+			reg.cols = append(reg.cols, int32(c.Column))
+		}
 	}
 	for lin := range in.regions {
 		in.order = append(in.order, lin)

@@ -56,23 +56,57 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestAccumulateSpikesMatchesMulVec(t *testing.T) {
-	m := NewMatrix(5, 3)
+// TestSumRowsMatchesSequential pins SumRows to the form it replaces:
+// zero dst, then add one row at a time in list order. The comparison is
+// on bit patterns, over every row count from 0 to 9 (two four-row passes
+// plus each tail length) and values that expose any reordering or change
+// of intermediate precision: signed zeros, subnormals, infinities, NaN,
+// and magnitudes whose sum rounds differently when regrouped.
+func TestSumRowsMatchesSequential(t *testing.T) {
+	special := []float32{
+		0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), // largest subnormal
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.MaxFloat32, -math.MaxFloat32, 1, -1, 1e-8, 3e7, 0.1,
+	}
+	const rows, cols = 12, 19
+	m := NewMatrix(rows, cols)
+	seed := uint32(7)
+	next := func() uint32 {
+		seed = seed*1664525 + 1013904223
+		return seed >> 8
+	}
 	for i := range m.Data {
-		m.Data[i] = float32(i%7) * 0.5
+		if next()%3 == 0 {
+			m.Data[i] = special[next()%uint32(len(special))]
+		} else {
+			m.Data[i] = (float32(next()%2000000) - 1e6) * 1e-3
+		}
 	}
-	spikes := []int{0, 2, 4}
-	x := make([]float32, 5)
-	for _, s := range spikes {
-		x[s] = 1
-	}
-	want := make([]float32, 3)
-	m.MulVec(x, want, true)
-	got := make([]float32, 3)
-	m.AccumulateSpikes(spikes, got)
-	for i := range want {
-		if math.Abs(float64(want[i]-got[i])) > 1e-6 {
-			t.Fatalf("AccumulateSpikes = %v, want %v", got, want)
+	for trial := 0; trial < 40; trial++ {
+		for n := 0; n <= 9; n++ {
+			list := make([]int32, n)
+			for k := range list {
+				list[k] = int32(next() % rows)
+			}
+			want := make([]float32, cols)
+			for _, r := range list {
+				for j, v := range m.Row(int(r)) {
+					want[j] += v
+				}
+			}
+			got := make([]float32, cols)
+			for j := range got {
+				got[j] = float32(trial) // stale contents must be overwritten
+			}
+			m.SumRows(list, got)
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("rows %v col %d: SumRows = %v (%#x), sequential = %v (%#x)",
+						list, j, got[j], math.Float32bits(got[j]), want[j], math.Float32bits(want[j]))
+				}
+			}
 		}
 	}
 }

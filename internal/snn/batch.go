@@ -8,7 +8,6 @@ import (
 
 	"sparkxd/internal/coding"
 	"sparkxd/internal/dataset"
-	"sparkxd/internal/numeric"
 	"sparkxd/internal/rng"
 )
 
@@ -200,15 +199,11 @@ const driveBlockPerWorker = 4
 
 // accumulateDrives writes the per-step synaptic drive of one sample into
 // dst (steps consecutive neuron-length vectors), with the identical
-// Fill32/AddTo sequence the scalar present path performs per step.
+// SumRows call the scalar present path makes per step.
 func (n *Network) accumulateDrives(tr coding.Train, dst []float32) {
 	neurons := n.Cfg.Neurons
 	for t := 0; t < len(tr); t++ {
-		row := dst[t*neurons : (t+1)*neurons : (t+1)*neurons]
-		numeric.Fill32(row, 0)
-		for _, i := range tr[t] {
-			numeric.AddTo(row, n.W.Row(int(i)))
-		}
+		n.W.SumRows(tr[t], dst[t*neurons:(t+1)*neurons])
 	}
 }
 

@@ -186,10 +186,7 @@ func (n *Network) present(tr coding.Train, learn bool) []int {
 		}
 
 		// Synaptic drive from this step's input spikes.
-		numeric.Fill32(n.drive, 0)
-		for _, i := range active {
-			numeric.AddTo(n.drive, n.W.Row(int(i)))
-		}
+		n.W.SumRows(active, n.drive)
 
 		spikes := n.Pool.Step(n.drive, n.spikeBuf)
 		if len(spikes) > 0 {
