@@ -288,24 +288,6 @@ func BenchmarkSNNInference(b *testing.B) {
 	}
 }
 
-// BenchmarkSNNTrainEpoch measures one STDP epoch over 32 samples (N400).
-func BenchmarkSNNTrainEpoch(b *testing.B) {
-	net, err := snn.New(snn.DefaultConfig(400), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := dataset.DefaultConfig(dataset.MNISTLike)
-	cfg.Train, cfg.Test = 32, 1
-	train, _, err := dataset.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.TrainEpoch(train, rng.New(uint64(i)))
-	}
-}
-
 // BenchmarkSweep measures the batched scenario-sweep engine over a
 // 24-scenario grid (2 voltages x 3 BERs x 2 error models x 2 policies).
 // The workers=1 case is the sequential per-scenario loop the engine

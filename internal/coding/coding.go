@@ -61,9 +61,18 @@ func (e Rate) Name() string { return fmt.Sprintf("rate-poisson(p=%.3g)", e.MaxPr
 // same order produce the same train, but a 60-step encode performs a
 // handful of allocations instead of hundreds — encoding runs once per
 // sample per evaluation, so this is directly on the sweep hot path.
+//
+// When 0 < MaxProb < 1 every pixel kept below has p strictly inside
+// (0, 1), so each of its Bernoulli calls would consume exactly one
+// Float64 draw: each step then takes all its variates with one rng.Fill
+// and applies the Float64() < p test to them directly, which leaves the
+// train and the stream exactly as the per-draw loop would. Other MaxProb
+// values keep the per-draw loop, because Bernoulli consumes no draw at
+// p >= 1.
 func (e Rate) Encode(img []byte, steps int, r *rng.Stream) Train {
 	tr := make(Train, steps)
-	// Precompute per-pixel probabilities; skip dark pixels entirely.
+	// Precompute per-pixel probabilities; skip dark pixels and pixels
+	// with p <= 0 entirely — Bernoulli neither fires nor draws for them.
 	type hot struct {
 		idx int32
 		p   float64
@@ -71,19 +80,32 @@ func (e Rate) Encode(img []byte, steps int, r *rng.Stream) Train {
 	hots := make([]hot, 0, len(img)/4)
 	expected := 0.0
 	for i, v := range img {
-		if v == 0 {
+		p := float64(v) / 255 * e.MaxProb
+		if v == 0 || p <= 0 {
 			continue
 		}
-		p := float64(v) / 255 * e.MaxProb
 		hots = append(hots, hot{int32(i), p})
 		expected += p
 	}
 	offs := make([]int, steps+1)
 	arena := make([]int32, 0, int(expected*float64(steps))+16)
+	var u []uint64 // one step's variates, when every draw is consumed
+	if e.MaxProb > 0 && e.MaxProb < 1 {
+		u = make([]uint64, len(hots))
+	}
 	for t := 0; t < steps; t++ {
-		for _, h := range hots {
-			if r.Bernoulli(h.p) {
-				arena = append(arena, h.idx)
+		if u != nil {
+			r.Fill(u)
+			for k, h := range hots {
+				if float64(u[k]>>11)/(1<<53) < h.p {
+					arena = append(arena, h.idx)
+				}
+			}
+		} else {
+			for _, h := range hots {
+				if r.Bernoulli(h.p) {
+					arena = append(arena, h.idx)
+				}
 			}
 		}
 		offs[t+1] = len(arena)

@@ -272,3 +272,61 @@ func TestTrainHelpers(t *testing.T) {
 		t.Fatal("Train helpers wrong")
 	}
 }
+
+// rateReference is the per-draw Poisson rate coder: one Bernoulli call
+// per lit pixel per step, appended straight into per-step slices.
+func rateReference(e Rate, img []byte, steps int, r *rng.Stream) Train {
+	tr := make(Train, steps)
+	for t := 0; t < steps; t++ {
+		for i, v := range img {
+			if v == 0 {
+				continue
+			}
+			if r.Bernoulli(float64(v) / 255 * e.MaxProb) {
+				tr[t] = append(tr[t], int32(i))
+			}
+		}
+	}
+	return tr
+}
+
+// TestRateMatchesPerDrawReference: the batched-draw encoder produces the
+// reference's train and leaves the stream where the reference leaves
+// it, on both sides of the batched path's 0 < MaxProb < 1 condition and
+// for images with no lit or only saturated pixels.
+func TestRateMatchesPerDrawReference(t *testing.T) {
+	dark := make([]byte, 784)
+	saturated := make([]byte, 784)
+	for i := range saturated {
+		saturated[i] = 255
+	}
+	imgs := map[string][]byte{"gradient": grad(), "dark": dark, "saturated": saturated}
+	for _, maxProb := range []float64{0, 0.05, 0.12, 0.999, 1, 1.5} {
+		for name, img := range imgs {
+			for seed := uint64(1); seed <= 3; seed++ {
+				e := Rate{MaxProb: maxProb}
+				got, want := rng.New(seed), rng.New(seed)
+				a := e.Encode(img, 40, got)
+				b := rateReference(e, img, 40, want)
+				if len(a) != len(b) {
+					t.Fatalf("p=%v %s: %d steps, reference %d", maxProb, name, len(a), len(b))
+				}
+				for step := range a {
+					if (a[step] == nil) != (b[step] == nil) || len(a[step]) != len(b[step]) {
+						t.Fatalf("p=%v %s seed %d step %d: %d spikes, reference %d",
+							maxProb, name, seed, step, len(a[step]), len(b[step]))
+					}
+					for k := range a[step] {
+						if a[step][k] != b[step][k] {
+							t.Fatalf("p=%v %s seed %d step %d: spike %d is input %d, reference %d",
+								maxProb, name, seed, step, k, a[step][k], b[step][k])
+						}
+					}
+				}
+				if got.Uint64() != want.Uint64() {
+					t.Fatalf("p=%v %s seed %d: stream consumption differs from the reference", maxProb, name, seed)
+				}
+			}
+		}
+	}
+}

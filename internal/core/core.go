@@ -53,7 +53,10 @@ type Framework struct {
 	// EvalWorkers parallelizes accuracy evaluations within one call
 	// (spike encoding and synaptic-drive accumulation fan out across
 	// goroutines; the theta-coupled neuron updates stay sequential).
-	// Accuracy is bit-identical for any value; <= 0 means GOMAXPROCS.
+	// ImproveErrorTolerance runs one such evaluation beside the training
+	// of the next rate, whose loops keep their own GOMAXPROCS-1 encoding
+	// goroutines. Accuracy is bit-identical for any value; <= 0 means
+	// GOMAXPROCS.
 	EvalWorkers int
 	// Observer, when non-nil, receives structured progress events from
 	// the training and analysis loops.
@@ -152,18 +155,33 @@ func (f *Framework) EvaluateUnderErrors(net *snn.Network, test *dataset.Dataset,
 func (f *Framework) EvaluateUnderErrorsCtx(ctx context.Context, net *snn.Network,
 	test *dataset.Dataset, layout *mapping.Layout, profile *errmodel.Profile,
 	injectSeed, evalSeed uint64) (float64, error) {
-	// Check before the corruption pass, not only inside the sample loop:
-	// a caller sweeping many evaluation points must be able to stop at a
-	// point boundary without paying for another full injection pass.
+	// Check before the encoding and corruption passes, not only inside
+	// the sample loop: a caller sweeping many evaluation points must be
+	// able to stop at a point boundary without paying for another full
+	// injection pass.
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	w, _ := f.CorruptWeights(net.WeightsFlat(), layout, profile, rng.New(injectSeed))
+	es, err := net.EncodeDataset(ctx, test, rng.New(evalSeed), f.EvalWorkers)
+	if err != nil {
+		return 0, err
+	}
+	return f.evaluateCorrupted(ctx, net, es, layout, profile, injectSeed)
+}
+
+// evaluateCorrupted is the corrupt/load/evaluate step of
+// EvaluateUnderErrorsCtx over a pre-encoded test set: net's weights are
+// corrupted via (layout, profile) from injectSeed, loaded (with on-load
+// sanitization) into a clone, and the clone is evaluated. net is only
+// read, so it may be evaluated while other goroutines read it too.
+func (f *Framework) evaluateCorrupted(ctx context.Context, net *snn.Network, es *snn.EncodedSet,
+	layout *mapping.Layout, profile *errmodel.Profile, injectSeed uint64) (float64, error) {
+	w, _ := f.CorruptWeights(net.W.Data, layout, profile, rng.New(injectSeed))
 	clone := net.Clone()
 	if err := clone.SetWeightsFlat(w); err != nil {
 		panic("core: " + err.Error())
 	}
-	return clone.EvaluateBatch(ctx, test, rng.New(evalSeed), f.EvalWorkers)
+	return clone.EvaluateEncoded(ctx, es, f.EvalWorkers)
 }
 
 // TrainConfig parameterizes Algorithm 1 (fault-aware training).
@@ -215,9 +233,21 @@ type RatePoint struct {
 // weak cells), retrains for EpochsPerRate epochs, and evaluates under the
 // same error rate. The last rate whose accuracy stays within AccBound of
 // the baseline defines the provisional BERth. The input network is not
-// modified; the improved model is returned. The context is checked
-// inside the per-sample training and evaluation loops, so cancellation
-// takes effect promptly.
+// modified: the error-free accuracy acc0 is measured on a clone, which
+// is then trained from the adaptive thresholds that pass left behind,
+// and which is also the returned model if no rate passes. The improved
+// model is returned. The context is checked inside the per-sample
+// training and evaluation loops, so cancellation takes effect promptly.
+//
+// Training is one sequential chain (each rate continues from the
+// previous rate's weights and thresholds), but a rate's evaluation only
+// reads a snapshot of the model it trained: rate i's corrupt-and-evaluate
+// runs on its own goroutine while rate i+1 corrupts, trains and assigns
+// labels. At most one evaluation is outstanding, results settle in rate
+// order, and acc0 and every rate share one encoding of the test set
+// (they share the eval stream), so the result is bit-identical to
+// running the steps one after another. Every goroutine is joined before
+// ImproveErrorTolerance returns, on error paths too.
 func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Network,
 	train, test *dataset.Dataset, cfg TrainConfig) (*TrainResult, error) {
 	if len(cfg.Rates) == 0 {
@@ -237,16 +267,54 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 		return nil, fmt.Errorf("core: improve-tolerance layout: %w", err)
 	}
 	root := rng.New(cfg.Seed)
-	evalSeed := root.Derive("eval").Uint64()
-	acc0, err := baseline.EvaluateBatch(ctx, test, rng.New(evalSeed), f.EvalWorkers)
+	es, err := baseline.EncodeDataset(ctx, test, rng.New(root.Derive("eval").Uint64()), f.EvalWorkers)
+	if err != nil {
+		return nil, fmt.Errorf("core: baseline evaluation: %w", err)
+	}
+	modelTemp := baseline.Clone()
+	acc0, err := modelTemp.EvaluateEncoded(ctx, es, f.EvalWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline evaluation: %w", err)
 	}
 	f.emit(Event{Stage: "improve", Phase: "start", Epochs: len(cfg.Rates) * cfg.EpochsPerRate, Acc: acc0})
 
-	modelTemp := baseline.Clone()
 	res := &TrainResult{BaselineAcc: acc0, BERth: 0}
-	best := baseline.Clone() // fall back to the input if nothing passes
+	best := modelTemp.Clone() // nothing passes: the input, as its acc0 pass left it
+
+	// pending is the outstanding evaluation of the last trained rate: the
+	// snapshot it evaluates (the candidate best model) and its result.
+	type rateEval struct {
+		rate  float64
+		model *snn.Network
+		acc   float64
+		err   error
+		done  chan struct{}
+	}
+	var pending *rateEval
+	evalCtx, cancelEval := context.WithCancel(ctx)
+	defer func() {
+		cancelEval() // an error return discards the outstanding result
+		if pending != nil {
+			<-pending.done
+		}
+	}()
+	settle := func() error {
+		if pending == nil {
+			return nil
+		}
+		ev := pending
+		<-ev.done
+		pending = nil
+		if ev.err != nil {
+			return fmt.Errorf("core: evaluation at BER %.0e: %w", ev.rate, ev.err)
+		}
+		res.PerRate = append(res.PerRate, RatePoint{BER: ev.rate, Acc: ev.acc})
+		if ev.acc >= acc0-cfg.AccBound {
+			best = ev.model
+			res.BERth = ev.rate
+		}
+		return nil
+	}
 
 	for i, rate := range cfg.Rates {
 		if err := ctx.Err(); err != nil {
@@ -259,7 +327,7 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 		for e := 0; e < cfg.EpochsPerRate; e++ {
 			// Inject errors into the stored weights, load (sanitized),
 			// then train: the network adapts around the corrupted cells.
-			w, _ := f.CorruptWeights(modelTemp.WeightsFlat(), layout, profile,
+			w, _ := f.CorruptWeights(modelTemp.W.Data, layout, profile,
 				root.DeriveIndex("inject", i*cfg.EpochsPerRate+e))
 			if err := modelTemp.SetWeightsFlat(w); err != nil {
 				return nil, fmt.Errorf("core: load corrupted weights: %w", err)
@@ -273,16 +341,19 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 		if err := modelTemp.AssignLabelsCtx(ctx, train, root.DeriveIndex("assign", i)); err != nil {
 			return nil, fmt.Errorf("core: label assignment at BER %.0e: %w", rate, err)
 		}
-		acc, err := f.EvaluateUnderErrorsCtx(ctx, modelTemp, test, layout, profile,
-			root.DeriveIndex("evalinject", i).Uint64(), evalSeed)
-		if err != nil {
-			return nil, fmt.Errorf("core: evaluation at BER %.0e: %w", rate, err)
+		if err := settle(); err != nil {
+			return nil, err
 		}
-		res.PerRate = append(res.PerRate, RatePoint{BER: rate, Acc: acc})
-		if acc >= acc0-cfg.AccBound {
-			best = modelTemp.Clone()
-			res.BERth = rate
-		}
+		ev := &rateEval{rate: rate, model: modelTemp.Clone(), done: make(chan struct{})}
+		injectSeed := root.DeriveIndex("evalinject", i).Uint64()
+		go func() {
+			defer close(ev.done)
+			ev.acc, ev.err = f.evaluateCorrupted(evalCtx, ev.model, es, layout, profile, injectSeed)
+		}()
+		pending = ev
+	}
+	if err := settle(); err != nil {
+		return nil, err
 	}
 	res.Model = best
 	f.emit(Event{Stage: "improve", Phase: "done", BER: res.BERth, Acc: acc0})

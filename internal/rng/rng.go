@@ -96,6 +96,25 @@ func (r *Stream) Uint64() uint64 {
 	return result
 }
 
+// Fill sets dst to the next len(dst) outputs of the stream — exactly the
+// values len(dst) successive Uint64 calls would return — with the
+// generator state held in locals for the whole batch instead of being
+// loaded and stored through the receiver on every draw.
+func (r *Stream) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for i := range dst {
+		dst[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+}
+
 // Uint32 returns the next 32 uniformly distributed bits.
 func (r *Stream) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 

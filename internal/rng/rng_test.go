@@ -66,6 +66,25 @@ func TestDeriveIndex(t *testing.T) {
 	}
 }
 
+// TestFillMatchesUint64: Fill returns exactly the outputs successive
+// Uint64 calls would, for every batch length, and leaves the stream
+// where those calls would have left it.
+func TestFillMatchesUint64(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+		a, b := New(uint64(n)+11), New(uint64(n)+11)
+		got := make([]uint64, n)
+		a.Fill(got)
+		for i, v := range got {
+			if w := b.Uint64(); v != w {
+				t.Fatalf("n=%d: Fill[%d] = %#x, Uint64 = %#x", n, i, v, w)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: stream state after Fill diverged from %d Uint64 calls", n, n)
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

@@ -234,18 +234,26 @@ func (n *Network) TrainEpoch(ds *dataset.Dataset, r *rng.Stream) {
 
 // TrainEpochCtx is TrainEpoch with cooperative cancellation: the context
 // is checked between sample presentations, so a cancelled training run
-// returns promptly with ctx.Err(). RNG consumption up to the point of
-// cancellation is identical to an uncancelled run, which keeps partially
-// trained networks deterministic.
+// returns promptly with ctx.Err(). The network after a cancelled run is
+// exactly the one an uncancelled run has at that sample boundary, which
+// keeps partially trained networks deterministic.
+//
+// STDP and the adaptive thresholds chain every presentation to the one
+// before it, so presentations stay strictly sequential. Spike encoding
+// does not read the network: sample s's train is always
+// Encoder.Encode(ds.Images[s], Steps, r.DeriveIndex("enc", s)), and
+// those trains are encoded ahead of the presentation loop on
+// GOMAXPROCS-1 goroutines (at least one) in bounded, double-buffered
+// blocks. The result is bit-identical to encoding each sample inline.
 func (n *Network) TrainEpochCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) error {
-	for s := 0; s < ds.Len(); s++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tr := n.Cfg.Encoder.Encode(ds.Images[s], n.Cfg.Steps, r.DeriveIndex("enc", s))
+	return n.trainEpoch(ctx, ds, r, aheadWidth())
+}
+
+// trainEpoch is TrainEpochCtx with an explicit look-ahead width.
+func (n *Network) trainEpoch(ctx context.Context, ds *dataset.Dataset, r *rng.Stream, width int) error {
+	return n.forEachEncoded(ctx, ds, r, "enc", width, func(_ int, tr coding.Train) {
 		n.present(tr, true)
-	}
-	return nil
+	})
 }
 
 // SpikeCounts presents a sample without learning and returns a copy of
@@ -268,18 +276,27 @@ func (n *Network) AssignLabels(ds *dataset.Dataset, r *rng.Stream) {
 // AssignLabelsCtx is AssignLabels with cooperative cancellation, checked
 // between samples. On cancellation the existing assignments are left
 // untouched (the response tally is discarded).
+//
+// Inference presentations still move the adaptive thresholds, so the
+// tally pass stays sequential; as in TrainEpochCtx, the spike trains
+// (sample s encoded from r.DeriveIndex("assign", s)) are encoded ahead
+// on GOMAXPROCS-1 goroutines, bit-identically to inline encoding.
 func (n *Network) AssignLabelsCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) error {
+	return n.assignLabels(ctx, ds, r, aheadWidth())
+}
+
+// assignLabels is AssignLabelsCtx with an explicit look-ahead width.
+func (n *Network) assignLabels(ctx context.Context, ds *dataset.Dataset, r *rng.Stream, width int) error {
 	resp := make([][dataset.NumClasses]float64, n.Cfg.Neurons)
 	classN := ds.ClassCounts()
-	for s := 0; s < ds.Len(); s++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		counts := n.SpikeCounts(ds.Images[s], r.DeriveIndex("assign", s))
+	err := n.forEachEncoded(ctx, ds, r, "assign", width, func(s int, tr coding.Train) {
 		c := ds.Labels[s]
-		for j, k := range counts {
+		for j, k := range n.present(tr, false) {
 			resp[j][c] += float64(k)
 		}
+	})
+	if err != nil {
+		return err
 	}
 	for j := range resp {
 		best, bestV := -1, 0.0

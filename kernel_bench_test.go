@@ -1,7 +1,7 @@
 // Kernel benchmarks backing the committed BENCH_kernel.json baseline
-// (DESIGN.md §10). These four-plus benchmarks measure the per-scenario
-// hot path every layer above (sweep engine, job server, worker fleet)
-// bottoms out in:
+// (DESIGN.md §10). They measure the per-scenario hot path every layer
+// above (sweep engine, job server, worker fleet) bottoms out in, and the
+// two training stages that dominate a cold pipeline:
 //
 //	BenchmarkLIFStep        one Pool.Step over an N3600 population
 //	BenchmarkEvaluate       one corrupted-weight-image evaluation, the
@@ -10,6 +10,11 @@
 //	BenchmarkInjectWordline one Model-2 (wordline-clustered) injection pass
 //	BenchmarkSweepScenario  one full scenario through internal/engine
 //	                        (inject + evaluate), caches warm
+//	BenchmarkTrainEpoch     one STDP training epoch, the pipeline
+//	                        workload's shape
+//	BenchmarkImproveTolerance
+//	                        one Algorithm 1 run (fault-aware training),
+//	                        the pipeline workload's shape
 //
 // `scripts/bench-record.sh` runs them with fixed iteration counts and
 // -count=3, normalizes the minimum of the runs into BENCH_kernel.json,
@@ -22,6 +27,7 @@ import (
 	"context"
 	"testing"
 
+	"sparkxd"
 	"sparkxd/internal/coding"
 	"sparkxd/internal/core"
 	"sparkxd/internal/dataset"
@@ -218,6 +224,50 @@ func BenchmarkSweepScenarioMultiAxis(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Run(context.Background(), net, test, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainEpoch measures one STDP training epoch at the pipeline
+// workload's shape (N100, 100 samples): the sequential presentation
+// chain with its spike trains encoded ahead. The network keeps learning
+// across iterations, as it does across a training run's epochs.
+func BenchmarkTrainEpoch(b *testing.B) {
+	net, err := snn.New(snn.DefaultConfig(100), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	train := benchTestSet(b, 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.TrainEpochCtx(context.Background(), train, rng.New(uint64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkImproveTolerance measures one ImproveTolerance stage
+// (Algorithm 1) at the pipeline workload's shape: N100, 100 training and
+// 64 test samples, the default 7-rate schedule, evaluation workers =
+// GOMAXPROCS. The baseline trains once in set-up; every iteration
+// improves that same baseline.
+func BenchmarkImproveTolerance(b *testing.B) {
+	sys, err := sparkxd.New(
+		sparkxd.WithNeurons(100),
+		sparkxd.WithSampleBudget(100, 64),
+		sparkxd.WithBaseEpochs(1),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := sys.Pipeline()
+	if _, err := p.Train(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.ImproveTolerance(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,3 +18,5 @@ run '^BenchmarkEvaluate$' 20x
 run '^BenchmarkSweepScenario$' 20x
 run '^BenchmarkSweepScenarioMultiAxis$' 20x
 run '^BenchmarkInject(Wordline)?$' 200x
+run '^BenchmarkTrainEpoch$' 20x
+run '^BenchmarkImproveTolerance$' 3x
