@@ -3,13 +3,18 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-record bench-check vet fmt-check shard-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke examples-smoke lint vuln ci
+.PHONY: build test race bench bench-record bench-check vet vet-generic fuzz fmt-check shard-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke examples-smoke lint vuln ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Compile and vet the pure-Go kernel bodies that every non-amd64 build
+# uses; on amd64, `vet` already checks the assembly with asmdecl.
+vet-generic:
+	GOARCH=arm64 $(GO) vet ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -20,6 +25,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Bounded fuzzing of the two per-timestep kernels against their Go
+# references (go test -fuzz takes one target and one package per run).
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=$(FUZZTIME) ./internal/numeric
+	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=$(FUZZTIME) ./internal/neuron
 
 # Quick-mode benchmark smoke run: every benchmark executes exactly one
 # iteration end to end. This only proves the benchmarks still run; real
@@ -107,4 +119,4 @@ lint:
 vuln:
 	govulncheck ./...
 
-ci: build vet fmt-check race bench examples-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke
+ci: build vet vet-generic fmt-check race fuzz bench examples-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke

@@ -61,6 +61,11 @@ type Framework struct {
 	// Observer, when non-nil, receives structured progress events from
 	// the training and analysis loops.
 	Observer Observer
+
+	// evalStarted, when non-nil, is called first by the goroutine that
+	// evaluates ImproveErrorTolerance's rate i, so a test can hold that
+	// evaluation in flight. It is nil outside tests.
+	evalStarted func(i int)
 }
 
 // NewFramework returns the paper's experimental setup: LPDDR3-1600 4Gb,
@@ -348,6 +353,9 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 		injectSeed := root.DeriveIndex("evalinject", i).Uint64()
 		go func() {
 			defer close(ev.done)
+			if f.evalStarted != nil {
+				f.evalStarted(i)
+			}
 			ev.acc, ev.err = f.evaluateCorrupted(evalCtx, ev.model, es, layout, profile, injectSeed)
 		}()
 		pending = ev

@@ -23,9 +23,10 @@
 //     evaluates the same weights — the storage round trip of its master
 //     weights — so each (encoder, bitwidth, prune level) group of such
 //     scenarios is evaluated once;
-//   - each worker corrupts weights into its own pooled scratch buffer and
-//     evaluates through its own snn.Evaluator, so the hot path allocates
-//     nothing per scenario after warm-up.
+//   - each running scenario corrupts weights into a scratch buffer and
+//     evaluates through an snn.Evaluator taken from the Run's free list,
+//     so the hot path allocates nothing per scenario after warm-up, and
+//     the scratch is released with the Run.
 //
 // Determinism contract (same as internal/sched, DESIGN.md §6/§7): every
 // scenario draws its injection randomness from a stream derived from the
@@ -323,6 +324,32 @@ type scratch struct {
 	ev  *snn.Evaluator
 }
 
+// freeList holds a Run's idle scratch sets: at most one per scenario
+// that ran at once, reused in any order.
+type freeList struct {
+	mu   sync.Mutex
+	idle []*scratch
+	new  func() *scratch
+}
+
+func (l *freeList) get() *scratch {
+	l.mu.Lock()
+	if n := len(l.idle); n > 0 {
+		s := l.idle[n-1]
+		l.idle = l.idle[:n-1]
+		l.mu.Unlock()
+		return s
+	}
+	l.mu.Unlock()
+	return l.new()
+}
+
+func (l *freeList) put(s *scratch) {
+	l.mu.Lock()
+	l.idle = append(l.idle, s)
+	l.mu.Unlock()
+}
+
 // placement is one cached layout. effTh (the threshold Algorithm 2
 // settled on) and safe (the subarrays at or below it) are only
 // meaningful for the sparkxd policy, whose cache key includes the
@@ -394,7 +421,10 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 	// which may differ between Run calls on a persistent Engine.
 	pruned, evals := sched.NewCache(), sched.NewCache()
 
-	pool := sync.Pool{New: func() any {
+	// Scratch sets live on a free list this Run owns, so they are garbage
+	// once it returns; a sync.Pool would keep a finished Run's sets
+	// (about 1.9 MB each at N200) alive across one or two collections.
+	free := &freeList{new: func() *scratch {
 		return &scratch{ev: snn.NewEvaluatorWorkers(net, evalWorkers)}
 	}}
 
@@ -410,7 +440,7 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			return e.runScenario(ctx, sc, spec, weights, encSets, pruned, evals, &pool, c.RNG)
+			return e.runScenario(ctx, sc, spec, weights, encSets, pruned, evals, free, c.RNG)
 		}})
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
@@ -434,7 +464,7 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 // are the run-local pruned-master-weights and zero-flip accuracy caches.
 func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 	weights []float32, encSets map[string]*snn.EncodedSet, pruned, evals *sched.Cache,
-	pool *sync.Pool, r *rng.Stream) (Result, error) {
+	free *freeList, r *rng.Stream) (Result, error) {
 	format, err := formatForBits(sc.Bits, e.fw.Format)
 	if err != nil {
 		return Result{}, err
@@ -466,8 +496,8 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 		return Result{}, fmt.Errorf("engine: no encoded test set for encoder axis %q", sc.Encoder.Name)
 	}
 
-	s := pool.Get().(*scratch)
-	defer pool.Put(s)
+	s := free.get()
+	defer free.put(s)
 	flips, err := e.injectInto(s, w, p, format, r.Derive("inject"))
 	if err != nil {
 		return Result{}, err
@@ -476,7 +506,7 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 		if err := decodeInto(s, len(w), format); err != nil {
 			return 0, err
 		}
-		// Point the pooled evaluator at the scenario's encoder so the
+		// Point the reused evaluator at the scenario's encoder so the
 		// encoded-set identity check passes; evaluation itself reads only
 		// the pre-encoded trains, so results do not depend on which
 		// scenario last used this scratch.
@@ -705,7 +735,7 @@ func (e *Engine) injectInto(s *scratch, weights []float32, p *prep, format quant
 }
 
 // decodeInto deserializes the scratch image into the scratch weight
-// buffer; with injectInto it is the pooled equivalent of
+// buffer; with injectInto it is the scratch-reusing equivalent of
 // core.CorruptWeights.
 func decodeInto(s *scratch, n int, format quant.Format) error {
 	if cap(s.w) < n {

@@ -13,6 +13,8 @@ package neuron
 import (
 	"errors"
 	"math"
+
+	"sparkxd/internal/numeric"
 )
 
 // LIFConfig parameterizes a pool of LIF neurons. Times are in
@@ -121,13 +123,19 @@ func (p *Pool) ResetAll() {
 
 // Step advances the pool one timestep. input[j] is the synaptic drive
 // accumulated for neuron j this step. spikesOut is an optional reusable
-// buffer; the returned slice lists the indices of neurons that fired.
+// buffer; the returned slice lists the indices of neurons that fired, in
+// ascending order. Pass a buffer with capacity of at least N: the AVX2
+// body writes into it directly and allocates a new one when it is
+// smaller.
 //
 // The loop is written for throughput — state slices and config scalars
 // are hoisted into locals so the compiler can keep them in registers and
 // elide bounds checks — but every floating-point operation happens in
 // the same order as the straightforward scalar form, so results are
-// bit-identical to it (TestStepMatchesScalarReference pins this).
+// bit-identical to it (TestStepMatchesScalarReference and FuzzStep pin
+// this). With AVX2 in use (numeric.AVX2), neurons [0, N&^7) run eight
+// per block in assembly, each lane doing that same scalar work, and the
+// Go loop handles the last N%8.
 func (p *Pool) Step(input []float32, spikesOut []int32) []int32 {
 	n := p.Cfg.N
 	if len(input) != n {
@@ -150,7 +158,17 @@ func (p *Pool) Step(input []float32, spikesOut []int32) []int32 {
 		decayV     = p.decayV
 		decayTheta = p.decayTheta
 	)
-	for j := 0; j < n; j++ {
+	j := 0
+	if numeric.AVX2() && n >= 8 {
+		if cap(spikes) < n {
+			spikes = make([]int32, 0, n)
+		}
+		j = n &^ 7
+		k := stepAVX2(V[:j], theta[:j], input[:j], refrac[:j], spikes[:n],
+			rest, reset, vth, floor, thetaPlus, decayV, decayTheta, refSteps)
+		spikes = spikes[:k]
+	}
+	for ; j < n; j++ {
 		// Theta decays every step regardless of refractory state.
 		th := theta[j] * decayTheta
 		theta[j] = th

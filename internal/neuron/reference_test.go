@@ -79,13 +79,20 @@ func inhibitReference(cfg LIFConfig, s *refState, winners []int32, strength floa
 	}
 }
 
+// sameBits reports whether a and b have the same bit pattern, counting
+// every NaN as equal: NaN payloads depend on operand order, and no NaN
+// reaches the kernels in use (weights are sanitized on load).
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
 func equalState(t *testing.T, step int, p *Pool, s *refState) {
 	t.Helper()
 	for j := range s.V {
-		if math.Float32bits(p.V[j]) != math.Float32bits(s.V[j]) {
+		if !sameBits(p.V[j], s.V[j]) {
 			t.Fatalf("step %d: V[%d] = %v, reference %v", step, j, p.V[j], s.V[j])
 		}
-		if math.Float32bits(p.Theta[j]) != math.Float32bits(s.Theta[j]) {
+		if !sameBits(p.Theta[j], s.Theta[j]) {
 			t.Fatalf("step %d: Theta[%d] = %v, reference %v", step, j, p.Theta[j], s.Theta[j])
 		}
 		if p.refrac[j] != s.refrac[j] {
@@ -161,4 +168,100 @@ func TestInhibitMatchesScalarReference(t *testing.T) {
 		inhibitReference(cfg, ref, refSpikes, 1.5)
 		equalState(t, step, p, ref)
 	}
+}
+
+// special holds the float32 values whose handling differs between a
+// compare-and-blend and a min/max, or under reassociation.
+var special = []float32{
+	0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32,
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.MaxFloat32, -math.MaxFloat32, -10, 10, 1e-8, 3e7,
+}
+
+// FuzzStep drives Pool.Step, then Inhibit, through up to eight steps
+// against stepReference and inhibitReference, comparing spikes, V, Theta
+// and refrac. N runs from 1 to 40, so the eight-neuron blocks of the
+// AVX2 body and the Go tail both appear. Each byte of state and drive
+// picks a neuron's regime: refractory, floor-clamped (inputs and
+// membranes far below VFloor), firing (suprathreshold drive), a special
+// value, or subthreshold. mode%3 passes spikesOut as nil, shorter than
+// N, or with capacity N and stale contents. The high bits of steps move
+// VRest and VReset off zero, so no two Step constants are equal.
+func FuzzStep(f *testing.F) {
+	f.Add(uint8(16), uint8(2), uint8(3), []byte{0x05, 0x81, 0x42, 0xc3}, []byte{0x00, 0x21, 0x40, 0x65, 0x9a})
+	f.Add(uint8(38), uint8(5), uint8(7), []byte{0xff, 0x10, 0x7e}, []byte{0x20, 0x24, 0x00, 0x41, 0x3f})
+	f.Add(uint8(0), uint8(1), uint8(0), []byte{}, []byte{0x22})
+	f.Fuzz(func(t *testing.T, n, mode, steps uint8, state, drive []byte) {
+		cfg := DefaultLIF(1 + int(n)%40)
+		cfg.VTh = 5
+		cfg.ThetaPlus = 0.5
+		cfg.RefractorySteps = int(mode/3) % 4
+		cfg.VRest = []float32{0, 1, -1}[int(steps>>3)%3]
+		cfg.VReset = []float32{0, -1, -2}[int(steps>>5)%3]
+		p, err := NewPool(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range p.V {
+			b := fuzzByte(state, j)
+			p.V[j] = fuzzValue(b)
+			p.Theta[j] = float32(b&15) / 8
+			p.refrac[j] = int16(b>>6) % int16(cfg.RefractorySteps+1)
+		}
+		ref := refStateOf(p)
+		input := make([]float32, cfg.N)
+		for step := 0; step < 1+int(steps)%8; step++ {
+			for j := range input {
+				input[j] = fuzzValue(fuzzByte(drive, step*cfg.N+j))
+			}
+			var buf []int32
+			switch mode % 3 {
+			case 1:
+				buf = make([]int32, 0, cfg.N/2)
+			case 2:
+				buf = make([]int32, cfg.N)
+				for i := range buf {
+					buf[i] = -1
+				}
+			}
+			got := p.Step(input, buf)
+			want := stepReference(cfg, ref, input)
+			if len(got) != len(want) {
+				t.Fatalf("step %d: spikes %v, reference %v", step, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("step %d: spikes %v, reference %v", step, got, want)
+				}
+			}
+			equalState(t, step, p, ref)
+			strength := float32(fuzzByte(drive, step)&3) * 4
+			p.Inhibit(got, strength)
+			inhibitReference(cfg, ref, want, strength)
+			equalState(t, step, p, ref)
+		}
+	})
+}
+
+// fuzzByte is b[i] read cyclically, or 0 when b is empty.
+func fuzzByte(b []byte, i int) byte {
+	if len(b) == 0 {
+		return 0
+	}
+	return b[i%len(b)]
+}
+
+// fuzzValue maps one byte to a membrane potential or drive: the top
+// three bits pick the regime, the low five the value within it.
+func fuzzValue(b byte) float32 {
+	low := float32(b & 31)
+	switch b >> 5 {
+	case 0:
+		return -30 - low // below VFloor
+	case 1:
+		return 5 + low/4 // at or over the threshold
+	case 2:
+		return special[int(b&31)%len(special)]
+	}
+	return low / 16 // subthreshold
 }

@@ -1,0 +1,39 @@
+//go:build amd64 && !race
+
+package numeric
+
+// useAVX2 selects the AVX2 kernel bodies. It is decided once, here, for
+// every package that has them: the CPU must report AVX2 and the OS must
+// save the YMM register state across context switches.
+var useAVX2 = detectAVX2()
+
+// cpuid executes CPUID with the given leaf and subleaf.
+func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv returns the low word of extended control register 0 (XCR0).
+func xgetbv() (eax uint32)
+
+func detectAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	const xmmYmmState = 1<<1 | 1<<2
+	if xgetbv()&xmmYmmState != xmmYmmState {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+// sumRowsAVX2 is SumRows's body for rows of len(dst) floats starting at
+// data, every rows entry already checked to lie in the matrix. It adds
+// four rows per pass, eight lanes per instruction, with a scalar tail
+// for len(dst) % 8.
+//
+//go:noescape
+func sumRowsAVX2(dst, data []float32, rows []int32)

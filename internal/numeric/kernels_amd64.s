@@ -1,0 +1,124 @@
+//go:build amd64 && !race
+
+#include "textflag.h"
+
+// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL subleaf+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	RET
+
+// ROW loads the row index at off(R8) into reg as a pointer to that row:
+// data base (SI) + index * row bytes (R10).
+#define ROW(off, reg) MOVLQSX off(R8), reg; IMULQ R10, reg; ADDQ SI, reg
+
+// func sumRowsAVX2(dst, data []float32, rows []int32)
+//
+// Every lane computes dst + a + b + c + d left to right, with a VADDPS
+// (or, in the tail, VADDSS) rounding after each addition: the same
+// binary32 additions, in the same order, as the Go loop in SumRows.
+TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), R10
+	SHLQ $2, R10                // R10: row bytes
+	MOVQ R10, R11
+	ANDQ $~31, R11              // R11: bytes covered by whole vectors
+	MOVQ data_base+24(FP), SI
+	MOVQ rows_base+48(FP), R8   // R8: next row index
+	MOVQ rows_len+56(FP), BX
+	MOVQ BX, R9
+	ANDQ $~3, R9
+	LEAQ (R8)(R9*4), R9         // R9: end of the four-row passes
+	LEAQ (R8)(BX*4), BX         // BX: end of the row list
+
+	// dst = 0
+	VXORPS Y0, Y0, Y0
+	XORQ AX, AX
+	TESTQ R11, R11
+	JZ zerotail
+zerovec:
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R11
+	JB zerovec
+zerotail:
+	CMPQ AX, R10
+	JAE quad
+	MOVL $0, (DI)(AX*1)
+	ADDQ $4, AX
+	JMP zerotail
+
+	// dst = dst + a + b + c + d, four rows per pass
+quad:
+	CMPQ R8, R9
+	JAE single
+	ROW(0, R12)
+	ROW(4, R13)
+	ROW(8, DX)
+	ROW(12, CX)
+	ADDQ $16, R8
+	XORQ AX, AX
+	TESTQ R11, R11
+	JZ quadtail
+quadvec:
+	VMOVUPS (DI)(AX*1), Y0
+	VADDPS (R12)(AX*1), Y0, Y0
+	VADDPS (R13)(AX*1), Y0, Y0
+	VADDPS (DX)(AX*1), Y0, Y0
+	VADDPS (CX)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R11
+	JB quadvec
+quadtail:
+	CMPQ AX, R10
+	JAE quad
+	VMOVSS (DI)(AX*1), X0
+	VADDSS (R12)(AX*1), X0, X0
+	VADDSS (R13)(AX*1), X0, X0
+	VADDSS (DX)(AX*1), X0, X0
+	VADDSS (CX)(AX*1), X0, X0
+	VMOVSS X0, (DI)(AX*1)
+	ADDQ $4, AX
+	JMP quadtail
+
+	// dst = dst + a for the last len(rows) % 4 rows
+single:
+	CMPQ R8, BX
+	JAE done
+	ROW(0, R12)
+	ADDQ $4, R8
+	XORQ AX, AX
+	TESTQ R11, R11
+	JZ singletail
+singlevec:
+	VMOVUPS (DI)(AX*1), Y0
+	VADDPS (R12)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R11
+	JB singlevec
+singletail:
+	CMPQ AX, R10
+	JAE single
+	VMOVSS (DI)(AX*1), X0
+	VADDSS (R12)(AX*1), X0, X0
+	VMOVSS X0, (DI)(AX*1)
+	ADDQ $4, AX
+	JMP singletail
+
+done:
+	VZEROUPPER
+	RET

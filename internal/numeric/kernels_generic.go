@@ -1,0 +1,11 @@
+//go:build !amd64 || race
+
+package numeric
+
+// useAVX2 is false off amd64, and under the race detector, which cannot
+// see memory that assembly touches: every kernel runs its Go loop.
+const useAVX2 = false
+
+func sumRowsAVX2(dst, data []float32, rows []int32) {
+	panic("numeric: no AVX2 kernels in this build")
+}

@@ -1,10 +1,14 @@
 // Package numeric provides the small set of dense float32 vector and
 // matrix kernels used by the SNN simulator and by the analysis code.
 //
-// The package deliberately stays close to plain loops: the matrices
+// Every kernel is a plain, dependency-free Go loop: the matrices
 // involved (up to 784 x 3600 synaptic weights) are small enough that
-// cache-friendly row-major loops are fast, and keeping the kernels
-// dependency-free makes the numerical behaviour easy to audit.
+// cache-friendly row-major loops are fast, and the loops make the
+// numerical behaviour easy to audit. The one kernel that runs every
+// simulated timestep, SumRows, also has an AVX2 body on amd64, used
+// when AVX2 reports true. It performs the same binary32 operations in
+// the same order as its Go loop, which stays the reference and the path
+// of every other build.
 package numeric
 
 import (
@@ -102,9 +106,17 @@ func (m *Matrix) MulVec(x, dst []float32, transposed bool) {
 // the same additions in the same order as adding one row at a time:
 // results are bit-identical to that sequential form, while dst is loaded
 // and stored a quarter as often.
+//
+// With AVX2 in use, each pass runs eight columns per instruction. The
+// assembly is entered only once every row index is known to lie in the
+// matrix; otherwise the Go loop runs and panics where it always has.
 func (m *Matrix) SumRows(rows []int32, dst []float32) {
 	if len(dst) != m.Cols {
 		panic("numeric: SumRows dimension mismatch")
+	}
+	if useAVX2 && m.rowsInRange(rows) {
+		sumRowsAVX2(dst, m.Data, rows)
+		return
 	}
 	for j := range dst {
 		dst[j] = 0
@@ -126,6 +138,26 @@ func (m *Matrix) SumRows(rows []int32, dst []float32) {
 		}
 	}
 }
+
+// rowsInRange reports whether every entry of rows names a whole row of
+// m.Data.
+func (m *Matrix) rowsInRange(rows []int32) bool {
+	if len(m.Data) < m.Rows*m.Cols {
+		return false
+	}
+	limit := uint64(m.Rows)
+	for _, r := range rows {
+		if uint64(int64(r)) >= limit { // a negative r wraps above limit
+			return false
+		}
+	}
+	return true
+}
+
+// AVX2 reports whether the AVX2 kernel bodies are in use: on amd64 CPUs
+// with AVX2 and OS-enabled YMM state, except under the race detector.
+// It is decided once at start-up; there is no option to change it.
+func AVX2() bool { return useAVX2 }
 
 // Scale multiplies every element by s.
 func (m *Matrix) Scale(s float32) {

@@ -56,6 +56,35 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
+// special holds the float32 values that expose any reordering or change
+// of intermediate precision in a sum.
+var special = []float32{
+	0, float32(math.Copysign(0, -1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+	math.Float32frombits(0x007fffff), // largest subnormal
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.MaxFloat32, -math.MaxFloat32, 1, -1, 1e-8, 3e7, 0.1,
+}
+
+// sumRowsSequential is the form SumRows replaces: zero, then add the
+// listed rows one at a time, in list order.
+func sumRowsSequential(m *Matrix, list []int32) []float32 {
+	want := make([]float32, m.Cols)
+	for _, r := range list {
+		for j, v := range m.Row(int(r)) {
+			want[j] += v
+		}
+	}
+	return want
+}
+
+// sameBits reports whether a and b have the same bit pattern, counting
+// every NaN as equal: NaN payloads depend on operand order, and no NaN
+// reaches the kernels in use (weights are sanitized on load).
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
 // TestSumRowsMatchesSequential pins SumRows to the form it replaces:
 // zero dst, then add one row at a time in list order. The comparison is
 // on bit patterns, over every row count from 0 to 9 (two four-row passes
@@ -63,13 +92,6 @@ func TestMulVec(t *testing.T) {
 // of intermediate precision: signed zeros, subnormals, infinities, NaN,
 // and magnitudes whose sum rounds differently when regrouped.
 func TestSumRowsMatchesSequential(t *testing.T) {
-	special := []float32{
-		0, float32(math.Copysign(0, -1)),
-		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
-		math.Float32frombits(0x007fffff), // largest subnormal
-		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
-		math.MaxFloat32, -math.MaxFloat32, 1, -1, 1e-8, 3e7, 0.1,
-	}
 	const rows, cols = 12, 19
 	m := NewMatrix(rows, cols)
 	seed := uint32(7)
@@ -90,12 +112,7 @@ func TestSumRowsMatchesSequential(t *testing.T) {
 			for k := range list {
 				list[k] = int32(next() % rows)
 			}
-			want := make([]float32, cols)
-			for _, r := range list {
-				for j, v := range m.Row(int(r)) {
-					want[j] += v
-				}
-			}
+			want := sumRowsSequential(m, list)
 			got := make([]float32, cols)
 			for j := range got {
 				got[j] = float32(trial) // stale contents must be overwritten
@@ -109,6 +126,83 @@ func TestSumRowsMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSumRows drives SumRows, on whichever body this build uses,
+// against sumRowsSequential: Cols 1-40 (every tail length of the eight-
+// lane body and up to five vectors), 0-9 listed rows of a 1-12 row
+// matrix, and elements drawn from raw bit patterns, special values and
+// moderate magnitudes. A listed row of 255 or 254 is out of range (Rows
+// and -1); SumRows must then panic as the sequential loop does.
+func FuzzSumRows(f *testing.F) {
+	f.Add(uint8(18), uint8(11), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, []byte("\xf0\x00\x00\x00\xe1\x02\x03\x04"))
+	f.Add(uint8(39), uint8(3), []byte{2, 2, 1, 0}, []byte{0, 0, 0x80, 0xbf, 0, 0, 0x80, 0x3f})
+	f.Add(uint8(7), uint8(5), []byte{1, 255}, []byte{1})
+	f.Fuzz(func(t *testing.T, cols, rows uint8, list, vals []byte) {
+		m := NewMatrix(1+int(rows)%12, 1+int(cols)%40)
+		for i := range m.Data {
+			m.Data[i] = fuzzFloat(vals, i)
+		}
+		if len(list) > 9 {
+			list = list[:9]
+		}
+		idx := make([]int32, len(list))
+		for k, b := range list {
+			switch b {
+			case 255:
+				idx[k] = int32(m.Rows)
+			case 254:
+				idx[k] = -1
+			default:
+				idx[k] = int32(int(b) % m.Rows)
+			}
+		}
+		var want []float32
+		wantPanic := panics(func() { want = sumRowsSequential(m, idx) })
+		got := make([]float32, m.Cols)
+		for j := range got {
+			got[j] = 42 // stale contents must be overwritten
+		}
+		if gotPanic := panics(func() { m.SumRows(idx, got) }); gotPanic || wantPanic {
+			if gotPanic != wantPanic {
+				t.Fatalf("rows %v of %d: SumRows panics %v, sequential %v", idx, m.Rows, gotPanic, wantPanic)
+			}
+			return
+		}
+		for j := range want {
+			if !sameBits(got[j], want[j]) {
+				t.Fatalf("%dx%d rows %v col %d: SumRows = %v (%#x), sequential = %v (%#x)",
+					m.Rows, m.Cols, idx, j, got[j], math.Float32bits(got[j]), want[j], math.Float32bits(want[j]))
+			}
+		}
+	})
+}
+
+// fuzzFloat decodes element i from the four bytes at 4i of vals (read
+// cyclically; zero when vals is empty). Patterns 0xF... pick a special
+// value, 0xE... a moderate magnitude, and the rest are the raw bits.
+func fuzzFloat(vals []byte, i int) float32 {
+	if len(vals) == 0 {
+		return 0
+	}
+	var bits uint32
+	for k := 0; k < 4; k++ {
+		bits |= uint32(vals[(4*i+k)%len(vals)]) << (8 * k)
+	}
+	switch bits >> 28 {
+	case 0xf:
+		return special[int(bits%uint32(len(special)))]
+	case 0xe:
+		return (float32(bits%2000000) - 1e6) * 1e-3
+	}
+	return math.Float32frombits(bits)
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
 }
 
 func TestClamp(t *testing.T) {

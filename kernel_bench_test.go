@@ -3,7 +3,10 @@
 // above (sweep engine, job server, worker fleet) bottoms out in, and the
 // two training stages that dominate a cold pipeline:
 //
-//	BenchmarkLIFStep        one Pool.Step over an N3600 population
+//	BenchmarkDriveAccumulation
+//	                        Phase A: one sample's 60 per-step drive sums
+//	                        at the sweep shape (N200, rate-coded trains)
+//	BenchmarkLIFStep        Phase B: one Pool.Step over an N3600 population
 //	BenchmarkEvaluate       one corrupted-weight-image evaluation, the
 //	                        steady-state per-scenario cost inside a sweep
 //	BenchmarkInject         one Model-0 error-injection pass (paper default)
@@ -82,6 +85,32 @@ func BenchmarkLIFStep(b *testing.B) {
 		spikes = pool.Step(drives[i&3], spikes)
 	}
 	_ = spikes
+}
+
+// BenchmarkDriveAccumulation measures Phase A of one inference
+// presentation at the sweep workload's shape: the 60 per-step SumRows
+// calls that accumulate an N200 network's synaptic drive from a sample's
+// rate-coded spike train. Against BenchmarkLIFStep (Phase B) it
+// attributes a change to the drive kernel. Iterations cycle over eight
+// samples' trains so the cost averages over their input densities.
+func BenchmarkDriveAccumulation(b *testing.B) {
+	cfg := snn.DefaultConfig(200)
+	net, err := snn.New(cfg, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := benchTestSet(b, 8)
+	trains := make([]coding.Train, set.Len())
+	for s := range trains {
+		trains[s] = cfg.Encoder.Encode(set.Images[s], cfg.Steps, rng.New(uint64(s)))
+	}
+	drives := make([]float32, cfg.Steps*cfg.Neurons)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for t, active := range trains[i%len(trains)] {
+			net.W.SumRows(active, drives[t*cfg.Neurons:(t+1)*cfg.Neurons])
+		}
+	}
 }
 
 // BenchmarkEvaluate measures the steady-state per-scenario evaluation
