@@ -28,10 +28,9 @@ race:
 
 # Bounded fuzzing of the two per-timestep kernels against their Go
 # references (go test -fuzz takes one target and one package per run).
-FUZZTIME ?= 20s
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=$(FUZZTIME) ./internal/numeric
-	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=$(FUZZTIME) ./internal/neuron
+	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=20s ./internal/numeric
+	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=20s ./internal/neuron
 
 # Quick-mode benchmark smoke run: every benchmark executes exactly one
 # iteration end to end. This only proves the benchmarks still run; real
