@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-record bench-check vet vet-generic fuzz fmt-check shard-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke examples-smoke lint vuln ci
+.PHONY: build test race bench bench-record bench-check vet vet-generic perfbench-check fuzz fmt-check shard-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke examples-smoke lint vuln ci
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,11 @@ vet:
 # uses; on amd64, `vet` already checks the assembly with asmdecl.
 vet-generic:
 	GOARCH=arm64 $(GO) vet ./...
+
+# perfbench/ is its own Go module, so the root module's build, vet and
+# test never compile it; this keeps its calls into internal/ honest.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -118,4 +123,4 @@ lint:
 vuln:
 	govulncheck ./...
 
-ci: build vet vet-generic fmt-check race fuzz bench examples-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke
+ci: build vet vet-generic perfbench-check fmt-check race fuzz bench examples-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke

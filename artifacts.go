@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 
 	"sparkxd/internal/mapping"
@@ -392,92 +391,6 @@ func getArtifact[T any](st ArtifactStore, key ArtifactKey, wantKind string) (*T,
 	var v T
 	if err := env.Decode(wantKind, &v); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorruptArtifact, err)
-	}
-	return &v, nil
-}
-
-// SaveArtifact writes a pipeline artifact to path as an indented JSON
-// envelope ({kind, schemaVersion, payload}).
-//
-// Deprecated: use PutArtifact with an ArtifactStore for content-addressed
-// persistence; SaveArtifact remains for single-file workflows.
-func SaveArtifact(path string, artifact any) error {
-	kind, err := ArtifactKind(artifact)
-	if err != nil {
-		return err
-	}
-	payload, err := json.Marshal(artifact)
-	if err != nil {
-		return fmt.Errorf("sparkxd: save %s: %w", path, err)
-	}
-	b, err := json.MarshalIndent(ArtifactEnvelope{
-		Kind:          kind,
-		SchemaVersion: store.SchemaVersion,
-		Payload:       payload,
-	}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("sparkxd: save %s: %w", path, err)
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("sparkxd: save artifact: %w", err)
-	}
-	return nil
-}
-
-// LoadTrainedModel reads a TrainedModel artifact written by SaveArtifact.
-//
-// Deprecated: use GetTrainedModel with an ArtifactStore.
-func LoadTrainedModel(path string) (*TrainedModel, error) {
-	return loadArtifact[TrainedModel](path, KindTrainedModel)
-}
-
-// LoadPlacement reads a Placement artifact written by SaveArtifact.
-//
-// Deprecated: use GetPlacement with an ArtifactStore.
-func LoadPlacement(path string) (*Placement, error) {
-	return loadArtifact[Placement](path, KindPlacement)
-}
-
-// LoadToleranceReport reads a ToleranceReport artifact.
-//
-// Deprecated: use GetToleranceReport with an ArtifactStore.
-func LoadToleranceReport(path string) (*ToleranceReport, error) {
-	return loadArtifact[ToleranceReport](path, KindToleranceReport)
-}
-
-// LoadSweepReport reads a SweepReport artifact written by SaveArtifact,
-// e.g. to extend or re-render a persisted sweep without re-evaluating.
-//
-// Deprecated: use GetSweepReport with an ArtifactStore.
-func LoadSweepReport(path string) (*SweepReport, error) {
-	return loadArtifact[SweepReport](path, KindSweepReport)
-}
-
-// loadArtifact reads one envelope file. A missing file satisfies both
-// errors.Is(err, ErrMissingArtifact) and errors.Is(err, os.ErrNotExist);
-// truncated JSON or an envelope of the wrong kind satisfies
-// errors.Is(err, ErrCorruptArtifact) instead of yielding a zero-valued
-// artifact.
-func loadArtifact[T any](path, wantKind string) (*T, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: load %s: %w", ErrMissingArtifact, path, err)
-		}
-		return nil, fmt.Errorf("sparkxd: load artifact: %w", err)
-	}
-	var env ArtifactEnvelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		return nil, fmt.Errorf("%w: load %s: %w", ErrCorruptArtifact, path, err)
-	}
-	if env.Kind == "" && env.Payload == nil {
-		// Valid JSON but not an envelope at all (e.g. a pre-envelope
-		// artifact file or an unrelated document).
-		return nil, fmt.Errorf("%w: load %s: not an artifact envelope (missing kind)", ErrCorruptArtifact, path)
-	}
-	var v T
-	if err := env.Decode(wantKind, &v); err != nil {
-		return nil, fmt.Errorf("%w: load %s: %w", ErrCorruptArtifact, path, err)
 	}
 	return &v, nil
 }

@@ -1,6 +1,6 @@
-// Tests of the artifact persistence surface: typed load failures
-// (missing, truncated, wrong kind) and content-addressed store round
-// trips through the public helpers.
+// Tests of the artifact persistence surface: content-addressed store
+// round trips through the public helpers, and typed failures for
+// missing keys, wrong kinds and damaged files.
 package sparkxd_test
 
 import (
@@ -12,77 +12,6 @@ import (
 
 	"sparkxd"
 )
-
-// A missing artifact file must satisfy both ErrMissingArtifact (the
-// public sentinel) and os.ErrNotExist (so callers can keep
-// distinguishing "nothing persisted" from "broken file").
-func TestLoadMissingArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nope.json")
-	_, err := sparkxd.LoadTrainedModel(path)
-	if !errors.Is(err, sparkxd.ErrMissingArtifact) {
-		t.Errorf("want ErrMissingArtifact, got %v", err)
-	}
-	if !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("want os.ErrNotExist preserved, got %v", err)
-	}
-	if _, err := sparkxd.LoadSweepReport(path); !errors.Is(err, sparkxd.ErrMissingArtifact) {
-		t.Errorf("LoadSweepReport: want ErrMissingArtifact, got %v", err)
-	}
-}
-
-// Truncated or non-envelope JSON must come back as ErrCorruptArtifact —
-// never as a silently zero-valued artifact — with the JSON cause still
-// inspectable.
-func TestLoadCorruptArtifact(t *testing.T) {
-	dir := t.TempDir()
-	cases := map[string]string{
-		"truncated.json":    `{"kind":"tolerance-report","schemaVersion":1,"payl`,
-		"not-envelope.json": `{"baseline_acc":0.9,"ber_th":1e-5}`, // a bare legacy artifact
-		"not-object.json":   `42`,
-	}
-	for name, content := range cases {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sparkxd.LoadToleranceReport(path); !errors.Is(err, sparkxd.ErrCorruptArtifact) {
-			t.Errorf("%s: want ErrCorruptArtifact, got %v", name, err)
-		}
-	}
-	// The *json.SyntaxError of malformed bytes stays reachable.
-	bad := filepath.Join(dir, "syntax.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := sparkxd.LoadToleranceReport(bad)
-	var syn *json.SyntaxError
-	if !errors.As(err, &syn) {
-		t.Errorf("want *json.SyntaxError via errors.As, got %v", err)
-	}
-}
-
-// An envelope of the wrong kind must be rejected with a typed error: a
-// placement file loaded as a tolerance report is corruption, not zeros.
-func TestLoadWrongKindArtifact(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "placement.json")
-	pl := &sparkxd.Placement{Voltage: 1.1, Policy: sparkxd.PolicyBaseline, WeightCount: 10}
-	if err := sparkxd.SaveArtifact(path, pl); err != nil {
-		t.Fatal(err)
-	}
-	_, err := sparkxd.LoadToleranceReport(path)
-	if !errors.Is(err, sparkxd.ErrCorruptArtifact) {
-		t.Errorf("loading a placement as a tolerance report: want ErrCorruptArtifact, got %v", err)
-	}
-	// The right loader still works.
-	got, err := sparkxd.LoadPlacement(path)
-	if err != nil {
-		t.Fatalf("LoadPlacement: %v", err)
-	}
-	if got.Voltage != 1.1 || got.WeightCount != 10 {
-		t.Errorf("round trip mismatch: %+v", got)
-	}
-}
 
 // Store round trip at the SDK level: Put/Get equality and key stability
 // across repeated puts and across store instances over the same dir.
@@ -136,5 +65,35 @@ func TestArtifactStoreRoundTrip(t *testing.T) {
 	missing := sparkxd.ArtifactKey(sparkxd.KindSweepReport + "/0000000000000000000000000000000000000000000000000000000000000000")
 	if _, err := sparkxd.GetSweepReport(st2, missing); !errors.Is(err, sparkxd.ErrMissingArtifact) {
 		t.Errorf("missing key: want ErrMissingArtifact, got %v", err)
+	}
+}
+
+// A stored file damaged on disk must come back as ErrCorruptArtifact,
+// never as a zero-valued artifact, with the JSON cause still reachable
+// through errors.As.
+func TestArtifactStoreCorruptFile(t *testing.T) {
+	dir := t.TempDir()
+	st, err := sparkxd.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := sparkxd.PutArtifact(st, &sparkxd.ToleranceReport{BaselineAcc: 0.9, BERth: 1e-5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sparkxd.GetToleranceReport(st, key); err != nil {
+		t.Fatalf("intact file: %v", err)
+	}
+	path := filepath.Join(dir, key.Kind(), key.Hash()+".json")
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = sparkxd.GetToleranceReport(st, key)
+	if !errors.Is(err, sparkxd.ErrCorruptArtifact) {
+		t.Errorf("damaged file: want ErrCorruptArtifact, got %v", err)
+	}
+	var syn *json.SyntaxError
+	if !errors.As(err, &syn) {
+		t.Errorf("damaged file: want *json.SyntaxError via errors.As, got %v", err)
 	}
 }

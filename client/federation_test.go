@@ -6,8 +6,10 @@ package client_test
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +17,19 @@ import (
 	"sparkxd/client"
 	"sparkxd/internal/server"
 )
+
+// testLogger returns a text logger that writes each record through
+// t.Log, so a failing test prints the component's records.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, nil))
+}
+
+type testLogWriter struct{ t testing.TB }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
 
 // newFederation builds a 2-shard coordinator pair (fleet dispatch, so
 // nothing executes) where shard 1 knows shard 2's real address, and
@@ -27,8 +42,8 @@ func newFederation(t *testing.T) (srv1, srv2 *server.Server, base1 string) {
 	srv2, err := server.New(server.Config{
 		Dispatch:   server.DispatchFleet,
 		ShardIndex: 2, ShardCount: 2,
-		Peers: []string{"http://unused-peer-one", "http://unused-self"},
-		Logf:  t.Logf,
+		Peers:  []string{"http://unused-peer-one", "http://unused-self"},
+		Logger: testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +55,8 @@ func newFederation(t *testing.T) (srv1, srv2 *server.Server, base1 string) {
 	srv1, err = server.New(server.Config{
 		Dispatch:   server.DispatchFleet,
 		ShardIndex: 1, ShardCount: 2,
-		Peers: []string{"http://unused-self", ts2.URL},
-		Logf:  t.Logf,
+		Peers:  []string{"http://unused-self", ts2.URL},
+		Logger: testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)

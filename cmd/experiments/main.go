@@ -3,16 +3,12 @@
 //
 // Usage:
 //
-//	experiments -list
-//	experiments -fig 2b            # one figure (1a 1b 2a 2b 2c 2d 6 8 11 12a 12b)
-//	experiments -table 1           # Table I
-//	experiments -all               # everything
-//	experiments -full -fig 11      # paper-scale sizes instead of quick mode
-//
+//	experiments run -list                    # job names (figures, table1, ablations)
 //	experiments run                          # whole suite on the scheduler
+//	experiments run -only fig2b,table1       # subset of jobs
+//	experiments run -full -only fig11        # paper-scale sizes instead of quick mode
 //	experiments run -workers 8 -json         # machine-readable result records
 //	experiments run -shard 1/2               # CI matrix slice of the suite
-//	experiments run -only fig8,fig11         # subset of jobs
 //
 // The run subcommand executes every registered experiment as a job of
 // the internal/sched work-stealing scheduler. Result records on stdout
@@ -37,11 +33,16 @@ import (
 	"sparkxd/internal/sched"
 )
 
+const usage = `usage: experiments run [-list] [-only jobs] [-full] [-seed n] [-quiet]
+                       [-workers n] [-shard i/m] [-json]
+run "experiments run -h" for the flags`
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "run" {
-		os.Exit(runSuite(os.Args[2:]))
+	if len(os.Args) < 2 || os.Args[1] != "run" {
+		fmt.Fprintln(os.Stderr, usage)
+		os.Exit(2)
 	}
-	legacyMain()
+	os.Exit(runSuite(os.Args[2:]))
 }
 
 // resultRecord is the deterministic per-job record emitted on stdout in
@@ -229,74 +230,4 @@ func emitText(r *experiments.Runner, reports []sched.Report) {
 	}
 	hits, misses := r.CacheStats()
 	fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses\n", hits, misses)
-}
-
-// legacyMain preserves the original flag-based single-experiment
-// interface, now routed through the registry.
-func legacyMain() {
-	var (
-		fig      = flag.String("fig", "", "figure to regenerate: 1a 1b 2a 2b 2c 2d 6 8 11 12a 12b")
-		table    = flag.String("table", "", "table to regenerate: 1")
-		ablation = flag.Bool("ablations", false, "run the design-choice ablations (error models, mapping, coding)")
-		all      = flag.Bool("all", false, "regenerate every table and figure")
-		full     = flag.Bool("full", false, "paper-scale sizes (slower); default is quick mode")
-		list     = flag.Bool("list", false, "list available experiments")
-		seed     = flag.Uint64("seed", 2021, "random seed")
-		quiet    = flag.Bool("quiet", false, "suppress progress logging")
-	)
-	flag.Parse()
-
-	if *list {
-		fmt.Println("jobs (use with `experiments run -only ...`):")
-		for _, e := range experiments.Entries() {
-			fmt.Printf("  %-20s %s\n", e.Name, e.Desc)
-		}
-		fmt.Println("legacy flags: -fig 1a|1b|2a|2b|2c|2d|6|8|11|12a|12b, -table 1, -ablations, -all")
-		return
-	}
-
-	opts := experiments.Options{Quick: !*full, Seed: *seed, Log: os.Stderr}
-	if *quiet {
-		opts.Log = nil
-	}
-	r := experiments.NewRunner(opts)
-	out := os.Stdout
-
-	run := func(name string) error {
-		e, ok := experiments.Lookup(name)
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (try -list)", name)
-		}
-		fmt.Fprintf(out, "\n================ %s ================\n", name)
-		res, err := e.Run(r)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-		return nil
-	}
-
-	var names []string
-	switch {
-	case *all:
-		for _, e := range experiments.Entries() {
-			names = append(names, e.Name)
-		}
-	case *fig != "":
-		names = []string{"fig" + *fig}
-	case *table != "":
-		names = []string{"table" + *table}
-	case *ablation:
-		names = []string{"ablation-mapping", "ablation-errmodels", "ablation-coding"}
-	default:
-		fmt.Fprintln(os.Stderr, "nothing to do: pass `run`, -fig, -table, -all, or -list")
-		flag.Usage()
-		os.Exit(2)
-	}
-	for _, n := range names {
-		if err := run(n); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", n, err)
-			os.Exit(1)
-		}
-	}
 }

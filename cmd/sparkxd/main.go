@@ -128,11 +128,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		usage(stdout)
 		return 0
 	default:
-		// Back-compat: a leading flag ("sparkxd -neurons 400") routes to
-		// the single-run pipeline.
-		if strings.HasPrefix(args[0], "-") {
-			return runSingle(ctx, args, stdout, stderr)
-		}
 		fmt.Fprintf(stderr, "sparkxd: unknown command %q\n\n", args[0])
 		usage(stderr)
 		return 2

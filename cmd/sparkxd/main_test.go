@@ -21,6 +21,7 @@ func TestDispatcher(t *testing.T) {
 		{"no args", nil, 2, "Usage:", ""},
 		{"unknown command", []string{"bogus"}, 2, `unknown command "bogus"`, ""},
 		{"unknown command usage", []string{"bogus"}, 2, "Usage:", ""},
+		{"leading flag", []string{"-neurons", "40"}, 2, `unknown command "-neurons"`, ""},
 		{"help", []string{"help"}, 0, "", "Usage:"},
 		{"-h", []string{"-h"}, 0, "", "Usage:"},
 		{"--help", []string{"--help"}, 0, "", "Usage:"},

@@ -28,8 +28,9 @@
 // submit/poll/stream execution against shared warm engines (DESIGN.md
 // §8).
 //
-// See the package Example for the staged save/resume flow. The
-// algorithmic kernel lives under internal/ (DESIGN.md has the system
-// inventory), runnable binaries under cmd/, usage examples under
-// examples/, and the per-figure benchmark harness in bench_test.go.
+// See the package Example for the staged persist/resume flow through an
+// artifact store. The algorithmic kernel lives under internal/ (DESIGN.md
+// has the system inventory), runnable binaries under cmd/, usage examples
+// under examples/, and the gated kernel benchmarks in
+// kernel_bench_test.go.
 package sparkxd

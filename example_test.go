@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"sparkxd"
 )
 
 // Example walks the staged public API end to end: configure a System,
-// run the training stages, persist the resumable artifacts, then resume
-// mapping and evaluation from disk in a fresh pipeline — no retraining.
+// run the training stages, persist the resumable artifacts in a store,
+// then resume mapping and evaluation from it in a fresh pipeline — no
+// retraining.
 func Example() {
 	sys, err := sparkxd.New(
 		sparkxd.WithNeurons(40),
@@ -40,28 +40,33 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	// Persist the artifacts a deployment would ship.
+	// Persist the artifacts a deployment would ship in a content-addressed
+	// store (a directory here; a store URL works the same way).
 	dir, err := os.MkdirTemp("", "sparkxd-example")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	modelPath := filepath.Join(dir, "improved.json")
-	tolPath := filepath.Join(dir, "tolerance.json")
-	if err := sparkxd.SaveArtifact(modelPath, improved); err != nil {
-		log.Fatal(err)
-	}
-	if err := sparkxd.SaveArtifact(tolPath, tolerance); err != nil {
-		log.Fatal(err)
-	}
-
-	// Resume in a fresh pipeline from the persisted artifacts: Map,
-	// EvaluateUnderErrors, and EnergyReport run without any retraining.
-	model, err := sparkxd.LoadTrainedModel(modelPath)
+	st, err := sparkxd.OpenStore(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tol, err := sparkxd.LoadToleranceReport(tolPath)
+	modelKey, err := sparkxd.PutArtifact(st, improved)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tolKey, err := sparkxd.PutArtifact(st, tolerance)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// Resume in a fresh pipeline from the stored artifacts: Map,
+	// EvaluateUnderErrors, and EnergyReport run without any retraining.
+	model, err := sparkxd.GetTrainedModel(st, modelKey)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tol, err := sparkxd.GetToleranceReport(st, tolKey)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,6 @@
 package sparkxd_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -18,7 +17,6 @@ import (
 	"sparkxd/internal/quant"
 	"sparkxd/internal/rng"
 	"sparkxd/internal/snn"
-	"sparkxd/internal/trace"
 	"sparkxd/internal/voltscale"
 )
 
@@ -48,40 +46,6 @@ func TestIntegrationLosslessStorageLoop(t *testing.T) {
 			if out[i] != w[i] {
 				t.Fatalf("%s: weight %d corrupted without errors", layout.Policy, i)
 			}
-		}
-	}
-}
-
-// Energy computed from an archived command trace must agree with the live
-// controller across mapping policies and voltages.
-func TestIntegrationTraceEnergyAgreesWithLive(t *testing.T) {
-	f := core.NewFramework()
-	for _, v := range []float64{voltscale.VNominal, voltscale.V1025} {
-		layout, _, _, err := f.MapWeightsAdaptive(784*100, v, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tm := f.Circuit.Timing(v)
-		ctl, err := memctrl.New(f.Geom, tm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		tw := trace.NewWriter(&buf)
-		ctl.OnCommand = tw.Hook(f.Geom, tm.TCK)
-		live := ctl.ReplayReads(layout.AccessStream())
-		if err := tw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		entries, err := trace.Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed := trace.Tally(entries, tm.TCK)
-		eLive := f.Power.Energy(live.Tally, v).TotalNJ()
-		eTrace := f.Power.Energy(replayed, v).TotalNJ()
-		if math.Abs(eLive-eTrace)/eLive > 0.05 {
-			t.Errorf("v=%.3f: trace energy %.0f nJ vs live %.0f nJ", v, eTrace, eLive)
 		}
 	}
 }

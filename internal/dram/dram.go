@@ -41,12 +41,6 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// RowsPerBank returns the total number of rows in one bank.
-func (g Geometry) RowsPerBank() int { return g.Subarrays * g.Rows }
-
-// BytesPerRow returns the capacity of one row in bytes.
-func (g Geometry) BytesPerRow() int { return g.Columns * g.ColumnBytes }
-
 // ChipCapacityBytes returns the capacity of one chip in bytes.
 func (g Geometry) ChipCapacityBytes() int64 {
 	return int64(g.Banks) * int64(g.Subarrays) * int64(g.Rows) *
@@ -155,21 +149,6 @@ func (s SubarrayID) Linear(g Geometry) int {
 	return idx
 }
 
-// SubarrayFromLinear is the inverse of SubarrayID.Linear.
-func SubarrayFromLinear(g Geometry, idx int) SubarrayID {
-	var s SubarrayID
-	s.Subarray = idx % g.Subarrays
-	idx /= g.Subarrays
-	s.Bank = idx % g.Banks
-	idx /= g.Banks
-	s.Chip = idx % g.Chips
-	idx /= g.Chips
-	s.Rank = idx % g.Ranks
-	idx /= g.Ranks
-	s.Channel = idx
-	return s
-}
-
 // String renders the subarray identity.
 func (s SubarrayID) String() string {
 	return fmt.Sprintf("ch%d.ra%d.cp%d.ba%d.su%d",
@@ -184,11 +163,6 @@ type BankID struct {
 // BankOf returns the bank that contains c.
 func (c Coord) BankOf() BankID {
 	return BankID{c.Channel, c.Rank, c.Chip, c.Bank}
-}
-
-// BankOf returns the bank that contains subarray s.
-func (s SubarrayID) BankOf() BankID {
-	return BankID{s.Channel, s.Rank, s.Chip, s.Bank}
 }
 
 // Linear returns a dense index for the bank in [0, total banks).
@@ -282,9 +256,6 @@ type Timing struct {
 	TCCD   float64 // column-to-column delay
 	TRRD   float64 // row-to-row (different bank) activation delay
 }
-
-// TRC returns the row cycle time tRAS + tRP.
-func (t Timing) TRC() float64 { return t.TRAS + t.TRP }
 
 // Validate reports whether the timing parameters are physically coherent.
 func (t Timing) Validate() error {

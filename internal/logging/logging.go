@@ -1,10 +1,8 @@
 // Package logging resolves the serving stack's logging configuration
 // into a *slog.Logger. Every serving component (coordinator, worker,
 // store server, CLI) logs through slog; this package provides the
-// shared plumbing: a JSON logger factory for the binaries, a bridge
-// from structured records to legacy printf-style callbacks (tests pass
-// t.Logf), a discard logger, and level-name parsing for -log-level
-// flags.
+// shared plumbing: a JSON logger factory for the binaries, a discard
+// logger, and level-name parsing for -log-level flags.
 package logging
 
 import (
@@ -15,18 +13,13 @@ import (
 	"strings"
 )
 
-// New resolves a component's logging fields: an explicit Logger wins, a
-// legacy printf callback is bridged through logfHandler (one formatted
-// line per record), and with neither the logger discards.
-func New(logger *slog.Logger, logf func(string, ...any)) *slog.Logger {
-	switch {
-	case logger != nil:
-		return logger
-	case logf != nil:
-		return slog.New(logfHandler{logf: logf})
-	default:
+// New resolves a component's Logger field: the logger itself, or a
+// logger that discards when it is nil.
+func New(logger *slog.Logger) *slog.Logger {
+	if logger == nil {
 		return Discard()
 	}
+	return logger
 }
 
 // JSON builds the binaries' structured logger: one JSON object per line
@@ -49,38 +42,6 @@ func ParseLevel(s string) (slog.Level, error) {
 	}
 	return l, nil
 }
-
-// logfHandler renders structured records as single "msg key=value ..."
-// lines into a printf-style callback — the bridge from the structured
-// logging core to legacy Logf consumers.
-type logfHandler struct {
-	logf  func(string, ...any)
-	attrs []slog.Attr
-}
-
-func (h logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelInfo
-}
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	for _, a := range h.attrs {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return logfHandler{logf: h.logf, attrs: append(append([]slog.Attr(nil), h.attrs...), attrs...)}
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }
 
 // discardHandler drops everything (slog.DiscardHandler predates this
 // module's Go floor).

@@ -44,10 +44,6 @@ func (l *Layout) UnitBytes() int { return l.unitBytes }
 // CoordOf returns the DRAM coordinate of image unit u.
 func (l *Layout) CoordOf(u int) dram.Coord { return l.coords[u] }
 
-// Coords returns the full placement in image order. The slice is shared;
-// callers must not mutate it.
-func (l *Layout) Coords() []dram.Coord { return l.coords }
-
 // AccessStream returns the read access sequence of one streaming pass
 // over the image (inference reads weights in image order).
 func (l *Layout) AccessStream() []dram.Coord { return l.coords }
@@ -174,14 +170,6 @@ func AllSafe(geom dram.Geometry) []bool {
 	return s
 }
 
-// Interleaved places units round-robin across banks at sequential
-// row/column positions without a safety filter. It is the classic
-// bank-interleaved layout used as an ablation between Baseline and
-// SparkXD (it shares SparkXD's bank overlap but not its error awareness).
-func Interleaved(geom dram.Geometry, units int) (*Layout, error) {
-	return SparkXD(geom, units, AllSafe(geom))
-}
-
 // Validate checks that every coordinate is inside the geometry and that
 // no column unit is used twice (a layout must be an injection).
 func (l *Layout) Validate() error {
@@ -197,13 +185,4 @@ func (l *Layout) Validate() error {
 		seen[k] = struct{}{}
 	}
 	return nil
-}
-
-// OccupancyBySubarray returns unit counts per linear subarray index.
-func (l *Layout) OccupancyBySubarray() []int {
-	occ := make([]int, l.Geom.SubarrayCount())
-	for _, c := range l.coords {
-		occ[c.SubarrayOf().Linear(l.Geom)]++
-	}
-	return occ
 }

@@ -134,22 +134,6 @@ func TestLayoutValidateCatchesDuplicates(t *testing.T) {
 	}
 }
 
-func TestOccupancyBySubarray(t *testing.T) {
-	g := dram.SmallTestGeometry()
-	l, _ := Baseline(g, g.Columns*2) // two rows of subarray 0
-	occ := l.OccupancyBySubarray()
-	if occ[0] != 2*g.Columns {
-		t.Fatalf("occ[0] = %d", occ[0])
-	}
-	total := 0
-	for _, o := range occ {
-		total += o
-	}
-	if total != l.Units() {
-		t.Fatal("occupancy must sum to unit count")
-	}
-}
-
 // The headline behavioural claim: replaying the SparkXD stream achieves a
 // hit rate at least as high as baseline and is not slower (Fig. 12(b)).
 func TestSparkXDStreamNotSlowerThanBaseline(t *testing.T) {
@@ -175,20 +159,6 @@ func TestSparkXDStreamNotSlowerThanBaseline(t *testing.T) {
 	}
 	if ss.HitRate() < sb.HitRate()-1e-9 {
 		t.Errorf("sparkxd hit rate %v below baseline %v", ss.HitRate(), sb.HitRate())
-	}
-}
-
-func TestInterleavedEqualsSparkXDAllSafe(t *testing.T) {
-	g := dram.SmallTestGeometry()
-	a, err := Interleaved(g, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := SparkXD(g, 100, AllSafe(g))
-	for u := 0; u < 100; u++ {
-		if a.CoordOf(u) != b.CoordOf(u) {
-			t.Fatal("Interleaved must equal SparkXD with all subarrays safe")
-		}
 	}
 }
 

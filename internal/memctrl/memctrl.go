@@ -242,26 +242,6 @@ func (c *Controller) ReplayReads(coords []dram.Coord) Stats {
 	return c.Stats()
 }
 
-// ClassCounts is the per-class access census used by energy accounting
-// when integrating access-condition energies directly (Fig. 2(b) style).
-type ClassCounts struct {
-	Hits, Misses, Conflicts int64
-}
-
-// Census classifies a stream without mutating the controller's public
-// stats (it runs on a scratch controller).
-func Census(geom dram.Geometry, timing dram.Timing, stream []Access) (ClassCounts, error) {
-	ctl, err := New(geom, timing)
-	if err != nil {
-		return ClassCounts{}, err
-	}
-	for _, a := range stream {
-		ctl.Do(a)
-	}
-	s := ctl.Stats()
-	return ClassCounts{Hits: s.Hits, Misses: s.Misses, Conflicts: s.Conflicts}, nil
-}
-
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a

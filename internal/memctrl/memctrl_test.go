@@ -281,22 +281,6 @@ func TestDoPanicsOutsideGeometry(t *testing.T) {
 	c.Do(Access{Coord: dram.Coord{Channel: 99}})
 }
 
-func TestCensus(t *testing.T) {
-	g := dram.SmallTestGeometry()
-	stream := []Access{
-		{Coord: dram.Coord{Row: 0}},
-		{Coord: dram.Coord{Row: 0, Column: 1}},
-		{Coord: dram.Coord{Row: 1}},
-	}
-	cc, err := Census(g, dram.NominalTiming(), stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.Hits != 1 || cc.Misses != 1 || cc.Conflicts != 1 {
-		t.Fatalf("census = %+v", cc)
-	}
-}
-
 func TestActiveResidencyEqualsTotal(t *testing.T) {
 	c := newCtl(t)
 	s := c.Replay([]Access{{Coord: dram.Coord{}}, {Coord: dram.Coord{Column: 1}}})

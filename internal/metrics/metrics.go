@@ -256,21 +256,10 @@ func (h *Histogram) write(w io.Writer, name, labelStr string) {
 	fmt.Fprintf(w, "%s_count%s %d\n", name, labelStr, total)
 }
 
-// withLE splices le="bound" into an existing label block (or starts
-// one).
+// withLE splices le="bound" into a series' label block; histograms
+// always have labels (see NewHistogramVec).
 func withLE(labelStr, bound string) string {
-	le := `le="` + bound + `"`
-	if labelStr == "" {
-		return "{" + le + "}"
-	}
-	return labelStr[:len(labelStr)-1] + "," + le + "}"
-}
-
-// NewHistogram registers an unlabeled histogram with the given bucket
-// upper bounds (+Inf is implicit).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, "histogram", nil)
-	return f.child(nil, func() metric { return newHistogram(buckets) }).(*Histogram)
+	return labelStr[:len(labelStr)-1] + `,le="` + bound + `"}`
 }
 
 // HistogramVec is a histogram family with labels; every series shares
@@ -283,7 +272,7 @@ type HistogramVec struct {
 // NewHistogramVec registers a labeled histogram family.
 func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	if len(labels) == 0 {
-		panic("metrics: NewHistogramVec without labels; use NewHistogram")
+		panic("metrics: NewHistogramVec needs at least one label")
 	}
 	return &HistogramVec{
 		f:       r.register(name, help, "histogram", labels),
@@ -295,11 +284,6 @@ func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels 
 func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.child(values, func() metric { return newHistogram(v.buckets) }).(*Histogram)
 }
-
-// WritePrometheus renders every registered family in the Prometheus
-// text exposition format, families sorted by name and series by label
-// values, so output is deterministic for a given state.
-func (r *Registry) WritePrometheus(w io.Writer) error { return WritePrometheus(w, r) }
 
 // WritePrometheus renders the families of several registries as one
 // exposition, sorted by name across all of them (e.g. a coordinator's

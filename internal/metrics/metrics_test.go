@@ -11,7 +11,7 @@ import (
 func render(t *testing.T, r *Registry) string {
 	t.Helper()
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := WritePrometheus(&sb, r); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	return sb.String()
@@ -93,7 +93,7 @@ func TestVecReturnsSameChild(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("lat_seconds", "latency", []float64{0.1, 1, 10})
+	h := r.NewHistogramVec("lat_seconds", "latency", []float64{0.1, 1, 10}, "route").With("submit")
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -102,11 +102,12 @@ func TestHistogram(t *testing.T) {
 	}
 	out := render(t, r)
 	want := "# HELP lat_seconds latency\n# TYPE lat_seconds histogram\n" +
-		`lat_seconds_bucket{le="0.1"} 1` + "\n" +
-		`lat_seconds_bucket{le="1"} 3` + "\n" +
-		`lat_seconds_bucket{le="10"} 4` + "\n" +
-		`lat_seconds_bucket{le="+Inf"} 5` + "\n" +
-		"lat_seconds_sum 56.05\nlat_seconds_count 5\n"
+		`lat_seconds_bucket{route="submit",le="0.1"} 1` + "\n" +
+		`lat_seconds_bucket{route="submit",le="1"} 3` + "\n" +
+		`lat_seconds_bucket{route="submit",le="10"} 4` + "\n" +
+		`lat_seconds_bucket{route="submit",le="+Inf"} 5` + "\n" +
+		`lat_seconds_sum{route="submit"} 56.05` + "\n" +
+		`lat_seconds_count{route="submit"} 5` + "\n"
 	if out != want {
 		t.Fatalf("exposition mismatch:\n got: %q\nwant: %q", out, want)
 	}
@@ -193,7 +194,7 @@ func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("c_total", "")
 	g := r.NewGauge("g", "")
-	h := r.NewHistogram("h_seconds", "", DefLatencyBuckets)
+	h := r.NewHistogramVec("h_seconds", "", DefLatencyBuckets, "k").With("a")
 	v := r.NewCounterVec("v_total", "", "k")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -206,7 +207,7 @@ func TestConcurrentUse(t *testing.T) {
 				h.Observe(float64(j) / 100)
 				v.With([]string{"a", "b"}[i%2]).Inc()
 				if j%100 == 0 {
-					_ = r.WritePrometheus(io.Discard)
+					_ = WritePrometheus(io.Discard, r)
 				}
 			}
 		}(i)

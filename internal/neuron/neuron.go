@@ -113,14 +113,6 @@ func (p *Pool) ResetState() {
 	}
 }
 
-// ResetAll additionally clears the adaptive thresholds.
-func (p *Pool) ResetAll() {
-	p.ResetState()
-	for i := range p.Theta {
-		p.Theta[i] = 0
-	}
-}
-
 // Step advances the pool one timestep. input[j] is the synaptic drive
 // accumulated for neuron j this step. spikesOut is an optional reusable
 // buffer; the returned slice lists the indices of neurons that fired, in
@@ -228,6 +220,3 @@ func (p *Pool) Inhibit(winners []int32, strength float32) {
 		V[j] = v
 	}
 }
-
-// ThresholdOf returns the effective threshold of neuron j.
-func (p *Pool) ThresholdOf(j int) float32 { return p.Cfg.VTh + p.Theta[j] }

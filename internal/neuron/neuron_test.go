@@ -110,10 +110,6 @@ func TestThetaGrowsWithSpikes(t *testing.T) {
 	if p.Theta[0] <= 0 {
 		t.Fatal("theta must grow after a spike")
 	}
-	th := p.ThresholdOf(0)
-	if th <= p.Cfg.VTh {
-		t.Fatal("effective threshold must exceed base after a spike")
-	}
 }
 
 func TestThetaDecays(t *testing.T) {
@@ -160,15 +156,6 @@ func TestResetStatePreservesTheta(t *testing.T) {
 	}
 	if p.Theta[0] != theta {
 		t.Error("ResetState must keep theta")
-	}
-}
-
-func TestResetAllClearsTheta(t *testing.T) {
-	p := pool(t, 1)
-	p.Step([]float32{1000}, nil)
-	p.ResetAll()
-	if p.Theta[0] != 0 {
-		t.Error("ResetAll must clear theta")
 	}
 }
 

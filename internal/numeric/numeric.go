@@ -1,5 +1,5 @@
-// Package numeric provides the small set of dense float32 vector and
-// matrix kernels used by the SNN simulator and by the analysis code.
+// Package numeric provides the small set of dense float32 matrix
+// kernels used by the SNN simulator.
 //
 // Every kernel is a plain, dependency-free Go loop: the matrices
 // involved (up to 784 x 3600 synaptic weights) are small enough that
@@ -11,10 +11,7 @@
 // of every other build.
 package numeric
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major float32 matrix.
 type Matrix struct {
@@ -30,12 +27,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// At returns element (r, c).
-func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
-
-// Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
-
 // Row returns the r-th row as a slice aliasing the matrix storage.
 func (m *Matrix) Row(r int) []float32 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
@@ -46,55 +37,9 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
-// Dims returns (rows, cols).
-func (m *Matrix) Dims() (int, int) { return m.Rows, m.Cols }
-
 // String implements fmt.Stringer with a compact shape description.
 func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
-}
-
-// MulVec computes dst = M^T * x when transposed, or dst = M * x otherwise.
-// For the SNN the common pattern is y[j] += sum_i x[i] * W[i][j]
-// (inputs i, neurons j), i.e. transposed=true with W stored input-major.
-func (m *Matrix) MulVec(x, dst []float32, transposed bool) {
-	if transposed {
-		if len(x) != m.Rows || len(dst) != m.Cols {
-			panic("numeric: MulVec transposed dimension mismatch")
-		}
-		for j := range dst {
-			dst[j] = 0
-		}
-		for i := 0; i < m.Rows; i++ {
-			xi := x[i]
-			if xi == 0 {
-				continue
-			}
-			row := m.Row(i)
-			for j, w := range row {
-				dst[j] += xi * w
-			}
-		}
-		return
-	}
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic("numeric: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var acc float32
-		for j, w := range row {
-			acc += w * x[j]
-		}
-		dst[i] = acc
-	}
 }
 
 // SumRows overwrites dst with the sum of the listed rows of m: dst is
@@ -159,13 +104,6 @@ func (m *Matrix) rowsInRange(rows []int32) bool {
 // It is decided once at start-up; there is no option to change it.
 func AVX2() bool { return useAVX2 }
 
-// Scale multiplies every element by s.
-func (m *Matrix) Scale(s float32) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // Clamp limits every element into [lo, hi].
 func (m *Matrix) Clamp(lo, hi float32) {
 	for i, v := range m.Data {
@@ -204,168 +142,4 @@ func (m *Matrix) NormalizeColumns(target float32) {
 			m.Data[i*m.Cols+j] *= f
 		}
 	}
-}
-
-// Vector helpers ------------------------------------------------------------
-
-// Sum returns the sum of x.
-func Sum(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of x (0 for empty input).
-func Mean(x []float32) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
-}
-
-// Variance returns the population variance of x (0 for len < 2).
-func Variance(x []float32) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var acc float64
-	for _, v := range x {
-		d := float64(v) - m
-		acc += d * d
-	}
-	return acc / float64(len(x))
-}
-
-// Stddev returns the population standard deviation of x.
-func Stddev(x []float32) float64 { return math.Sqrt(Variance(x)) }
-
-// ArgMax returns the index of the maximum element (-1 for empty input).
-// Ties resolve to the lowest index.
-func ArgMax(x []float32) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMaxInt is ArgMax for int slices.
-func ArgMaxInt(x []int) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Dot returns the dot product of a and b.
-func Dot(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic("numeric: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += float64(a[i]) * float64(b[i])
-	}
-	return s
-}
-
-// AXPY computes y += alpha * x in place.
-func AXPY(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("numeric: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
-// DecayExp multiplies every element of x by the factor exp(-dt/tau),
-// the exact Euler-exponential decay used by the LIF traces.
-func DecayExp(x []float32, dt, tau float64) {
-	f := float32(math.Exp(-dt / tau))
-	for i := range x {
-		x[i] *= f
-	}
-}
-
-// Clamp32 limits v into [lo, hi].
-func Clamp32(v, lo, hi float32) float32 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// Percentile returns the p-th percentile (0..100) of x using linear
-// interpolation on a sorted copy. Returns NaN for empty input.
-func Percentile(x []float32, p float64) float64 {
-	if len(x) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(x))
-	for i, v := range x {
-		s[i] = float64(v)
-	}
-	insertionSort(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-func insertionSort(s []float64) {
-	// Shell sort: no allocations, adequate for the analysis-sized slices
-	// this package deals with.
-	n := len(s)
-	gap := 1
-	for gap < n/3 {
-		gap = gap*3 + 1
-	}
-	for ; gap > 0; gap /= 3 {
-		for i := gap; i < n; i++ {
-			v := s[i]
-			j := i
-			for j >= gap && s[j-gap] > v {
-				s[j] = s[j-gap]
-				j -= gap
-			}
-			s[j] = v
-		}
-	}
-}
-
-// ApproxEqual reports whether a and b differ by at most tol.
-func ApproxEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-// RelErr returns |a-b| / max(|b|, eps): the relative error of a vs b.
-func RelErr(a, b float64) float64 {
-	den := math.Abs(b)
-	if den < 1e-30 {
-		den = 1e-30
-	}
-	return math.Abs(a-b) / den
 }

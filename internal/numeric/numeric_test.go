@@ -8,51 +8,27 @@ import (
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(3, 4)
-	if r, c := m.Dims(); r != 3 || c != 4 {
-		t.Fatalf("Dims = (%d,%d)", r, c)
+	if m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {
+		t.Fatalf("NewMatrix(3, 4) = %dx%d with %d elements", m.Rows, m.Cols, len(m.Data))
 	}
-	m.Set(1, 2, 5)
-	if m.At(1, 2) != 5 {
-		t.Fatal("Set/At roundtrip failed")
-	}
+	m.Data[1*4+2] = 5
 	row := m.Row(1)
 	if len(row) != 4 || row[2] != 5 {
 		t.Fatal("Row aliasing failed")
 	}
 	row[0] = 9
-	if m.At(1, 0) != 9 {
+	if m.Data[1*4+0] != 9 {
 		t.Fatal("Row must alias matrix storage")
 	}
 }
 
 func TestMatrixClone(t *testing.T) {
 	m := NewMatrix(2, 2)
-	m.Set(0, 0, 1)
+	m.Data[0] = 1
 	c := m.Clone()
-	c.Set(0, 0, 7)
-	if m.At(0, 0) != 1 {
+	c.Data[0] = 7
+	if m.Data[0] != 1 {
 		t.Fatal("Clone must not share storage")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	// W = [[1 2],[3 4],[5 6]] (3 inputs x 2 neurons)
-	m := NewMatrix(3, 2)
-	copy(m.Data, []float32{1, 2, 3, 4, 5, 6})
-	x := []float32{1, 0, 2}
-	dst := make([]float32, 2)
-	m.MulVec(x, dst, true)
-	if dst[0] != 11 || dst[1] != 14 {
-		t.Fatalf("transposed MulVec = %v, want [11 14]", dst)
-	}
-	y := []float32{1, 1}
-	dst2 := make([]float32, 3)
-	m.MulVec(y, dst2, false)
-	want := []float32{3, 7, 11}
-	for i := range want {
-		if dst2[i] != want[i] {
-			t.Fatalf("MulVec = %v, want %v", dst2, want)
-		}
 	}
 }
 
@@ -233,110 +209,6 @@ func TestNormalizeColumns(t *testing.T) {
 	}
 }
 
-func TestArgMax(t *testing.T) {
-	if ArgMax(nil) != -1 {
-		t.Error("ArgMax(nil) should be -1")
-	}
-	if ArgMax([]float32{1, 3, 3, 2}) != 1 {
-		t.Error("ArgMax tie should resolve to lowest index")
-	}
-	if ArgMaxInt([]int{5, 1, 9}) != 2 {
-		t.Error("ArgMaxInt failed")
-	}
-	if ArgMaxInt(nil) != -1 {
-		t.Error("ArgMaxInt(nil) should be -1")
-	}
-}
-
-func TestSumMeanVariance(t *testing.T) {
-	x := []float32{1, 2, 3, 4}
-	if Sum(x) != 10 {
-		t.Error("Sum failed")
-	}
-	if Mean(x) != 2.5 {
-		t.Error("Mean failed")
-	}
-	if math.Abs(Variance(x)-1.25) > 1e-9 {
-		t.Errorf("Variance = %v, want 1.25", Variance(x))
-	}
-	if math.Abs(Stddev(x)-math.Sqrt(1.25)) > 1e-9 {
-		t.Error("Stddev failed")
-	}
-	if Mean(nil) != 0 || Variance([]float32{1}) != 0 {
-		t.Error("degenerate stats failed")
-	}
-}
-
-func TestDotAXPY(t *testing.T) {
-	a := []float32{1, 2, 3}
-	b := []float32{4, 5, 6}
-	if Dot(a, b) != 32 {
-		t.Errorf("Dot = %v", Dot(a, b))
-	}
-	y := []float32{1, 1, 1}
-	AXPY(2, a, y)
-	want := []float32{3, 5, 7}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("AXPY = %v", y)
-		}
-	}
-}
-
-func TestDecayExp(t *testing.T) {
-	x := []float32{1, 2}
-	DecayExp(x, 1, 1)
-	f := float32(math.Exp(-1))
-	if math.Abs(float64(x[0]-f)) > 1e-6 || math.Abs(float64(x[1]-2*f)) > 1e-6 {
-		t.Fatalf("DecayExp = %v", x)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	x := []float32{4, 1, 3, 2}
-	if v := Percentile(x, 0); v != 1 {
-		t.Errorf("P0 = %v", v)
-	}
-	if v := Percentile(x, 100); v != 4 {
-		t.Errorf("P100 = %v", v)
-	}
-	if v := Percentile(x, 50); math.Abs(v-2.5) > 1e-9 {
-		t.Errorf("P50 = %v, want 2.5", v)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("Percentile of empty should be NaN")
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	x := []float32{3, 1, 2}
-	Percentile(x, 50)
-	if x[0] != 3 || x[1] != 1 || x[2] != 2 {
-		t.Fatal("Percentile must not reorder its input")
-	}
-}
-
-func TestClamp32(t *testing.T) {
-	if Clamp32(-1, 0, 1) != 0 || Clamp32(2, 0, 1) != 1 || Clamp32(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp32 failed")
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	if RelErr(1.1, 1.0) > 0.11 || RelErr(1.1, 1.0) < 0.09 {
-		t.Errorf("RelErr = %v", RelErr(1.1, 1.0))
-	}
-	if RelErr(0, 0) != 0 {
-		t.Errorf("RelErr(0,0) = %v", RelErr(0, 0))
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(1.0, 1.05, 0.1) || ApproxEqual(1.0, 1.2, 0.1) {
-		t.Fatal("ApproxEqual failed")
-	}
-}
-
 // Property: NormalizeColumns makes every nonzero column sum to the target.
 func TestNormalizeColumnsProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -382,23 +254,5 @@ func TestClampProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkMulVecTransposed(b *testing.B) {
-	m := NewMatrix(784, 900)
-	for i := range m.Data {
-		m.Data[i] = float32(i%13) * 0.01
-	}
-	x := make([]float32, 784)
-	for i := range x {
-		if i%3 == 0 {
-			x[i] = 1
-		}
-	}
-	dst := make([]float32, 900)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVec(x, dst, true)
 	}
 }

@@ -188,21 +188,6 @@ func (m Model) AccessEnergyNJ(class dram.AccessClass, v float64) float64 {
 	return e
 }
 
-// WriteAccessEnergyNJ is AccessEnergyNJ for write accesses.
-func (m Model) WriteAccessEnergyNJ(class dram.AccessClass, v float64) float64 {
-	e := m.WriteEnergyNJ(v)
-	switch class {
-	case dram.AccessHit:
-	case dram.AccessMiss:
-		e += m.ActEnergyNJ(v)
-	case dram.AccessConflict:
-		e += m.PreEnergyNJ(v) + m.ActEnergyNJ(v)
-	default:
-		panic("power: unknown access class")
-	}
-	return e
-}
-
 // AccessSavings returns the fractional energy-per-access saving of
 // operating at voltage v relative to the nominal voltage, for the given
 // access class: 1 - E(v)/E(VNom).
@@ -217,17 +202,6 @@ type Tally struct {
 	// ActiveNs / IdleNs is time spent with at least one row open vs all
 	// banks precharged, for background energy.
 	ActiveNs, IdleNs float64
-}
-
-// Add accumulates another tally into t.
-func (t *Tally) Add(o Tally) {
-	t.NACT += o.NACT
-	t.NPRE += o.NPRE
-	t.NRD += o.NRD
-	t.NWR += o.NWR
-	t.NREF += o.NREF
-	t.ActiveNs += o.ActiveNs
-	t.IdleNs += o.IdleNs
 }
 
 // Breakdown is the energy decomposition of a simulation interval, in nJ.

@@ -64,27 +64,3 @@ func ByMagnitude(w []float32, connectivity float64) (Result, error) {
 	}
 	return res, nil
 }
-
-// NonZeroCount returns the number of nonzero weights.
-func NonZeroCount(w []float32) int {
-	n := 0
-	for _, v := range w {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// CompactIndices returns the indices of surviving weights, in order —
-// the access pattern of a sparse inference pass (only surviving weights
-// are fetched from DRAM).
-func CompactIndices(w []float32) []int {
-	out := make([]int, 0, len(w))
-	for i, v := range w {
-		if v != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -66,28 +66,6 @@ func TestByMagnitudeNegativeWeights(t *testing.T) {
 	}
 }
 
-func TestNonZeroCount(t *testing.T) {
-	if NonZeroCount([]float32{0, 1, 0, 2}) != 2 {
-		t.Fatal("NonZeroCount wrong")
-	}
-	if NonZeroCount(nil) != 0 {
-		t.Fatal("empty count wrong")
-	}
-}
-
-func TestCompactIndices(t *testing.T) {
-	idx := CompactIndices([]float32{0, 1, 0, 2, 3})
-	want := []int{1, 3, 4}
-	if len(idx) != len(want) {
-		t.Fatalf("indices = %v", idx)
-	}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("indices = %v, want %v", idx, want)
-		}
-	}
-}
-
 // Property: pruning keeps approximately the requested fraction and never
 // removes a weight larger than one it keeps.
 func TestPruneOrderProperty(t *testing.T) {

@@ -135,9 +135,9 @@ func GetBit(img []byte, idx int64) bool {
 }
 
 // CountDiffBits returns the Hamming distance between two equal-length
-// images; it panics on length mismatch. The comparison runs eight bytes
-// at a time with a hardware popcount, which matters because the sweep
-// engine diffs full multi-megabyte weight images once per scenario.
+// images; it panics on length mismatch. It compares eight bytes at a
+// time with a hardware popcount. The errmodel tests use it as the oracle
+// that checks how many bits an injection actually flipped.
 func CountDiffBits(a, b []byte) int64 {
 	if len(a) != len(b) {
 		panic("quant: CountDiffBits length mismatch")

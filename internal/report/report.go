@@ -1,5 +1,5 @@
-// Package report renders experiment results as fixed-width tables, CSV,
-// and ASCII line charts, so that every figure and table of the paper can
+// Package report renders experiment results as fixed-width tables and
+// ASCII line charts, so that every figure and table of the paper can
 // be regenerated as terminal output by cmd/experiments.
 package report
 
@@ -85,25 +85,6 @@ func (t *Table) Render(w io.Writer) {
 	printRow(sep)
 	for _, row := range t.Rows {
 		printRow(row)
-	}
-}
-
-// CSV writes the table as comma-separated values (quoting cells that
-// contain commas or quotes).
-func (t *Table) CSV(w io.Writer) {
-	writeLine := func(cells []string) {
-		out := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			out[i] = c
-		}
-		fmt.Fprintln(w, strings.Join(out, ","))
-	}
-	writeLine(t.Headers)
-	for _, row := range t.Rows {
-		writeLine(row)
 	}
 }
 

@@ -47,24 +47,6 @@ func TestTableFloatFormatting(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow("x,y", "plain")
-	tb.AddRow("q\"uote", 3)
-	var buf bytes.Buffer
-	tb.CSV(&buf)
-	out := buf.String()
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("CSV header wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "\"x,y\"") {
-		t.Error("comma cell must be quoted")
-	}
-	if !strings.Contains(out, "\"q\"\"uote\"") {
-		t.Error("quote cell must be escaped")
-	}
-}
-
 func TestChartRender(t *testing.T) {
 	c := NewChart("Accuracy vs BER", "BER", "acc")
 	c.LogX = true

@@ -115,9 +115,6 @@ func (r *Stream) Fill(dst []uint64) {
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (r *Stream) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (r *Stream) Intn(n int) int {
 	if n <= 0 {
@@ -211,64 +208,6 @@ func (r *Stream) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Stream) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Poisson returns a Poisson variate with the given mean lambda.
-// For small lambda it uses Knuth's product method; for large lambda it
-// uses the PTRS transformed-rejection method of Hörmann (1993), which is
-// O(1) per sample.
-func (r *Stream) Poisson(lambda float64) int {
-	switch {
-	case lambda <= 0:
-		return 0
-	case lambda < 30:
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		return r.poissonPTRS(lambda)
-	}
-}
-
-// poissonPTRS implements Hörmann's PTRS algorithm for lambda >= 10.
-func (r *Stream) poissonPTRS(lambda float64) int {
-	b := 0.931 + 2.53*math.Sqrt(lambda)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	for {
-		u := r.Float64() - 0.5
-		v := r.Float64()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + lambda + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*math.Log(lambda)-lambda-lg {
-			return int(k)
-		}
-	}
-}
-
 // Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
 func (r *Stream) Perm(n int) []int {
 	p := make([]int, n)
@@ -280,34 +219,6 @@ func (r *Stream) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the given swap.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// SampleK returns k distinct indices uniformly drawn from [0, n) using
-// Floyd's algorithm; order is unspecified but deterministic.
-// It panics if k > n or k < 0.
-func (r *Stream) SampleK(n, k int) []int {
-	if k < 0 || k > n {
-		panic("rng: SampleK with k out of range")
-	}
-	seen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for j := n - k; j < n; j++ {
-		t := r.Intn(j + 1)
-		if _, dup := seen[t]; dup {
-			t = j
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
-	return out
 }
 
 // Binomial returns a binomial variate Bin(n, p). It uses direct Bernoulli

@@ -190,51 +190,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonSmallLambda(t *testing.T) {
-	r := New(31)
-	const lambda, n = 3.5, 100000
-	var sum, sq float64
-	for i := 0; i < n; i++ {
-		v := float64(r.Poisson(lambda))
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean-lambda) > 0.05 {
-		t.Errorf("poisson mean = %v, want ~%v", mean, lambda)
-	}
-	if math.Abs(variance-lambda) > 0.15 {
-		t.Errorf("poisson variance = %v, want ~%v", variance, lambda)
-	}
-}
-
-func TestPoissonLargeLambda(t *testing.T) {
-	r := New(37)
-	const lambda, n = 120.0, 50000
-	var sum, sq float64
-	for i := 0; i < n; i++ {
-		v := float64(r.Poisson(lambda))
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean-lambda) > 0.5 {
-		t.Errorf("poisson mean = %v, want ~%v", mean, lambda)
-	}
-	if math.Abs(variance-lambda) > 5 {
-		t.Errorf("poisson variance = %v, want ~%v", variance, lambda)
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	r := New(41)
-	if r.Poisson(0) != 0 || r.Poisson(-1) != 0 {
-		t.Fatal("Poisson of non-positive lambda must be 0")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(43)
 	for _, n := range []int{0, 1, 2, 10, 100} {
@@ -248,37 +203,6 @@ func TestPermIsPermutation(t *testing.T) {
 				t.Fatalf("Perm(%d) not a permutation: %v", n, p)
 			}
 			seen[v] = true
-		}
-	}
-}
-
-func TestSampleKDistinct(t *testing.T) {
-	r := New(47)
-	for trial := 0; trial < 100; trial++ {
-		s := r.SampleK(50, 10)
-		if len(s) != 10 {
-			t.Fatalf("SampleK returned %d values", len(s))
-		}
-		seen := map[int]bool{}
-		for _, v := range s {
-			if v < 0 || v >= 50 || seen[v] {
-				t.Fatalf("SampleK produced invalid/duplicate value %d in %v", v, s)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestSampleKFull(t *testing.T) {
-	r := New(53)
-	s := r.SampleK(10, 10)
-	seen := make([]bool, 10)
-	for _, v := range s {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("SampleK(10,10) missing %d", i)
 		}
 	}
 }
@@ -360,22 +284,6 @@ func TestMul128Property(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestExpFloat64Positive(t *testing.T) {
-	r := New(71)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 negative: %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum/n-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want ~1", sum/n)
 	}
 }
 

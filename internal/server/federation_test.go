@@ -96,7 +96,7 @@ func TestShardedSubmitMisdirected(t *testing.T) {
 		ShardIndex: 1,
 		ShardCount: 2,
 		Peers:      peers,
-		Logf:       t.Logf,
+		Logger:     testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func chooseStatus(srv *Server, id string) int {
 // job records into its queue — only those its shard owns.
 func TestTakeoverRestoresQueuedJobs(t *testing.T) {
 	shared := store.NewMem()
-	srv1, err := New(Config{Store: shared, Dispatch: DispatchFleet, Logf: t.Logf})
+	srv1, err := New(Config{Store: shared, Dispatch: DispatchFleet, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTakeoverRestoresQueuedJobs(t *testing.T) {
 	srv1.Close() // dies with 6 jobs queued; the records outlive it
 
 	// An unsharded replacement restores all of them.
-	srv2, err := New(Config{Store: shared, Dispatch: DispatchFleet, Logf: t.Logf})
+	srv2, err := New(Config{Store: shared, Dispatch: DispatchFleet, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestTakeoverRestoresQueuedJobs(t *testing.T) {
 	peers := []string{"http://peer-one.internal", "http://peer-two.internal"}
 	srv3, err := New(Config{
 		Store: shared, Dispatch: DispatchFleet,
-		ShardIndex: 1, ShardCount: 2, Peers: peers, Logf: t.Logf,
+		ShardIndex: 1, ShardCount: 2, Peers: peers, Logger: testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestFailoverCompletesRequeuedWork(t *testing.T) {
 		t.Skip("training skipped in -short mode")
 	}
 	shared := store.NewMem()
-	srv1, err := New(Config{Store: shared, Dispatch: DispatchFleet, Logf: t.Logf})
+	srv1, err := New(Config{Store: shared, Dispatch: DispatchFleet, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestFailoverCompletesRequeuedWork(t *testing.T) {
 	}
 	srv1.Close() // the job never ran
 
-	srv2, err := New(Config{Store: shared, Workers: 2, Logf: t.Logf})
+	srv2, err := New(Config{Store: shared, Workers: 2, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestFailoverCompletesRequeuedWork(t *testing.T) {
 
 	// Third lifetime: the done-state record now wins over the stale
 	// queued-state record — terminal immediately, nothing re-executed.
-	srv3, err := New(Config{Store: shared, Dispatch: DispatchFleet, Logf: t.Logf})
+	srv3, err := New(Config{Store: shared, Dispatch: DispatchFleet, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestServerOverRemoteStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: remote, Dispatch: DispatchFleet, Logf: t.Logf})
+	srv, err := New(Config{Store: remote, Dispatch: DispatchFleet, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestLeaseCrashRecovery(t *testing.T) {
 		// that a race-detector-slowed heartbeat round trip never expires a
 		// healthy worker's lease.
 		LeaseTTL: time.Second,
-		Logf:     t.Logf,
+		Logger:   testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestLeaseCrashRecovery(t *testing.T) {
 		Poll:          30 * time.Millisecond,
 		FlushInterval: 30 * time.Millisecond,
 		DrainTimeout:  time.Second,
-		Logf:          t.Logf,
+		Logger:        testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestSoloWorkerExclusionEscape(t *testing.T) {
 		Workers:  1,
 		Dispatch: DispatchFleet,
 		LeaseTTL: 50 * time.Millisecond,
-		Logf:     t.Logf,
+		Logger:   testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestLeaseCompletionValidation(t *testing.T) {
 		Workers:  1,
 		Dispatch: DispatchFleet,
 		LeaseTTL: time.Minute,
-		Logf:     t.Logf,
+		Logger:   testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestRestartServedFromPersistedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1, err := New(Config{Store: st1, Workers: 2, Logf: t.Logf})
+	srv1, err := New(Config{Store: st1, Workers: 2, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestRestartServedFromPersistedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := New(Config{Store: st2, Workers: 2, Logf: t.Logf})
+	srv2, err := New(Config{Store: st2, Workers: 2, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestQuickJobPassesSlowJobOnIdleSlot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short mode")
 	}
-	srv, err := New(Config{Workers: 2, Logf: t.Logf})
+	srv, err := New(Config{Workers: 2, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestCloseRequeuesInFlightJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short mode")
 	}
-	srv, err := New(Config{Workers: 1, Logf: t.Logf})
+	srv, err := New(Config{Workers: 1, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 // Admission control: past the burst, submissions answer 429 with a
 // Retry-After header, and the throttle shows up in the metrics.
 func TestAdmissionControl(t *testing.T) {
-	srv, err := New(Config{Dispatch: DispatchFleet, Rate: 0.001, Burst: 2, Logf: t.Logf})
+	srv, err := New(Config{Dispatch: DispatchFleet, Rate: 0.001, Burst: 2, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestAdmitterRefillAndPrune(t *testing.T) {
 // a priority, and a long-waiting low-priority job overtakes fresher
 // higher-priority work once its age has bought enough steps.
 func TestPriorityLeaseOrder(t *testing.T) {
-	srv, err := New(Config{Dispatch: DispatchFleet, Logf: t.Logf})
+	srv, err := New(Config{Dispatch: DispatchFleet, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestPriorityLeaseOrder(t *testing.T) {
 // healthz reports the cheap triage numbers: dispatch mode, queue depth,
 // and registered workers.
 func TestHealthzReportsQueueState(t *testing.T) {
-	srv, err := New(Config{Dispatch: DispatchFleet, Logf: t.Logf})
+	srv, err := New(Config{Dispatch: DispatchFleet, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,12 +108,7 @@ type Config struct {
 	Peers []string
 	// Logger, when non-nil, receives structured logs (one record per job,
 	// lease, and trace transition, with job/lease/trace IDs as attrs).
-	// Takes precedence over Logf.
 	Logger *slog.Logger
-	// Logf, when non-nil and Logger is nil, receives the same records
-	// flattened to single printf-style lines (legacy hook; tests pass
-	// t.Logf here).
-	Logf func(format string, args ...any)
 }
 
 // Server owns the job table, the lease table, the artifact store, and —
@@ -234,7 +229,7 @@ func New(cfg Config) (*Server, error) {
 		dispatch: dispatch,
 		leaseTTL: leaseTTL,
 		shard:    shard,
-		log:      logging.New(cfg.Logger, cfg.Logf),
+		log:      logging.New(cfg.Logger),
 		ctx:      ctx,
 		cancel:   cancel,
 		jobs:     make(map[string]*jobRec),
@@ -315,9 +310,6 @@ func (s *Server) executorOf(workerName string) string {
 
 // Store returns the artifact store the server persists into.
 func (s *Server) Store() sparkxd.ArtifactStore { return s.st }
-
-// DispatchMode returns the server's dispatch mode.
-func (s *Server) DispatchMode() Dispatch { return s.dispatch }
 
 // Close stops accepting work and waits for the in-process worker and
 // the reaper to exit. The in-process worker's in-flight jobs are

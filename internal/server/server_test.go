@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,9 +26,22 @@ func tinyConfig() sparkxd.ConfigSpec {
 	}
 }
 
+// testLogger returns a text logger that writes each record through
+// t.Log, so a failing test prints the component's records.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, nil))
+}
+
+type testLogWriter struct{ t testing.TB }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := New(Config{Workers: 2, Logf: t.Logf})
+	srv, err := New(Config{Workers: 2, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestTraceparentDoesNotAffectJobIdentity(t *testing.T) {
 
 	recordBytes := func(traceparent string) []byte {
 		st := sparkxd.MemoryStore()
-		srv, err := New(Config{Dispatch: DispatchFleet, Store: st, Logf: t.Logf})
+		srv, err := New(Config{Dispatch: DispatchFleet, Store: st, Logger: testLogger(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestTraceparentDoesNotAffectJobIdentity(t *testing.T) {
 	}
 
 	// The submission status still reports the (out-of-band) trace ID.
-	srv, err := New(Config{Dispatch: DispatchFleet, Logf: t.Logf})
+	srv, err := New(Config{Dispatch: DispatchFleet, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTraceAcrossLeaseHandoff(t *testing.T) {
 	srv, err := New(Config{
 		Dispatch: DispatchFleet,
 		LeaseTTL: 50 * time.Millisecond,
-		Logf:     t.Logf,
+		Logger:   testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestTraceLocalExecutionNesting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short mode")
 	}
-	srv, err := New(Config{Workers: 2, Logf: t.Logf})
+	srv, err := New(Config{Workers: 2, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestTraceLocalExecutionNesting(t *testing.T) {
 // with a hint before assembly, the artifact JSON after, and healthz
 // reports the build version.
 func TestTraceAndVersionOverHTTP(t *testing.T) {
-	srv, err := New(Config{Dispatch: DispatchFleet, LeaseTTL: time.Minute, Logf: t.Logf})
+	srv, err := New(Config{Dispatch: DispatchFleet, LeaseTTL: time.Minute, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,16 +35,11 @@ type Evaluator struct {
 	enc     *EncodedSet
 }
 
-// NewEvaluator returns an evaluator over a private clone of n. Later
-// mutations of n do not affect the evaluator. Evaluations run
-// single-threaded; use NewEvaluatorWorkers for intra-evaluation
-// parallelism.
-func NewEvaluator(n *Network) *Evaluator { return NewEvaluatorWorkers(n, 1) }
-
-// NewEvaluatorWorkers is NewEvaluator with intra-evaluation parallelism:
-// each evaluation encodes and accumulates synaptic drive on up to
-// workers goroutines (workers <= 0 means GOMAXPROCS). Accuracy is
-// bit-identical for any worker count.
+// NewEvaluatorWorkers returns an evaluator over a private clone of n.
+// Later mutations of n do not affect the evaluator. Each evaluation
+// encodes and accumulates synaptic drive on up to workers goroutines
+// (workers <= 0 means GOMAXPROCS). Accuracy is bit-identical for any
+// worker count.
 func NewEvaluatorWorkers(n *Network, workers int) *Evaluator {
 	c := n.Clone()
 	return &Evaluator{

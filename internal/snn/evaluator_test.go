@@ -54,7 +54,7 @@ func TestEvaluatorMatchesFreshClone(t *testing.T) {
 		}
 	}
 
-	ev := NewEvaluator(net)
+	ev := NewEvaluatorWorkers(net, 1)
 	// Evaluate in order, reversed, and repeated: every answer must match
 	// the fresh-clone reference regardless of history.
 	order := []int{0, 1, 1, 0, 0}

@@ -27,6 +27,7 @@ import (
 	"sparkxd/internal/dataset"
 	"sparkxd/internal/neuron"
 	"sparkxd/internal/numeric"
+	"sparkxd/internal/quant"
 	"sparkxd/internal/rng"
 )
 
@@ -256,16 +257,6 @@ func (n *Network) trainEpoch(ctx context.Context, ds *dataset.Dataset, r *rng.St
 	})
 }
 
-// SpikeCounts presents a sample without learning and returns a copy of
-// the per-neuron spike counts.
-func (n *Network) SpikeCounts(img []byte, r *rng.Stream) []int {
-	tr := n.Cfg.Encoder.Encode(img, n.Cfg.Steps, r)
-	counts := n.present(tr, false)
-	out := make([]int, len(counts))
-	copy(out, counts)
-	return out
-}
-
 // AssignLabels assigns every neuron to the class it spikes most for,
 // using the given (typically training) dataset — the unsupervised
 // labeling step of Diehl&Cook.
@@ -398,18 +389,8 @@ func (n *Network) SetWeightsFlat(w []float32) error {
 	if len(w) != len(n.W.Data) {
 		return fmt.Errorf("snn: weight count %d, want %d", len(w), len(n.W.Data))
 	}
-	lo := -LoadClampFactor * n.Cfg.WMax
-	hi := LoadClampFactor * n.Cfg.WMax
 	copy(n.W.Data, w)
-	for i, v := range n.W.Data {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			n.W.Data[i] = 0
-		} else if v < lo {
-			n.W.Data[i] = lo
-		} else if v > hi {
-			n.W.Data[i] = hi
-		}
-	}
+	quant.Sanitize(n.W.Data, -LoadClampFactor*n.Cfg.WMax, LoadClampFactor*n.Cfg.WMax)
 	return nil
 }
 

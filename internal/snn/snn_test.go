@@ -84,7 +84,8 @@ func TestDeterministicConstruction(t *testing.T) {
 func TestPresentProducesSpikes(t *testing.T) {
 	n := smallNet(t, 30)
 	train, _ := smallData(t, 10, 5)
-	counts := n.SpikeCounts(train.Images[0], rng.New(3))
+	tr := n.Cfg.Encoder.Encode(train.Images[0], n.Cfg.Steps, rng.New(3))
+	counts := n.present(tr, false)
 	total := 0
 	for _, c := range counts {
 		total += c

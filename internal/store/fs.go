@@ -28,9 +28,6 @@ func NewFS(dir string) (*FS, error) {
 	return &FS{root: dir}, nil
 }
 
-// Root returns the directory the store lives in.
-func (s *FS) Root() string { return s.root }
-
 func (s *FS) path(key Key) string {
 	return filepath.Join(s.root, key.Kind(), key.Hash()+".json")
 }

@@ -91,9 +91,6 @@ func NewHTTP(baseURL string, opts ...HTTPOption) (*HTTP, error) {
 	return s, nil
 }
 
-// BaseURL returns the remote store's base URL.
-func (s *HTTP) BaseURL() string { return s.base }
-
 // Put implements Store: the payload is encoded locally (which also
 // derives the content address) and the canonical envelope bytes are PUT
 // to the remote, which re-verifies them against the key. Both 200 and

@@ -118,7 +118,8 @@ func TestBadKeysRejected(t *testing.T) {
 // whose bytes no longer hash to the address — must be rejected with
 // ErrCorrupt, never returned as a zero-valued artifact.
 func TestCorruptEnvelopeRejected(t *testing.T) {
-	fsStore, err := NewFS(t.TempDir())
+	dir := t.TempDir()
+	fsStore, err := NewFS(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestCorruptEnvelopeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(fsStore.Root(), key.Kind(), key.Hash()+".json")
+	path := filepath.Join(dir, key.Kind(), key.Hash()+".json")
 
 	cases := map[string][]byte{
 		"truncated":       []byte(`{"kind":"sample","schemaVersion":1,"pay`),

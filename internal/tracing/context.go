@@ -28,10 +28,3 @@ func Inject(h http.Header, sc SpanContext) {
 		h.Set(Header, sc.Traceparent())
 	}
 }
-
-// Extract reads the trace context from incoming headers; false when
-// absent or malformed.
-func Extract(h http.Header) (SpanContext, bool) {
-	sc, err := ParseTraceparent(h.Get(Header))
-	return sc, err == nil
-}

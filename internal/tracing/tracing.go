@@ -201,18 +201,6 @@ func (s *Span) SetAttr(k, v string) {
 // End closes the span, measuring its duration on the monotonic clock.
 func (s *Span) End() SpanData { return s.end(time.Since(s.start)) }
 
-// EndWithDuration closes the span with an externally measured duration
-// (e.g. a StageObserver callback that only learns the stage's elapsed
-// time after the fact). The span's start is back-dated so that
-// start+duration lands at now.
-func (s *Span) EndWithDuration(d time.Duration) SpanData {
-	if d < 0 {
-		d = 0
-	}
-	s.start = time.Now().Add(-d)
-	return s.end(d)
-}
-
 func (s *Span) end(d time.Duration) SpanData {
 	if d < 0 {
 		d = 0

@@ -28,7 +28,6 @@ package voltscale
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"sparkxd/internal/dram"
@@ -136,16 +135,6 @@ func (m Model) ArrayVoltageActivate(v, t float64) float64 {
 	return v - (v/2)*math.Exp(-t/tau)
 }
 
-// ArrayVoltagePrecharge returns Varray at time t (ns) after a PRE command
-// issued when the array was fully restored to v: an RC decay toward v/2.
-func (m Model) ArrayVoltagePrecharge(v, t float64) float64 {
-	if t <= 0 {
-		return v
-	}
-	tau := m.TauPre * m.tauScale(v)
-	return v/2 + (v/2)*math.Exp(-t/tau)
-}
-
 // TRCD returns the minimum reliable tRCD (ns) at supply voltage v:
 // the time for Varray to rise from v/2 to 75% of v.
 func (m Model) TRCD(v float64) float64 {
@@ -195,21 +184,6 @@ func (m Model) BER(v float64) float64 {
 	return ber
 }
 
-// VoltageForBER returns the supply voltage at which the raw BER equals the
-// requested rate (the inverse of BER on its exponential segment). It
-// returns an error for rates outside the characterized range.
-func (m Model) VoltageForBER(ber float64) (float64, error) {
-	if ber <= 0 {
-		return m.GuardbandV, nil
-	}
-	maxBER := m.BER(m.MinV)
-	if ber > maxBER {
-		return 0, fmt.Errorf("voltscale: BER %.3g above maximum characterized %.3g", ber, maxBER)
-	}
-	v := m.MinV + (math.Log10(ber)-math.Log10(m.BERAtMinV))/m.LogSlope
-	return v, nil
-}
-
 // WaveformPoint is one sample of a Varray(t) waveform.
 type WaveformPoint struct {
 	TimeNs float64
@@ -239,22 +213,4 @@ func (m Model) ActivatePrechargeWaveform(v, preAt, dt, total float64) []Waveform
 		out = append(out, WaveformPoint{TimeNs: t, Varray: va})
 	}
 	return out
-}
-
-// TimingTable summarizes timing vs voltage for reporting (Fig. 6).
-type TimingTable struct {
-	Voltage               []float64
-	TRCDNs, TRASNs, TRPNs []float64
-}
-
-// TimingSweep evaluates the timing parameters across the given voltages.
-func (m Model) TimingSweep(voltages []float64) TimingTable {
-	tt := TimingTable{}
-	for _, v := range voltages {
-		tt.Voltage = append(tt.Voltage, v)
-		tt.TRCDNs = append(tt.TRCDNs, m.TRCD(v))
-		tt.TRASNs = append(tt.TRASNs, m.TRAS(v))
-		tt.TRPNs = append(tt.TRPNs, m.TRP(v))
-	}
-	return tt
 }

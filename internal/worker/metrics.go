@@ -89,7 +89,7 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 	return m
 }
 
-// observeStage is the jobrun.StageObserver of this worker's jobs.
+// observeStage is the stageObserver of this worker's jobs.
 func (m *workerMetrics) observeStage(stage string, d time.Duration) {
 	m.stageDur.With(stage).Observe(d.Seconds())
 }

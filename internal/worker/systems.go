@@ -1,10 +1,4 @@
-// Package jobrun executes one job-service JobSpec against a warm
-// sparkxd.System and returns the produced artifacts by role. It is the
-// execution path of internal/worker — both a coordinator's in-process
-// worker and remote `sparkxd worker` processes — so a job produces
-// byte-identical artifacts no matter which process ran it: the property
-// that makes lease requeue after a worker crash safe.
-package jobrun
+package worker
 
 import (
 	"context"
@@ -15,14 +9,14 @@ import (
 	"sparkxd"
 )
 
-// Systems is a worker's fingerprint-keyed cache of warm engines: jobs
-// whose ConfigSpecs hash to the same fingerprint run
-// against one lazily-built *sparkxd.System, so datasets, device
+// systems is a worker's fingerprint-keyed cache of warm engines: jobs
+// whose ConfigSpecs hash to the same fingerprint run against one
+// lazily-built *sparkxd.System, so datasets, device
 // profiles, and sweep caches are derived once per configuration per
 // process. The observer receives every engine event tagged with the
 // owning fingerprint (for per-job fanout).
 //
-// The cache is optionally bounded: with MaxWarm > 0 it keeps at most
+// The cache is optionally bounded: with maxWarm > 0 it keeps at most
 // that many engines, evicting the least-recently-acquired unpinned one
 // when a new fingerprint arrives. Entries are pinned while a job runs
 // on them (Acquire pins, the returned release unpins), so an engine is
@@ -32,7 +26,7 @@ import (
 // the System from the same ConfigSpec, and because construction is
 // deterministic in the spec, the rebuilt engine produces byte-identical
 // artifacts (pinned by TestEvictedFingerprintRebuildsIdentically).
-type Systems struct {
+type systems struct {
 	workers  int
 	maxWarm  int // 0 = unbounded (the pre-bound behavior)
 	observer func(fp string, ev sparkxd.Event)
@@ -54,21 +48,21 @@ type sysEntry struct {
 	err  error
 }
 
-// NewSystems builds a cache whose engines run sweeps on a pool of
+// newSystems builds a cache whose engines run sweeps on a pool of
 // `workers` and report events through observer. The same budget also
 // parallelizes within single evaluations (batched spike encoding and
 // drive accumulation), so a lone big job on an idle worker process uses
 // every core instead of one; artifacts stay byte-identical for any
 // worker count. maxWarm bounds the number of cached engines (0 keeps
 // the cache unbounded).
-func NewSystems(workers, maxWarm int, observer func(fp string, ev sparkxd.Event)) *Systems {
+func newSystems(workers, maxWarm int, observer func(fp string, ev sparkxd.Event)) *systems {
 	if observer == nil {
 		observer = func(string, sparkxd.Event) {}
 	}
 	if maxWarm < 0 {
 		maxWarm = 0
 	}
-	return &Systems{
+	return &systems{
 		workers:  workers,
 		maxWarm:  maxWarm,
 		observer: observer,
@@ -84,7 +78,7 @@ func NewSystems(workers, maxWarm int, observer func(fp string, ev sparkxd.Event)
 // (e.g. a "warm-system-build" trace span). release is always non-nil
 // and safe to call exactly once; callers should defer it around the
 // job's execution.
-func (c *Systems) Acquire(fp string, cfg sparkxd.ConfigSpec) (sys *sparkxd.System, built bool, release func(), err error) {
+func (c *systems) Acquire(fp string, cfg sparkxd.ConfigSpec) (sys *sparkxd.System, built bool, release func(), err error) {
 	c.mu.Lock()
 	ent, ok := c.entries[fp]
 	if ok {
@@ -130,7 +124,7 @@ func (c *Systems) Acquire(fp string, cfg sparkxd.ConfigSpec) (sys *sparkxd.Syste
 
 // setBuiltLocked records a build result under the lock so concurrent
 // stats readers (which iterate entries) never race the builder.
-func (c *Systems) setBuiltLocked(ent *sysEntry, sys *sparkxd.System, err error) {
+func (c *systems) setBuiltLocked(ent *sysEntry, sys *sparkxd.System, err error) {
 	c.mu.Lock()
 	ent.sys, ent.err = sys, err
 	c.mu.Unlock()
@@ -138,7 +132,7 @@ func (c *Systems) setBuiltLocked(ent *sysEntry, sys *sparkxd.System, err error) 
 
 // touchLocked moves fp to the most-recently-used end. Caller holds
 // c.mu.
-func (c *Systems) touchLocked(fp string) {
+func (c *systems) touchLocked(fp string) {
 	for i, f := range c.order {
 		if f == fp {
 			c.order = append(append(c.order[:i:i], c.order[i+1:]...), fp)
@@ -150,7 +144,7 @@ func (c *Systems) touchLocked(fp string) {
 // evictLocked drops least-recently-acquired unpinned entries until the
 // cache respects its bound (or only pinned entries remain). Caller
 // holds c.mu.
-func (c *Systems) evictLocked() {
+func (c *systems) evictLocked() {
 	if c.maxWarm <= 0 {
 		return
 	}
@@ -173,17 +167,14 @@ func (c *Systems) evictLocked() {
 }
 
 // Len returns how many engines are currently cached.
-func (c *Systems) Len() int {
+func (c *systems) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
-// MaxWarm returns the configured bound (0 = unbounded).
-func (c *Systems) MaxWarm() int { return c.maxWarm }
-
 // Stats returns the cumulative acquire hit/miss and eviction counts.
-func (c *Systems) Stats() (hits, misses, evictions uint64) {
+func (c *systems) Stats() (hits, misses, evictions uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evicted
@@ -192,7 +183,7 @@ func (c *Systems) Stats() (hits, misses, evictions uint64) {
 // SweepCacheStats aggregates the device-profile cache counters of every
 // currently cached engine (System.SweepCacheStats). Evicted engines
 // take their counts with them, so this tracks the live working set.
-func (c *Systems) SweepCacheStats() (hits, misses uint64) {
+func (c *systems) SweepCacheStats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, ent := range c.entries {
@@ -206,17 +197,17 @@ func (c *Systems) SweepCacheStats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// StageObserver receives the wall-clock duration of each completed
+// stageObserver receives the wall-clock duration of each completed
 // pipeline stage a job executes (metrics wiring; nil disables).
-type StageObserver func(stage string, d time.Duration)
+type stageObserver func(stage string, d time.Duration)
 
-// Produce runs spec's work on sys and returns the artifact values
+// produce runs spec's work on sys and returns the artifact values
 // keyed by their result role ("baseline", "improved", "tolerance",
 // "placement", "evaluation", "energy", "sweep"). The caller persists
 // them (locally or by uploading to the coordinator); every returned
 // value is accepted by sparkxd.PutArtifact. observe, when non-nil,
 // receives per-stage wall-clock durations.
-func Produce(ctx context.Context, sys *sparkxd.System, spec sparkxd.JobSpec, observe StageObserver) (map[string]any, error) {
+func produce(ctx context.Context, sys *sparkxd.System, spec sparkxd.JobSpec, observe stageObserver) (map[string]any, error) {
 	timed := func(stage string, run func(context.Context) error) error {
 		start := time.Now()
 		err := run(ctx)

@@ -1,4 +1,4 @@
-package jobrun
+package worker
 
 import (
 	"bytes"
@@ -23,7 +23,7 @@ func tinyConfig(seed uint64) sparkxd.ConfigSpec {
 	}
 }
 
-func mustAcquire(t *testing.T, c *Systems, fp string, cfg sparkxd.ConfigSpec) (*sparkxd.System, func()) {
+func mustAcquire(t *testing.T, c *systems, fp string, cfg sparkxd.ConfigSpec) (*sparkxd.System, func()) {
 	t.Helper()
 	sys, _, release, err := c.Acquire(fp, cfg)
 	if err != nil {
@@ -32,7 +32,7 @@ func mustAcquire(t *testing.T, c *Systems, fp string, cfg sparkxd.ConfigSpec) (*
 	return sys, release
 }
 
-func assertStats(t *testing.T, c *Systems, hits, misses, evictions uint64) {
+func assertStats(t *testing.T, c *systems, hits, misses, evictions uint64) {
 	t.Helper()
 	h, m, e := c.Stats()
 	if h != hits || m != misses || e != evictions {
@@ -43,7 +43,7 @@ func assertStats(t *testing.T, c *Systems, hits, misses, evictions uint64) {
 // TestLRUEvictionOrder pins the eviction policy: least recently
 // acquired goes first, and a hit refreshes recency.
 func TestLRUEvictionOrder(t *testing.T) {
-	c := NewSystems(1, 2, nil)
+	c := newSystems(1, 2, nil)
 	cfg := tinyConfig(1)
 
 	_, relA := mustAcquire(t, c, "A", cfg)
@@ -78,7 +78,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 // an entry with a live Acquire is never evicted even when the cache is
 // over its bound; the bound is restored on release.
 func TestPinnedEntriesSurviveEviction(t *testing.T) {
-	c := NewSystems(1, 1, nil)
+	c := newSystems(1, 1, nil)
 	cfg := tinyConfig(1)
 
 	sysA, relA := mustAcquire(t, c, "A", cfg)
@@ -126,7 +126,7 @@ func TestPinnedEntriesSurviveEviction(t *testing.T) {
 // its ConfigSpec yields a System whose artifacts are byte-identical to
 // the first build's.
 func TestEvictedFingerprintRebuildsIdentically(t *testing.T) {
-	c := NewSystems(1, 1, nil)
+	c := newSystems(1, 1, nil)
 	cfg := tinyConfig(7)
 	spec := sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Config: cfg, Stage: "train"}
 	spec, err := spec.Normalized()
@@ -144,9 +144,9 @@ func TestEvictedFingerprintRebuildsIdentically(t *testing.T) {
 			t.Fatalf("Acquire: %v", err)
 		}
 		defer release()
-		out, err := Produce(context.Background(), sys, spec, nil)
+		out, err := produce(context.Background(), sys, spec, nil)
 		if err != nil {
-			t.Fatalf("Produce: %v", err)
+			t.Fatalf("produce: %v", err)
 		}
 		enc := make(map[string][]byte, len(out))
 		for role, v := range out {
@@ -182,7 +182,7 @@ func TestEvictedFingerprintRebuildsIdentically(t *testing.T) {
 // TestUnboundedKeepsEverything pins the default (-max-warm-systems 0)
 // behavior: no evictions, ever.
 func TestUnboundedKeepsEverything(t *testing.T) {
-	c := NewSystems(1, 0, nil)
+	c := newSystems(1, 0, nil)
 	cfg := tinyConfig(1)
 	for _, fp := range []string{"A", "B", "C", "D"} {
 		_, rel := mustAcquire(t, c, fp, cfg)
@@ -197,7 +197,7 @@ func TestUnboundedKeepsEverything(t *testing.T) {
 // TestProduceStageObserver checks the per-stage timing callback fires
 // once per executed stage, in order.
 func TestProduceStageObserver(t *testing.T) {
-	c := NewSystems(1, 0, nil)
+	c := newSystems(1, 0, nil)
 	cfg := tinyConfig(3)
 	spec := sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Config: cfg, Stage: "improve"}
 	spec, err := spec.Normalized()
@@ -221,7 +221,7 @@ func TestProduceStageObserver(t *testing.T) {
 		}
 		stages = append(stages, stage)
 	}
-	if _, err := Produce(context.Background(), sys, spec, observe); err != nil {
+	if _, err := produce(context.Background(), sys, spec, observe); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"train", "improve"}

@@ -1,8 +1,9 @@
 // Package worker is the one executor of the sparkxd job service
 // (DESIGN.md §9): a Worker leases queued jobs from a coordinator,
-// executes them through internal/jobrun, streams stage events back for
-// SSE bridging, stores result envelopes in the coordinator's
-// content-addressed store, and completes the lease. A `sparkxd worker`
+// executes them against a cache of warm per-configuration Systems,
+// streams stage events back for SSE bridging, stores result envelopes
+// in the coordinator's content-addressed store, and completes the
+// lease. A `sparkxd worker`
 // process joins a coordinator over HTTP; a coordinator in local
 // dispatch runs its own slots as a Worker in its process, leasing
 // through direct handler calls.
@@ -29,7 +30,6 @@ import (
 
 	"sparkxd"
 	"sparkxd/internal/fleetapi"
-	"sparkxd/internal/jobrun"
 	"sparkxd/internal/logging"
 	"sparkxd/internal/store"
 	"sparkxd/internal/tracing"
@@ -72,11 +72,8 @@ type Config struct {
 	// fail its artifact verification.
 	Store sparkxd.ArtifactStore
 	// Logger, when non-nil, receives structured logs (job/lease/trace
-	// IDs as attrs). Takes precedence over Logf.
+	// IDs as attrs).
 	Logger *slog.Logger
-	// Logf, when non-nil and Logger is nil, receives the same records
-	// flattened to single printf-style lines (legacy hook).
-	Logf func(format string, args ...any)
 }
 
 // Worker leases and executes jobs from one coordinator.
@@ -96,7 +93,7 @@ type Worker struct {
 
 	mu      sync.Mutex
 	running int
-	systems *jobrun.Systems // shared warm engines, one per config fingerprint
+	systems *systems // shared warm engines, one per config fingerprint
 	byFP    map[string]map[*task]struct{}
 	// freed receives (without blocking) whenever an execution ends, so
 	// a worker with every slot busy asks for work as soon as one frees.
@@ -177,13 +174,13 @@ func New(cfg Config) (*Worker, error) {
 		poll:          poll,
 		drainTimeout:  drain,
 		flushInterval: flush,
-		log:           logging.New(cfg.Logger, cfg.Logf),
+		log:           logging.New(cfg.Logger),
 		api:           api,
 		st:            cfg.Store,
 		byFP:          make(map[string]map[*task]struct{}),
 		freed:         make(chan struct{}, 1),
 	}
-	w.systems = jobrun.NewSystems(slots, cfg.MaxWarmSystems, w.fanout)
+	w.systems = newSystems(slots, cfg.MaxWarmSystems, w.fanout)
 	w.metrics = newWorkerMetrics(w)
 	return w, nil
 }
@@ -295,7 +292,7 @@ func (w *Worker) register(ctx context.Context) error {
 }
 
 // execute runs one leased job end to end: heartbeat + event forwarding
-// in the background, the shared jobrun path in the foreground, then
+// in the background, produce in the foreground, then
 // artifact upload and lease completion (or release, when cancelled by
 // drain timeout).
 func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
@@ -366,7 +363,7 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 					err = fmt.Errorf("panic: %v", r)
 				}
 			}()
-			produced, err = jobrun.Produce(ctx, sys, g.Spec, observe)
+			produced, err = produce(ctx, sys, g.Spec, observe)
 		}()
 	} else {
 		release()

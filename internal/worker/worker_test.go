@@ -7,6 +7,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,6 +20,19 @@ import (
 	"sparkxd/internal/server"
 	"sparkxd/internal/worker"
 )
+
+// testLogger returns a text logger that writes each record through
+// t.Log, so a failing test prints the component's records.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, nil))
+}
+
+type testLogWriter struct{ t testing.TB }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
 
 func tinyConfig() sparkxd.ConfigSpec {
 	return sparkxd.ConfigSpec{
@@ -49,7 +63,7 @@ func newCoordinator(t *testing.T) *server.Server {
 	srv, err := server.New(server.Config{
 		Dispatch: server.DispatchFleet,
 		LeaseTTL: time.Second,
-		Logf:     t.Logf,
+		Logger:   testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +86,7 @@ func startWorker(t *testing.T, cfg worker.Config) (*worker.Worker, context.Cance
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = time.Minute
 	}
-	cfg.Logf = t.Logf
+	cfg.Logger = testLogger(t)
 	w, err := worker.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -124,7 +124,7 @@ func BenchmarkEvaluate(b *testing.B) {
 		b.Fatal(err)
 	}
 	test := benchTestSet(b, 64)
-	ev := snn.NewEvaluator(net)
+	ev := snn.NewEvaluatorWorkers(net, 1)
 	w := net.WeightsFlat()
 	// Perturb a few weights so the image is not the pristine one.
 	pr := rng.New(9)

@@ -7,8 +7,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -255,21 +253,24 @@ func TestPipelineResumeFromArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	modelPath := filepath.Join(dir, "improved.json")
-	tolPath := filepath.Join(dir, "tolerance.json")
-	if err := sparkxd.SaveArtifact(modelPath, res.Improved); err != nil {
-		t.Fatal(err)
-	}
-	if err := sparkxd.SaveArtifact(tolPath, res.Tolerance); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := sparkxd.LoadTrainedModel(modelPath)
+	st, err := sparkxd.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tol, err := sparkxd.LoadToleranceReport(tolPath)
+	modelKey, err := sparkxd.PutArtifact(st, res.Improved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tolKey, err := sparkxd.PutArtifact(st, res.Tolerance)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := sparkxd.GetTrainedModel(st, modelKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tol, err := sparkxd.GetToleranceReport(st, tolKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +298,11 @@ func TestPipelineResumeFromArtifacts(t *testing.T) {
 
 	// The placement artifact itself round-trips too, and its rebuilt
 	// layout drives an identical energy report.
-	plPath := filepath.Join(dir, "placement.json")
-	if err := sparkxd.SaveArtifact(plPath, res.Placement); err != nil {
+	plKey, err := sparkxd.PutArtifact(st, res.Placement)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := sparkxd.LoadPlacement(plPath)
+	pl, err := sparkxd.GetPlacement(st, plKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,8 +386,8 @@ func TestCancellationMidAnalyzeTolerance(t *testing.T) {
 }
 
 // Stage preconditions and capacity failures surface as the public
-// sentinels through errors.Is, and malformed artifacts as typed errors
-// through errors.As.
+// sentinels through errors.Is. (Damaged stored artifacts are covered by
+// TestArtifactStoreCorruptFile.)
 func TestSentinelErrors(t *testing.T) {
 	sys := tinySystem(t)
 	ctx := context.Background()
@@ -428,18 +429,6 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if pl.EffectiveBERth <= pl.RequestedBERth {
 		t.Error("MapAdaptive must report the relaxed threshold")
-	}
-
-	// errors.As on malformed artifacts.
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = sparkxd.LoadTrainedModel(bad)
-	var syn *json.SyntaxError
-	if !errors.As(err, &syn) {
-		t.Errorf("LoadTrainedModel on malformed file: want *json.SyntaxError via errors.As, got %v", err)
 	}
 }
 

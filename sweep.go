@@ -75,7 +75,7 @@ type SweepPoint struct {
 
 // SweepReport is the artifact of Pipeline.Sweep: one point per scenario,
 // sorted by scenario key. It round-trips losslessly through
-// encoding/json (SaveArtifact / LoadSweepReport) and is byte-identical
+// encoding/json (PutArtifact / GetSweepReport) and is byte-identical
 // for any worker count.
 type SweepReport struct {
 	// Dataset/Neurons identify the model the sweep evaluated.

@@ -187,8 +187,8 @@ func TestSweepNeedsModel(t *testing.T) {
 	}
 }
 
-// TestSweepReportRoundTrip: the artifact survives SaveArtifact /
-// LoadSweepReport losslessly.
+// TestSweepReportRoundTrip: the artifact survives PutArtifact /
+// GetSweepReport through a filesystem store losslessly.
 func TestSweepReportRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short mode")
@@ -205,11 +205,15 @@ func TestSweepReportRoundTrip(t *testing.T) {
 	if len(rep.Voltages) != 1 || len(rep.Policies) != 1 || rep.Policies[0] != sparkxd.PolicySparkXD {
 		t.Fatalf("defaults not applied: %+v", rep)
 	}
-	path := filepath.Join(t.TempDir(), "sweep.json")
-	if err := sparkxd.SaveArtifact(path, rep); err != nil {
+	st, err := sparkxd.OpenStore(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := sparkxd.LoadSweepReport(path)
+	key, err := sparkxd.PutArtifact(st, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := sparkxd.GetSweepReport(st, key)
 	if err != nil {
 		t.Fatal(err)
 	}
