@@ -32,10 +32,12 @@ race:
 	$(GO) test -race ./...
 
 # Bounded fuzzing of the two per-timestep kernels against their Go
-# references (go test -fuzz takes one target and one package per run).
+# references, and of the evaluator's patched weight load against the
+# full load (go test -fuzz takes one target and one package per run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=20s ./internal/neuron
+	$(GO) test -run='^$$' -fuzz='^FuzzPatchedLoad$$' -fuzztime=20s ./internal/snn
 
 # Quick-mode benchmark smoke run: every benchmark executes exactly one
 # iteration end to end. This only proves the benchmarks still run; real

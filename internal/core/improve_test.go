@@ -155,14 +155,24 @@ func TestImproveErrorToleranceEventOrder(t *testing.T) {
 	}
 }
 
-// evaluating reports whether any goroutine that ImproveErrorTolerance
-// started to evaluate a rate is still alive, held or evaluating.
+// evaluating reports whether a goroutine that ImproveErrorTolerance
+// started to evaluate a rate is still inside that evaluation: held in
+// the test's evalStarted hook, or in evaluateCorrupted. A goroutine past
+// both, with only its own exit left after closing its done channel, is
+// joined and does not count.
 func evaluating() bool {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return strings.Contains(string(buf[:n]), "created by sparkxd/internal/core.(*Framework).ImproveErrorTolerance")
+			for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+				if strings.Contains(g, "created by sparkxd/internal/core.(*Framework).ImproveErrorTolerance") &&
+					(strings.Contains(g, "sparkxd/internal/core.(*Framework).evaluateCorrupted(") ||
+						strings.Contains(g, "sparkxd/internal/core.TestImproveErrorToleranceCancelJoinsEvaluation.func")) {
+					return true
+				}
+			}
+			return false
 		}
 		buf = make([]byte, 2*len(buf))
 	}

@@ -19,14 +19,22 @@
 //     cached per (profile, policy, threshold), so every baseline-policy
 //     scenario of one device point shares a single preparation pass and
 //     a single replay;
+//   - within one Run, each (stored format, prune level) group's clean
+//     set — the image its master weights serialize to with no bit
+//     flipped, and the weights the network loads from that image — is
+//     built once;
 //   - within one Run, every scenario whose injection flipped no bit
-//     evaluates the same weights — the storage round trip of its master
-//     weights — so each (encoder, bitwidth, prune level) group of such
-//     scenarios is evaluated once;
-//   - each running scenario corrupts weights into a scratch buffer and
-//     evaluates through an snn.Evaluator taken from the Run's free list,
-//     so the hot path allocates nothing per scenario after warm-up, and
-//     the scratch is released with the Run.
+//     evaluates the same weights — its group's clean load — so each
+//     (encoder, bitwidth, prune level) group of such scenarios is
+//     evaluated once;
+//   - each running scenario takes a scratch image, which equals its
+//     group's clean image between scenarios, and an snn.Evaluator from the
+//     Run's free list; it injects into the image, recording the bits it
+//     flips, the evaluator decodes and loads only the weights those bits
+//     fall in, and the scenario re-flips them afterwards. A scenario's
+//     weight path therefore costs O(flipped bits), not O(weights), the
+//     hot path allocates nothing per scenario after warm-up, and the
+//     scratch is released with the Run.
 //
 // Determinism contract (same as internal/sched, DESIGN.md §6/§7): every
 // scenario draws its injection randomness from a stream derived from the
@@ -316,12 +324,23 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// scratch is the per-worker reusable evaluation state: the injected
-// weight copy, its serialized image, and the batched evaluator.
+// cleanSet is one (stored format, prune level, image size) group's
+// error-free state: the zero-padded image its (pruned) master weights
+// serialize to, and the weights the network loads from that image.
+// Both are read-only once built.
+type cleanSet struct {
+	img  []byte
+	load []float32
+}
+
+// scratch is the per-worker reusable evaluation state: a weight image
+// that equals clean.img between scenarios, the bits the running scenario
+// flipped in it, and the batched evaluator.
 type scratch struct {
-	w   []float32
-	img []byte
-	ev  *snn.Evaluator
+	clean *cleanSet // the group img holds; nil before the first scenario
+	img   []byte
+	flips []int64
+	ev    *snn.Evaluator
 }
 
 // freeList holds a Run's idle scratch sets: at most one per scenario
@@ -361,6 +380,23 @@ type placement struct {
 	safe   int
 }
 
+// runState is what every scenario of one Run shares: its inputs, the
+// run-local caches and the scratch free list.
+type runState struct {
+	spec    Spec
+	net     *snn.Network
+	weights []float32 // master weights, shared read-only
+	// encSets maps encoder-axis names to the run-wide encoded test sets.
+	encSets map[string]*snn.EncodedSet
+	// pruned, clean and evals single-flight the pruned master weights
+	// per prune level, the clean sets, and the zero-flip accuracies per
+	// (encoder, stored format, prune level). None may outlive the Run:
+	// they depend on the network's weights and thresholds, which may
+	// differ between Run calls on a persistent Engine.
+	pruned, clean, evals *sched.Cache
+	free                 *freeList
+}
+
 // prep is one cached (placement, prepared injector, energy replay)
 // entry. The placement is shared across error-model kinds through the
 // layout cache; energyMJ and hitRate are zero on uniform grids.
@@ -386,7 +422,6 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 		return nil, errors.New("engine: empty test set")
 	}
 
-	weights := net.WeightsFlat() // shared read-only master copy
 	scenarios := spec.Scenarios()
 
 	// Parallelism splits across two levels: scenario jobs fan out over
@@ -414,19 +449,22 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 		return nil, fmt.Errorf("engine: encode test set: %w", err)
 	}
 
-	// Pruned master-weight variants are shared across the scenarios of
-	// one prune level, and zero-flip accuracies across the scenarios of
-	// one (encoder, bitwidth, prune level) group, but neither may outlive
-	// this Run: both depend on the network's weights and thresholds,
-	// which may differ between Run calls on a persistent Engine.
-	pruned, evals := sched.NewCache(), sched.NewCache()
-
-	// Scratch sets live on a free list this Run owns, so they are garbage
-	// once it returns; a sync.Pool would keep a finished Run's sets
-	// (about 1.9 MB each at N200) alive across one or two collections.
-	free := &freeList{new: func() *scratch {
-		return &scratch{ev: snn.NewEvaluatorWorkers(net, evalWorkers)}
-	}}
+	rs := &runState{
+		spec:    spec,
+		net:     net,
+		weights: net.WeightsFlat(),
+		encSets: encSets,
+		pruned:  sched.NewCache(),
+		clean:   sched.NewCache(),
+		evals:   sched.NewCache(),
+		// Scratch sets live on a free list this Run owns, so they are
+		// garbage once it returns; a sync.Pool would keep a finished
+		// Run's sets (about 1.3 MB each at N200 FP32: the image and the
+		// evaluator's clone) alive across one or two collections.
+		free: &freeList{new: func() *scratch {
+			return &scratch{ev: snn.NewEvaluatorWorkers(net, evalWorkers)}
+		}},
+	}
 
 	s, err := sched.New(sched.Config{Workers: spec.Workers, Seed: spec.Seed})
 	if err != nil {
@@ -440,7 +478,7 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			return e.runScenario(ctx, sc, spec, weights, encSets, pruned, evals, free, c.RNG)
+			return e.runScenario(ctx, rs, sc, c.RNG)
 		}})
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
@@ -458,13 +496,10 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 	return out, nil
 }
 
-// runScenario evaluates one grid point. r is the scenario's private
-// stream (derived by the scheduler from the scenario key); encSets maps
-// encoder-axis names to the run-wide encoded test sets; pruned and evals
-// are the run-local pruned-master-weights and zero-flip accuracy caches.
-func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
-	weights []float32, encSets map[string]*snn.EncodedSet, pruned, evals *sched.Cache,
-	free *freeList, r *rng.Stream) (Result, error) {
+// runScenario evaluates one grid point of rs's Run. r is the scenario's
+// private stream (derived by the scheduler from the scenario key).
+func (e *Engine) runScenario(ctx context.Context, rs *runState, sc Scenario, r *rng.Stream) (Result, error) {
+	spec := rs.spec
 	format, err := formatForBits(sc.Bits, e.fw.Format)
 	if err != nil {
 		return Result{}, err
@@ -473,7 +508,7 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 	if err != nil {
 		return Result{}, err
 	}
-	p, err := e.prepFor(sc, spec, profileKey, profile, len(weights), format)
+	p, err := e.prepFor(sc, spec, profileKey, profile, len(rs.weights), format)
 	if err != nil {
 		return Result{}, err
 	}
@@ -485,43 +520,49 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 		effTh, safe = sc.BER, profile.SafeCount(sc.BER)
 	}
 
-	w := weights
-	if sc.Prune != 0 {
-		if w, err = prunedWeights(pruned, weights, sc.Prune); err != nil {
-			return Result{}, err
-		}
+	cs, err := rs.cleanFor(format, sc.Prune, format.ImageSize(len(rs.weights), p.layout.UnitBytes()))
+	if err != nil {
+		return Result{}, err
 	}
-	es := encSets[sc.Encoder.Name]
+	es := rs.encSets[sc.Encoder.Name]
 	if es == nil {
 		return Result{}, fmt.Errorf("engine: no encoded test set for encoder axis %q", sc.Encoder.Name)
 	}
 
-	s := free.get()
-	defer free.put(s)
-	flips, err := e.injectInto(s, w, p, format, r.Derive("inject"))
-	if err != nil {
-		return Result{}, err
+	s := rs.free.get()
+	defer rs.free.put(s)
+	if s.clean != cs {
+		s.img = append(s.img[:0], cs.img...)
+		s.clean = cs
 	}
-	evaluate := func() (float64, error) {
-		if err := decodeInto(s, len(w), format); err != nil {
-			return 0, err
+	// The image equals the clean image here, so Model 3 reads every weak
+	// cell's clean value, exactly as on a freshly serialized image.
+	s.flips = p.inj.InjectRecord(s.img, p.layout, r.Derive("inject"), s.flips[:0])
+	defer func() {
+		// XOR undoes itself: re-flipping the recorded bits restores the
+		// clean image for the next scenario on this scratch.
+		for _, b := range s.flips {
+			quant.FlipBit(s.img, b)
 		}
+	}()
+	flips := int64(len(s.flips))
+	evaluate := func() (float64, error) {
 		// Point the reused evaluator at the scenario's encoder so the
 		// encoded-set identity check passes; evaluation itself reads only
 		// the pre-encoded trains, so results do not depend on which
 		// scenario last used this scratch.
 		s.ev.SetEncoder(sc.Encoder.Coder)
-		return s.ev.EvaluateWeightsEncoded(ctx, es, s.w)
+		return s.ev.EvaluatePatched(ctx, es, cs.load, s.img, format, s.flips)
 	}
 	var acc float64
 	if flips == 0 {
-		// An image with no flipped bit decodes to exactly the storage
-		// round trip of w, whatever the scenario's device point, policy
-		// or error model: every zero-flip scenario of one (encoder, stored
-		// format, prune level) evaluates identical weights on identical
-		// spike trains, so the first one to get here evaluates for all.
+		// An image with no flipped bit is the clean image, whatever the
+		// scenario's device point, policy or error model: every zero-flip
+		// scenario of one (encoder, stored format, prune level) evaluates
+		// identical weights on identical spike trains, so the first one
+		// to get here evaluates for all.
 		key := fmt.Sprintf("eval/enc-%s/%s/pr%.4f", sc.Encoder.Name, format, sc.Prune)
-		v, err := evals.GetOrCompute(key, func() (any, error) { return evaluate() })
+		v, err := rs.evals.GetOrCompute(key, func() (any, error) { return evaluate() })
 		if err != nil {
 			return Result{}, err
 		}
@@ -600,13 +641,43 @@ func formatForBits(bits int, def quant.Format) (quant.Format, error) {
 	}
 }
 
-// prunedWeights returns the master weights with the scenario's prune
-// level applied, single-flighted per level through the run-local cache
-// (the returned slice is shared read-only by every scenario of that
-// level).
-func prunedWeights(cache *sched.Cache, weights []float32, level float64) ([]float32, error) {
-	v, err := cache.GetOrCompute(fmt.Sprintf("pruned/pr%.4f", level), func() (any, error) {
-		w := append([]float32(nil), weights...)
+// cleanFor returns the clean set of one (stored format, prune level,
+// image size) group, single-flighted through the run-local cache. The
+// load comes from the network's own decode, so it is exactly what a
+// full load of the clean image gives.
+func (rs *runState) cleanFor(format quant.Format, level float64, size int) (*cleanSet, error) {
+	key := fmt.Sprintf("clean/%s/pr%.4f/b%d", format, level, size)
+	v, err := rs.clean.GetOrCompute(key, func() (any, error) {
+		w, err := rs.prunedWeights(level)
+		if err != nil {
+			return nil, err
+		}
+		img := make([]byte, size) // padding stays zero
+		if err := quant.Serialize(w, format, img); err != nil {
+			return nil, fmt.Errorf("engine: serialize: %w", err)
+		}
+		load, err := rs.net.DecodeWeights(img, format)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		return &cleanSet{img: img, load: load}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*cleanSet), nil
+}
+
+// prunedWeights returns the master weights with the given prune level
+// applied, single-flighted per level through the run-local cache (the
+// returned slice is shared read-only by every clean set of that level).
+// Level 0 returns the master weights themselves.
+func (rs *runState) prunedWeights(level float64) ([]float32, error) {
+	if level == 0 {
+		return rs.weights, nil
+	}
+	v, err := rs.pruned.GetOrCompute(fmt.Sprintf("pruned/pr%.4f", level), func() (any, error) {
+		w := append([]float32(nil), rs.weights...)
 		if _, err := prune.ByMagnitude(w, 1-level); err != nil {
 			return nil, fmt.Errorf("engine: prune level %v: %w", level, err)
 		}
@@ -712,38 +783,4 @@ func (e *Engine) prepFor(sc Scenario, spec Spec, profileKey string, profile *err
 		return nil, err
 	}
 	return v.(*prep), nil
-}
-
-// injectInto serializes the master weights into the scratch image in the
-// scenario's stored-weight format and injects the scenario's bit errors.
-func (e *Engine) injectInto(s *scratch, weights []float32, p *prep, format quant.Format, r *rng.Stream) (int64, error) {
-	need := format.ImageSize(len(weights), p.layout.UnitBytes())
-	if cap(s.img) < need {
-		s.img = make([]byte, need)
-	}
-	s.img = s.img[:need]
-	// Serialize leaves padding bytes untouched; zero them so a reused
-	// buffer cannot leak the previous scenario's bits into this one
-	// (Model3 failure probabilities are data-dependent).
-	for i := len(weights) * format.BytesPerWeight(); i < need; i++ {
-		s.img[i] = 0
-	}
-	if err := quant.Serialize(weights, format, s.img); err != nil {
-		return 0, fmt.Errorf("engine: serialize: %w", err)
-	}
-	return p.inj.Inject(s.img, p.layout, r), nil
-}
-
-// decodeInto deserializes the scratch image into the scratch weight
-// buffer; with injectInto it is the scratch-reusing equivalent of
-// core.CorruptWeights.
-func decodeInto(s *scratch, n int, format quant.Format) error {
-	if cap(s.w) < n {
-		s.w = make([]float32, n)
-	}
-	s.w = s.w[:n]
-	if err := quant.Deserialize(s.img, format, s.w); err != nil {
-		return fmt.Errorf("engine: deserialize: %w", err)
-	}
-	return nil
 }

@@ -384,6 +384,21 @@ const wordlineMaskBytes = 512
 // for any given stream. Scratch state is stack-local: one Injector is
 // safely shared read-only by concurrent scenario workers.
 func (in *Injector) Inject(img []byte, pl Placement, r *rng.Stream) int64 {
+	return in.inject(img, pl, r, nil)
+}
+
+// InjectRecord is Inject that also appends the image bit index of every
+// bit it flips to flips, and returns the extended slice: it appends one
+// index per flip, each bit at most once, so flipping the appended bits
+// again restores img. It draws from r exactly as Inject does.
+func (in *Injector) InjectRecord(img []byte, pl Placement, r *rng.Stream, flips []int64) []int64 {
+	in.inject(img, pl, r, &flips)
+	return flips
+}
+
+// inject is the one loop body behind Inject and InjectRecord; rec, when
+// non-nil, receives the index of every flipped bit.
+func (in *Injector) inject(img []byte, pl Placement, r *rng.Stream, rec *[]int64) int64 {
 	if len(in.regions) == 0 {
 		in.Prepare(pl)
 	}
@@ -403,6 +418,9 @@ func (in *Injector) Inject(img []byte, pl Placement, r *rng.Stream) int64 {
 				if r.Bernoulli(actBase) {
 					quant.FlipBit(img, bit)
 					flipped++
+					if rec != nil {
+						*rec = append(*rec, bit)
+					}
 				}
 			}
 		case Model3:
@@ -418,6 +436,9 @@ func (in *Injector) Inject(img []byte, pl Placement, r *rng.Stream) int64 {
 				if r.Bernoulli(pAct) {
 					quant.FlipBit(img, bit)
 					flipped++
+					if rec != nil {
+						*rec = append(*rec, bit)
+					}
 				}
 			}
 		case Model1:
@@ -431,6 +452,9 @@ func (in *Injector) Inject(img []byte, pl Placement, r *rng.Stream) int64 {
 					if r.Bernoulli(actBase) {
 						quant.FlipBit(img, unitBase+int64(b))
 						flipped++
+						if rec != nil {
+							*rec = append(*rec, unitBase+int64(b))
+						}
 					}
 				}
 			}
@@ -444,6 +468,7 @@ func (in *Injector) Inject(img []byte, pl Placement, r *rng.Stream) int64 {
 				if !reg.weakRow[reg.rows[ui]] {
 					continue
 				}
+				unitBase := int64(reg.unitIdx[ui]) * reg.bitsPer
 				if unitBytes <= len(maskArr) {
 					mask := maskArr[:unitBytes]
 					for i := range mask {
@@ -452,16 +477,21 @@ func (in *Injector) Inject(img []byte, pl Placement, r *rng.Stream) int64 {
 					for b := 0; b < int(reg.bitsPer); b++ {
 						if r.Bernoulli(actBase) {
 							mask[b>>3] |= 1 << uint(b&7)
+							if rec != nil {
+								*rec = append(*rec, unitBase+int64(b))
+							}
 						}
 					}
 					byteBase := int(reg.unitIdx[ui]) * unitBytes
 					flipped += quant.XORInto(img[byteBase:byteBase+unitBytes], mask)
 				} else {
-					unitBase := int64(reg.unitIdx[ui]) * reg.bitsPer
 					for b := int64(0); b < reg.bitsPer; b++ {
 						if r.Bernoulli(actBase) {
 							quant.FlipBit(img, unitBase+b)
 							flipped++
+							if rec != nil {
+								*rec = append(*rec, unitBase+b)
+							}
 						}
 					}
 				}

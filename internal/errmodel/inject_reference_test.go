@@ -86,9 +86,33 @@ func injectReference(in *Injector, img []byte, r *rng.Stream) int64 {
 	return flipped
 }
 
+// checkRecorded runs InjectRecord on a copy of base with the stream
+// Inject used to turn base into injected, flipping n bits: the recording
+// form must flip the same bits, record exactly n of them, and re-flipping
+// the record must restore base.
+func checkRecorded(t *testing.T, in *Injector, pl Placement, base, injected []byte, n int64, seed uint64) {
+	t.Helper()
+	img := append([]byte(nil), base...)
+	rec := in.InjectRecord(img, pl, rng.New(seed), nil)
+	if !bytes.Equal(img, injected) {
+		t.Fatalf("%v seed %d: InjectRecord's image diverges from Inject's", in.Kind, seed)
+	}
+	if int64(len(rec)) != n {
+		t.Fatalf("%v seed %d: recorded %d bits, Inject flipped %d", in.Kind, seed, len(rec), n)
+	}
+	for _, b := range rec {
+		quant.FlipBit(img, b)
+	}
+	if !bytes.Equal(img, base) {
+		t.Fatalf("%v seed %d: re-flipping the record leaves %d bits changed",
+			in.Kind, seed, quant.CountDiffBits(img, base))
+	}
+}
+
 // TestInjectMatchesScanReference pins the word-at-a-time / precomputed
 // injection paths against the scan-everything reference for every model:
-// same stream in, bit-identical image and flip count out.
+// same stream in, bit-identical image and flip count out. The recording
+// form must match too, and its record must undo the injection.
 func TestInjectMatchesScanReference(t *testing.T) {
 	p := testProfile(t, voltscale.V1025, 0)
 	for _, kind := range []Kind{Model0, Model1, Model2, Model3} {
@@ -117,16 +141,23 @@ func TestInjectMatchesScanReference(t *testing.T) {
 			if nGot == 0 {
 				t.Fatalf("%v seed %d: expected some flips at this BER", kind, seed)
 			}
+			checkRecorded(t, in, pl, base, got, nGot, seed)
 		}
 	}
 }
 
 // TestInjectOversizedUnitFallback forces Model2's per-bit fallback (units
-// wider than the stack mask) and checks it against the same reference.
+// wider than the stack mask) and checks it, and its recording form,
+// against the same reference.
 func TestInjectOversizedUnitFallback(t *testing.T) {
-	p := testProfile(t, voltscale.V1025, 0)
+	// A uniform 10% BER makes about 40% of the rows weak, so the four
+	// rows of units below hold flips for the fallback to make.
+	p, err := UniformProfile(testProfile(t, voltscale.V1025, 0).Geom, 0.1, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
 	in := NewInjector(Model2, p)
-	pl := seqPlacement{geom: p.Geom, units: 16, ub: wordlineMaskBytes * 2}
+	pl := seqPlacement{geom: p.Geom, units: 64, ub: wordlineMaskBytes * 2}
 	in.Prepare(pl)
 	base := make([]byte, pl.units*pl.ub)
 	got := append([]byte(nil), base...)
@@ -135,5 +166,30 @@ func TestInjectOversizedUnitFallback(t *testing.T) {
 	nWant := injectReference(in, want, rng.New(3))
 	if nGot != nWant || !bytes.Equal(got, want) {
 		t.Fatalf("oversized-unit fallback diverges: %d vs %d flips", nGot, nWant)
+	}
+	if nGot == 0 {
+		t.Fatal("expected some flips at this BER")
+	}
+	checkRecorded(t, in, pl, base, got, nGot, 3)
+}
+
+// TestInjectAllocationFree: Inject, which fault-aware training calls
+// once per epoch, allocates nothing, and InjectRecord allocates only to
+// grow the record.
+func TestInjectAllocationFree(t *testing.T) {
+	p := testProfile(t, voltscale.V1025, 0)
+	for _, kind := range []Kind{Model0, Model1, Model2, Model3} {
+		in := NewInjector(kind, p)
+		var pl Placement = seqPlacement{geom: p.Geom, units: 768, ub: 32}
+		in.Prepare(pl)
+		img := make([]byte, pl.Units()*pl.UnitBytes())
+		r := rng.New(1)
+		if n := testing.AllocsPerRun(20, func() { in.Inject(img, pl, r) }); n != 0 {
+			t.Errorf("%v: Inject allocates %v times per pass", kind, n)
+		}
+		rec := make([]int64, 0, len(img)*8)
+		if n := testing.AllocsPerRun(20, func() { rec = in.InjectRecord(img, pl, r, rec[:0]) }); n != 0 {
+			t.Errorf("%v: InjectRecord into a large enough record allocates %v times per pass", kind, n)
+		}
 	}
 }

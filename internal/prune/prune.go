@@ -6,10 +6,7 @@
 // approximate DRAM shrinks the energy of each remaining access.
 package prune
 
-import (
-	"errors"
-	"sort"
-)
+import "errors"
 
 // Result describes a pruning pass.
 type Result struct {
@@ -32,7 +29,7 @@ func (r Result) Connectivity() float64 {
 
 // ByMagnitude zeroes the smallest-magnitude weights until only
 // `connectivity` (0..1] of them survive. It operates in place and
-// returns the pass description.
+// returns the pass description. The weights must be NaN-free.
 func ByMagnitude(w []float32, connectivity float64) (Result, error) {
 	if connectivity <= 0 || connectivity > 1 {
 		return Result{}, errors.New("prune: connectivity must be in (0, 1]")
@@ -43,19 +40,13 @@ func ByMagnitude(w []float32, connectivity float64) (Result, error) {
 	}
 	mags := make([]float32, len(w))
 	for i, v := range w {
-		if v < 0 {
-			mags[i] = -v
-		} else {
-			mags[i] = v
-		}
+		mags[i] = magnitude(v)
 	}
-	sorted := append([]float32(nil), mags...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	threshold := sorted[len(w)-keep]
+	threshold := nthSmallest(mags, len(w)-keep)
 
 	res := Result{Threshold: threshold}
-	for i := range w {
-		if mags[i] < threshold {
+	for i, v := range w {
+		if magnitude(v) < threshold {
 			w[i] = 0
 			res.Pruned++
 		} else {
@@ -63,4 +54,59 @@ func ByMagnitude(w []float32, connectivity float64) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// magnitude is the |v| pruning ranks weights by.
+func magnitude(v float32) float32 {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// nthSmallest returns the element that would sit at index k of a sorted
+// copy of a (Hoare quickselect, average O(len(a))), reordering a in
+// place. a must be NaN-free; values equal under == (such as ±0) are
+// interchangeable.
+func nthSmallest(a []float32, k int) float32 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		// The median of three keeps sorted and constant runs linear.
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+			if x > y {
+				y = x
+			}
+		}
+		pivot := y
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// Now a[lo..j] <= pivot, a[i..hi] >= pivot, and everything
+		// between equals pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }

@@ -2,6 +2,8 @@ package prune
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -103,5 +105,77 @@ func TestPruneOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// byMagnitudeSorted is ByMagnitude with its threshold read from a sorted
+// copy of the magnitudes, the reference the selection must match.
+func byMagnitudeSorted(w []float32, connectivity float64) Result {
+	keep := int(float64(len(w))*connectivity + 0.5)
+	if keep >= len(w) {
+		return Result{Kept: len(w)}
+	}
+	mags := make([]float32, len(w))
+	for i, v := range w {
+		mags[i] = magnitude(v)
+	}
+	sorted := append([]float32(nil), mags...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	res := Result{Threshold: sorted[len(w)-keep]}
+	for i := range w {
+		if mags[i] < res.Threshold {
+			w[i] = 0
+			res.Pruned++
+		} else {
+			res.Kept++
+		}
+	}
+	return res
+}
+
+// TestByMagnitudeMatchesSortedThreshold: on NaN-free weights the
+// selected threshold equals the sorted copy's (under ==) and the pruned
+// weights match bit for bit, across random lengths, heavy duplicates,
+// ±0, negative weights, and keep from 1 to len-1.
+func TestByMagnitudeMatchesSortedThreshold(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	pool := []float32{0, float32(math.Copysign(0, -1)), 0.25, -0.25, 0.5, -0.5, 1, -1}
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + r.Intn(300)
+		w := make([]float32, n)
+		for i := range w {
+			switch r.Intn(3) {
+			case 0:
+				w[i] = pool[r.Intn(len(pool))]
+			case 1:
+				w[i] = float32(r.NormFloat64())
+			default:
+				w[i] = float32(r.Intn(5)) - 2 // small integers, many ties
+			}
+		}
+		var keep int
+		switch trial % 3 {
+		case 0:
+			keep = 1
+		case 1:
+			keep = n - 1
+		default:
+			keep = 1 + r.Intn(n-1)
+		}
+		conn := float64(keep) / float64(n)
+		got, want := append([]float32(nil), w...), append([]float32(nil), w...)
+		res, err := ByMagnitude(got, conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := byMagnitudeSorted(want, conn)
+		if res.Threshold != ref.Threshold || res.Kept != ref.Kept || res.Pruned != ref.Pruned {
+			t.Fatalf("n %d keep %d: result %+v, sorted reference %+v", n, keep, res, ref)
+		}
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("n %d keep %d: weight %d = %v, sorted reference %v", n, keep, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -390,8 +390,27 @@ func (n *Network) SetWeightsFlat(w []float32) error {
 		return fmt.Errorf("snn: weight count %d, want %d", len(w), len(n.W.Data))
 	}
 	copy(n.W.Data, w)
-	quant.Sanitize(n.W.Data, -LoadClampFactor*n.Cfg.WMax, LoadClampFactor*n.Cfg.WMax)
+	n.sanitizeLoad(n.W.Data)
 	return nil
+}
+
+// DecodeWeights returns the weights SetWeightsFlat would load from the
+// stored weight image img in format f: the image decoded, then sanitized
+// as described at LoadClampFactor. It only reads n.
+func (n *Network) DecodeWeights(img []byte, f quant.Format) ([]float32, error) {
+	w := make([]float32, len(n.W.Data))
+	if err := quant.Deserialize(img, f, w); err != nil {
+		return nil, fmt.Errorf("snn: decode weights: %w", err)
+	}
+	n.sanitizeLoad(w)
+	return w, nil
+}
+
+// sanitizeLoad applies the on-load sanitization to w in place. Every
+// element is repaired on its own, so sanitizing a sub-slice gives the
+// same values as sanitizing the whole image.
+func (n *Network) sanitizeLoad(w []float32) {
+	quant.Sanitize(w, -LoadClampFactor*n.Cfg.WMax, LoadClampFactor*n.Cfg.WMax)
 }
 
 // Clone returns a deep copy of the network (weights, thresholds,

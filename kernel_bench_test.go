@@ -12,7 +12,7 @@
 //	BenchmarkInject         one Model-0 error-injection pass (paper default)
 //	BenchmarkInjectWordline one Model-2 (wordline-clustered) injection pass
 //	BenchmarkSweepScenario  one full scenario through internal/engine
-//	                        (inject + evaluate), caches warm
+//	                        (inject + patched evaluate), caches warm
 //	BenchmarkTrainEpoch     one STDP training epoch, the pipeline
 //	                        workload's shape
 //	BenchmarkImproveTolerance
@@ -191,9 +191,10 @@ func BenchmarkInjectWordline(b *testing.B) {
 }
 
 // BenchmarkSweepScenario measures one full scenario through the sweep
-// engine — serialize, inject, deserialize, evaluate — with the engine's
-// profile/layout/injector caches warm: the marginal cost of one more
-// grid point, i.e. the kernel the fleet fan-out multiplies.
+// engine — a one-scenario Run: build the clean set, inject into its
+// image, decode and load only the flipped weights, evaluate — with the
+// engine's profile/layout/injector caches warm: the marginal cost of one
+// more grid point, i.e. the kernel the fleet fan-out multiplies.
 func BenchmarkSweepScenario(b *testing.B) {
 	net, err := snn.New(snn.DefaultConfig(400), rng.New(1))
 	if err != nil {
@@ -226,7 +227,8 @@ func BenchmarkSweepScenario(b *testing.B) {
 // through the sweep engine — FP16 bitwidth, 50% magnitude pruning, TTFS
 // encoding — with caches warm. Against BenchmarkSweepScenario it prices
 // the marginal cost the extended axes add per grid point (re-encode into
-// the per-encoder set is cached; pruning re-copies the weight image).
+// the per-encoder set is cached; each Run prunes the master weights once,
+// by magnitude selection, before building the clean set).
 func BenchmarkSweepScenarioMultiAxis(b *testing.B) {
 	net, err := snn.New(snn.DefaultConfig(400), rng.New(1))
 	if err != nil {
