@@ -31,11 +31,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Bounded fuzzing of the two per-timestep kernels against their Go
-# references, and of the evaluator's patched weight load against the
-# full load (go test -fuzz takes one target and one package per run).
+# Bounded fuzzing of the AVX2 kernels (drive sums, LIF step, and the
+# training chain's normalize-and-clamp pass and trace decay) against
+# their Go references, and of the evaluator's patched weight load
+# against the full load (go test -fuzz takes one target and one package
+# per run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=20s ./internal/numeric
+	$(GO) test -run='^$$' -fuzz='^FuzzNormalizeClamp$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=20s ./internal/neuron
 	$(GO) test -run='^$$' -fuzz='^FuzzPatchedLoad$$' -fuzztime=20s ./internal/snn
 

@@ -11,6 +11,8 @@ package coding
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"sparkxd/internal/rng"
@@ -65,50 +67,71 @@ func (e Rate) Name() string { return fmt.Sprintf("rate-poisson(p=%.3g)", e.MaxPr
 // When 0 < MaxProb < 1 every pixel kept below has p strictly inside
 // (0, 1), so each of its Bernoulli calls would consume exactly one
 // Float64 draw: each step then takes all its variates with one rng.Fill
-// and applies the Float64() < p test to them directly, which leaves the
-// train and the stream exactly as the per-draw loop would. Other MaxProb
-// values keep the per-draw loop, because Bernoulli consumes no draw at
-// p >= 1.
+// and tests them directly, which leaves the train and the stream exactly
+// as the per-draw loop would. The test is on integers: Float64 is
+// a/2^53 for a = u>>11 < 2^53, and a/2^53 < p exactly when
+// a < ceil(p*2^53) (both scalings by 2^53 are exact, and an integer is
+// below x exactly when it is below ceil(x)), so each pixel's threshold is
+// precomputed once. The append has no branch: every pixel's index is
+// stored at the arena's end, and the end advances by the compare's
+// result; the arena keeps one step's worth of slack for that. Other
+// MaxProb values keep the per-draw loop, because Bernoulli consumes no
+// draw at p >= 1.
 func (e Rate) Encode(img []byte, steps int, r *rng.Stream) Train {
 	tr := make(Train, steps)
-	// Precompute per-pixel probabilities; skip dark pixels and pixels
-	// with p <= 0 entirely — Bernoulli neither fires nor draws for them.
-	type hot struct {
-		idx int32
-		p   float64
+	// Precompute per-pixel thresholds (or, on the per-draw path,
+	// probabilities); skip dark pixels and pixels with p <= 0 entirely —
+	// Bernoulli neither fires nor draws for them.
+	batched := e.MaxProb > 0 && e.MaxProb < 1
+	idx := make([]int32, 0, len(img))
+	var (
+		thr   []uint64  // batched: ceil(p * 2^53)
+		probs []float64 // per-draw: p
+	)
+	if batched {
+		thr = make([]uint64, 0, len(img))
 	}
-	hots := make([]hot, 0, len(img)/4)
 	expected := 0.0
 	for i, v := range img {
 		p := float64(v) / 255 * e.MaxProb
 		if v == 0 || p <= 0 {
 			continue
 		}
-		hots = append(hots, hot{int32(i), p})
+		idx = append(idx, int32(i))
+		if batched {
+			thr = append(thr, rateThreshold(p))
+		} else {
+			probs = append(probs, p)
+		}
 		expected += p
 	}
 	offs := make([]int, steps+1)
-	arena := make([]int32, 0, int(expected*float64(steps))+16)
-	var u []uint64 // one step's variates, when every draw is consumed
-	if e.MaxProb > 0 && e.MaxProb < 1 {
-		u = make([]uint64, len(hots))
-	}
-	for t := 0; t < steps; t++ {
-		if u != nil {
+	arena := make([]int32, 0, int(expected*float64(steps))+16+len(idx))
+	if batched {
+		u := make([]uint64, len(idx)) // one step's variates
+		for t := 0; t < steps; t++ {
+			arena = slices.Grow(arena, len(idx))
 			r.Fill(u)
-			for k, h := range hots {
-				if float64(u[k]>>11)/(1<<53) < h.p {
-					arena = append(arena, h.idx)
-				}
+			dst := arena[len(arena) : len(arena)+len(u)]
+			n := 0
+			for k, x := range u {
+				dst[n] = idx[k]
+				// x>>11 and thr[k] are at most 2^53, so the difference's
+				// sign bit is set exactly when x>>11 < thr[k].
+				n += int((x>>11 - thr[k]) >> 63)
 			}
-		} else {
-			for _, h := range hots {
-				if r.Bernoulli(h.p) {
-					arena = append(arena, h.idx)
-				}
-			}
+			arena = arena[:len(arena)+n]
+			offs[t+1] = len(arena)
 		}
-		offs[t+1] = len(arena)
+	} else {
+		for t := 0; t < steps; t++ {
+			for k, p := range probs {
+				if r.Bernoulli(p) {
+					arena = append(arena, idx[k])
+				}
+			}
+			offs[t+1] = len(arena)
+		}
 	}
 	for t := 0; t < steps; t++ {
 		if offs[t] == offs[t+1] {
@@ -118,6 +141,10 @@ func (e Rate) Encode(img []byte, steps int, r *rng.Stream) Train {
 	}
 	return tr
 }
+
+// rateThreshold returns ceil(p * 2^53), the integer threshold for a draw
+// u: u>>11 < rateThreshold(p) exactly when float64(u>>11)/2^53 < p.
+func rateThreshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
 
 // DeterministicRate spikes each pixel at evenly spaced intervals
 // proportional to its intensity — rate coding without Poisson noise,

@@ -2,8 +2,10 @@ package coding
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"sparkxd/internal/dataset"
 	"sparkxd/internal/rng"
 )
 
@@ -325,6 +327,86 @@ func TestRateMatchesPerDrawReference(t *testing.T) {
 				}
 				if got.Uint64() != want.Uint64() {
 					t.Fatalf("p=%v %s seed %d: stream consumption differs from the reference", maxProb, name, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestRateThresholdMatchesFloatCompare pins the batched coder's integer
+// test to the float test it replaces, for every intensity 1-255 and the
+// paper's MaxProb, 0.5, a tiny MaxProb and the largest below 1, at the
+// draws on both sides of each threshold and at both ends of the range.
+func TestRateThresholdMatchesFloatCompare(t *testing.T) {
+	const top = 1 << 53
+	for _, maxProb := range []float64{0.12, 0.5, 1e-9, math.Nextafter(1, 0)} {
+		for v := 1; v <= 255; v++ {
+			p := float64(v) / 255 * maxProb
+			thr := rateThreshold(p)
+			if thr == 0 || thr >= top {
+				t.Fatalf("MaxProb %v intensity %d: threshold %d outside [1, 2^53)", maxProb, v, thr)
+			}
+			for _, a := range []uint64{0, thr - 1, thr, top - 1} {
+				if got, want := a < thr, float64(a)/top < p; got != want {
+					t.Fatalf("MaxProb %v intensity %d draw %d: integer test %v, float test %v (threshold %d)",
+						maxProb, v, a, got, want, thr)
+				}
+			}
+		}
+	}
+}
+
+// rateFloatCompare is the batched coder before integer thresholds: one
+// Fill per step, the Float64 form of each draw compared against p, and
+// a branch per spike.
+func rateFloatCompare(e Rate, img []byte, steps int, r *rng.Stream) Train {
+	type hot struct {
+		idx int32
+		p   float64
+	}
+	var hots []hot
+	for i, v := range img {
+		if p := float64(v) / 255 * e.MaxProb; v != 0 && p > 0 {
+			hots = append(hots, hot{int32(i), p})
+		}
+	}
+	tr := make(Train, steps)
+	u := make([]uint64, len(hots))
+	for t := 0; t < steps; t++ {
+		r.Fill(u)
+		for k, h := range hots {
+			if float64(u[k]>>11)/(1<<53) < h.p {
+				tr[t] = append(tr[t], h.idx)
+			}
+		}
+	}
+	return tr
+}
+
+// TestRateMatchesFloatCompare: on generated MNIST-like and Fashion-like
+// images, the integer-threshold coder gives the float-compare coder's
+// trains, empty steps nil, and leaves the stream where it leaves it.
+func TestRateMatchesFloatCompare(t *testing.T) {
+	for _, flavor := range []dataset.Flavor{dataset.MNISTLike, dataset.FashionLike} {
+		cfg := dataset.DefaultConfig(flavor)
+		cfg.Train, cfg.Test = 40, 1
+		set, _, err := dataset.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []Rate{NewRate(), {MaxProb: 0.5}, {MaxProb: math.Nextafter(1, 0)}} {
+			for s, img := range set.Images {
+				got, want := rng.New(uint64(s)), rng.New(uint64(s))
+				a := e.Encode(img, 60, got)
+				b := rateFloatCompare(e, img, 60, want)
+				for step := range b {
+					if (a[step] == nil) != (b[step] == nil) || !slices.Equal(a[step], b[step]) {
+						t.Fatalf("flavor %v MaxProb %v sample %d step %d: %v, float compare %v",
+							flavor, e.MaxProb, s, step, a[step], b[step])
+					}
+				}
+				if got.Uint64() != want.Uint64() {
+					t.Fatalf("flavor %v MaxProb %v sample %d: stream consumption differs", flavor, e.MaxProb, s)
 				}
 			}
 		}

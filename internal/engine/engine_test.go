@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sparkxd/internal/coding"
@@ -391,5 +392,22 @@ func TestSpecValidateExtendedAxes(t *testing.T) {
 	valid := multiAxisSpec(1)
 	if err := valid.Validate(); err != nil {
 		t.Errorf("valid multi-axis spec rejected: %v", err)
+	}
+}
+
+// TestRunRejectsPruneLevelKeepingNoWeight: a prune level below 1 that
+// rounds the kept count to 0 (0.99999 of an N20 network's 15 680
+// weights) passes Validate; Run then fails with an error that names the
+// level, not with a panic.
+func TestRunRejectsPruneLevelKeepingNoWeight(t *testing.T) {
+	net, test := testFixture(t)
+	spec := gridSpec(2)
+	spec.PruneLevels = []float64{0.99999}
+	_, err := New(core.NewFramework()).Run(context.Background(), net, test, spec)
+	if err == nil {
+		t.Fatal("Run accepted a prune level that keeps no weight")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "prune level 0.99999") || strings.Contains(msg, "panic") {
+		t.Fatalf("Run error = %q, want one naming prune level 0.99999 and no panic", msg)
 	}
 }

@@ -37,3 +37,16 @@ func detectAVX2() bool {
 //
 //go:noescape
 func sumRowsAVX2(dst, data []float32, rows []int32)
+
+// scaleClampAVX2 is NormalizeClamp's row-major pass over the first
+// len(f)&^7 columns of every row of data (len(data) is a multiple of
+// len(f), and len(f) >= 8): w = w * f[j], then lo where w < lo, else hi
+// where w > hi.
+//
+//go:noescape
+func scaleClampAVX2(data, f []float32, lo, hi float32)
+
+// scaleAVX2 is Scale's body for len(x), a multiple of 8: x[i] *= c.
+//
+//go:noescape
+func scaleAVX2(x []float32, c float32)

@@ -122,3 +122,71 @@ singletail:
 done:
 	VZEROUPPER
 	RET
+
+// func scaleClampAVX2(data, f []float32, lo, hi float32)
+//
+// Every lane runs NormalizeClamp's scalar body on one element: one
+// VMULPS (w * f[j], no FMA), then ordered-quiet compares against the
+// bounds (LT_OQ for <, GT_OQ for >), false on NaN like Go's operators,
+// and blends in place of MINPS/MAXPS, so -0 and NaN pass through as
+// they do there. The lo blend runs last, so lo wins where both compares
+// hold, as Clamp's if/else does.
+TEXT ·scaleClampAVX2(SB), NOSPLIT, $0-56
+	MOVQ data_base+0(FP), DI
+	MOVQ data_len+8(FP), BX
+	LEAQ (DI)(BX*4), BX         // BX: end of data
+	MOVQ f_base+24(FP), SI
+	MOVQ f_len+32(FP), R10
+	SHLQ $2, R10                // R10: row bytes
+	MOVQ R10, R11
+	ANDQ $~31, R11              // R11: bytes covered by whole vectors
+	VBROADCASTSS lo+48(FP), Y1
+	VBROADCASTSS hi+52(FP), Y2
+	TESTQ R11, R11
+	JZ done
+row:
+	CMPQ DI, BX
+	JAE done
+	XORQ AX, AX
+vec:
+	VMOVUPS (DI)(AX*1), Y0
+	VMULPS (SI)(AX*1), Y0, Y0
+	VCMPPS $0x11, Y1, Y0, Y3    // LT_OQ: w < lo
+	VCMPPS $0x1e, Y2, Y0, Y4    // GT_OQ: w > hi
+	VBLENDVPS Y4, Y2, Y0, Y0
+	VBLENDVPS Y3, Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R11
+	JB vec
+	ADDQ R10, DI
+	JMP row
+
+done:
+	VZEROUPPER
+	RET
+
+// func scaleAVX2(x []float32, c float32)
+//
+// x[i] = x[i] * c, one VMULPS per eight elements, with the operands in
+// the Go loop's order.
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-28
+	MOVQ x_base+0(FP), DI
+	MOVQ x_len+8(FP), CX
+	SHLQ $2, CX
+	ANDQ $~31, CX               // CX: bytes covered by whole vectors
+	VBROADCASTSS c+24(FP), Y1
+	XORQ AX, AX
+	TESTQ CX, CX
+	JZ done
+vec:
+	VMOVUPS (DI)(AX*1), Y0
+	VMULPS Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JB vec
+
+done:
+	VZEROUPPER
+	RET

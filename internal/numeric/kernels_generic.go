@@ -9,3 +9,11 @@ const useAVX2 = false
 func sumRowsAVX2(dst, data []float32, rows []int32) {
 	panic("numeric: no AVX2 kernels in this build")
 }
+
+func scaleClampAVX2(data, f []float32, lo, hi float32) {
+	panic("numeric: no AVX2 kernels in this build")
+}
+
+func scaleAVX2(x []float32, c float32) {
+	panic("numeric: no AVX2 kernels in this build")
+}

@@ -4,11 +4,12 @@
 // Every kernel is a plain, dependency-free Go loop: the matrices
 // involved (up to 784 x 3600 synaptic weights) are small enough that
 // cache-friendly row-major loops are fast, and the loops make the
-// numerical behaviour easy to audit. The one kernel that runs every
-// simulated timestep, SumRows, also has an AVX2 body on amd64, used
-// when AVX2 reports true. It performs the same binary32 operations in
-// the same order as its Go loop, which stays the reference and the path
-// of every other build.
+// numerical behaviour easy to audit. The kernels that run every
+// simulated timestep (SumRows, Scale) or every training presentation
+// (NormalizeClamp) also have an AVX2 body on amd64, used when AVX2
+// reports true. Each performs the same binary32 operations in the same
+// order as its Go loop, which stays the reference and the path of every
+// other build.
 package numeric
 
 import "fmt"
@@ -103,6 +104,100 @@ func (m *Matrix) rowsInRange(rows []int32) bool {
 // with AVX2 and OS-enabled YMM state, except under the race detector.
 // It is decided once at start-up; there is no option to change it.
 func AVX2() bool { return useAVX2 }
+
+// NormScratch is the scratch NormalizeClamp works in for one matrix
+// shape: the identity row list its column sums run SumRows over, and one
+// float per column that holds the sums and then the factors. The caller
+// owns it, so a call allocates nothing.
+type NormScratch struct {
+	rows []int32
+	sums []float32
+}
+
+// NewNormScratch returns NormalizeClamp's scratch for a rows x cols
+// matrix.
+func NewNormScratch(rows, cols int) *NormScratch {
+	s := &NormScratch{rows: make([]int32, rows), sums: make([]float32, cols)}
+	for i := range s.rows {
+		s.rows[i] = int32(i)
+	}
+	return s
+}
+
+// NormalizeClamp rescales each column so that its sum equals target,
+// leaving zero-sum columns unscaled, then limits every element into
+// [lo, hi]. Every element gets the binary32 operations of
+// NormalizeColumns(target) followed by Clamp(lo, hi), in their order, so
+// the result is bit-identical to that pair (FuzzNormalizeClamp pins it),
+// but the matrix is walked once, row by row:
+//
+//   - The column sums are SumRows over every row in order, which adds
+//     each column's elements in row order, as ColumnSums does.
+//   - Each column gets one factor: target / sum, or 1 where the sum is
+//     0. A zero-sum column holds only finite values (a NaN or an
+//     infinity cannot sum to 0), and w * 1 == w exactly for those.
+//   - One row-major pass sets w = clamp(w * f[j], lo, hi), with Clamp's
+//     compares: lo if w < lo, else hi if w > hi.
+//
+// With AVX2 in use, the first Cols&^7 columns of every row run eight
+// per instruction; the Go loop handles the last Cols%8, or the whole
+// pass in other builds. Bounds (-Inf, +Inf) make the clamp a no-op.
+func (m *Matrix) NormalizeClamp(target, lo, hi float32, s *NormScratch) {
+	if len(s.rows) != m.Rows || len(s.sums) != m.Cols {
+		panic("numeric: NormalizeClamp scratch shape mismatch")
+	}
+	f := s.sums
+	m.SumRows(s.rows, f)
+	for j, sum := range f {
+		if sum == 0 {
+			f[j] = 1
+		} else {
+			f[j] = target / sum
+		}
+	}
+	data := m.Data[:m.Rows*m.Cols]
+	j0 := 0
+	if useAVX2 && m.Cols >= 8 {
+		j0 = m.Cols &^ 7
+		scaleClampAVX2(data, f, lo, hi)
+	}
+	if j0 == m.Cols {
+		return
+	}
+	ft := f[j0:]
+	for i := 0; i < m.Rows; i++ {
+		row := data[i*m.Cols+j0 : (i+1)*m.Cols]
+		for j, v := range row {
+			v *= ft[j]
+			if v < lo {
+				v = lo
+			} else if v > hi {
+				v = hi
+			}
+			row[j] = v
+		}
+	}
+}
+
+// Scale multiplies every element of x by c in place: the SNN's per-step
+// presynaptic-trace decay. With AVX2 in use, the first len(x)&^7
+// elements run eight per instruction, one multiply each; the Go loop
+// handles the rest, or all of x in other builds.
+func Scale(x []float32, c float32) {
+	i := 0
+	if useAVX2 && len(x) >= 8 {
+		i = len(x) &^ 7
+		scaleAVX2(x[:i], c)
+	}
+	tail := x[i:]
+	for k := range tail {
+		tail[k] *= c
+	}
+}
+
+// The column-major Clamp, ColumnSums and NormalizeColumns below are the
+// reference NormalizeClamp is tested against; no production path calls
+// them.
 
 // Clamp limits every element into [lo, hi].
 func (m *Matrix) Clamp(lo, hi float32) {

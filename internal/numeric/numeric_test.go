@@ -256,3 +256,167 @@ func TestClampProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// normalizeClampReference is the form NormalizeClamp replaces: the
+// column-major NormalizeColumns, then Clamp.
+func normalizeClampReference(m *Matrix, target, lo, hi float32) *Matrix {
+	want := m.Clone()
+	want.NormalizeColumns(target)
+	want.Clamp(lo, hi)
+	return want
+}
+
+// checkNormalizeClamp runs NormalizeClamp on a clone of m and fails t
+// unless it matches normalizeClampReference bit for bit, every NaN
+// counted equal.
+func checkNormalizeClamp(t *testing.T, m *Matrix, target, lo, hi float32) {
+	t.Helper()
+	want := normalizeClampReference(m, target, lo, hi)
+	got := m.Clone()
+	got.NormalizeClamp(target, lo, hi, NewNormScratch(m.Rows, m.Cols))
+	for i := range want.Data {
+		if !sameBits(got.Data[i], want.Data[i]) {
+			t.Fatalf("%dx%d bounds [%v, %v] element (%d, %d) = %v: NormalizeClamp = %v (%#x), reference = %v (%#x)",
+				m.Rows, m.Cols, lo, hi, i/m.Cols, i%m.Cols, m.Data[i],
+				got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+// TestNormalizeClampMatchesReference pins NormalizeClamp to
+// NormalizeColumns followed by Clamp on bit patterns, over every column
+// count from 1 to 19 (two vectors and each tail length), the training
+// bounds and the infinite bounds snn.New uses (under which the reference
+// Clamp changes nothing), with special values, zero-sum columns, a
+// column whose sum overflows, and moderate values.
+func TestNormalizeClampMatchesReference(t *testing.T) {
+	inf := float32(math.Inf(1))
+	seed := uint32(11)
+	next := func() uint32 {
+		seed = seed*1664525 + 1013904223
+		return seed >> 8
+	}
+	for cols := 1; cols <= 19; cols++ {
+		for _, rows := range []int{1, 2, 5, 9} {
+			m := NewMatrix(rows, cols)
+			for i := range m.Data {
+				if next()%4 == 0 {
+					m.Data[i] = special[next()%uint32(len(special))]
+				} else {
+					m.Data[i] = float32(next()%1000) / 700
+				}
+			}
+			for i := 0; i < rows; i++ {
+				m.Data[i*cols] = 0 // column 0 sums to zero
+				if cols > 9 {
+					m.Data[i*cols+9] = math.MaxFloat32 // column 9 overflows from two rows on
+				}
+			}
+			checkNormalizeClamp(t, m, 30, 0, 1)
+			checkNormalizeClamp(t, m, 30, -inf, inf)
+		}
+	}
+}
+
+func TestNormalizeClampScratchShape(t *testing.T) {
+	m := NewMatrix(3, 4)
+	if !panics(func() { m.NormalizeClamp(1, 0, 1, NewNormScratch(4, 3)) }) {
+		t.Fatal("NormalizeClamp must reject scratch of another shape")
+	}
+}
+
+// scaleReference is the trace-decay loop Scale replaces.
+func scaleReference(x []float32, c float32) []float32 {
+	want := append([]float32(nil), x...)
+	for i := range want {
+		want[i] *= c
+	}
+	return want
+}
+
+// TestScaleMatchesLoop pins Scale to the plain loop on bit patterns over
+// every length 0-40 and the 784 traces of an MNIST network, for the
+// production decay and special factors.
+func TestScaleMatchesLoop(t *testing.T) {
+	decay := float32(math.Exp(-1.0 / 20))
+	factors := []float32{decay, 0, float32(math.Copysign(0, -1)), 1, float32(math.Inf(1)),
+		float32(math.NaN()), math.SmallestNonzeroFloat32, 3e30}
+	lengths := []int{784}
+	for n := 0; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = special[(i*7+n)%len(special)]
+		}
+		for _, c := range factors {
+			want := scaleReference(x, c)
+			got := append([]float32(nil), x...)
+			Scale(got, c)
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("len %d c %v element %d (%v): Scale = %v, loop = %v", n, c, i, x[i], got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// FuzzNormalizeClamp drives the training chain's two dense kernels, on
+// whichever body this build uses, against their Go references:
+// NormalizeClamp against NormalizeColumns then Clamp, and Scale against
+// the plain loop. Rows and Cols are 1-40 (every tail length of the
+// eight-lane bodies and up to five vectors per row), and the elements
+// come from raw bit patterns, special values and moderate magnitudes
+// (fuzzFloat). mode picks the bounds (mode%3: the training bounds
+// (0, 1), the infinite bounds snn.New uses, or a pair drawn from vals,
+// which may be inverted or NaN) and shapes the columns: bit 2 makes
+// every third column sum to zero (rows in negated pairs, an odd last
+// row -0), bit 3 starts every third column (offset by one) with two
+// rows of MaxFloat32, so its sum overflows. Scale runs over the whole
+// matrix data with a factor drawn from vals.
+func FuzzNormalizeClamp(f *testing.F) {
+	f.Add(uint8(17), uint8(5), uint8(0), []byte("\xf0\x00\x00\x00\xe1\x02\x03\x04\x00\x00\x80\x80"))
+	f.Add(uint8(39), uint8(2), uint8(1|4|8), []byte{0, 0, 0x80, 0xbf, 0, 0, 0x80, 0x3f})
+	f.Add(uint8(8), uint8(9), uint8(2), []byte("\x01\x00\xc0\x7f\xf7\x00\x00\xf0"))
+	f.Fuzz(func(t *testing.T, cols, rows, mode uint8, vals []byte) {
+		m := NewMatrix(1+int(rows)%40, 1+int(cols)%40)
+		for i := range m.Data {
+			m.Data[i] = fuzzFloat(vals, i)
+		}
+		for j := 0; j < m.Cols; j++ {
+			if mode&4 != 0 && j%3 == 0 {
+				for i := 0; i+1 < m.Rows; i += 2 {
+					m.Data[(i+1)*m.Cols+j] = -m.Data[i*m.Cols+j]
+				}
+				if m.Rows%2 == 1 {
+					m.Data[(m.Rows-1)*m.Cols+j] = float32(math.Copysign(0, -1))
+				}
+			}
+			if mode&8 != 0 && j%3 == 1 && m.Rows >= 2 {
+				m.Data[j] = math.MaxFloat32
+				m.Data[m.Cols+j] = math.MaxFloat32
+			}
+		}
+		lo, hi := float32(0), float32(1)
+		switch mode % 3 {
+		case 1:
+			lo, hi = float32(math.Inf(-1)), float32(math.Inf(1))
+		case 2:
+			lo, hi = fuzzFloat(vals, len(m.Data)), fuzzFloat(vals, len(m.Data)+1)
+		}
+		checkNormalizeClamp(t, m, 30, lo, hi)
+
+		c := fuzzFloat(vals, len(m.Data)+2)
+		want := scaleReference(m.Data, c)
+		got := append([]float32(nil), m.Data...)
+		Scale(got, c)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("Scale len %d c %v element %d (%v): Scale = %v (%#x), loop = %v (%#x)",
+					len(got), c, i, m.Data[i], got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	})
+}

@@ -6,7 +6,10 @@
 // approximate DRAM shrinks the energy of each remaining access.
 package prune
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Result describes a pruning pass.
 type Result struct {
@@ -29,7 +32,9 @@ func (r Result) Connectivity() float64 {
 
 // ByMagnitude zeroes the smallest-magnitude weights until only
 // `connectivity` (0..1] of them survive. It operates in place and
-// returns the pass description. The weights must be NaN-free.
+// returns the pass description. The weights must be NaN-free. The kept
+// count is connectivity * len(w) rounded to nearest; a connectivity that
+// rounds it to 0 is an error, and the weights are left untouched.
 func ByMagnitude(w []float32, connectivity float64) (Result, error) {
 	if connectivity <= 0 || connectivity > 1 {
 		return Result{}, errors.New("prune: connectivity must be in (0, 1]")
@@ -37,6 +42,9 @@ func ByMagnitude(w []float32, connectivity float64) (Result, error) {
 	keep := int(float64(len(w))*connectivity + 0.5)
 	if keep >= len(w) {
 		return Result{Kept: len(w)}, nil
+	}
+	if keep == 0 {
+		return Result{}, fmt.Errorf("prune: connectivity %v keeps none of %d weights", connectivity, len(w))
 	}
 	mags := make([]float32, len(w))
 	for i, v := range w {

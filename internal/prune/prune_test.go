@@ -54,6 +54,32 @@ func TestByMagnitudeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestByMagnitudeRejectsKeepingNone: a connectivity that rounds the
+// kept count to 0 is an error and leaves the weights untouched; the
+// smallest connectivity that rounds it to 1 still prunes.
+func TestByMagnitudeRejectsKeepingNone(t *testing.T) {
+	w := make([]float32, 100)
+	for i := range w {
+		w[i] = float32(i+1) / 100
+	}
+	orig := append([]float32(nil), w...)
+	if _, err := ByMagnitude(w, 0.004); err == nil {
+		t.Fatal("connectivity 0.004 of 100 weights keeps none and must error")
+	}
+	for i := range w {
+		if w[i] != orig[i] {
+			t.Fatalf("weight %d changed from %v to %v by a rejected pass", i, orig[i], w[i])
+		}
+	}
+	res, err := ByMagnitude(w, 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kept != 1 || w[99] != 1 {
+		t.Fatalf("connectivity 0.005 of 100 weights: kept %d, largest weight %v; want 1 kept, 1", res.Kept, w[99])
+	}
+}
+
 func TestByMagnitudeNegativeWeights(t *testing.T) {
 	w := []float32{-0.9, 0.1, -0.05, 0.8}
 	_, err := ByMagnitude(w, 0.5)

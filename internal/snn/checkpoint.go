@@ -3,7 +3,6 @@ package snn
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"sparkxd/internal/coding"
 	"sparkxd/internal/neuron"
@@ -110,16 +109,5 @@ func FromCheckpoint(c *Checkpoint) (*Network, error) {
 	copy(pool.Theta, c.Theta)
 	w := numeric.NewMatrix(cfg.Inputs, cfg.Neurons)
 	copy(w.Data, c.Weights)
-	n := &Network{
-		Cfg:      cfg,
-		W:        w,
-		Pool:     pool,
-		Assign:   append([]int(nil), c.Assign...),
-		xpre:     make([]float32, cfg.Inputs),
-		decayPre: float32(math.Exp(-cfg.LIF.DT / cfg.TauPre)),
-		drive:    make([]float32, cfg.Neurons),
-		spikeBuf: make([]int32, 0, cfg.Neurons),
-		counts:   make([]int, cfg.Neurons),
-	}
-	return n, nil
+	return newNetwork(cfg, w, pool, append([]int(nil), c.Assign...)), nil
 }

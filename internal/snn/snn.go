@@ -121,7 +121,26 @@ type Network struct {
 	drive    []float32
 	spikeBuf []int32
 	counts   []int
-	driveBuf []float32 // EvaluateEncoded block scratch, reused across calls
+	norm     *numeric.NormScratch // NormalizeClamp scratch
+	driveBuf []float32            // EvaluateEncoded block scratch, reused across calls
+}
+
+// newNetwork assembles a network of a validated cfg around its weights,
+// pool and assignments, with fresh per-network scratch. Every
+// constructor (New, Clone, FromCheckpoint) goes through it.
+func newNetwork(cfg Config, w *numeric.Matrix, pool *neuron.Pool, assign []int) *Network {
+	return &Network{
+		Cfg:      cfg,
+		W:        w,
+		Pool:     pool,
+		Assign:   assign,
+		xpre:     make([]float32, cfg.Inputs),
+		decayPre: float32(math.Exp(-cfg.LIF.DT / cfg.TauPre)),
+		drive:    make([]float32, cfg.Neurons),
+		spikeBuf: make([]int32, 0, cfg.Neurons),
+		counts:   make([]int, cfg.Neurons),
+		norm:     numeric.NewNormScratch(cfg.Inputs, cfg.Neurons),
+	}
 }
 
 // New builds a network with uniformly random initial weights, normalized
@@ -134,17 +153,7 @@ func New(cfg Config, r *rng.Stream) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snn: neuron pool: %w", err)
 	}
-	n := &Network{
-		Cfg:      cfg,
-		W:        numeric.NewMatrix(cfg.Inputs, cfg.Neurons),
-		Pool:     pool,
-		Assign:   make([]int, cfg.Neurons),
-		xpre:     make([]float32, cfg.Inputs),
-		decayPre: float32(math.Exp(-cfg.LIF.DT / cfg.TauPre)),
-		drive:    make([]float32, cfg.Neurons),
-		spikeBuf: make([]int32, 0, cfg.Neurons),
-		counts:   make([]int, cfg.Neurons),
-	}
+	n := newNetwork(cfg, numeric.NewMatrix(cfg.Inputs, cfg.Neurons), pool, make([]int, cfg.Neurons))
 	for i := range n.Assign {
 		n.Assign[i] = -1
 	}
@@ -152,7 +161,9 @@ func New(cfg Config, r *rng.Stream) (*Network, error) {
 	for i := range n.W.Data {
 		n.W.Data[i] = 0.2 + 0.6*wr.Float32()
 	}
-	n.W.NormalizeColumns(cfg.NormTarget)
+	// Normalize only: no float32 lies below -Inf or above +Inf.
+	inf := float32(math.Inf(1))
+	n.W.NormalizeClamp(cfg.NormTarget, -inf, inf, n.norm)
 	return n, nil
 }
 
@@ -178,9 +189,7 @@ func (n *Network) present(tr coding.Train, learn bool) []int {
 			// the traces (they only feed STDP), so the whole per-step
 			// trace pass is skipped when not learning — the counts are
 			// unaffected.
-			for i := range n.xpre {
-				n.xpre[i] *= n.decayPre
-			}
+			numeric.Scale(n.xpre, n.decayPre)
 			for _, i := range active {
 				n.xpre[i] = 1
 			}
@@ -201,8 +210,7 @@ func (n *Network) present(tr coding.Train, learn bool) []int {
 		}
 	}
 	if learn {
-		n.W.NormalizeColumns(cfg.NormTarget)
-		n.W.Clamp(0, cfg.WMax)
+		n.W.NormalizeClamp(cfg.NormTarget, 0, cfg.WMax, n.norm)
 	}
 	return n.counts
 }
@@ -422,18 +430,7 @@ func (n *Network) Clone() *Network {
 		panic("snn: clone of invalid network: " + err.Error())
 	}
 	copy(pool.Theta, n.Pool.Theta)
-	out := &Network{
-		Cfg:      n.Cfg,
-		W:        n.W.Clone(),
-		Pool:     pool,
-		Assign:   append([]int(nil), n.Assign...),
-		xpre:     make([]float32, n.Cfg.Inputs),
-		decayPre: n.decayPre,
-		drive:    make([]float32, n.Cfg.Neurons),
-		spikeBuf: make([]int32, 0, n.Cfg.Neurons),
-		counts:   make([]int, n.Cfg.Neurons),
-	}
-	return out
+	return newNetwork(n.Cfg, n.W.Clone(), pool, append([]int(nil), n.Assign...))
 }
 
 // PaperSizes returns the network sizes evaluated in the paper:

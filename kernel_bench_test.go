@@ -1,8 +1,12 @@
 // Kernel benchmarks backing the committed BENCH_kernel.json baseline
 // (DESIGN.md §10). They measure the per-scenario hot path every layer
-// above (sweep engine, job server, worker fleet) bottoms out in, and the
-// two training stages that dominate a cold pipeline:
+// above (sweep engine, job server, worker fleet) bottoms out in, the
+// spike encoder, and the two training stages that dominate a cold
+// pipeline:
 //
+//	BenchmarkRateEncode     the Poisson rate coder: 100 MNIST-like
+//	                        samples into 60-step trains, the pipeline
+//	                        workload's training set
 //	BenchmarkDriveAccumulation
 //	                        Phase A: one sample's 60 per-step drive sums
 //	                        at the sweep shape (N200, rate-coded trains)
@@ -13,6 +17,8 @@
 //	BenchmarkInjectWordline one Model-2 (wordline-clustered) injection pass
 //	BenchmarkSweepScenario  one full scenario through internal/engine
 //	                        (inject + patched evaluate), caches warm
+//	BenchmarkSweepScenarioMultiAxis
+//	                        the same with FP16, 50% pruning and TTFS
 //	BenchmarkTrainEpoch     one STDP training epoch, the pipeline
 //	                        workload's shape
 //	BenchmarkImproveTolerance
@@ -53,6 +59,26 @@ func benchTestSet(b *testing.B, n int) *dataset.Dataset {
 		b.Fatal(err)
 	}
 	return train
+}
+
+// benchTrain keeps BenchmarkRateEncode's result live.
+var benchTrain coding.Train
+
+// BenchmarkRateEncode measures the Poisson rate coder at the pipeline
+// workload's shape: one op encodes 100 MNIST-like samples into 60-step
+// trains, each from its own derived stream, as a training epoch's
+// encode-ahead goroutines do. Against BenchmarkTrainEpoch it separates
+// the encoder, which runs beside the STDP chain, from the chain.
+func BenchmarkRateEncode(b *testing.B) {
+	enc := coding.NewRate()
+	set := benchTestSet(b, 100)
+	r := rng.New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s, img := range set.Images {
+			benchTrain = enc.Encode(img, 60, r.DeriveIndex("enc", s))
+		}
+	}
 }
 
 // BenchmarkLIFStep measures one timestep of an N3600 LIF population (the

@@ -13,6 +13,7 @@ run() { # bench-regex iterations
   go test -run='^$' -bench="$1" -benchtime="$2" -count=3 -benchmem .
 }
 
+run '^BenchmarkRateEncode$' 20x
 run '^BenchmarkDriveAccumulation$' 2000x
 run '^BenchmarkLIFStep$' 2000x
 run '^BenchmarkEvaluate$' 20x
