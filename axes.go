@@ -107,7 +107,7 @@ func ParseBitwidth(bits int) (Quantization, error) {
 // ValidatePruneLevel reports whether level is a usable prune-axis value:
 // a pruned weight fraction in [0, 1) (1 would zero every weight).
 func ValidatePruneLevel(level float64) error {
-	if level < 0 || level >= 1 {
+	if !(level >= 0 && level < 1) { // negated so NaN fails it
 		return fmt.Errorf("sparkxd: prune level %v outside [0, 1)", level)
 	}
 	return nil

@@ -19,14 +19,20 @@
 //     cached per (profile, policy, threshold), so every baseline-policy
 //     scenario of one device point shares a single preparation pass and
 //     a single replay;
-//   - within one Run, each (stored format, prune level) group's clean
-//     set — the image its master weights serialize to with no bit
-//     flipped, and the weights the network loads from that image — is
-//     built once;
-//   - within one Run, every scenario whose injection flipped no bit
-//     evaluates the same weights — its group's clean load — so each
-//     (encoder, bitwidth, prune level) group of such scenarios is
-//     evaluated once;
+//   - the work that depends on the model and the test set but not on
+//     the device point lives in one byte-budgeted memo that outlives a
+//     Run. It holds the pruned master weights; each (stored format,
+//     prune level) group's clean set, which is the image its master
+//     weights serialize to with no bit flipped and the weights the
+//     network loads from that image; the encoded test sets; and the
+//     accuracy of each (encoder, bitwidth, prune level) group of
+//     scenarios whose injection flipped no bit, since such scenarios all
+//     evaluate their group's clean load. Its keys start with SHA-256
+//     digests of what the entry reads (the model's weights, thresholds,
+//     label assignment and configuration; the test set's images and
+//     labels), so a changed model or test set never meets a stale
+//     entry. A model's first Run drops its entries when it returns (the
+//     second-sight rule, DESIGN §7);
 //   - each running scenario takes a scratch image, which equals its
 //     group's clean image between scenarios, and an snn.Evaluator from the
 //     Run's free list; it injects into the image, recording the bits it
@@ -47,10 +53,17 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"sparkxd/internal/coding"
 	"sparkxd/internal/core"
@@ -192,7 +205,8 @@ type Result struct {
 // Engine evaluates scenario grids against one framework (device models,
 // error-model kind selection happens per scenario). The caches persist
 // across Run calls, so repeated sweeps against the same device share
-// profiles and placements. An Engine is safe for concurrent use.
+// profiles and placements, and repeated sweeps of the same model and
+// test set share the memo's work. An Engine is safe for concurrent use.
 type Engine struct {
 	fw *core.Framework
 	// profiles single-flights device-profile derivation, keyed by
@@ -206,24 +220,50 @@ type Engine struct {
 	// energy replay, keyed by (profile key, policy, threshold, image size,
 	// and — when non-default — the scenario bitwidth).
 	prepared *sched.Cache
-	// encMu/encs cache the encoded test sets across Run calls, one entry
-	// per encoder-axis name ("" = the network's own encoder): spike
-	// trains depend only on (dataset, encoder, steps, EvalSeed), so
-	// repeated sweeps against one system — the serve/fleet steady state —
-	// encode each test-set/encoder pair once, not once per Run.
-	encMu sync.Mutex
-	encs  map[string]*snn.EncodedSet
+	// memo single-flights, within memoBudget bytes, the work that
+	// depends on the model and the test set but not on the device point:
+	// pruned masters and clean sets (keys prefixed by the model digest),
+	// zero-flip accuracies (model and test digests, EvalSeed, coder) and
+	// encoded test sets (test digest, EvalSeed, coder, steps).
+	memo *sched.Cache
+	// recent holds the model digests of the last recentModels Runs, most
+	// recent last (the second-sight rule).
+	recentMu sync.Mutex
+	recent   []string
 }
+
+// memoBudget bounds the bytes of values the engine memo keeps (DESIGN
+// §7). The benchmark's sweep workload needs about 13 MB: four clean
+// sets, one pruned master and six encoded test sets of an N200 model.
+const memoBudget = 64 << 20
+
+// recentModels is how many Runs' model digests the engine remembers. A
+// Run whose model is not among them drops that model's memo entries when
+// it returns, so a model swept once keeps nothing.
+const recentModels = 4
 
 // New returns an engine over the framework's device models.
 func New(fw *core.Framework) *Engine {
-	return &Engine{fw: fw, profiles: sched.NewCache(), layouts: sched.NewCache(), prepared: sched.NewCache()}
+	return &Engine{
+		fw:       fw,
+		profiles: sched.NewCache(),
+		layouts:  sched.NewCache(),
+		prepared: sched.NewCache(),
+		memo:     sched.NewBudgetCache(memoBudget, memoBytes),
+	}
 }
 
 // ProfileCacheStats returns the cumulative hit/miss counts of the
 // profile cache. After one Run over a grid, misses equals the number of
 // distinct device points and hits equals scenarios − distinct points.
 func (e *Engine) ProfileCacheStats() (hits, misses uint64) { return e.profiles.Stats() }
+
+// MemoStats returns the cumulative hit, miss and eviction counts of the
+// memo of per-model and per-test-set work.
+func (e *Engine) MemoStats() (hits, misses, evictions uint64) {
+	hits, misses = e.memo.Stats()
+	return hits, misses, e.memo.Evictions()
+}
 
 // Scenarios expands the spec's cross-product in axis order (voltage,
 // BER, kind, policy, bitwidth, prune level, encoder). Empty extended
@@ -283,13 +323,14 @@ func (s Spec) Validate() error {
 	}
 	if !s.Uniform {
 		for _, v := range s.Voltages {
-			if v <= 0 {
-				return fmt.Errorf("engine: non-positive voltage %v in sweep spec", v)
+			// Negated in-range tests, here and below, so NaN fails them.
+			if !(v > 0 && v <= math.MaxFloat64) {
+				return fmt.Errorf("engine: voltage %v in sweep spec is not positive and finite", v)
 			}
 		}
 	}
 	for _, b := range s.BERs {
-		if b < 0 || b > 0.5 {
+		if !(b >= 0 && b <= 0.5) {
 			return fmt.Errorf("engine: BER %v outside [0, 0.5]", b)
 		}
 	}
@@ -304,7 +345,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, pr := range s.PruneLevels {
-		if pr < 0 || pr >= 1 {
+		if !(pr >= 0 && pr < 1) {
 			return fmt.Errorf("engine: prune level %v outside [0, 1)", pr)
 		}
 	}
@@ -381,20 +422,17 @@ type placement struct {
 }
 
 // runState is what every scenario of one Run shares: its inputs, the
-// run-local caches and the scratch free list.
+// digests that prefix its memo keys, and the scratch free list.
 type runState struct {
 	spec    Spec
 	net     *snn.Network
-	weights []float32 // master weights, shared read-only
+	weights []float32 // master weights, read-only during the Run
+	// model digests what the per-model work reads from net, test the
+	// test set's images and labels (modelDigest, testDigest).
+	model, test string
 	// encSets maps encoder-axis names to the run-wide encoded test sets.
 	encSets map[string]*snn.EncodedSet
-	// pruned, clean and evals single-flight the pruned master weights
-	// per prune level, the clean sets, and the zero-flip accuracies per
-	// (encoder, stored format, prune level). None may outlive the Run:
-	// they depend on the network's weights and thresholds, which may
-	// differ between Run calls on a persistent Engine.
-	pruned, clean, evals *sched.Cache
-	free                 *freeList
+	free    *freeList
 }
 
 // prep is one cached (placement, prepared injector, energy replay)
@@ -408,7 +446,8 @@ type prep struct {
 }
 
 // Run evaluates every scenario of the grid against the network and test
-// set, and returns the results sorted by scenario key. Cancellation is
+// set, and returns the results sorted by scenario key. Run only reads
+// net and test, which must not change until it returns. Cancellation is
 // checked at scenario boundaries; a cancelled run returns ctx.Err()
 // wrapped in the first failing scenario's error.
 func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Dataset, spec Spec) ([]Result, error) {
@@ -440,23 +479,12 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 		evalWorkers = 1
 	}
 
-	// Every scenario of one encoder-axis point evaluates on the same
-	// spike trains (paired evaluation, one shared EvalSeed), so each
-	// distinct encoder's test set is encoded once here and shared
-	// read-only by all workers.
-	encSets, err := e.encodedTestSets(ctx, net, test, spec, workers)
-	if err != nil {
-		return nil, fmt.Errorf("engine: encode test set: %w", err)
-	}
-
 	rs := &runState{
 		spec:    spec,
 		net:     net,
-		weights: net.WeightsFlat(),
-		encSets: encSets,
-		pruned:  sched.NewCache(),
-		clean:   sched.NewCache(),
-		evals:   sched.NewCache(),
+		weights: net.W.Data,
+		model:   modelDigest(net),
+		test:    testDigest(test),
 		// Scratch sets live on a free list this Run owns, so they are
 		// garbage once it returns; a sync.Pool would keep a finished
 		// Run's sets (about 1.3 MB each at N200 FP32: the image and the
@@ -465,6 +493,21 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 			return &scratch{ev: snn.NewEvaluatorWorkers(net, evalWorkers)}
 		}},
 	}
+	if !e.sawModel(rs.model) {
+		// Second sight: keep a model's memo entries only once it comes
+		// back, so a model swept once (most service jobs) holds nothing.
+		defer e.memo.DropPrefix(rs.model + "/")
+	}
+
+	// Every scenario of one encoder-axis point evaluates on the same
+	// spike trains (paired evaluation, one shared EvalSeed), so each
+	// distinct encoder's test set is encoded once and shared read-only
+	// by all workers.
+	encSets, err := e.encodedTestSets(ctx, rs, test, workers)
+	if err != nil {
+		return nil, fmt.Errorf("engine: encode test set: %w", err)
+	}
+	rs.encSets = encSets
 
 	s, err := sched.New(sched.Config{Workers: spec.Workers, Seed: spec.Seed})
 	if err != nil {
@@ -520,7 +563,7 @@ func (e *Engine) runScenario(ctx context.Context, rs *runState, sc Scenario, r *
 		effTh, safe = sc.BER, profile.SafeCount(sc.BER)
 	}
 
-	cs, err := rs.cleanFor(format, sc.Prune, format.ImageSize(len(rs.weights), p.layout.UnitBytes()))
+	cs, err := e.cleanFor(rs, format, sc.Prune, format.ImageSize(len(rs.weights), p.layout.UnitBytes()))
 	if err != nil {
 		return Result{}, err
 	}
@@ -560,9 +603,10 @@ func (e *Engine) runScenario(ctx context.Context, rs *runState, sc Scenario, r *
 		// scenario's device point, policy or error model: every zero-flip
 		// scenario of one (encoder, stored format, prune level) evaluates
 		// identical weights on identical spike trains, so the first one
-		// to get here evaluates for all.
-		key := fmt.Sprintf("eval/enc-%s/%s/pr%.4f", sc.Encoder.Name, format, sc.Prune)
-		v, err := rs.evals.GetOrCompute(key, func() (any, error) { return evaluate() })
+		// to get here evaluates for all, in this Run or an earlier one.
+		key := fmt.Sprintf("%s/%s/seed%d/%s/eval/enc-%s/%s/pr%.4f",
+			rs.model, rs.test, spec.EvalSeed, es.EncoderName(), sc.Encoder.Name, format, sc.Prune)
+		v, err := e.memoGet(ctx, key, func() (any, error) { return evaluate() })
 		if err != nil {
 			return Result{}, err
 		}
@@ -590,38 +634,31 @@ func (e *Engine) runScenario(ctx context.Context, rs *runState, sc Scenario, r *
 }
 
 // encodedTestSets returns the sweep's pre-encoded spike trains, one set
-// per encoder-axis point, reusing cached sets when the dataset, encoder,
-// steps, and EvalSeed all match a previous Run (trains do not depend on
-// the network's weights or thresholds). Every encoder expands the same
-// EvalSeed root, so accuracies stay paired across the encoder axis.
-// Encoding runs under the mutex, single-flighted.
-func (e *Engine) encodedTestSets(ctx context.Context, net *snn.Network, test *dataset.Dataset, spec Spec, workers int) (map[string]*snn.EncodedSet, error) {
-	e.encMu.Lock()
-	defer e.encMu.Unlock()
-	if e.encs == nil {
-		e.encs = make(map[string]*snn.EncodedSet)
-	}
-	axes := spec.Encoders
+// per encoder-axis point, through the memo: trains depend only on the
+// test set, the coder, the step count and EvalSeed, not on the network's
+// weights or thresholds, so repeated sweeps of one test set — the
+// serve/fleet steady state — encode each coder once. Every encoder
+// expands the same EvalSeed root, so accuracies stay paired across the
+// encoder axis.
+func (e *Engine) encodedTestSets(ctx context.Context, rs *runState, test *dataset.Dataset, workers int) (map[string]*snn.EncodedSet, error) {
+	axes := rs.spec.Encoders
 	if len(axes) == 0 {
 		axes = []EncoderAxis{{}}
 	}
 	out := make(map[string]*snn.EncodedSet, len(axes))
 	for _, ax := range axes {
-		r := rng.New(spec.EvalSeed)
-		encName := net.Cfg.Encoder.Name()
-		if ax.Coder != nil {
-			encName = ax.Coder.Name()
+		coder := ax.Coder
+		if coder == nil {
+			coder = rs.net.Cfg.Encoder
 		}
-		if cached := e.encs[ax.Name]; cached != nil && cached.MatchesFor(test, r, net.Cfg.Steps, encName) {
-			out[ax.Name] = cached
-			continue
-		}
-		es, err := net.EncodeDatasetWith(ctx, test, ax.Coder, r, workers)
+		key := fmt.Sprintf("%s/seed%d/%s/steps%d/encoded", rs.test, rs.spec.EvalSeed, coder.Name(), rs.net.Cfg.Steps)
+		v, err := e.memoGet(ctx, key, func() (any, error) {
+			return rs.net.EncodeDatasetWith(ctx, test, coder, rng.New(rs.spec.EvalSeed), workers)
+		})
 		if err != nil {
 			return nil, err
 		}
-		e.encs[ax.Name] = es
-		out[ax.Name] = es
+		out[ax.Name] = v.(*snn.EncodedSet)
 	}
 	return out, nil
 }
@@ -642,13 +679,13 @@ func formatForBits(bits int, def quant.Format) (quant.Format, error) {
 }
 
 // cleanFor returns the clean set of one (stored format, prune level,
-// image size) group, single-flighted through the run-local cache. The
-// load comes from the network's own decode, so it is exactly what a
-// full load of the clean image gives.
-func (rs *runState) cleanFor(format quant.Format, level float64, size int) (*cleanSet, error) {
-	key := fmt.Sprintf("clean/%s/pr%.4f/b%d", format, level, size)
-	v, err := rs.clean.GetOrCompute(key, func() (any, error) {
-		w, err := rs.prunedWeights(level)
+// image size) group, single-flighted through the memo under the model
+// digest. The load comes from the network's own decode, so it is exactly
+// what a full load of the clean image gives.
+func (e *Engine) cleanFor(rs *runState, format quant.Format, level float64, size int) (*cleanSet, error) {
+	key := fmt.Sprintf("%s/clean/%s/pr%.4f/b%d", rs.model, format, level, size)
+	v, err := e.memo.GetOrCompute(key, func() (any, error) {
+		w, err := e.prunedWeights(rs, level)
 		if err != nil {
 			return nil, err
 		}
@@ -669,14 +706,14 @@ func (rs *runState) cleanFor(format quant.Format, level float64, size int) (*cle
 }
 
 // prunedWeights returns the master weights with the given prune level
-// applied, single-flighted per level through the run-local cache (the
-// returned slice is shared read-only by every clean set of that level).
-// Level 0 returns the master weights themselves.
-func (rs *runState) prunedWeights(level float64) ([]float32, error) {
+// applied, single-flighted per level through the memo under the model
+// digest (the returned slice is shared read-only by every clean set of
+// that level). Level 0 returns the master weights themselves.
+func (e *Engine) prunedWeights(rs *runState, level float64) ([]float32, error) {
 	if level == 0 {
 		return rs.weights, nil
 	}
-	v, err := rs.pruned.GetOrCompute(fmt.Sprintf("pruned/pr%.4f", level), func() (any, error) {
+	v, err := e.memo.GetOrCompute(fmt.Sprintf("%s/pruned/pr%.4f", rs.model, level), func() (any, error) {
 		w := append([]float32(nil), rs.weights...)
 		if _, err := prune.ByMagnitude(w, 1-level); err != nil {
 			return nil, fmt.Errorf("engine: prune level %v: %w", level, err)
@@ -687,6 +724,130 @@ func (rs *runState) prunedWeights(level float64) ([]float32, error) {
 		return nil, err
 	}
 	return v.([]float32), nil
+}
+
+// memoGet is memo.GetOrCompute for work that reads ctx. Concurrent Runs
+// share in-flight entries, so a caller can receive the cancellation of
+// another Run's context; the memo keeps no error, so a caller whose own
+// context is live asks again and computes under its own.
+func (e *Engine) memoGet(ctx context.Context, key string, fn func() (any, error)) (any, error) {
+	for {
+		v, err := e.memo.GetOrCompute(key, fn)
+		if err == nil || ctx.Err() != nil ||
+			!(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			return v, err
+		}
+	}
+}
+
+// sawModel reports whether one of the last recentModels Runs swept the
+// model with this digest, and records this Run as the most recent.
+func (e *Engine) sawModel(model string) bool {
+	e.recentMu.Lock()
+	defer e.recentMu.Unlock()
+	i := slices.Index(e.recent, model)
+	if i >= 0 {
+		e.recent = slices.Delete(e.recent, i, i+1)
+	} else if len(e.recent) == recentModels {
+		e.recent = slices.Delete(e.recent, 0, 1)
+	}
+	e.recent = append(e.recent, model)
+	return i >= 0
+}
+
+// memoBytes is what a memo value is charged against memoBudget.
+func memoBytes(v any) int64 {
+	switch v := v.(type) {
+	case []float32: // a pruned master
+		return 4 * int64(len(v))
+	case *cleanSet:
+		return int64(len(v.img)) + 4*int64(len(v.load))
+	case float64: // a zero-flip accuracy
+		return 8
+	case *snn.EncodedSet:
+		return v.Bytes()
+	}
+	panic(fmt.Sprintf("engine: memo value of type %T", v))
+}
+
+// modelDigest is the hex SHA-256 of everything a Run's per-model work
+// reads from net: the weights, the adaptive thresholds, the label
+// assignment, every Config field and the encoder's name. Floats are
+// hashed by their bits (math.Float32bits/Float64bits), so NaN payloads
+// and −0 are told apart.
+func modelDigest(net *snn.Network) string {
+	d := newDigester()
+	cfg := &net.Cfg
+	lif := &cfg.LIF
+	for _, v := range []int{cfg.Inputs, cfg.Neurons, cfg.Steps, lif.N, lif.RefractorySteps} {
+		d.u64(uint64(v))
+	}
+	for _, v := range []float64{lif.DT, lif.TauM, lif.TauTheta, cfg.TauPre} {
+		d.u64(math.Float64bits(v))
+	}
+	d.f32s([]float32{lif.VRest, lif.VReset, lif.VTh, lif.ThetaPlus, lif.VFloor,
+		cfg.WMax, cfg.EtaPost, cfg.XTar, cfg.Inhibition, cfg.NormTarget})
+	d.bytes([]byte(cfg.Encoder.Name()))
+	d.f32s(net.W.Data)
+	d.f32s(net.Pool.Theta)
+	d.u64(uint64(len(net.Assign)))
+	for _, c := range net.Assign {
+		d.u64(uint64(c))
+	}
+	return d.sum()
+}
+
+// testDigest is the hex SHA-256 of a test set's images and labels.
+func testDigest(test *dataset.Dataset) string {
+	d := newDigester()
+	d.u64(uint64(len(test.Images)))
+	for _, img := range test.Images {
+		d.bytes(img)
+	}
+	d.bytes(test.Labels)
+	return d.sum()
+}
+
+// digester feeds length-prefixed values to a SHA-256 through a small
+// buffer.
+type digester struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newDigester() *digester { return &digester{h: sha256.New(), buf: make([]byte, 0, 4096)} }
+
+func (d *digester) flush() {
+	d.h.Write(d.buf)
+	d.buf = d.buf[:0]
+}
+
+func (d *digester) u64(v uint64) {
+	if len(d.buf)+8 > cap(d.buf) {
+		d.flush()
+	}
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, v)
+}
+
+// f32s hashes the floats' bits as they sit in memory: the digest names
+// memo entries of this process only, so the host's byte order is as
+// good as any, and hashing in place saves a conversion pass over the
+// weights on every Run.
+func (d *digester) f32s(v []float32) {
+	d.u64(uint64(len(v)))
+	d.flush()
+	d.h.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v)))
+}
+
+func (d *digester) bytes(b []byte) {
+	d.u64(uint64(len(b)))
+	d.flush()
+	d.h.Write(b)
+}
+
+func (d *digester) sum() string {
+	d.flush()
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
 // devicePoint names the scenario's device point: its voltage, or its

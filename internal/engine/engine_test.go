@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -205,7 +206,10 @@ func TestSpecValidate(t *testing.T) {
 		{"no kinds", func(s *Spec) { s.Kinds = nil }},
 		{"no policies", func(s *Spec) { s.Policies = nil }},
 		{"negative voltage", func(s *Spec) { s.Voltages = []float64{-1} }},
+		{"NaN voltage", func(s *Spec) { s.Voltages = []float64{math.NaN()} }},
+		{"infinite voltage", func(s *Spec) { s.Voltages = []float64{math.Inf(1)} }},
 		{"BER out of range", func(s *Spec) { s.BERs = []float64{0.9} }},
+		{"NaN BER", func(s *Spec) { s.BERs = []float64{math.NaN()} }},
 		{"unknown policy", func(s *Spec) { s.Policies = []string{"mystery"} }},
 		{"colliding BERs", func(s *Spec) { s.BERs = []float64{1.0000e-5, 1.00004e-5} }},
 	}
@@ -379,6 +383,7 @@ func TestSpecValidateExtendedAxes(t *testing.T) {
 		{"unsupported bitwidth", func(s *Spec) { s.Bitwidths = []int{8} }},
 		{"negative prune", func(s *Spec) { s.PruneLevels = []float64{-0.1} }},
 		{"prune of everything", func(s *Spec) { s.PruneLevels = []float64{1} }},
+		{"NaN prune", func(s *Spec) { s.PruneLevels = []float64{math.NaN()} }},
 		{"encoder name without coder", func(s *Spec) { s.Encoders = []EncoderAxis{{Name: "ttfs"}} }},
 		{"encoder coder without name", func(s *Spec) { s.Encoders = []EncoderAxis{{Coder: coding.TTFS{}}} }},
 	}

@@ -36,7 +36,7 @@ func (r Result) Connectivity() float64 {
 // count is connectivity * len(w) rounded to nearest; a connectivity that
 // rounds it to 0 is an error, and the weights are left untouched.
 func ByMagnitude(w []float32, connectivity float64) (Result, error) {
-	if connectivity <= 0 || connectivity > 1 {
+	if !(connectivity > 0 && connectivity <= 1) { // negated so NaN fails it
 		return Result{}, errors.New("prune: connectivity must be in (0, 1]")
 	}
 	keep := int(float64(len(w))*connectivity + 0.5)

@@ -52,6 +52,13 @@ func TestByMagnitudeRejectsBadInput(t *testing.T) {
 	if _, err := ByMagnitude([]float32{1}, 1.5); err == nil {
 		t.Error("connectivity > 1 must error")
 	}
+	w := []float32{0.5, -0.25, 0.75}
+	if _, err := ByMagnitude(w, math.NaN()); err == nil {
+		t.Error("NaN connectivity must error")
+	}
+	if w[0] != 0.5 || w[1] != -0.25 || w[2] != 0.75 {
+		t.Errorf("NaN connectivity changed the weights to %v", w)
+	}
 }
 
 // TestByMagnitudeRejectsKeepingNone: a connectivity that rounds the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"sparkxd/internal/coding"
 	"sparkxd/internal/dataset"
@@ -17,34 +18,43 @@ import (
 // the stream's seed identity — not on weights or thresholds — so one
 // EncodedSet is reusable across every weight image evaluated under the
 // same evaluation seed, which is exactly the paired-evaluation structure
-// of a sweep (every scenario shares one EvalSeed).
+// of a sweep (every scenario shares one EvalSeed). The set keeps its
+// own copy of the labels, so it stays right if the dataset it was
+// encoded from changes later.
 type EncodedSet struct {
 	ds     *dataset.Dataset
 	seed   [2]uint64
 	steps  int
 	enc    string
 	trains []coding.Train
+	labels []uint8
 }
 
 // Len returns the number of encoded samples.
 func (es *EncodedSet) Len() int { return len(es.trains) }
+
+// Bytes returns the memory the set's trains and labels hold: every
+// step's slice header and spike indices, and one byte per label.
+func (es *EncodedSet) Bytes() int64 {
+	n := int64(len(es.labels))
+	for _, tr := range es.trains {
+		n += int64(len(tr)) * int64(unsafe.Sizeof([]int32(nil)))
+		for _, step := range tr {
+			n += 4 * int64(len(step))
+		}
+	}
+	return n
+}
 
 // Matches reports whether es holds exactly the trains that evaluating ds
 // under stream r with the given config would encode: same dataset, same
 // seed identity (Derive is a pure function of the seed words, so equal
 // identity means equal derived streams), same step count and encoder.
 func (es *EncodedSet) Matches(cfg *Config, ds *dataset.Dataset, r *rng.Stream) bool {
-	return es.MatchesFor(ds, r, cfg.Steps, cfg.Encoder.Name())
-}
-
-// MatchesFor is Matches against an explicit (steps, encoder name) pair
-// instead of a network config — the sweep engine's encoder axis caches
-// sets encoded with encoders other than the network's own.
-func (es *EncodedSet) MatchesFor(ds *dataset.Dataset, r *rng.Stream, steps int, encName string) bool {
 	return es.ds == ds &&
 		es.seed == r.SeedIdentity() &&
-		es.steps == steps &&
-		es.enc == encName
+		es.steps == cfg.Steps &&
+		es.enc == cfg.Encoder.Name()
 }
 
 // EncoderName returns the Name() of the encoder the set was built with.
@@ -73,6 +83,7 @@ func (n *Network) EncodeDatasetWith(ctx context.Context, ds *dataset.Dataset, en
 		steps:  n.Cfg.Steps,
 		enc:    enc.Name(),
 		trains: make([]coding.Train, ds.Len()),
+		labels: append([]uint8(nil), ds.Labels...),
 	}
 	total := ds.Len()
 	if total == 0 {
@@ -135,7 +146,7 @@ func (n *Network) EvaluateEncoded(ctx context.Context, es *EncodedSet, workers i
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
-			if n.classify(n.present(es.trains[s], false)) == int(es.ds.Labels[s]) {
+			if n.classify(n.present(es.trains[s], false)) == int(es.labels[s]) {
 				correct++
 			}
 		}
@@ -183,7 +194,7 @@ func (n *Network) EvaluateEncoded(ctx context.Context, es *EncodedSet, workers i
 		}
 		// Phase B: theta-chained consume, strictly in sample order.
 		for s := lo; s < hi; s++ {
-			if n.classify(n.presentDrives(drives[(s-lo)*per:(s-lo+1)*per])) == int(es.ds.Labels[s]) {
+			if n.classify(n.presentDrives(drives[(s-lo)*per:(s-lo+1)*per])) == int(es.labels[s]) {
 				correct++
 			}
 		}

@@ -13,8 +13,8 @@ import (
 // endpoint exists purely for scraping) and, for a coordinator's
 // in-process worker, as part of the coordinator's /metrics. Names follow
 // DESIGN.md §11 with a sparkxd_worker_ prefix for lease-client series;
-// the stage, warm-System, and sweep-profile instruments carry plain
-// sparkxd_ names, the same on every process that executes jobs.
+// the stage, warm-System, sweep-profile and sweep-memo instruments carry
+// plain sparkxd_ names, the same on every process that executes jobs.
 type workerMetrics struct {
 	reg *metrics.Registry
 
@@ -72,6 +72,15 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 	r.NewCounterFunc("sparkxd_sweep_profile_cache_misses_total",
 		"Device-profile sweep cache misses across cached engines (SweepCacheStats).",
 		func() uint64 { _, m := w.systems.SweepCacheStats(); return m })
+	r.NewCounterFunc("sparkxd_sweep_memo_hits_total",
+		"Sweep memo hits (per-model and per-test-set work) across cached engines (SweepMemoStats).",
+		func() uint64 { h, _, _ := w.systems.SweepMemoStats(); return h })
+	r.NewCounterFunc("sparkxd_sweep_memo_misses_total",
+		"Sweep memo misses across cached engines (SweepMemoStats).",
+		func() uint64 { _, m, _ := w.systems.SweepMemoStats(); return m })
+	r.NewCounterFunc("sparkxd_sweep_memo_evictions_total",
+		"Sweep memo values its byte budget did not keep, across cached engines (SweepMemoStats).",
+		func() uint64 { _, _, e := w.systems.SweepMemoStats(); return e })
 	// A worker uploading through a read-through composite (remote store
 	// + local cache) surfaces the cache's counters, mirroring the
 	// coordinator's series names.

@@ -197,6 +197,23 @@ func (c *systems) SweepCacheStats() (hits, misses uint64) {
 	return hits, misses
 }
 
+// SweepMemoStats aggregates the sweep-memo counters of every currently
+// cached engine (System.SweepMemoStats), like SweepCacheStats.
+func (c *systems) SweepMemoStats() (hits, misses, evictions uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ent := range c.entries {
+		if ent.sys == nil {
+			continue
+		}
+		h, m, e := ent.sys.SweepMemoStats()
+		hits += h
+		misses += m
+		evictions += e
+	}
+	return hits, misses, evictions
+}
+
 // stageObserver receives the wall-clock duration of each completed
 // pipeline stage a job executes (metrics wiring; nil disables).
 type stageObserver func(stage string, d time.Duration)

@@ -3,6 +3,10 @@ package worker
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,6 +235,49 @@ func TestProduceStageObserver(t *testing.T) {
 	for i := range want {
 		if stages[i] != want[i] {
 			t.Fatalf("observed stages %v, want %v", stages, want)
+		}
+	}
+}
+
+// TestSweepMemoMetrics pins the sparkxd_sweep_memo_* series to the sum
+// of the cached engines' SweepMemoStats after two sweeps of one model.
+func TestSweepMemoMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training skipped in -short mode")
+	}
+	c := newSystems(1, 0, nil)
+	m := newWorkerMetrics(&Worker{systems: c})
+	cfg := tinyConfig(4)
+	spec, err := sparkxd.JobSpec{Kind: sparkxd.JobSweep, Config: cfg, Sweep: &sparkxd.SweepSpec{
+		BERs: []float64{1e-5, 1e-4}, PruneLevels: []float64{0, 0.5},
+	}}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := cfg.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, release := mustAcquire(t, c, fp, spec.Config)
+	defer release()
+	for i := 0; i < 2; i++ {
+		if _, err := produce(context.Background(), sys, spec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, misses, evictions := c.SweepMemoStats()
+	if hits == 0 || misses == 0 {
+		t.Fatalf("memo hits %d, misses %d after two sweeps", hits, misses)
+	}
+	rec := httptest.NewRecorder()
+	m.reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{
+		fmt.Sprintf("sparkxd_sweep_memo_hits_total %d\n", hits),
+		fmt.Sprintf("sparkxd_sweep_memo_misses_total %d\n", misses),
+		fmt.Sprintf("sparkxd_sweep_memo_evictions_total %d\n", evictions),
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, rec.Body.String())
 		}
 	}
 }

@@ -126,6 +126,15 @@ func (s *System) SweepCacheStats() (hits, misses uint64) {
 	return s.sweepEngine().ProfileCacheStats()
 }
 
+// SweepMemoStats returns the cumulative hit, miss and eviction counts of
+// the sweep engine's memo of per-model and per-test-set work (pruned
+// weights, clean images and loads, zero-flip accuracies, encoded test
+// sets), which repeated sweeps of one model share. Evictions count the
+// values its fixed byte budget did not keep.
+func (s *System) SweepMemoStats() (hits, misses, evictions uint64) {
+	return s.sweepEngine().MemoStats()
+}
+
 // DeviceProfile characterizes the simulated device at a supply voltage:
 // per-subarray BERs drawn with the system's spread and device seed.
 func (s *System) DeviceProfile(v float64) (*DeviceProfile, error) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -172,9 +173,22 @@ func TestValidateSweep(t *testing.T) {
 	if err := sys.ValidateSweep(sparkxd.SweepSpec{}); err != nil {
 		t.Fatalf("default spec rejected: %v", err)
 	}
-	err := sys.ValidateSweep(sparkxd.SweepSpec{BERs: []float64{0.9}})
-	if !errors.Is(err, sparkxd.ErrInvalidSweep) {
-		t.Fatalf("err = %v, want ErrInvalidSweep", err)
+	cases := []struct {
+		name string
+		spec sparkxd.SweepSpec
+	}{
+		{"BER out of range", sparkxd.SweepSpec{BERs: []float64{0.9}}},
+		// NaN fails every comparison, so each axis needs a range test
+		// that NaN cannot pass.
+		{"NaN prune level", sparkxd.SweepSpec{PruneLevels: []float64{math.NaN()}}},
+		{"NaN BER", sparkxd.SweepSpec{BERs: []float64{math.NaN()}}},
+		{"NaN voltage", sparkxd.SweepSpec{Voltages: []float64{math.NaN()}}},
+		{"infinite voltage", sparkxd.SweepSpec{Voltages: []float64{math.Inf(1)}}},
+	}
+	for _, tc := range cases {
+		if err := sys.ValidateSweep(tc.spec); !errors.Is(err, sparkxd.ErrInvalidSweep) {
+			t.Errorf("%s: err = %v, want ErrInvalidSweep", tc.name, err)
+		}
 	}
 }
 
