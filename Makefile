@@ -34,14 +34,16 @@ race:
 # Bounded fuzzing of the AVX2 kernels (drive sums, LIF step, and the
 # training chain's normalize-and-clamp pass and trace decay) against
 # their Go references, of the evaluator's patched weight load against
-# the full load, and of the sweep-spec validation on raw float bit
-# patterns (go test -fuzz takes one target and one package per run).
+# the full load, of the sweep-spec validation on raw float bit patterns,
+# and of job-spec normalization on raw JSON (go test -fuzz takes one
+# target and one package per run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzNormalizeClamp$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=20s ./internal/neuron
 	$(GO) test -run='^$$' -fuzz='^FuzzPatchedLoad$$' -fuzztime=20s ./internal/snn
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecValidate$$' -fuzztime=20s ./internal/engine
+	$(GO) test -run='^$$' -fuzz='^FuzzJobSpecNormalize$$' -fuzztime=20s .
 
 # Quick-mode benchmark smoke run: every benchmark executes exactly one
 # iteration end to end. This only proves the benchmarks still run; real

@@ -172,23 +172,36 @@ func canonBitwidthAxis(list []int, def quant.Format) ([]int, error) {
 	return out, nil
 }
 
-// canonPruneAxis validates a prune axis and canonicalizes it (a lone 0
-// elides to nil).
+// canonPruneAxis validates a prune axis and canonicalizes it (−0 is
+// written as 0, and a lone 0 elides to nil).
 func canonPruneAxis(list []float64) ([]float64, error) {
 	if len(list) == 0 {
 		return nil, nil
 	}
-	out := make([]float64, len(list))
-	for i, lv := range list {
+	out := unsignedZeros(list)
+	for _, lv := range out {
 		if err := ValidatePruneLevel(lv); err != nil {
 			return nil, err
 		}
-		out[i] = lv
 	}
 	if len(out) == 1 && out[0] == 0 {
 		return nil, nil
 	}
 	return out, nil
+}
+
+// unsignedZeros returns a copy of xs with every −0 written as 0. The two
+// are one physical point, but they format and encode differently, so a
+// −0 left in an axis would give that point a second scenario key, random
+// stream and job ID.
+func unsignedZeros(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		if x != 0 {
+			out[i] = x
+		}
+	}
+	return out
 }
 
 // canonEncoderAxis validates an encoder axis, canonicalizes names

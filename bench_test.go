@@ -1,43 +1,18 @@
 // Stage micro-benchmarks that no gated benchmark or workload covers:
-// DRAM placement under both mapping policies, one controller replay of
-// an inference pass, and the scheduler's per-job dispatch cost. CI runs
-// them once each as a smoke test (`make bench`); kernel performance is
-// measured by kernel_bench_test.go against BENCH_kernel.json, and whole
-// workloads by perfbench/.
+// DRAM placement under both mapping policies and one controller replay
+// of an inference pass. CI runs them once each as a smoke test
+// (`make bench`); kernel performance is measured by kernel_bench_test.go
+// against BENCH_kernel.json, and whole workloads by perfbench/.
 package sparkxd_test
 
 import (
-	"fmt"
 	"testing"
 
 	"sparkxd/internal/core"
 	"sparkxd/internal/mapping"
 	"sparkxd/internal/memctrl"
-	"sparkxd/internal/sched"
 	"sparkxd/internal/voltscale"
 )
-
-// BenchmarkSchedulerOverhead measures the pure scheduling cost: 256
-// no-op jobs dispatched across the worker pool.
-func BenchmarkSchedulerOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := sched.New(sched.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 256; j++ {
-			if err := s.Add(sched.Job{
-				Name: fmt.Sprintf("noop-%03d", j),
-				Run:  func(*sched.Ctx) (any, error) { return nil, nil },
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkMappingBaseline places an N900-sized image sequentially.
 func BenchmarkMappingBaseline(b *testing.B) {

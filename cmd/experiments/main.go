@@ -11,7 +11,7 @@
 //	experiments run -shard 1/2               # CI matrix slice of the suite
 //
 // The run subcommand executes every registered experiment as a job of
-// the internal/sched work-stealing scheduler. Result records on stdout
+// the internal/sched scheduler, largest cost first. Result records on stdout
 // are byte-identical for any -workers value and any -shard split (the
 // determinism contract of DESIGN.md §6); timing records, which are
 // inherently nondeterministic, go to stderr.
@@ -63,7 +63,6 @@ type timingRecord struct {
 	Job       string  `json:"job"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	Worker    int     `json:"worker"`
-	Stolen    bool    `json:"stolen"`
 }
 
 type suiteRecord struct {
@@ -108,7 +107,7 @@ func runSuite(args []string) int {
 	}
 	r := experiments.NewRunner(opts)
 
-	s, err := sched.New(sched.Config{Workers: *workers, Shard: shard, Seed: *seed, Cache: r.Cache()})
+	s, err := sched.New(sched.Config{Workers: *workers, Shard: shard})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments run: %v\n", err)
 		return 2
@@ -188,7 +187,6 @@ func emitJSON(r *experiments.Runner, s *sched.Scheduler, shard sched.Shard, repo
 			Job:       rep.Name,
 			ElapsedMS: float64(rep.Elapsed.Microseconds()) / 1000,
 			Worker:    rep.Worker,
-			Stolen:    rep.Stolen,
 		})
 	}
 	hits, misses := r.CacheStats()

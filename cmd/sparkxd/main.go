@@ -15,7 +15,7 @@
 //	sparkxd run -shard 1/2 -json
 //
 // The run subcommand sweeps a grid of (dataset, network size) pipeline
-// configurations as jobs of the internal/sched work-stealing scheduler.
+// configurations as jobs of the internal/sched scheduler, largest first.
 // With -json, one deterministic result record per configuration is
 // written to stdout (byte-identical for any -workers value or -shard
 // split) and timing records go to stderr.
@@ -65,7 +65,7 @@ Usage:
 
 Commands:
   single    run the end-to-end pipeline for one configuration
-  run       sweep a (dataset x size) grid on the work-stealing scheduler
+  run       sweep a (dataset x size) grid on the job scheduler
   sweep     evaluate one model over a (voltage x BER x error model x
             policy) scenario grid on the batched sweep engine
   serve     run the HTTP job service over a content-addressed store
@@ -208,7 +208,7 @@ func runSuite(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		fls = append(fls, fl)
 	}
 
-	s, err := sched.New(sched.Config{Workers: *workers, Shard: shard, Seed: *seed})
+	s, err := sched.New(sched.Config{Workers: *workers, Shard: shard})
 	if err != nil {
 		fmt.Fprintf(stderr, "sparkxd run: %v\n", err)
 		return 2
@@ -229,11 +229,10 @@ func runSuite(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		}
 	}
 	for _, jc := range cfgs {
-		jc := jc
 		// Larger networks dominate the runtime: use the neuron count as
 		// the cost hint so big configurations start first.
 		err := s.Add(sched.Job{Name: jc.name, Cost: float64(jc.neurons),
-			Run: func(*sched.Ctx) (any, error) {
+			Run: func() (any, error) {
 				sys, err := sparkxd.New(
 					sparkxd.WithNeurons(jc.neurons),
 					sparkxd.WithDataset(jc.flavor),

@@ -10,10 +10,10 @@
 package coding
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 
 	"sparkxd/internal/rng"
 )
@@ -53,8 +53,12 @@ type Rate struct {
 // NewRate returns the paper-default Poisson rate coder.
 func NewRate() Rate { return Rate{MaxProb: 0.12} }
 
-// Name implements Encoder.
-func (e Rate) Name() string { return fmt.Sprintf("rate-poisson(p=%.3g)", e.MaxProb) }
+// Name implements Encoder. MaxProb is written in the shortest form that
+// reads back as the same float64, so two coders share a name only if
+// they encode identically.
+func (e Rate) Name() string {
+	return "rate-poisson(p=" + strconv.FormatFloat(e.MaxProb, 'g', -1, 64) + ")"
+}
 
 // Encode implements Encoder.
 //

@@ -392,12 +392,13 @@ func (f *Framework) AnalyzeErrorTolerance(ctx context.Context, model *snn.Networ
 	berTh := 0.0
 	var curve []RatePoint
 	// The model and the eval stream are fixed across the whole search —
-	// only the injected corruption changes per point — so one batched
-	// evaluator serves every rate: spike trains encode once and each
-	// point is a weight swap plus the neuron-dynamics pass. Bit-identical
-	// to evaluating a fresh clone per point (the Evaluator contract).
-	ev := snn.NewEvaluatorWorkers(model, f.EvalWorkers)
-	master := model.WeightsFlat()
+	// only the injected corruption changes per point — so the test set
+	// encodes once and each point is a corruption plus the
+	// neuron-dynamics pass.
+	es, err := model.EncodeDataset(ctx, test, rng.New(evalSeed), f.EvalWorkers)
+	if err != nil {
+		return 0, nil, err
+	}
 	for i, rate := range rates {
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err // stop at a point boundary
@@ -406,8 +407,7 @@ func (f *Framework) AnalyzeErrorTolerance(ctx context.Context, model *snn.Networ
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: profile at BER %.0e: %w", rate, err)
 		}
-		w, _ := f.CorruptWeights(master, layout, profile, rng.New(root.DeriveIndex("inject", i).Uint64()))
-		acc, err := ev.EvaluateWeights(ctx, test, w, rng.New(evalSeed))
+		acc, err := f.evaluateCorrupted(ctx, model, es, layout, profile, root.DeriveIndex("inject", i).Uint64())
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: tolerance evaluation at BER %.0e: %w", rate, err)
 		}

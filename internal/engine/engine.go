@@ -2,8 +2,8 @@
 // takes a trained SNN and a declarative scenario grid (supply voltages ×
 // bit-error rates × EDEN error-model kinds × mapping policies, plus the
 // optional stored-weight bitwidth, prune-level, and spike-encoder axes),
-// fans the cross-product out over the internal/sched work-stealing pool,
-// and returns one deterministic accuracy/energy record per scenario.
+// runs the key-sorted cross-product on sched.ParallelFor, and returns one
+// deterministic accuracy/energy record per scenario.
 //
 // The sweep decomposes into independent scenario jobs, and each distinct
 // piece of scenario work is done once:
@@ -33,22 +33,22 @@
 //     labels), so a changed model or test set never meets a stale
 //     entry. A model's first Run drops its entries when it returns (the
 //     second-sight rule, DESIGN §7);
-//   - each running scenario takes a scratch image, which equals its
-//     group's clean image between scenarios, and an snn.Evaluator from the
-//     Run's free list; it injects into the image, recording the bits it
-//     flips, the evaluator decodes and loads only the weights those bits
-//     fall in, and the scenario re-flips them afterwards. A scenario's
-//     weight path therefore costs O(flipped bits), not O(weights), the
-//     hot path allocates nothing per scenario after warm-up, and the
-//     scratch is released with the Run.
+//   - each pool slot of a Run owns one scratch set: an image, which
+//     equals its group's clean image between scenarios, and an
+//     snn.Evaluator. A scenario injects into the image, recording the bits
+//     it flips, the evaluator decodes and loads only the weights those
+//     bits fall in, and the scenario re-flips them afterwards. A
+//     scenario's weight path therefore costs O(flipped bits), not
+//     O(weights), the hot path allocates nothing per scenario after
+//     warm-up, and the scratch is released with the Run.
 //
-// Determinism contract (same as internal/sched, DESIGN.md §6/§7): every
-// scenario draws its injection randomness from a stream derived from the
-// scheduler seed and the scenario *key* — never from execution order or
-// worker identity — and results are returned sorted by key, so a sweep is
-// byte-identical for any worker count. Evaluation uses one shared
-// EvalSeed across scenarios (paired evaluation on identical spike
-// trains), which every scenario re-expands into its own private stream.
+// Determinism contract (DESIGN.md §7): every scenario draws its injection
+// randomness from the stream rng.New(Spec.Seed).Derive("job/"+key) —
+// never from execution order or pool slot — and results are returned
+// sorted by key, so a sweep is byte-identical for any worker count.
+// Evaluation uses one shared EvalSeed across scenarios (paired evaluation
+// on identical spike trains), which every scenario re-expands into its
+// own private stream.
 package engine
 
 import (
@@ -62,6 +62,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"unsafe"
 
@@ -109,7 +110,7 @@ type Spec struct {
 	// every scenario so that accuracies are compared on identical spike
 	// trains (paired evaluation).
 	EvalSeed uint64
-	// Workers bounds the scheduler pool; <= 0 means GOMAXPROCS.
+	// Workers bounds the scenario pool; <= 0 means GOMAXPROCS.
 	Workers int
 
 	// The axes below extend the paper's 4-axis grid. An empty axis (or a
@@ -374,7 +375,7 @@ type cleanSet struct {
 	load []float32
 }
 
-// scratch is the per-worker reusable evaluation state: a weight image
+// scratch is one pool slot's reusable evaluation state: a weight image
 // that equals clean.img between scenarios, the bits the running scenario
 // flipped in it, and the batched evaluator.
 type scratch struct {
@@ -382,32 +383,6 @@ type scratch struct {
 	img   []byte
 	flips []int64
 	ev    *snn.Evaluator
-}
-
-// freeList holds a Run's idle scratch sets: at most one per scenario
-// that ran at once, reused in any order.
-type freeList struct {
-	mu   sync.Mutex
-	idle []*scratch
-	new  func() *scratch
-}
-
-func (l *freeList) get() *scratch {
-	l.mu.Lock()
-	if n := len(l.idle); n > 0 {
-		s := l.idle[n-1]
-		l.idle = l.idle[:n-1]
-		l.mu.Unlock()
-		return s
-	}
-	l.mu.Unlock()
-	return l.new()
-}
-
-func (l *freeList) put(s *scratch) {
-	l.mu.Lock()
-	l.idle = append(l.idle, s)
-	l.mu.Unlock()
 }
 
 // placement is one cached layout. effTh (the threshold Algorithm 2
@@ -421,8 +396,8 @@ type placement struct {
 	safe   int
 }
 
-// runState is what every scenario of one Run shares: its inputs, the
-// digests that prefix its memo keys, and the scratch free list.
+// runState is what every scenario of one Run shares: its inputs and the
+// digests that prefix its memo keys.
 type runState struct {
 	spec    Spec
 	net     *snn.Network
@@ -432,7 +407,6 @@ type runState struct {
 	model, test string
 	// encSets maps encoder-axis names to the run-wide encoded test sets.
 	encSets map[string]*snn.EncodedSet
-	free    *freeList
 }
 
 // prep is one cached (placement, prepared injector, energy replay)
@@ -448,8 +422,9 @@ type prep struct {
 // Run evaluates every scenario of the grid against the network and test
 // set, and returns the results sorted by scenario key. Run only reads
 // net and test, which must not change until it returns. Cancellation is
-// checked at scenario boundaries; a cancelled run returns ctx.Err()
-// wrapped in the first failing scenario's error.
+// checked at scenario boundaries. A failing Run returns the error of the
+// lowest-key failing scenario, named by its key; a cancelled Run's error
+// wraps ctx.Err().
 func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Dataset, spec Spec) ([]Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -461,10 +436,19 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 		return nil, errors.New("engine: empty test set")
 	}
 
-	scenarios := spec.Scenarios()
+	// Scenarios run and report in key order.
+	type keyed struct {
+		key string
+		sc  Scenario
+	}
+	var scenarios []keyed
+	for _, sc := range spec.Scenarios() {
+		scenarios = append(scenarios, keyed{sc.Key(), sc})
+	}
+	slices.SortFunc(scenarios, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
 
-	// Parallelism splits across two levels: scenario jobs fan out over
-	// the scheduler pool, and each evaluation fans its drive precompute
+	// Parallelism splits across two levels: scenarios fan out over the
+	// pool's slots, and each evaluation fans its drive precompute
 	// out over evalWorkers. When the grid is wide the scenario level
 	// saturates the machine and evaluations stay sequential; when the
 	// grid is narrower than the pool (the single-big-job case) the spare
@@ -485,13 +469,6 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 		weights: net.W.Data,
 		model:   modelDigest(net),
 		test:    testDigest(test),
-		// Scratch sets live on a free list this Run owns, so they are
-		// garbage once it returns; a sync.Pool would keep a finished
-		// Run's sets (about 1.3 MB each at N200 FP32: the image and the
-		// evaluator's clone) alive across one or two collections.
-		free: &freeList{new: func() *scratch {
-			return &scratch{ev: snn.NewEvaluatorWorkers(net, evalWorkers)}
-		}},
 	}
 	if !e.sawModel(rs.model) {
 		// Second sight: keep a model's memo entries only once it comes
@@ -509,39 +486,36 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 	}
 	rs.encSets = encSets
 
-	s, err := sched.New(sched.Config{Workers: spec.Workers, Seed: spec.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	for _, sc := range scenarios {
-		sc := sc
-		err := s.Add(sched.Job{Name: sc.Key(), Run: func(c *sched.Ctx) (any, error) {
-			// Scenario-boundary cancellation: a cancelled sweep stops
-			// before deriving profiles or corrupting weights.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return e.runScenario(ctx, rs, sc, c.RNG)
-		}})
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+	// Each slot owns one scratch set for the Run, built on its first
+	// scenario; the sets are garbage once Run returns.
+	slots := make([]*scratch, min(workers, len(scenarios)))
+	out := make([]Result, len(scenarios))
+	err = sched.ParallelFor(workers, len(scenarios), func(w, i int) error {
+		key := scenarios[i].key
+		// Scenario-boundary cancellation: a cancelled sweep stops before
+		// deriving profiles or corrupting weights.
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("engine: scenario %s: %w", key, err)
 		}
-	}
-
-	reports, runErr := s.Run()
-	if runErr != nil {
-		return nil, fmt.Errorf("engine: %w", runErr)
-	}
-	out := make([]Result, len(reports)) // name order == key order
-	for i, rep := range reports {
-		out[i] = rep.Value.(Result)
+		if slots[w] == nil {
+			slots[w] = &scratch{ev: snn.NewEvaluatorWorkers(net, evalWorkers)}
+		}
+		res, err := e.runScenario(ctx, rs, scenarios[i].sc, slots[w], rng.New(spec.Seed).Derive("job/"+key))
+		if err != nil {
+			return fmt.Errorf("engine: scenario %s: %w", key, err)
+		}
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// runScenario evaluates one grid point of rs's Run. r is the scenario's
-// private stream (derived by the scheduler from the scenario key).
-func (e *Engine) runScenario(ctx context.Context, rs *runState, sc Scenario, r *rng.Stream) (Result, error) {
+// runScenario evaluates one grid point of rs's Run on the slot's scratch
+// set s. r is the scenario's private stream, derived from its key.
+func (e *Engine) runScenario(ctx context.Context, rs *runState, sc Scenario, s *scratch, r *rng.Stream) (Result, error) {
 	spec := rs.spec
 	format, err := formatForBits(sc.Bits, e.fw.Format)
 	if err != nil {
@@ -572,8 +546,6 @@ func (e *Engine) runScenario(ctx context.Context, rs *runState, sc Scenario, r *
 		return Result{}, fmt.Errorf("engine: no encoded test set for encoder axis %q", sc.Encoder.Name)
 	}
 
-	s := rs.free.get()
-	defer rs.free.put(s)
 	if s.clean != cs {
 		s.img = append(s.img[:0], cs.img...)
 		s.clean = cs
@@ -900,9 +872,6 @@ func (e *Engine) layoutFor(sc Scenario, spec Spec, profile *errmodel.Profile, we
 		return &placement{layout: layout, effTh: th, safe: profile.SafeCount(th)}, nil
 	})
 	if err != nil {
-		if sc.Policy == PolicySparkXD {
-			err = fmt.Errorf("engine: scenario %s: %w", sc.Key(), err)
-		}
 		return nil, err
 	}
 	return v.(*placement), nil

@@ -181,7 +181,7 @@ func TestUniformGrid(t *testing.T) {
 }
 
 // TestScenarioStreamsDistinct is the RNG-audit guard: the per-scenario
-// streams (scheduler-derived from the scenario key) must differ between
+// streams (derived from the scenario key) must differ between
 // scenarios, so no two grid points share injection randomness.
 func TestScenarioStreamsDistinct(t *testing.T) {
 	spec := gridSpec(1)
@@ -403,16 +403,31 @@ func TestSpecValidateExtendedAxes(t *testing.T) {
 // TestRunRejectsPruneLevelKeepingNoWeight: a prune level below 1 that
 // rounds the kept count to 0 (0.99999 of an N20 network's 15 680
 // weights) passes Validate; Run then fails with an error that names the
-// level, not with a panic.
+// level, not with a panic. Every scenario at that level fails, and the
+// error is the lowest-key one's, named by its key, whatever the worker
+// count.
 func TestRunRejectsPruneLevelKeepingNoWeight(t *testing.T) {
 	net, test := testFixture(t)
 	spec := gridSpec(2)
-	spec.PruneLevels = []float64{0.99999}
-	_, err := New(core.NewFramework()).Run(context.Background(), net, test, spec)
-	if err == nil {
-		t.Fatal("Run accepted a prune level that keeps no weight")
+	spec.PruneLevels = []float64{0, 0.99999}
+	var lowest string
+	for _, sc := range spec.Scenarios() {
+		if key := sc.Key(); sc.Prune != 0 && (lowest == "" || key < lowest) {
+			lowest = key
+		}
 	}
-	if msg := err.Error(); !strings.Contains(msg, "prune level 0.99999") || strings.Contains(msg, "panic") {
-		t.Fatalf("Run error = %q, want one naming prune level 0.99999 and no panic", msg)
+	for _, workers := range []int{1, 8} {
+		spec.Workers = workers
+		_, err := New(core.NewFramework()).Run(context.Background(), net, test, spec)
+		if err == nil {
+			t.Fatalf("workers=%d: Run accepted a prune level that keeps no weight", workers)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "prune level 0.99999") || strings.Contains(msg, "panic") {
+			t.Fatalf("workers=%d: Run error = %q, want one naming prune level 0.99999 and no panic", workers, msg)
+		}
+		if prefix := "engine: scenario " + lowest + ": "; !strings.HasPrefix(msg, prefix) {
+			t.Errorf("workers=%d: Run error = %q, want prefix %q", workers, msg, prefix)
+		}
 	}
 }

@@ -330,3 +330,33 @@ func TestMemoWaiterOutlivesAnotherRunsCancellation(t *testing.T) {
 		t.Fatalf("waiter got %v, %v; want 0.5 computed under its own context", r.v, r.err)
 	}
 }
+
+// TestMemoTellsRateCodersApart: two networks that differ only in their
+// rate coder's MaxProb, by less than three significant digits, must not
+// share encoded test sets or zero-flip accuracies. Each is swept twice on
+// one warm engine, and every report must equal a fresh engine's.
+func TestMemoTellsRateCodersApart(t *testing.T) {
+	base, test := shareFixture(t)
+	spec := memoSpec()
+	var nets []*snn.Network
+	for _, p := range []float64{0.12, 0.1204} {
+		net := base.Clone()
+		net.Cfg.Encoder = coding.Rate{MaxProb: p}
+		nets = append(nets, net)
+	}
+	want := make([]string, len(nets))
+	for i, net := range nets {
+		want[i] = runReport(t, New(core.NewFramework()), net, test, spec)
+	}
+	if want[0] == want[1] {
+		t.Fatal("the two coders give one report, so a shared entry could not show")
+	}
+	e := New(core.NewFramework())
+	for pass := 0; pass < 2; pass++ {
+		for i, net := range nets {
+			if got := runReport(t, e, net, test, spec); got != want[i] {
+				t.Errorf("pass %d, MaxProb %v: warm engine\n%s\nfresh engine\n%s", pass, net.Cfg.Encoder.(coding.Rate).MaxProb, got, want[i])
+			}
+		}
+	}
+}

@@ -2,7 +2,7 @@
 // evaluation (see DESIGN.md §4 for the experiment index). Each Fig*/Table*
 // function returns a structured result and can render itself as terminal
 // tables/charts. Every entry also registers itself (from its exp_*.go
-// file's init) as a job of the internal/sched work-stealing scheduler;
+// file's init) as a job of the internal/sched scheduler;
 // cmd/experiments is the CLI front-end — `experiments run` executes the
 // whole registered suite in parallel with shard support — and
 // bench_test.go at the repository root wraps each entry as a testing.B
@@ -151,8 +151,7 @@ type ModelPair struct {
 }
 
 // NewRunner builds a runner over the paper's framework with its own
-// artifact cache; callers that schedule the suite pass Cache() to
-// sched.Config so jobs and runner share one cache.
+// artifact cache.
 func NewRunner(opts Options) *Runner {
 	f := core.NewFramework()
 	return &Runner{
@@ -162,9 +161,6 @@ func NewRunner(opts Options) *Runner {
 		eng:   engine.New(f),
 	}
 }
-
-// Cache exposes the runner's artifact cache (shared with the scheduler).
-func (r *Runner) Cache() *sched.Cache { return r.cache }
 
 // Engine exposes the runner's batched scenario-sweep engine; the
 // accuracy-grid experiments (Figs. 8, 11) fan their BER points out
@@ -254,5 +250,5 @@ func (r *Runner) Pair(size int, fl dataset.Flavor) (*ModelPair, error) {
 // parallelFor runs fn(i) for i in [0, n) on up to Opts.Workers workers
 // (GOMAXPROCS when unset) and returns the lowest-index error.
 func (r *Runner) parallelFor(n int, fn func(i int) error) error {
-	return sched.ParallelFor(r.Opts.Workers, n, fn)
+	return sched.ParallelFor(r.Opts.Workers, n, func(_, i int) error { return fn(i) })
 }

@@ -396,7 +396,7 @@ func TestScheduledJobsDeterministicAcrossWorkers(t *testing.T) {
 		"fig2d": true, "fig6": true, "table1": true, "ablation-mapping": true}
 	render := func(workers int) map[string]string {
 		r := NewRunner(Options{Quick: true, Seed: 5, Workers: workers})
-		s, err := sched.New(sched.Config{Workers: workers, Seed: 5, Cache: r.Cache()})
+		s, err := sched.New(sched.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

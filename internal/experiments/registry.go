@@ -86,13 +86,10 @@ func (r *Runner) Jobs() []sched.Job {
 	entries := Entries()
 	jobs := make([]sched.Job, 0, len(entries))
 	for _, e := range entries {
-		e := e
 		jobs = append(jobs, sched.Job{
 			Name: e.Name,
 			Cost: e.Cost,
-			Run: func(*sched.Ctx) (any, error) {
-				return e.Run(r)
-			},
+			Run:  func() (any, error) { return e.Run(r) },
 		})
 	}
 	return jobs

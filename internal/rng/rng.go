@@ -74,13 +74,6 @@ func (r *Stream) DeriveIndex(label string, idx int) *Stream {
 	return New(seed)
 }
 
-// SeedIdentity returns the two state words Derive and DeriveIndex mix
-// into sub-stream seeds. Two streams with equal SeedIdentity derive
-// identical sub-streams for every (label, index), so callers can use it
-// to key caches of derivation-only work — e.g. spike trains encoded from
-// per-sample derived streams — without consuming any stream state.
-func (r *Stream) SeedIdentity() [2]uint64 { return [2]uint64{r.s0, r.s1} }
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.

@@ -7,12 +7,16 @@ import (
 	"sync"
 )
 
-// ParallelFor runs fn(i) for i in [0, n) on up to workers goroutines
+// ParallelFor runs fn(w, i) for i in [0, n) on up to workers goroutines
 // (workers <= 0 means GOMAXPROCS) and returns the error of the
 // lowest-failing index, which makes the returned error independent of
-// scheduling order. Panics inside fn are contained and reported as
-// errors. Remaining iterations are abandoned once any iteration fails.
-func ParallelFor(workers, n int, fn func(i int) error) error {
+// scheduling order. w is the pool slot running the iteration, in
+// [0, workers): one slot never runs two iterations at once, so a caller
+// can keep per-slot scratch in a slice indexed by w. Indices are handed
+// out in increasing order. Panics inside fn are contained and reported
+// as errors. Remaining iterations are abandoned once any iteration
+// fails; every index below the lowest failing one has run by then.
+func ParallelFor(workers, n int, fn func(w, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -24,7 +28,7 @@ func ParallelFor(workers, n int, fn func(i int) error) error {
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := runIteration(i, fn); err != nil {
+			if err := runIteration(0, i, fn); err != nil {
 				return err
 			}
 		}
@@ -50,7 +54,7 @@ func ParallelFor(workers, n int, fn func(i int) error) error {
 				i := next
 				next++
 				mu.Unlock()
-				if err := runIteration(i, fn); err != nil {
+				if err := runIteration(w, i, fn); err != nil {
 					mu.Lock()
 					if i < errAt {
 						errAt, outErr = i, err
@@ -65,12 +69,12 @@ func ParallelFor(workers, n int, fn func(i int) error) error {
 	return outErr
 }
 
-// runIteration invokes fn(i) with panic containment.
-func runIteration(i int, fn func(i int) error) (err error) {
+// runIteration invokes fn(w, i) with panic containment.
+func runIteration(w, i int, fn func(w, i int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sched: panic in parallel iteration %d: %v\n%s", i, r, debug.Stack())
 		}
 	}()
-	return fn(i)
+	return fn(w, i)
 }

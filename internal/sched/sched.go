@@ -1,17 +1,16 @@
-// Package sched is a deterministic work-stealing scheduler for the
-// experiment suite. A Job names one unit of work (a figure, a table, an
-// ablation, a pipeline configuration); the scheduler runs all registered
-// jobs on a bounded worker pool, respecting declared dependencies,
-// distributing ready jobs across per-worker deques and letting idle
-// workers steal from busy ones.
+// Package sched runs the experiment suite's independent, name-keyed jobs
+// (a figure, a table, an ablation, a pipeline configuration) on a bounded
+// worker pool. There is no job graph: every job is self-contained and
+// shares expensive artifacts through a single-flight Cache, so the
+// scheduler is shard selection plus one ParallelFor over the shard's
+// jobs, largest cost first.
 //
 // Determinism contract (see DESIGN.md §6): results must be bit-identical
-// regardless of worker count or shard split. The scheduler enforces the
-// half it can: every job receives a private rng.Stream derived from the
-// scheduler seed and the job's *name* — never from execution order — and
-// per-job reports are returned in name order. Jobs must hold up the other
-// half by drawing randomness only from their Ctx (or from streams they
-// derive from labels themselves).
+// regardless of worker count or shard split. The scheduler holds up the
+// half it can: every job runs, whatever another job did, and per-job
+// reports are returned in name order. Jobs hold up the other half by
+// deriving any randomness from their own labels, never from execution
+// order or worker identity.
 //
 // Sharding: a Shard{i, m} run executes the jobs whose rank in the
 // name-sorted full suite is congruent to i-1 mod m. The assignment
@@ -28,43 +27,20 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
-
-	"sparkxd/internal/rng"
 )
 
 // Job is one schedulable unit of work.
 type Job struct {
-	// Name is the unique identity of the job. It is also the job's
-	// seed-derivation path: the run context's RNG is Derive(Name) from
-	// the scheduler root, so renaming a job changes its random stream
-	// but reordering or resharding the suite does not.
+	// Name is the unique identity of the job: reports come back in name
+	// order, and shards are chosen by rank in the name-sorted suite.
 	Name string
-	// Deps lists names of jobs that must complete before this one runs.
-	// A dependency assigned to a different shard is considered satisfied
-	// (its artifacts are recomputed on demand through the shared Cache).
-	Deps []string
-	// Cost is a relative expense hint; ready jobs are ordered
-	// largest-cost-first within each worker deque to shorten makespan.
+	// Cost is a relative expense hint; jobs start largest cost first
+	// (ties by name) to shorten the makespan.
 	Cost float64
 	// Run performs the work. The returned value lands in the job's
 	// Report. Panics are contained and converted to errors.
-	Run func(ctx *Ctx) (any, error)
-}
-
-// Ctx is handed to every running job.
-type Ctx struct {
-	// RNG is the job's private random stream, derived from the scheduler
-	// seed and the job name.
-	RNG *rng.Stream
-	// Cache is the run-wide memoizing cache for expensive shared
-	// artifacts (datasets, trained model pairs).
-	Cache *Cache
-	// Workers is the size of the pool executing the run.
-	Workers int
-	// Seed is the scheduler root seed.
-	Seed uint64
+	Run func() (any, error)
 }
 
 // Shard selects a 1-based slice i/m of the suite. The zero value means
@@ -125,10 +101,6 @@ type Config struct {
 	Workers int
 	// Shard restricts the run to a slice of the suite.
 	Shard Shard
-	// Seed is the root of every per-job RNG derivation.
-	Seed uint64
-	// Cache is the shared artifact cache; a fresh one is created if nil.
-	Cache *Cache
 }
 
 // Report is the per-job outcome of a run.
@@ -140,16 +112,13 @@ type Report struct {
 	// Worker is the pool slot that executed the job (timing diagnostics
 	// only; it varies between runs and must not influence results).
 	Worker int
-	// Stolen records whether the job ran on a worker other than its home
-	// deque (work-stealing diagnostics).
-	Stolen bool
 }
 
 // Scheduler accumulates jobs and runs them.
 type Scheduler struct {
-	cfg    Config
-	jobs   []Job
-	byName map[string]int
+	cfg  Config
+	jobs []Job
+	seen map[string]bool
 }
 
 // New returns an empty scheduler.
@@ -160,10 +129,7 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Cache == nil {
-		cfg.Cache = NewCache()
-	}
-	return &Scheduler{cfg: cfg, byName: make(map[string]int)}, nil
+	return &Scheduler{cfg: cfg, seen: make(map[string]bool)}, nil
 }
 
 // Workers returns the resolved pool size.
@@ -178,186 +144,77 @@ func (s *Scheduler) Add(jobs ...Job) error {
 		if strings.ContainsAny(j.Name, "\n") {
 			return fmt.Errorf("sched: job name %q contains a newline", j.Name)
 		}
-		if _, dup := s.byName[j.Name]; dup {
+		if s.seen[j.Name] {
 			return fmt.Errorf("sched: duplicate job %q", j.Name)
 		}
 		if j.Run == nil {
 			return fmt.Errorf("sched: job %q has no Run function", j.Name)
 		}
-		s.byName[j.Name] = len(s.jobs)
+		s.seen[j.Name] = true
 		s.jobs = append(s.jobs, j)
 	}
 	return nil
 }
 
-// Members returns the name-sorted set of jobs this scheduler's shard
-// will execute.
-func (s *Scheduler) Members() []string {
-	names := make([]string, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		names = append(names, j.Name)
-	}
-	sort.Strings(names)
+// members returns the jobs this scheduler's shard will execute, in name
+// order.
+func (s *Scheduler) members() []Job {
+	all := append([]Job(nil), s.jobs...)
+	sort.Slice(all, func(a, b int) bool { return all[a].Name < all[b].Name })
 	if !s.cfg.Shard.Enabled() {
-		return names
+		return all
 	}
-	var mine []string
-	for rank, n := range names {
+	var mine []Job
+	for rank, j := range all {
 		if rank%s.cfg.Shard.Count == s.cfg.Shard.Index-1 {
-			mine = append(mine, n)
+			mine = append(mine, j)
 		}
 	}
 	return mine
 }
 
-// runState is the shared mutable state of one Run.
-type runState struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	jobs []Job
-	home map[int]int // job index -> home worker
-
-	// deques[w] holds ready job indices for worker w, highest cost last
-	// so that the owner pops from the back and thieves steal from the
-	// front (cheap jobs migrate, expensive ones stay home).
-	deques [][]int
-
-	waiting map[int]int   // job index -> unmet in-shard dependency count
-	blocked map[int][]int // job index -> dependents waiting on it
-	skipped map[int]error // jobs that will never run (failed dependency)
-	running int
-	done    int
-	total   int
+// Members returns the name-sorted set of jobs this scheduler's shard
+// will execute.
+func (s *Scheduler) Members() []string {
+	jobs := s.members()
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		names[i] = j.Name
+	}
+	return names
 }
 
-// Run executes the shard's jobs and returns their reports in name order.
-// The returned error is the first job error in name order (nil if every
-// job succeeded). Jobs whose in-shard dependencies failed are reported
-// with a dependency error and are not executed; panics inside jobs are
-// contained and surfaced as errors.
+// Run executes the shard's jobs, largest cost first, and returns their
+// reports in name order. Every job runs whatever the others do; panics
+// inside jobs are contained and surfaced as that job's error. The
+// returned error is the first job error in name order (nil if every job
+// succeeded).
 func (s *Scheduler) Run() ([]Report, error) {
-	member := make(map[string]bool, len(s.jobs))
-	for _, n := range s.Members() {
-		member[n] = true
+	jobs := s.members()
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
 	}
-	var selected []int
-	for i, j := range s.jobs {
-		if !member[j.Name] {
-			continue
-		}
-		for _, d := range j.Deps {
-			if _, ok := s.byName[d]; !ok {
-				return nil, fmt.Errorf("sched: job %q depends on unknown job %q", j.Name, d)
-			}
-			if d == j.Name {
-				return nil, fmt.Errorf("sched: job %q depends on itself", j.Name)
-			}
-		}
-		selected = append(selected, i)
-	}
-	sort.Slice(selected, func(a, b int) bool { return s.jobs[selected[a]].Name < s.jobs[selected[b]].Name })
+	// jobs is in name order, so a stable sort breaks cost ties by name.
+	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].Cost > jobs[order[b]].Cost })
 
-	st := &runState{
-		jobs:    s.jobs,
-		home:    make(map[int]int, len(selected)),
-		deques:  make([][]int, s.cfg.Workers),
-		waiting: make(map[int]int),
-		blocked: make(map[int][]int),
-		skipped: make(map[int]error),
-		total:   len(selected),
-	}
-	st.cond = sync.NewCond(&st.mu)
-
-	// Seed the deques: each ready job goes to its deterministic home
-	// worker (rank in the name-sorted selection, modulo pool size).
-	var ready []int
-	for rank, idx := range selected {
-		st.home[idx] = rank % s.cfg.Workers
-		unmet := 0
-		for _, d := range s.jobs[idx].Deps {
-			di := s.byName[d]
-			if member[s.jobs[di].Name] {
-				unmet++
-				st.blocked[di] = append(st.blocked[di], idx)
-			}
-		}
-		if unmet > 0 {
-			st.waiting[idx] = unmet
-		} else {
-			ready = append(ready, idx)
-		}
-	}
-	sort.Slice(ready, func(a, b int) bool {
-		ja, jb := s.jobs[ready[a]], s.jobs[ready[b]]
-		if ja.Cost != jb.Cost {
-			return ja.Cost < jb.Cost // owner pops from the back: highest cost first
-		}
-		return ja.Name > jb.Name
+	reports := make([]Report, len(jobs))
+	// runJob never fails, so ParallelFor hands out every index.
+	_ = ParallelFor(s.cfg.Workers, len(order), func(w, k int) error {
+		reports[order[k]] = runJob(jobs[order[k]], w)
+		return nil
 	})
-	for _, idx := range ready {
-		w := st.home[idx]
-		st.deques[w] = append(st.deques[w], idx)
-	}
-
-	reports := make(map[int]Report, len(selected))
-	var rmu sync.Mutex
-
-	var wg sync.WaitGroup
-	for w := 0; w < s.cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				idx, stolen, ok := st.next(w)
-				if !ok {
-					return
-				}
-				rep := s.runOne(idx, w, stolen)
-				rmu.Lock()
-				reports[idx] = rep
-				rmu.Unlock()
-				st.complete(idx, rep.Err)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	out := make([]Report, 0, len(selected))
-	for _, idx := range selected {
-		rep, ok := reports[idx]
-		if !ok {
-			if err := st.skipped[idx]; err != nil {
-				rep = Report{Name: s.jobs[idx].Name, Err: err}
-			} else {
-				rep = Report{
-					Name: s.jobs[idx].Name,
-					Err:  fmt.Errorf("sched: job %q never became runnable (dependency cycle?)", s.jobs[idx].Name),
-				}
-			}
-		}
-		out = append(out, rep)
-	}
-	var first error
-	for _, rep := range out {
+	for _, rep := range reports {
 		if rep.Err != nil {
-			first = fmt.Errorf("sched: job %q: %w", rep.Name, rep.Err)
-			break
+			return reports, fmt.Errorf("sched: job %q: %w", rep.Name, rep.Err)
 		}
 	}
-	return out, first
+	return reports, nil
 }
 
-// runOne executes a single job with panic containment.
-func (s *Scheduler) runOne(idx, worker int, stolen bool) (rep Report) {
-	job := s.jobs[idx]
-	rep = Report{Name: job.Name, Worker: worker, Stolen: stolen}
-	ctx := &Ctx{
-		RNG:     rng.New(s.cfg.Seed).Derive("job/" + job.Name),
-		Cache:   s.cfg.Cache,
-		Workers: s.cfg.Workers,
-		Seed:    s.cfg.Seed,
-	}
+// runJob executes a single job on pool slot w with panic containment.
+func runJob(job Job, w int) (rep Report) {
+	rep = Report{Name: job.Name, Worker: w}
 	start := time.Now()
 	defer func() {
 		rep.Elapsed = time.Since(start)
@@ -365,77 +222,6 @@ func (s *Scheduler) runOne(idx, worker int, stolen bool) (rep Report) {
 			rep.Err = fmt.Errorf("sched: panic in job %q: %v\n%s", job.Name, r, debug.Stack())
 		}
 	}()
-	rep.Value, rep.Err = job.Run(ctx)
+	rep.Value, rep.Err = job.Run()
 	return rep
-}
-
-// next blocks until worker w has a job to run or the run is over.
-func (st *runState) next(w int) (idx int, stolen bool, ok bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for {
-		// Own deque: pop from the back (highest-cost ready job).
-		if q := st.deques[w]; len(q) > 0 {
-			idx = q[len(q)-1]
-			st.deques[w] = q[:len(q)-1]
-			st.running++
-			return idx, false, true
-		}
-		// Steal: scan the other deques round-robin from w+1 and take
-		// from the front (the victim's cheapest ready job).
-		for off := 1; off < len(st.deques); off++ {
-			v := (w + off) % len(st.deques)
-			if q := st.deques[v]; len(q) > 0 {
-				idx = q[0]
-				st.deques[v] = q[1:]
-				st.running++
-				return idx, true, true
-			}
-		}
-		if st.done >= st.total {
-			st.cond.Broadcast()
-			return 0, false, false
-		}
-		if st.running == 0 {
-			// Quiescent but unfinished: the remaining jobs form a
-			// dependency cycle and will never be released.
-			st.cond.Broadcast()
-			return 0, false, false
-		}
-		st.cond.Wait()
-	}
-}
-
-// complete marks a job finished, releases its dependents (or skips them
-// transitively if the job failed), and wakes idle workers.
-func (st *runState) complete(idx int, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.running--
-	st.done++
-	st.settle(idx, err)
-	st.cond.Broadcast()
-}
-
-// settle releases or transitively skips the dependents of a job that has
-// finished (or been skipped). Caller holds st.mu.
-func (st *runState) settle(idx int, err error) {
-	for _, dep := range st.blocked[idx] {
-		if _, already := st.skipped[dep]; already {
-			continue
-		}
-		if err != nil {
-			depErr := fmt.Errorf("sched: dependency %q failed: %w", st.jobs[idx].Name, err)
-			st.skipped[dep] = depErr
-			st.done++ // it will never run
-			st.settle(dep, depErr)
-			continue
-		}
-		st.waiting[dep]--
-		if st.waiting[dep] == 0 {
-			delete(st.waiting, dep)
-			w := st.home[dep]
-			st.deques[w] = append(st.deques[w], dep)
-		}
-	}
 }

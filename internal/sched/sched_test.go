@@ -57,7 +57,7 @@ func TestParseShard(t *testing.T) {
 }
 
 func TestRunsAllJobsAndReportsInNameOrder(t *testing.T) {
-	s, err := New(Config{Workers: 4, Seed: 7})
+	s, err := New(Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunsAllJobsAndReportsInNameOrder(t *testing.T) {
 	names := suiteNames(20)
 	for i := len(names) - 1; i >= 0; i-- {
 		name := names[i]
-		if err := s.Add(Job{Name: name, Run: func(*Ctx) (any, error) {
+		if err := s.Add(Job{Name: name, Run: func() (any, error) {
 			ran.Store(name, true)
 			return name + "-value", nil
 		}}); err != nil {
@@ -93,48 +93,6 @@ func TestRunsAllJobsAndReportsInNameOrder(t *testing.T) {
 	}
 }
 
-// Determinism: the per-job RNG stream depends only on (seed, name), so
-// any worker count produces identical values.
-func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) map[string]uint64 {
-		s, err := New(Config{Workers: workers, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range suiteNames(24) {
-			if err := s.Add(Job{Name: name, Run: func(ctx *Ctx) (any, error) {
-				// Consume the job stream in a few different ways; the
-				// result must not depend on scheduling.
-				v := ctx.RNG.Uint64() ^ ctx.RNG.Derive("sub").Uint64()
-				return v, nil
-			}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		reports, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[string]uint64, len(reports))
-		for _, rep := range reports {
-			out[rep.Name] = rep.Value.(uint64)
-		}
-		return out
-	}
-	serial := run(1)
-	for _, workers := range []int{2, 8} {
-		parallel := run(workers)
-		if len(parallel) != len(serial) {
-			t.Fatalf("workers=%d: %d results vs %d serial", workers, len(parallel), len(serial))
-		}
-		for name, v := range serial {
-			if parallel[name] != v {
-				t.Errorf("workers=%d: job %q diverged: %d vs %d", workers, name, parallel[name], v)
-			}
-		}
-	}
-}
-
 // Shard union: 1/m .. m/m together cover the full suite exactly once.
 func TestShardUnionCompleteness(t *testing.T) {
 	names := suiteNames(17)
@@ -146,7 +104,7 @@ func TestShardUnionCompleteness(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, name := range names {
-				if err := s.Add(Job{Name: name, Run: func(*Ctx) (any, error) { return nil, nil }}); err != nil {
+				if err := s.Add(Job{Name: name, Run: func() (any, error) { return nil, nil }}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -184,7 +142,7 @@ func TestShardAssignmentOrderIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range order {
-			if err := s.Add(Job{Name: n, Run: func(*Ctx) (any, error) { return nil, nil }}); err != nil {
+			if err := s.Add(Job{Name: n, Run: func() (any, error) { return nil, nil }}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -247,133 +205,90 @@ func TestCachePanicContainment(t *testing.T) {
 	}
 }
 
-// A panicking job must not take down the run: the other jobs complete,
-// the panic surfaces as that job's error, and dependents are skipped.
-func TestPanicContainmentAndDependentSkip(t *testing.T) {
-	s, err := New(Config{Workers: 4})
+// A failing or panicking job must not take down the run: every other
+// job still runs and reports, the panic surfaces as that job's error, and
+// the run's error names the first failing job in name order.
+func TestFailingJobsDoNotStopTheRun(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s, err := New(Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var survivors atomic.Int64
+		jobs := []Job{
+			{Name: "bomber", Cost: 9, Run: func() (any, error) { panic("fuse lit") }},
+			{Name: "failer", Cost: 9, Run: func() (any, error) { return nil, errors.New("plain failure") }},
+		}
+		for i := 0; i < 6; i++ {
+			jobs = append(jobs, Job{Name: fmt.Sprintf("survivor-%d", i), Run: func() (any, error) {
+				survivors.Add(1)
+				return "ok", nil
+			}})
+		}
+		if err := s.Add(jobs...); err != nil {
+			t.Fatal(err)
+		}
+		reports, err := s.Run()
+		if err == nil || !strings.Contains(err.Error(), `"bomber"`) {
+			t.Fatalf("workers=%d: run error = %v, want the first failing job by name", workers, err)
+		}
+		if survivors.Load() != 6 {
+			t.Fatalf("workers=%d: %d survivors ran, want 6", workers, survivors.Load())
+		}
+		if len(reports) != len(jobs) {
+			t.Fatalf("workers=%d: %d reports, want %d", workers, len(reports), len(jobs))
+		}
+		byName := make(map[string]Report)
+		for _, rep := range reports {
+			byName[rep.Name] = rep
+		}
+		if rep := byName["bomber"]; rep.Err == nil || !strings.Contains(rep.Err.Error(), "fuse lit") {
+			t.Errorf("workers=%d: bomber error = %v, want contained panic", workers, rep.Err)
+		}
+		if rep := byName["failer"]; rep.Err == nil || rep.Err.Error() != "plain failure" {
+			t.Errorf("workers=%d: failer error = %v, want its own error", workers, rep.Err)
+		}
+		for i := 0; i < 6; i++ {
+			if rep := byName[fmt.Sprintf("survivor-%d", i)]; rep.Err != nil || rep.Value != "ok" {
+				t.Errorf("workers=%d: survivor-%d reported %v, %v", workers, i, rep.Value, rep.Err)
+			}
+		}
+	}
+}
+
+// One worker starts jobs largest cost first, ties broken by name, while
+// reports still come back in name order.
+func TestJobsStartLargestCostFirst(t *testing.T) {
+	s, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var survivors atomic.Int64
-	jobs := []Job{
-		{Name: "bomber", Run: func(*Ctx) (any, error) { panic("fuse lit") }},
-		{Name: "dependent", Deps: []string{"bomber"}, Run: func(*Ctx) (any, error) {
-			t.Error("dependent of a panicked job must not run")
+	var started []string
+	for _, j := range []struct {
+		name string
+		cost float64
+	}{{"a", 1}, {"b", 5}, {"c", 0}, {"d", 5}, {"e", 2}, {"f", 0}} {
+		name := j.name
+		if err := s.Add(Job{Name: name, Cost: j.cost, Run: func() (any, error) {
+			started = append(started, name)
 			return nil, nil
-		}},
-		{Name: "transitive", Deps: []string{"dependent"}, Run: func(*Ctx) (any, error) {
-			t.Error("transitive dependent must not run")
-			return nil, nil
-		}},
-	}
-	for i := 0; i < 6; i++ {
-		jobs = append(jobs, Job{Name: fmt.Sprintf("survivor-%d", i), Run: func(*Ctx) (any, error) {
-			survivors.Add(1)
-			return nil, nil
-		}})
-	}
-	if err := s.Add(jobs...); err != nil {
-		t.Fatal(err)
+		}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reports, err := s.Run()
-	if err == nil {
-		t.Fatal("run with a panicking job must report an error")
-	}
-	if survivors.Load() != 6 {
-		t.Fatalf("%d survivors ran, want 6", survivors.Load())
-	}
-	byName := make(map[string]Report)
-	for _, rep := range reports {
-		byName[rep.Name] = rep
-	}
-	if rep := byName["bomber"]; rep.Err == nil || !strings.Contains(rep.Err.Error(), "fuse lit") {
-		t.Errorf("bomber error = %v, want contained panic", rep.Err)
-	}
-	for _, skipped := range []string{"dependent", "transitive"} {
-		if rep := byName[skipped]; rep.Err == nil || !strings.Contains(rep.Err.Error(), "dependency") {
-			t.Errorf("%s error = %v, want dependency failure", skipped, rep.Err)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		if rep := byName[fmt.Sprintf("survivor-%d", i)]; rep.Err != nil {
-			t.Errorf("survivor-%d failed: %v", i, rep.Err)
-		}
-	}
-}
-
-func TestDependencyOrdering(t *testing.T) {
-	s, err := New(Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	finished := make(map[string]bool)
-	mark := func(name string, deps ...string) func(*Ctx) (any, error) {
-		return func(*Ctx) (any, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, d := range deps {
-				if !finished[d] {
-					return nil, fmt.Errorf("%s started before dependency %s finished", name, d)
-				}
-			}
-			finished[name] = true
-			return nil, nil
-		}
+	if got, want := fmt.Sprint(started), "[b d e a c f]"; got != want {
+		t.Errorf("start order = %s, want %s", got, want)
 	}
-	// Diamond: a -> (b, c) -> d, plus an independent chain.
-	if err := s.Add(
-		Job{Name: "d", Deps: []string{"b", "c"}, Run: mark("d", "b", "c")},
-		Job{Name: "c", Deps: []string{"a"}, Run: mark("c", "a")},
-		Job{Name: "b", Deps: []string{"a"}, Run: mark("b", "a")},
-		Job{Name: "a", Run: mark("a")},
-		Job{Name: "z2", Deps: []string{"z1"}, Run: mark("z2", "z1")},
-		Job{Name: "z1", Run: mark("z1")},
-	); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(finished) != 6 {
-		t.Fatalf("%d jobs finished, want 6", len(finished))
-	}
-}
-
-func TestDependencyCycleDetected(t *testing.T) {
-	s, err := New(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(
-		Job{Name: "a", Deps: []string{"b"}, Run: func(*Ctx) (any, error) { return nil, nil }},
-		Job{Name: "b", Deps: []string{"a"}, Run: func(*Ctx) (any, error) { return nil, nil }},
-		Job{Name: "free", Run: func(*Ctx) (any, error) { return "ok", nil }},
-	); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	var reports []Report
-	var runErr error
-	go func() {
-		reports, runErr = s.Run()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("cycle deadlocked the scheduler")
-	}
-	if runErr == nil {
-		t.Fatal("cycle must surface as an error")
-	}
+	var names []string
 	for _, rep := range reports {
-		if rep.Name == "free" && rep.Err != nil {
-			t.Errorf("independent job failed: %v", rep.Err)
-		}
-		if (rep.Name == "a" || rep.Name == "b") && rep.Err == nil {
-			t.Errorf("cycle member %q reported no error", rep.Name)
-		}
+		names = append(names, rep.Name)
+	}
+	if got, want := fmt.Sprint(names), "[a b c d e f]"; got != want {
+		t.Errorf("report order = %s, want %s", got, want)
 	}
 }
 
@@ -382,30 +297,20 @@ func TestAddValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(Job{Name: "", Run: func(*Ctx) (any, error) { return nil, nil }}); err == nil {
+	if err := s.Add(Job{Name: "", Run: func() (any, error) { return nil, nil }}); err == nil {
 		t.Error("empty name must be rejected")
 	}
 	if err := s.Add(Job{Name: "x"}); err == nil {
 		t.Error("nil Run must be rejected")
 	}
-	if err := s.Add(Job{Name: "x", Run: func(*Ctx) (any, error) { return nil, nil }}); err != nil {
+	if err := s.Add(Job{Name: "x", Run: func() (any, error) { return nil, nil }}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(Job{Name: "x", Run: func(*Ctx) (any, error) { return nil, nil }}); err == nil {
+	if err := s.Add(Job{Name: "x", Run: func() (any, error) { return nil, nil }}); err == nil {
 		t.Error("duplicate name must be rejected")
 	}
 	if _, err := New(Config{Shard: Shard{Index: 9, Count: 2}}); err == nil {
 		t.Error("invalid shard must be rejected")
-	}
-	s2, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Add(Job{Name: "orphan", Deps: []string{"ghost"}, Run: func(*Ctx) (any, error) { return nil, nil }}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Run(); err == nil || !strings.Contains(err.Error(), "unknown job") {
-		t.Errorf("unknown dependency must fail the run, got %v", err)
 	}
 }
 
@@ -413,7 +318,7 @@ func TestParallelForBasics(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
 		n := 37
 		hit := make([]atomic.Bool, n)
-		if err := ParallelFor(workers, n, func(i int) error {
+		if err := ParallelFor(workers, n, func(_, i int) error {
 			hit[i].Store(true)
 			return nil
 		}); err != nil {
@@ -425,12 +330,12 @@ func TestParallelForBasics(t *testing.T) {
 			}
 		}
 	}
-	if err := ParallelFor(4, 0, func(int) error { t.Error("no iterations expected"); return nil }); err != nil {
+	if err := ParallelFor(4, 0, func(int, int) error { t.Error("no iterations expected"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	// The lowest failing index wins regardless of worker count.
 	for _, workers := range []int{1, 8} {
-		err := ParallelFor(workers, 40, func(i int) error {
+		err := ParallelFor(workers, 40, func(_, i int) error {
 			if i == 11 || i == 30 {
 				return fmt.Errorf("fail-%d", i)
 			}
@@ -441,7 +346,7 @@ func TestParallelForBasics(t *testing.T) {
 		}
 	}
 	// Panics are contained.
-	err := ParallelFor(4, 8, func(i int) error {
+	err := ParallelFor(4, 8, func(_, i int) error {
 		if i == 2 {
 			panic("loop bomb")
 		}
@@ -449,5 +354,54 @@ func TestParallelForBasics(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "loop bomb") {
 		t.Errorf("panic must surface as error, got %v", err)
+	}
+}
+
+// ParallelFor hands each iteration a pool slot in [0, workers), never
+// runs two iterations on one slot at once, and hands indices out in
+// increasing order: when iteration i starts, every lower index has been
+// handed out, and at most workers-1 of them can still be on their way
+// into fn.
+func TestParallelForSlots(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		const n = 64
+		busy := make([]atomic.Bool, workers)
+		var mu sync.Mutex
+		started := make([]bool, n)
+		err := ParallelFor(workers, n, func(w, i int) error {
+			if w < 0 || w >= workers {
+				return fmt.Errorf("slot %d outside [0, %d)", w, workers)
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				return fmt.Errorf("slot %d ran two iterations at once", w)
+			}
+			defer busy[w].Store(false)
+			mu.Lock()
+			if started[i] {
+				mu.Unlock()
+				return fmt.Errorf("index %d ran twice", i)
+			}
+			started[i] = true
+			below := 0
+			for j := 0; j < i; j++ {
+				if started[j] {
+					below++
+				}
+			}
+			mu.Unlock()
+			if below < i-(workers-1) {
+				return fmt.Errorf("index %d started with only %d of the %d lower indices started", i, below, i)
+			}
+			time.Sleep(100 * time.Microsecond) // widen the overlap window
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, ok := range started {
+			if !ok {
+				t.Fatalf("workers=%d: index %d never ran", workers, i)
+			}
+		}
 	}
 }

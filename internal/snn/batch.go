@@ -15,15 +15,14 @@ import (
 // EncodedSet is a dataset pre-encoded into spike trains with the exact
 // per-sample streams EvaluateCtx would derive (r.DeriveIndex("eval", s)).
 // Encoding depends only on the dataset, the encoder, the step count, and
-// the stream's seed identity — not on weights or thresholds — so one
-// EncodedSet is reusable across every weight image evaluated under the
-// same evaluation seed, which is exactly the paired-evaluation structure
-// of a sweep (every scenario shares one EvalSeed). The set keeps its
-// own copy of the labels, so it stays right if the dataset it was
-// encoded from changes later.
+// the stream — not on weights or thresholds — so one EncodedSet is
+// reusable across every weight image evaluated under the same evaluation
+// seed, which is exactly the paired-evaluation structure of a sweep
+// (every scenario shares one EvalSeed). The caller that encodes a set
+// owns it and decides what it may be reused for. The set keeps its own
+// copy of the labels, so it stays right if the dataset it was encoded
+// from changes later.
 type EncodedSet struct {
-	ds     *dataset.Dataset
-	seed   [2]uint64
 	steps  int
 	enc    string
 	trains []coding.Train
@@ -44,17 +43,6 @@ func (es *EncodedSet) Bytes() int64 {
 		}
 	}
 	return n
-}
-
-// Matches reports whether es holds exactly the trains that evaluating ds
-// under stream r with the given config would encode: same dataset, same
-// seed identity (Derive is a pure function of the seed words, so equal
-// identity means equal derived streams), same step count and encoder.
-func (es *EncodedSet) Matches(cfg *Config, ds *dataset.Dataset, r *rng.Stream) bool {
-	return es.ds == ds &&
-		es.seed == r.SeedIdentity() &&
-		es.steps == cfg.Steps &&
-		es.enc == cfg.Encoder.Name()
 }
 
 // EncoderName returns the Name() of the encoder the set was built with.
@@ -78,8 +66,6 @@ func (n *Network) EncodeDatasetWith(ctx context.Context, ds *dataset.Dataset, en
 		enc = n.Cfg.Encoder
 	}
 	es := &EncodedSet{
-		ds:     ds,
-		seed:   r.SeedIdentity(),
 		steps:  n.Cfg.Steps,
 		enc:    enc.Name(),
 		trains: make([]coding.Train, ds.Len()),
@@ -239,17 +225,6 @@ func (n *Network) presentDrives(drives []float32) []int {
 		}
 	}
 	return n.counts
-}
-
-// EvaluateBatch is EvaluateCtx restructured as one batched job: encode
-// all samples (parallel), then evaluate them with the drive-precompute
-// pipeline. Bit-identical to EvaluateCtx(ctx, ds, r) for any workers.
-func (n *Network) EvaluateBatch(ctx context.Context, ds *dataset.Dataset, r *rng.Stream, workers int) (float64, error) {
-	es, err := n.EncodeDataset(ctx, ds, r, workers)
-	if err != nil {
-		return 0, err
-	}
-	return n.EvaluateEncoded(ctx, es, workers)
 }
 
 func clampWorkers(workers, total int) int {

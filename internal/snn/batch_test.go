@@ -32,8 +32,9 @@ func corruptedWeights(net *Network, seed uint64) []float32 {
 }
 
 // TestEvaluateBatchMatchesScalar pins the tentpole contract: the batched
-// drive-precompute evaluation path returns bit-identical accuracy to the
-// scalar per-sample EvaluateCtx path, for every worker count.
+// path (encode every sample, then the drive-precompute evaluation)
+// returns bit-identical accuracy to the scalar per-sample EvaluateCtx
+// path, for every worker count.
 func TestEvaluateBatchMatchesScalar(t *testing.T) {
 	net := trainedNet(t, 15)
 	_, test := smallData(t, 6, 24)
@@ -44,12 +45,16 @@ func TestEvaluateBatchMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := net.Clone().EvaluateBatch(ctx, test, rng.New(7), workers)
+		es, err := net.EncodeDataset(ctx, test, rng.New(7), workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got, err := net.Clone().EvaluateEncoded(ctx, es, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got != want {
-			t.Fatalf("workers=%d: EvaluateBatch = %v, EvaluateCtx = %v", workers, got, want)
+			t.Fatalf("workers=%d: batched = %v, EvaluateCtx = %v", workers, got, want)
 		}
 	}
 }
@@ -123,8 +128,8 @@ func TestEvaluateEncodedBatchSizeInvariance(t *testing.T) {
 }
 
 // TestEvaluatorBatchMatchesFreshClone pins the evaluator's batched entry
-// point (encoded-set cache + worker fan-out) against the seed path: a
-// fresh Clone + SetWeightsFlat + EvaluateCtx per weight image.
+// point (one caller-owned encoded set + worker fan-out) against the seed
+// path: a fresh Clone + SetWeightsFlat + EvaluateCtx per weight image.
 func TestEvaluatorBatchMatchesFreshClone(t *testing.T) {
 	net := trainedNet(t, 14)
 	_, test := smallData(t, 6, 12)
@@ -145,17 +150,21 @@ func TestEvaluatorBatchMatchesFreshClone(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 8} {
+		es, err := net.EncodeDataset(ctx, test, rng.New(7), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ev := NewEvaluatorWorkers(net, workers)
-		// Two passes over the images: the second pass hits the encoded
-		// cache and the restored Theta, and must not drift.
+		// Two passes over the images: the second pass reuses the set and
+		// the restored Theta, and must not drift.
 		for pass := 0; pass < 2; pass++ {
 			for k, w := range imgs {
-				got, err := ev.EvaluateBatch(ctx, test, w, rng.New(7))
+				got, err := ev.EvaluateWeightsEncoded(ctx, es, w)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want[k] {
-					t.Fatalf("workers=%d pass=%d image %d: EvaluateBatch = %v, fresh clone = %v",
+					t.Fatalf("workers=%d pass=%d image %d: EvaluateWeightsEncoded = %v, fresh clone = %v",
 						workers, pass, k, got, want[k])
 				}
 			}

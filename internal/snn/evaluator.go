@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"sparkxd/internal/coding"
-	"sparkxd/internal/dataset"
 	"sparkxd/internal/quant"
-	"sparkxd/internal/rng"
 )
 
 // Evaluator measures one network's accuracy under many corrupted weight
@@ -19,11 +17,10 @@ import (
 // time (Pool.Step mutates Theta even during inference, which would
 // otherwise make results depend on evaluation order).
 //
-// The evaluator also keeps a single-entry cache of the last encoded
-// dataset: spike trains depend only on (dataset, encoder, steps, stream
-// seed identity), all of which are shared across the weight images of a
-// sweep, so encoding — a large fraction of scalar evaluation time — runs
-// once per evaluator instead of once per weight image.
+// The caller owns the encoded test set: spike trains depend only on the
+// dataset, the encoder, the step count and the stream, all of which are
+// shared across the weight images of a sweep, so the caller encodes once
+// (EncodeDatasetWith) and passes the set to every evaluation.
 //
 // For sparse corruption, EvaluatePatched skips the full load: the clone
 // keeps the load of one clean image between calls, and each call decodes
@@ -39,7 +36,6 @@ type Evaluator struct {
 	theta   []float32 // pristine adaptive thresholds of the source network
 	srcEnc  coding.Encoder
 	workers int
-	enc     *EncodedSet
 	// loaded is the first element of the clean load the clone's weights
 	// equal (EvaluatePatched), or nil when they may not equal one.
 	loaded *float32
@@ -73,32 +69,13 @@ func (e *Evaluator) SetEncoder(enc coding.Encoder) {
 	e.clone.Cfg.Encoder = enc
 }
 
-// EvaluateWeights loads the weight image w into the evaluator's clone
-// (with the SetWeightsFlat on-load sanitization) and returns the clone's
-// accuracy on ds. The result is identical to
-// n.Clone().SetWeightsFlat(w) + EvaluateCtx on a fresh clone.
-func (e *Evaluator) EvaluateWeights(ctx context.Context, ds *dataset.Dataset, w []float32, r *rng.Stream) (float64, error) {
-	return e.EvaluateBatch(ctx, ds, w, r)
-}
-
-// EvaluateBatch evaluates one weight image over every sample of ds as a
-// single batched job: spike trains come from the evaluator's encoded-set
-// cache (rebuilt only when the dataset or stream identity changes), and
-// drive accumulation fans out across the evaluator's workers while the
-// theta-chained neuron updates consume in sample order. Bit-identical to
-// EvaluateWeights on a fresh single-threaded evaluator.
-func (e *Evaluator) EvaluateBatch(ctx context.Context, ds *dataset.Dataset, w []float32, r *rng.Stream) (float64, error) {
-	es, err := e.encodedFor(ctx, ds, r)
-	if err != nil {
-		return 0, err
-	}
-	return e.EvaluateWeightsEncoded(ctx, es, w)
-}
-
-// EvaluateWeightsEncoded is EvaluateBatch against an externally built
-// encoded set — e.g. one shared by every worker of a sweep, so a grid of
-// hundreds of scenarios encodes the test set exactly once instead of
-// once per evaluator.
+// EvaluateWeightsEncoded loads the weight image w into the evaluator's
+// clone (with the SetWeightsFlat on-load sanitization) and returns the
+// clone's accuracy on the encoded set es. The result is identical to
+// n.Clone().SetWeightsFlat(w) + EvaluateCtx on a fresh clone with the
+// stream es was encoded from. Drive accumulation fans out across the
+// evaluator's workers while the theta-chained neuron updates consume in
+// sample order.
 func (e *Evaluator) EvaluateWeightsEncoded(ctx context.Context, es *EncodedSet, w []float32) (float64, error) {
 	copy(e.clone.Pool.Theta, e.theta)
 	e.loaded = nil
@@ -169,20 +146,4 @@ func (e *Evaluator) unpatch(clean []float32, f quant.Format, flips []int64) {
 			w[i] = clean[i]
 		}
 	}
-}
-
-// encodedFor returns the cached encoded set if it matches (ds, r),
-// otherwise encodes ds and replaces the cache. DeriveIndex is a pure
-// function of the stream's seed words, so a matching seed identity
-// guarantees the cached trains equal the ones r would derive.
-func (e *Evaluator) encodedFor(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) (*EncodedSet, error) {
-	if e.enc != nil && e.enc.Matches(&e.clone.Cfg, ds, r) {
-		return e.enc, nil
-	}
-	es, err := e.clone.EncodeDataset(ctx, ds, r, e.workers)
-	if err != nil {
-		return nil, err
-	}
-	e.enc = es
-	return es, nil
 }

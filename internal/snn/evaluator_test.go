@@ -54,12 +54,16 @@ func TestEvaluatorMatchesFreshClone(t *testing.T) {
 		}
 	}
 
+	es, err := net.EncodeDataset(context.Background(), test, rng.New(7), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ev := NewEvaluatorWorkers(net, 1)
 	// Evaluate in order, reversed, and repeated: every answer must match
 	// the fresh-clone reference regardless of history.
 	order := []int{0, 1, 1, 0, 0}
 	for _, k := range order {
-		got, err := ev.EvaluateWeights(context.Background(), test, imgs[k], rng.New(7))
+		got, err := ev.EvaluateWeightsEncoded(context.Background(), es, imgs[k])
 		if err != nil {
 			t.Fatal(err)
 		}

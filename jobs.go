@@ -76,6 +76,8 @@ func (c ConfigSpec) normalized() (ConfigSpec, error) {
 	}
 	if len(c.BERSchedule) == 0 {
 		c.BERSchedule = append([]float64(nil), def.rates...)
+	} else {
+		c.BERSchedule = unsignedZeros(c.BERSchedule)
 	}
 	if c.AccBound == 0 {
 		c.AccBound = def.accBound
@@ -231,12 +233,12 @@ func (s JobSpec) normalizedSweep() (*SweepSpec, error) {
 	if len(sw.Voltages) == 0 {
 		sw.Voltages = []float64{s.Config.Voltage}
 	} else {
-		sw.Voltages = append([]float64(nil), sw.Voltages...)
+		sw.Voltages = unsignedZeros(sw.Voltages)
 	}
 	if len(sw.BERs) == 0 {
 		sw.BERs = append([]float64(nil), s.Config.BERSchedule...)
 	} else {
-		sw.BERs = append([]float64(nil), sw.BERs...)
+		sw.BERs = unsignedZeros(sw.BERs)
 	}
 	if len(sw.ErrorModels) == 0 {
 		em, err := ParseErrorModel(s.Config.ErrorModel)

@@ -6,8 +6,10 @@ package sparkxd_test
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"sparkxd"
@@ -360,4 +362,124 @@ func TestJobSpecExtendedAxisInvalid(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A −0 on a float axis of a job spec is the point 0: it must not give
+// the job a second ID, and the normalized spec holds no −0.
+func TestJobSpecNegativeZeroIsZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name      string
+		neg, zero sparkxd.JobSpec
+	}{
+		{"sweep BERs",
+			sparkxd.JobSpec{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{BERs: []float64{negZero, 1e-5}}},
+			sparkxd.JobSpec{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{BERs: []float64{0, 1e-5}}}},
+		{"sweep prune levels",
+			sparkxd.JobSpec{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{PruneLevels: []float64{negZero, 0.5}}},
+			sparkxd.JobSpec{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{PruneLevels: []float64{0, 0.5}}}},
+		{"BER schedule",
+			sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Config: sparkxd.ConfigSpec{BERSchedule: []float64{negZero, 1e-3}}},
+			sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Config: sparkxd.ConfigSpec{BERSchedule: []float64{0, 1e-3}}}},
+		{"BER schedule a sweep defaults to",
+			sparkxd.JobSpec{Kind: sparkxd.JobSweep, Config: sparkxd.ConfigSpec{BERSchedule: []float64{negZero, 1e-3}}},
+			sparkxd.JobSpec{Kind: sparkxd.JobSweep, Config: sparkxd.ConfigSpec{BERSchedule: []float64{0, 1e-3}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			negID, err := tc.neg.ID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			zeroID, err := tc.zero.ID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if negID != zeroID {
+				t.Errorf("-0 spec ID %s, 0 spec ID %s", negID, zeroID)
+			}
+			norm, err := tc.neg.Normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			axes := [][]float64{norm.Config.BERSchedule}
+			if sw := norm.Sweep; sw != nil {
+				axes = append(axes, sw.Voltages, sw.BERs, sw.PruneLevels)
+			}
+			for _, axis := range axes {
+				for _, x := range axis {
+					if x == 0 && math.Signbit(x) {
+						t.Errorf("normalized spec keeps a -0: %+v", norm)
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzJobSpecNormalize feeds raw JSON to the job-spec trust boundary.
+// For every spec that decodes and normalizes: normalization is
+// idempotent, re-encoding the spec as JSON keeps its ID, and writing
+// every −0 as 0 keeps its ID too.
+func FuzzJobSpecNormalize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var spec sparkxd.JobSpec
+		if json.Unmarshal(raw, &spec) != nil {
+			return
+		}
+		norm, err := spec.Normalized()
+		if err != nil {
+			return
+		}
+		again, err := norm.Normalized()
+		if err != nil {
+			t.Fatalf("normalized spec fails normalization: %v", err)
+		}
+		if !reflect.DeepEqual(again, norm) {
+			t.Fatalf("normalization is not idempotent:\n%+v\nthen\n%+v", norm, again)
+		}
+		id, err := spec.ID()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		b, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back sparkxd.JobSpec
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("re-encoded spec %s does not decode: %v", b, err)
+		}
+		if backID, err := back.ID(); err != nil || backID != id {
+			t.Fatalf("re-encoded spec %s: ID %s, %v; want %s", b, backID, err, id)
+		}
+
+		zeroed := spec
+		unsign := func(x *float64) {
+			if *x == 0 {
+				*x = 0
+			}
+		}
+		unsignAll := func(xs []float64) []float64 {
+			xs = append([]float64(nil), xs...)
+			for i := range xs {
+				unsign(&xs[i])
+			}
+			return xs
+		}
+		unsign(&zeroed.Config.Voltage)
+		unsign(&zeroed.Config.AccBound)
+		zeroed.Config.BERSchedule = unsignAll(spec.Config.BERSchedule)
+		if spec.Sweep != nil {
+			sw := *spec.Sweep
+			sw.Voltages = unsignAll(sw.Voltages)
+			sw.BERs = unsignAll(sw.BERs)
+			sw.PruneLevels = unsignAll(sw.PruneLevels)
+			zeroed.Sweep = &sw
+		}
+		if zeroID, err := zeroed.ID(); err != nil || zeroID != id {
+			t.Fatalf("spec with -0 written as 0: ID %s, %v; want %s", zeroID, err, id)
+		}
+	})
 }

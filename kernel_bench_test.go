@@ -143,8 +143,8 @@ func BenchmarkDriveAccumulation(b *testing.B) {
 // BenchmarkEvaluate measures the steady-state per-scenario evaluation
 // cost of the sweep engine: loading one corrupted weight image into a
 // reusable snn.Evaluator and classifying the full test set. The spike
-// trains are paired (same eval stream every call), matching how every
-// scenario of a sweep evaluates.
+// trains are encoded once before the timer, as a sweep encodes its test
+// set once for every scenario (paired evaluation).
 func BenchmarkEvaluate(b *testing.B) {
 	net, err := snn.New(snn.DefaultConfig(400), rng.New(1))
 	if err != nil {
@@ -158,9 +158,13 @@ func BenchmarkEvaluate(b *testing.B) {
 	for k := 0; k < 64; k++ {
 		w[pr.Intn(len(w))] *= -1
 	}
+	es, err := net.EncodeDataset(context.Background(), test, rng.New(7), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvaluateWeights(context.Background(), test, w, rng.New(7)); err != nil {
+		if _, err := ev.EvaluateWeightsEncoded(context.Background(), es, w); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -193,8 +193,12 @@ func (p *Pipeline) AnalyzeTolerance(ctx context.Context) (*ToleranceReport, erro
 		// error-free accuracy; measure it with the schedule's eval
 		// stream, matching what ImproveTolerance would have used.
 		evalSeed := rng.New(cfg.trainSeed).Derive("eval").Uint64()
-		baselineAcc, err = m.net.Clone().EvaluateBatch(ctx, test, rng.New(evalSeed), p.sys.fw.EvalWorkers)
+		workers := p.sys.fw.EvalWorkers
+		es, err := m.net.EncodeDataset(ctx, test, rng.New(evalSeed), workers)
 		if err != nil {
+			return nil, wrapStage("analyze", err)
+		}
+		if baselineAcc, err = m.net.Clone().EvaluateEncoded(ctx, es, workers); err != nil {
 			return nil, wrapStage("analyze", err)
 		}
 		m.BaselineAcc = baselineAcc

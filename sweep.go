@@ -101,13 +101,13 @@ type SweepReport struct {
 }
 
 // Sweep evaluates the model under every scenario of the grid — the
-// batched, parallel generalization of EvaluateUnderErrors. Scenarios fan
-// out over a work-stealing pool; device profiles are derived once per
-// (voltage, error model) point and shared, and every scenario draws its
-// injection randomness from a stream derived from its scenario key, so
-// the report is byte-identical whether Workers is 1 or N. Evaluation is
-// paired: every scenario uses the spike trains of the same evaluation
-// seed family as EvaluateUnderErrors.
+// batched, parallel generalization of EvaluateUnderErrors. Scenarios run
+// in key order on a pool of Workers slots; device profiles are derived
+// once per (voltage, error model) point and shared, and every scenario
+// draws its injection randomness from a stream derived from its scenario
+// key, so the report is byte-identical whether Workers is 1 or N.
+// Evaluation is paired: every scenario uses the spike trains of the same
+// evaluation seed family as EvaluateUnderErrors.
 //
 // Sweep needs a trained model (run Train/ImproveTolerance or assign one)
 // but no prior Map: each scenario derives its own placement.
@@ -196,7 +196,8 @@ type resolvedSweep struct {
 // and translates it to the internal engine's grid, validating every
 // axis. Extended-axis values equal to the configured default map to the
 // engine's elided zero value, so their scenario keys — and therefore RNG
-// streams and artifacts — match the axis-less spelling exactly.
+// streams and artifacts — match the axis-less spelling exactly; for the
+// same reason every −0 on a float axis is written as 0.
 func (s *System) resolveSweep(spec SweepSpec) (resolvedSweep, error) {
 	cfg := &s.cfg
 	voltages := spec.Voltages
@@ -205,7 +206,7 @@ func (s *System) resolveSweep(spec SweepSpec) (resolvedSweep, error) {
 	}
 	bers := spec.BERs
 	if len(bers) == 0 {
-		bers = append([]float64(nil), cfg.rates...)
+		bers = cfg.rates
 	}
 	var kinds []errmodel.Kind
 	if len(spec.ErrorModels) == 0 {
@@ -273,8 +274,8 @@ func (s *System) resolveSweep(spec SweepSpec) (resolvedSweep, error) {
 		workers = cfg.sweepWorkers
 	}
 	espec := engine.Spec{
-		Voltages:    append([]float64(nil), voltages...),
-		BERs:        append([]float64(nil), bers...),
+		Voltages:    unsignedZeros(voltages),
+		BERs:        unsignedZeros(bers),
 		Kinds:       kinds,
 		Policies:    policies,
 		Bitwidths:   engBits,

@@ -184,6 +184,10 @@ func TestValidateSweep(t *testing.T) {
 		{"NaN BER", sparkxd.SweepSpec{BERs: []float64{math.NaN()}}},
 		{"NaN voltage", sparkxd.SweepSpec{Voltages: []float64{math.NaN()}}},
 		{"infinite voltage", sparkxd.SweepSpec{Voltages: []float64{math.Inf(1)}}},
+		// −0 is 0, so a grid holding both names one point twice.
+		{"BER -0 beside 0", sparkxd.SweepSpec{BERs: []float64{0, math.Copysign(0, -1)}}},
+		{"BER -0 beside 0 with prune levels", sparkxd.SweepSpec{
+			BERs: []float64{math.Copysign(0, -1), 1e-5, 0}, PruneLevels: []float64{0, 0.5}}},
 	}
 	for _, tc := range cases {
 		if err := sys.ValidateSweep(tc.spec); !errors.Is(err, sparkxd.ErrInvalidSweep) {
@@ -364,5 +368,31 @@ func TestSweepDefaultAxisElision(t *testing.T) {
 	bad = sparkxd.SweepSpec{Encoders: []sparkxd.Encoder{"morse"}}
 	if err := sys.ValidateSweep(bad); !errors.Is(err, sparkxd.ErrInvalidSweep) {
 		t.Fatalf("unknown encoder: err = %v, want ErrInvalidSweep", err)
+	}
+}
+
+// TestSweepNegativeZeroIsZero: a −0 BER or prune level is the point 0 —
+// same scenario keys, random streams and report bytes.
+func TestSweepNegativeZeroIsZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training skipped in -short mode")
+	}
+	p := trainedPipeline(t, tinySystem(t))
+	negZero := math.Copysign(0, -1)
+	report := func(bers, prune []float64) []byte {
+		rep, err := p.Sweep(context.Background(), sparkxd.SweepSpec{
+			BERs: bers, PruneLevels: prune, Policies: []sparkxd.Policy{sparkxd.PolicyBaseline}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := report([]float64{0, 1e-3}, []float64{0, 0.5})
+	if got := report([]float64{negZero, 1e-3}, []float64{negZero, 0.5}); !bytes.Equal(got, want) {
+		t.Errorf("-0 sweep report:\n%s\nwant the 0 report:\n%s", got, want)
 	}
 }
