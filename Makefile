@@ -45,9 +45,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecValidate$$' -fuzztime=20s ./internal/engine
 	$(GO) test -run='^$$' -fuzz='^FuzzJobSpecNormalize$$' -fuzztime=20s .
 
-# Quick-mode benchmark smoke run: every benchmark executes exactly one
-# iteration end to end. This only proves the benchmarks still run; real
-# measurement is bench-record / bench-check below.
+# Quick-mode benchmark smoke run: every kernel benchmark
+# (kernel_bench_test.go, the repo's only Benchmark functions) executes
+# exactly one iteration end to end. This only proves the benchmarks
+# still run; real measurement is bench-record / bench-check below.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 

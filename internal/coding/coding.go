@@ -53,12 +53,14 @@ type Rate struct {
 // NewRate returns the paper-default Poisson rate coder.
 func NewRate() Rate { return Rate{MaxProb: 0.12} }
 
-// Name implements Encoder. MaxProb is written in the shortest form that
-// reads back as the same float64, so two coders share a name only if
-// they encode identically.
-func (e Rate) Name() string {
-	return "rate-poisson(p=" + strconv.FormatFloat(e.MaxProb, 'g', -1, 64) + ")"
-}
+// Name implements Encoder. Every parametrized coder writes each of its
+// parameters into its name, floats in the shortest form that reads back
+// as the same float64, so two coders share a name only if they encode
+// identically.
+func (e Rate) Name() string { return "rate-poisson(p=" + shortest(e.MaxProb) + ")" }
+
+// shortest formats x in the shortest form that parses back to x.
+func shortest(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // Encode implements Encoder.
 //
@@ -160,8 +162,10 @@ type DeterministicRate struct {
 // NewDeterministicRate mirrors NewRate's peak rate.
 func NewDeterministicRate() DeterministicRate { return DeterministicRate{MaxPerSteps: 0.12} }
 
-// Name implements Encoder.
-func (e DeterministicRate) Name() string { return "rate-deterministic" }
+// Name implements Encoder; see Rate.Name.
+func (e DeterministicRate) Name() string {
+	return "rate-deterministic(p=" + shortest(e.MaxPerSteps) + ")"
+}
 
 // Encode implements Encoder.
 func (e DeterministicRate) Encode(img []byte, steps int, _ *rng.Stream) Train {
@@ -194,8 +198,8 @@ type TTFS struct {
 	Threshold byte
 }
 
-// Name implements Encoder.
-func (e TTFS) Name() string { return "time-to-first-spike" }
+// Name implements Encoder; see Rate.Name.
+func (e TTFS) Name() string { return "time-to-first-spike(th=" + strconv.Itoa(int(e.Threshold)) + ")" }
 
 // Encode implements Encoder.
 func (e TTFS) Encode(img []byte, steps int, _ *rng.Stream) Train {
@@ -226,8 +230,10 @@ type RankOrder struct {
 // 8 per step.
 func NewRankOrder() RankOrder { return RankOrder{PerStep: 8, Fraction: 0.5} }
 
-// Name implements Encoder.
-func (e RankOrder) Name() string { return "rank-order" }
+// Name implements Encoder; see Rate.Name.
+func (e RankOrder) Name() string {
+	return "rank-order(k=" + strconv.Itoa(e.PerStep) + ",f=" + shortest(e.Fraction) + ")"
+}
 
 // Encode implements Encoder.
 func (e RankOrder) Encode(img []byte, steps int, _ *rng.Stream) Train {
@@ -297,8 +303,8 @@ type Burst struct {
 // NewBurst returns a burst coder with bursts up to 5 spikes.
 func NewBurst() Burst { return Burst{MaxBurst: 5} }
 
-// Name implements Encoder.
-func (e Burst) Name() string { return "burst" }
+// Name implements Encoder; see Rate.Name.
+func (e Burst) Name() string { return "burst(n=" + strconv.Itoa(e.MaxBurst) + ")" }
 
 // Encode implements Encoder.
 func (e Burst) Encode(img []byte, steps int, _ *rng.Stream) Train {

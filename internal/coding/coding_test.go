@@ -2,6 +2,7 @@ package coding
 
 import (
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -410,5 +411,59 @@ func TestRateMatchesFloatCompare(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEqualNamesEncodeIdentically is the property the engine's memo keys
+// and model digest rely on: for all six coders, with parameters drawn
+// from pools that hold near neighbours (so that a name rounding or
+// leaving out a parameter would collide), two coders with equal names
+// encode every probe image into identical trains.
+func TestEqualNamesEncodeIdentically(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	probs := []float64{0.05, 0.12, 0.1204, 0.12000000000000001, 0.5, 1}
+	pick := func(pool []float64) float64 { return pool[r.IntN(len(pool))] }
+	draw := func() Encoder {
+		switch r.IntN(6) {
+		case 0:
+			return Rate{MaxProb: pick(probs)}
+		case 1:
+			return DeterministicRate{MaxPerSteps: pick(probs)}
+		case 2:
+			return TTFS{Threshold: byte(pick([]float64{0, 10, 11, 200}))}
+		case 3:
+			return RankOrder{PerStep: 1 + r.IntN(3), Fraction: pick(probs)}
+		case 4:
+			return Phase{}
+		default:
+			return Burst{MaxBurst: 1 + r.IntN(5)}
+		}
+	}
+	probe := [][]byte{grad(), make([]byte, 784)}
+	for i := 0; i < 3; i++ {
+		img := make([]byte, 784)
+		for j := range img {
+			img[j] = byte(r.IntN(256))
+		}
+		probe = append(probe, img)
+	}
+	const steps = 40
+	same := 0
+	for pair := 0; pair < 2000; pair++ {
+		a, b := draw(), draw()
+		if a.Name() != b.Name() {
+			continue
+		}
+		same++
+		for k, img := range probe {
+			ta := a.Encode(img, steps, rng.New(uint64(k)))
+			tb := b.Encode(img, steps, rng.New(uint64(k)))
+			if !slices.EqualFunc(ta, tb, func(x, y []int32) bool { return slices.Equal(x, y) }) {
+				t.Fatalf("%#v and %#v share the name %q but encode probe image %d differently", a, b, a.Name(), k)
+			}
+		}
+	}
+	if same < 100 {
+		t.Fatalf("only %d of 2000 drawn pairs share a name; the pools must collide more", same)
 	}
 }

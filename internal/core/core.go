@@ -134,6 +134,7 @@ func (f *Framework) CorruptWeights(w []float32, layout *mapping.Layout,
 		panic("core: serialize: " + err.Error()) // sizes are internally consistent
 	}
 	inj := errmodel.NewInjector(f.ErrKind, profile)
+	inj.Prepare(layout)
 	flips := inj.Inject(img, layout, r)
 	out := make([]float32, len(w))
 	if err := quant.Deserialize(img, f.Format, out); err != nil {

@@ -6,28 +6,26 @@
 // deterministic accuracy/energy record per scenario.
 //
 // The sweep decomposes into independent scenario jobs, and each distinct
-// piece of scenario work is done once:
+// piece of scenario work is done once, through one byte-budgeted,
+// single-flight memo that outlives a Run:
 //
-//   - device error profiles are derived once per device point through a
-//     single-flight sched.Cache keyed by (voltage, error-model kind,
-//     device seed) — a (2 voltages × 7 BERs × policies) grid derives 2
-//     profiles, not 14×;
-//   - DRAM placements are cached by what placement reads (policy, image
-//     size and, for sparkxd, the device point and threshold), never by
-//     error-model kind, so every kind shares one layout;
-//   - prepared injectors (weak-cell sets) and the energy replay are
-//     cached per (profile, policy, threshold), so every baseline-policy
-//     scenario of one device point shares a single preparation pass and
-//     a single replay;
+//   - device error profiles are derived once per device point (voltage,
+//     or uniform BER, and device seed) — a (2 voltages × 7 BERs × kinds
+//     × policies) grid derives 2 profiles;
+//   - DRAM placements and their energy replay are kept per device
+//     point, policy, image size and, for sparkxd, threshold, never per
+//     error-model kind, so every kind shares one layout and one replay;
+//   - prepared injectors (weak-cell sets) are kept per (kind,
+//     placement), so every baseline-policy scenario of one device point
+//     and kind shares a single preparation pass;
 //   - the work that depends on the model and the test set but not on
-//     the device point lives in one byte-budgeted memo that outlives a
-//     Run. It holds the pruned master weights; each (stored format,
+//     the device point: the pruned master weights; each (stored format,
 //     prune level) group's clean set, which is the image its master
 //     weights serialize to with no bit flipped and the weights the
 //     network loads from that image; the encoded test sets; and the
 //     accuracy of each (encoder, bitwidth, prune level) group of
 //     scenarios whose injection flipped no bit, since such scenarios all
-//     evaluate their group's clean load. Its keys start with SHA-256
+//     evaluate their group's clean load. Their keys start with SHA-256
 //     digests of what the entry reads (the model's weights, thresholds,
 //     label assignment and configuration; the test set's images and
 //     labels), so a changed model or test set never meets a stale
@@ -64,6 +62,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"sparkxd/internal/coding"
@@ -204,29 +203,21 @@ type Result struct {
 }
 
 // Engine evaluates scenario grids against one framework (device models,
-// error-model kind selection happens per scenario). The caches persist
+// error-model kind selection happens per scenario). The memo persists
 // across Run calls, so repeated sweeps against the same device share
-// profiles and placements, and repeated sweeps of the same model and
-// test set share the memo's work. An Engine is safe for concurrent use.
+// profiles, placements and prepared injectors, and repeated sweeps of
+// the same model and test set share the per-model work. An Engine is
+// safe for concurrent use.
 type Engine struct {
 	fw *core.Framework
-	// profiles single-flights device-profile derivation, keyed by
-	// (voltage | uniform BER, error-model kind, device seed).
-	profiles *sched.Cache
-	// layouts single-flights placement, keyed by (policy, stored format,
-	// image size and — for sparkxd — device point and threshold). Profiles
-	// do not depend on the error-model kind, so neither does this key.
-	layouts *sched.Cache
-	// prepared single-flights injector weak-cell preparation and the
-	// energy replay, keyed by (profile key, policy, threshold, image size,
-	// and — when non-default — the scenario bitwidth).
-	prepared *sched.Cache
-	// memo single-flights, within memoBudget bytes, the work that
-	// depends on the model and the test set but not on the device point:
-	// pruned masters and clean sets (keys prefixed by the model digest),
+	// memo single-flights, within memoBudget bytes, all shared work:
+	// device-point state (profile/, layout/ and prep/ keys), pruned
+	// masters and clean sets (keys prefixed by the model digest),
 	// zero-flip accuracies (model and test digests, EvalSeed, coder) and
 	// encoded test sets (test digest, EvalSeed, coder, steps).
 	memo *sched.Cache
+	// profileHits and profileMisses count the profile family's lookups.
+	profileHits, profileMisses atomic.Uint64
 	// recent holds the model digests of the last recentModels Runs, most
 	// recent last (the second-sight rule).
 	recentMu sync.Mutex
@@ -234,8 +225,9 @@ type Engine struct {
 }
 
 // memoBudget bounds the bytes of values the engine memo keeps (DESIGN
-// §7). The benchmark's sweep workload needs about 13 MB: four clean
-// sets, one pruned master and six encoded test sets of an N200 model.
+// §7). The benchmark's sweep workload needs about 36 MB: 13 MB of
+// per-model entries (four clean sets, one pruned master and six encoded
+// test sets of an N200 model) and 23 MB of device-point state.
 const memoBudget = 64 << 20
 
 // recentModels is how many Runs' model digests the engine remembers. A
@@ -245,22 +237,18 @@ const recentModels = 4
 
 // New returns an engine over the framework's device models.
 func New(fw *core.Framework) *Engine {
-	return &Engine{
-		fw:       fw,
-		profiles: sched.NewCache(),
-		layouts:  sched.NewCache(),
-		prepared: sched.NewCache(),
-		memo:     sched.NewBudgetCache(memoBudget, memoBytes),
-	}
+	return &Engine{fw: fw, memo: sched.NewBudgetCache(memoBudget, memoBytes)}
 }
 
-// ProfileCacheStats returns the cumulative hit/miss counts of the
-// profile cache. After one Run over a grid, misses equals the number of
-// distinct device points and hits equals scenarios − distinct points.
-func (e *Engine) ProfileCacheStats() (hits, misses uint64) { return e.profiles.Stats() }
+// ProfileCacheStats returns the cumulative hit/miss counts of the memo's
+// profile entries. After one Run over a grid, misses equals the number
+// of distinct device points and hits equals scenarios − distinct points.
+func (e *Engine) ProfileCacheStats() (hits, misses uint64) {
+	return e.profileHits.Load(), e.profileMisses.Load()
+}
 
 // MemoStats returns the cumulative hit, miss and eviction counts of the
-// memo of per-model and per-test-set work.
+// whole memo.
 func (e *Engine) MemoStats() (hits, misses, evictions uint64) {
 	hits, misses = e.memo.Stats()
 	return hits, misses, e.memo.Evictions()
@@ -385,15 +373,19 @@ type scratch struct {
 	ev    *snn.Evaluator
 }
 
-// placement is one cached layout. effTh (the threshold Algorithm 2
-// settled on) and safe (the subarrays at or below it) are only
-// meaningful for the sparkxd policy, whose cache key includes the
-// threshold; the baseline layout is shared across BER points and its
-// per-scenario threshold fields are derived by the caller instead.
+// placement is one memoized layout and the energy replay of one
+// inference pass over it at the device point's voltage (zero on uniform
+// grids). effTh (the threshold Algorithm 2 settled on) and safe (the
+// subarrays at or below it) are only meaningful for the sparkxd policy,
+// whose memo key includes the threshold; the baseline layout is shared
+// across BER points and its per-scenario threshold fields are derived
+// by the caller instead.
 type placement struct {
-	layout *mapping.Layout
-	effTh  float64
-	safe   int
+	layout   *mapping.Layout
+	effTh    float64
+	safe     int
+	energyMJ float64
+	hitRate  float64
 }
 
 // runState is what every scenario of one Run shares: its inputs and the
@@ -409,14 +401,12 @@ type runState struct {
 	encSets map[string]*snn.EncodedSet
 }
 
-// prep is one cached (placement, prepared injector, energy replay)
-// entry. The placement is shared across error-model kinds through the
-// layout cache; energyMJ and hitRate are zero on uniform grids.
+// prep is one memoized (placement, prepared injector) entry. The
+// placement is shared across error-model kinds through its own layout
+// entry.
 type prep struct {
 	*placement
-	inj      *errmodel.Injector
-	energyMJ float64
-	hitRate  float64
+	inj *errmodel.Injector
 }
 
 // Run evaluates every scenario of the grid against the network and test
@@ -521,11 +511,11 @@ func (e *Engine) runScenario(ctx context.Context, rs *runState, sc Scenario, s *
 	if err != nil {
 		return Result{}, err
 	}
-	profile, profileKey, err := e.profileFor(sc, spec)
+	profile, err := e.profileFor(sc, spec)
 	if err != nil {
 		return Result{}, err
 	}
-	p, err := e.prepFor(sc, spec, profileKey, profile, len(rs.weights), format)
+	p, err := e.prepFor(sc, spec, profile, len(rs.weights), format)
 	if err != nil {
 		return Result{}, err
 	}
@@ -533,7 +523,7 @@ func (e *Engine) runScenario(ctx context.Context, rs *runState, sc Scenario, s *
 	if sc.Policy == PolicyBaseline {
 		// The baseline placement is shared across BER points (the layout
 		// does not depend on the threshold), so the per-scenario threshold
-		// fields must be derived here, not read from the cache.
+		// fields must be derived here, not read from the memo.
 		effTh, safe = sc.BER, profile.SafeCount(sc.BER)
 	}
 
@@ -727,9 +717,17 @@ func (e *Engine) sawModel(model string) bool {
 	return i >= 0
 }
 
-// memoBytes is what a memo value is charged against memoBudget.
+// memoBytes is what a memo value is charged against memoBudget: its own
+// bytes, not those of the values it shares (a prep entry's layout and
+// profile have entries of their own).
 func memoBytes(v any) int64 {
 	switch v := v.(type) {
+	case *errmodel.Profile:
+		return 8 * int64(len(v.SubarrayBER))
+	case *placement:
+		return v.layout.Bytes()
+	case *prep:
+		return v.inj.Bytes()
 	case []float32: // a pruned master
 		return 4 * int64(len(v))
 	case *cleanSet:
@@ -823,90 +821,79 @@ func (d *digester) sum() string {
 }
 
 // devicePoint names the scenario's device point: its voltage, or its
-// uniform BER on uniform grids. Profiles depend on nothing else but the
-// framework's device seed (ProfileAt and UniformProfile ignore the
-// error-model kind).
-func devicePoint(sc Scenario, spec Spec) string {
+// uniform BER on uniform grids, and the framework's device seed.
+// Profiles depend on nothing else (ProfileAt and UniformProfile ignore
+// the error-model kind).
+func (e *Engine) devicePoint(sc Scenario, spec Spec) string {
 	if spec.Uniform {
-		return fmt.Sprintf("uniform/ber%.3e", sc.BER)
+		return fmt.Sprintf("uniform/ber%.3e/seed%d", sc.BER, e.fw.DeviceSeed)
 	}
-	return fmt.Sprintf("v%.4f", sc.Voltage)
+	return fmt.Sprintf("v%.4f/seed%d", sc.Voltage, e.fw.DeviceSeed)
 }
 
-// profileFor returns the scenario's device profile through the
-// single-flight cache, deriving it at most once per device point.
-func (e *Engine) profileFor(sc Scenario, spec Spec) (*errmodel.Profile, string, error) {
-	key := fmt.Sprintf("profile/%s/%s/seed%d", devicePoint(sc, spec), sc.Kind, e.fw.DeviceSeed)
-	v, err := e.profiles.GetOrCompute(key, func() (any, error) {
+// profileFor returns the scenario's device profile through the memo,
+// deriving it once per device point while its entry stays.
+func (e *Engine) profileFor(sc Scenario, spec Spec) (*errmodel.Profile, error) {
+	counter := &e.profileHits
+	v, err := e.memo.GetOrCompute("profile/"+e.devicePoint(sc, spec), func() (any, error) {
+		counter = &e.profileMisses
 		if spec.Uniform {
 			return errmodel.UniformProfile(e.fw.Geom, sc.BER, e.fw.DeviceSeed)
 		}
 		return e.fw.ProfileAt(sc.Voltage)
 	})
-	if err != nil {
-		return nil, "", err
-	}
-	return v.(*errmodel.Profile), key, nil
-}
-
-// layoutFor returns the scenario's placement through the engine-lifetime
-// single-flight cache. The key holds exactly what LayoutForWeightsIn and
-// MapAdaptiveWithProfileIn read: the policy, the stored format and weight
-// count, and for sparkxd the device point (whose profile decides which
-// subarrays are safe) and the requested threshold. The error-model kind
-// is absent, so all kinds of one device point share one layout.
-func (e *Engine) layoutFor(sc Scenario, spec Spec, profile *errmodel.Profile, weightCount int, format quant.Format) (*placement, error) {
-	key := fmt.Sprintf("layout/%s/%s/n%d", sc.Policy, format, weightCount)
-	if sc.Policy == PolicySparkXD {
-		key = fmt.Sprintf("%s/%s/seed%d/th%.3e", key, devicePoint(sc, spec), e.fw.DeviceSeed, sc.BER)
-	}
-	v, err := e.layouts.GetOrCompute(key, func() (any, error) {
-		if sc.Policy == PolicyBaseline {
-			layout, err := e.fw.LayoutForWeightsIn(format, weightCount, nil)
-			return &placement{layout: layout}, err
-		}
-		layout, th, err := e.fw.MapAdaptiveWithProfileIn(format, profile, weightCount, sc.BER)
-		if err != nil {
-			return nil, err
-		}
-		return &placement{layout: layout, effTh: th, safe: profile.SafeCount(th)}, nil
-	})
+	counter.Add(1)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*placement), nil
+	return v.(*errmodel.Profile), nil
 }
 
-// prepFor returns the scenario's (layout, prepared injector, energy)
-// triple through the single-flight cache. Prepared injectors are
-// read-only during Inject, so concurrent scenarios of the same device
-// point share one weak-cell derivation pass; on voltage-derived grids the
-// energy replay of the layout at the prep's voltage runs once here too.
-func (e *Engine) prepFor(sc Scenario, spec Spec, profileKey string, profile *errmodel.Profile, weightCount int, format quant.Format) (*prep, error) {
-	key := fmt.Sprintf("prep/%s/%s/n%d", profileKey, sc.Policy, weightCount)
+// layoutKey names the scenario's placement by the device point (whose
+// voltage the energy replay runs at, and whose profile decides which
+// subarrays are safe for sparkxd) and exactly what LayoutForWeightsIn
+// and MapAdaptiveWithProfileIn read: the policy, the stored format and
+// weight count, and for sparkxd the requested threshold. The
+// error-model kind is absent, so all kinds of one device point share one
+// layout, and so is the prune level: pruned weights still occupy their
+// cells.
+func (e *Engine) layoutKey(sc Scenario, spec Spec, weightCount int, format quant.Format) string {
+	key := fmt.Sprintf("layout/%s/%s/%s/n%d", e.devicePoint(sc, spec), sc.Policy, format, weightCount)
 	if sc.Policy == PolicySparkXD {
-		key = fmt.Sprintf("prep/%s/%s/th%.3e/n%d", profileKey, sc.Policy, sc.BER, weightCount)
+		key = fmt.Sprintf("%s/th%.3e", key, sc.BER)
 	}
-	if sc.Bits != 0 {
-		// A non-default bitwidth changes the image size and therefore the
-		// layout and weak-cell preparation; prune levels do NOT (pruned
-		// weights still occupy their cells), so prune is absent here.
-		key = fmt.Sprintf("%s/bw%d", key, sc.Bits)
-	}
-	v, err := e.prepared.GetOrCompute(key, func() (any, error) {
-		pl, err := e.layoutFor(sc, spec, profile, weightCount, format)
+	return key
+}
+
+// prepFor returns the scenario's (placement, prepared injector) pair
+// through the memo, keyed by the kind and the layout key; the placement
+// and its energy replay have an entry of their own under the layout
+// key. Prepared injectors are read-only during Inject, so concurrent
+// scenarios of the same device point and kind share one weak-cell
+// derivation pass.
+func (e *Engine) prepFor(sc Scenario, spec Spec, profile *errmodel.Profile, weightCount int, format quant.Format) (*prep, error) {
+	layoutKey := e.layoutKey(sc, spec, weightCount, format)
+	v, err := e.memo.GetOrCompute(fmt.Sprintf("prep/%s/%s", sc.Kind, layoutKey), func() (any, error) {
+		v, err := e.memo.GetOrCompute(layoutKey, func() (any, error) {
+			pl := &placement{}
+			var err error
+			if sc.Policy == PolicyBaseline {
+				pl.layout, err = e.fw.LayoutForWeightsIn(format, weightCount, nil)
+			} else if pl.layout, pl.effTh, err = e.fw.MapAdaptiveWithProfileIn(format, profile, weightCount, sc.BER); err == nil {
+				pl.safe = profile.SafeCount(pl.effTh)
+			}
+			if err != nil || spec.Uniform {
+				return pl, err
+			}
+			energy, err := e.fw.EvaluateEnergy(pl.layout, sc.Voltage)
+			pl.energyMJ, pl.hitRate = energy.TotalMJ(), energy.Stats.HitRate()
+			return pl, err
+		})
 		if err != nil {
 			return nil, err
 		}
-		p := &prep{placement: pl, inj: errmodel.NewInjector(sc.Kind, profile)}
+		p := &prep{placement: v.(*placement), inj: errmodel.NewInjector(sc.Kind, profile)}
 		p.inj.Prepare(p.layout)
-		if !spec.Uniform {
-			energy, err := e.fw.EvaluateEnergy(p.layout, sc.Voltage)
-			if err != nil {
-				return nil, err
-			}
-			p.energyMJ, p.hitRate = energy.TotalMJ(), energy.Stats.HitRate()
-		}
 		return p, nil
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -178,7 +179,8 @@ func busiestNeuron(net *snn.Network) int {
 
 // TestMemoEvictionKeepsReportsIdentical forces evictions with a budget
 // that holds about one clean set: reports stay byte-identical whether
-// the grid runs cold, warm, or over entries the budget evicted.
+// the grid runs cold, warm, or over entries the budget evicted, device
+// profiles, layouts and prepared injectors included.
 func TestMemoEvictionKeepsReportsIdentical(t *testing.T) {
 	net, test := shareFixture(t)
 	spec := memoSpec()
@@ -188,7 +190,14 @@ func TestMemoEvictionKeepsReportsIdentical(t *testing.T) {
 	warm := New(core.NewFramework())
 	tiny := New(core.NewFramework())
 	oneClean := 8 * int64(net.WeightCount()) // an FP32 image and its load
-	tiny.memo = sched.NewBudgetCache(oneClean+oneClean/4, memoBytes)
+	var mu sync.Mutex
+	built := map[string]int{} // values the tiny memo was charged for, by type
+	tiny.memo = sched.NewBudgetCache(oneClean+oneClean/4, func(v any) int64 {
+		mu.Lock()
+		built[fmt.Sprintf("%T", v)]++
+		mu.Unlock()
+		return memoBytes(v)
+	})
 	for i := 0; i < 3; i++ {
 		if got := runReport(t, warm, net, test, spec); got != cold {
 			t.Fatalf("warm run %d differs from the cold run:\n%s\n%s", i, got, cold)
@@ -203,11 +212,19 @@ func TestMemoEvictionKeepsReportsIdentical(t *testing.T) {
 	if _, _, ev := warm.MemoStats(); ev != 0 {
 		t.Fatalf("the default budget evicted %d values of a small grid", ev)
 	}
+	// Device-point entries are never dropped, so a family built more
+	// often than it has keys had entries evicted and built again: the
+	// grid has 2 device points, 1 baseline layout and 2 prep entries.
+	for typ, keys := range map[string]int{"*errmodel.Profile": 2, "*engine.placement": 1, "*engine.prep": 2} {
+		if built[typ] <= keys {
+			t.Errorf("the tiny budget evicted no %s entry: %d built for %d keys", typ, built[typ], keys)
+		}
+	}
 }
 
 // TestMemoSecondSight: a model's first Run keeps none of its per-model
-// entries (only the test set's encoded sets stay), its second Run keeps
-// them, and its third computes nothing new.
+// entries (only the test set's encoded sets and the device-point entries
+// stay), its second Run keeps them, and its third computes nothing new.
 func TestMemoSecondSight(t *testing.T) {
 	net, test := shareFixture(t)
 	spec := memoSpec()
@@ -231,7 +248,9 @@ func TestMemoSecondSight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := v.(*snn.EncodedSet); !ok {
+		switch v.(type) {
+		case *snn.EncodedSet, *errmodel.Profile, *placement, *prep:
+		default:
 			t.Fatalf("after the model's first Run the memo keeps %q, a %T", k, v)
 		}
 	}
@@ -331,32 +350,39 @@ func TestMemoWaiterOutlivesAnotherRunsCancellation(t *testing.T) {
 	}
 }
 
-// TestMemoTellsRateCodersApart: two networks that differ only in their
-// rate coder's MaxProb, by less than three significant digits, must not
-// share encoded test sets or zero-flip accuracies. Each is swept twice on
-// one warm engine, and every report must equal a fresh engine's.
-func TestMemoTellsRateCodersApart(t *testing.T) {
+// TestMemoTellsCodersApart: networks that differ only in one parameter
+// of their coder must not share encoded test sets or zero-flip
+// accuracies, also when two rate coders' MaxProb differ below three
+// significant digits. For each pair, each network is swept twice on one
+// warm engine, and every report must equal a fresh engine's.
+func TestMemoTellsCodersApart(t *testing.T) {
 	base, test := shareFixture(t)
 	spec := memoSpec()
-	var nets []*snn.Network
-	for _, p := range []float64{0.12, 0.1204} {
-		net := base.Clone()
-		net.Cfg.Encoder = coding.Rate{MaxProb: p}
-		nets = append(nets, net)
+	pairs := map[string][2]coding.Encoder{
+		"rate":               {coding.Rate{MaxProb: 0.12}, coding.Rate{MaxProb: 0.1204}},
+		"burst":              {coding.Burst{MaxBurst: 5}, coding.Burst{MaxBurst: 1}},
+		"deterministic rate": {coding.DeterministicRate{MaxPerSteps: 0.12}, coding.DeterministicRate{MaxPerSteps: 0.5}},
 	}
-	want := make([]string, len(nets))
-	for i, net := range nets {
-		want[i] = runReport(t, New(core.NewFramework()), net, test, spec)
-	}
-	if want[0] == want[1] {
-		t.Fatal("the two coders give one report, so a shared entry could not show")
-	}
-	e := New(core.NewFramework())
-	for pass := 0; pass < 2; pass++ {
-		for i, net := range nets {
-			if got := runReport(t, e, net, test, spec); got != want[i] {
-				t.Errorf("pass %d, MaxProb %v: warm engine\n%s\nfresh engine\n%s", pass, net.Cfg.Encoder.(coding.Rate).MaxProb, got, want[i])
+	for name, coders := range pairs {
+		t.Run(name, func(t *testing.T) {
+			var nets [2]*snn.Network
+			var want [2]string
+			for i, c := range coders {
+				nets[i] = base.Clone()
+				nets[i].Cfg.Encoder = c
+				want[i] = runReport(t, New(core.NewFramework()), nets[i], test, spec)
 			}
-		}
+			if want[0] == want[1] {
+				t.Fatal("the two coders give one report, so a shared entry could not show")
+			}
+			e := New(core.NewFramework())
+			for pass := 0; pass < 2; pass++ {
+				for i, net := range nets {
+					if got := runReport(t, e, net, test, spec); got != want[i] {
+						t.Errorf("pass %d, %#v: warm engine\n%s\nfresh engine\n%s", pass, coders[i], got, want[i])
+					}
+				}
+			}
+		})
 	}
 }

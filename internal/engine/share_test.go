@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sparkxd/internal/coding"
@@ -141,8 +142,9 @@ func TestSharedWorkMatchesIsolatedScenarios(t *testing.T) {
 
 // TestPlacementsAndEnergyShared: prep entries of different error models
 // at one (voltage, policy, threshold, bitwidth) point hold the same
-// layout, the placement cache holds one entry per distinct placement,
-// and a scenario's energy is the replay of its layout at its voltage.
+// placement, the memo holds one layout entry per distinct placement and
+// one profile entry per device point, and a scenario's energy is the
+// replay of its layout at its voltage.
 func TestPlacementsAndEnergyShared(t *testing.T) {
 	net, test := testFixture(t)
 	fw := core.NewFramework()
@@ -152,13 +154,18 @@ func TestPlacementsAndEnergyShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 baseline placement + 2 voltages x 3 thresholds of sparkxd ones;
-	// preps stay per kind: 2 voltages x 2 kinds x (1 baseline + 3 sparkxd).
-	if got := e.layouts.Len(); got != 7 {
-		t.Errorf("layout cache holds %d entries, want 7: %v", got, e.layouts.Keys())
+	// 2 voltages; per voltage 1 baseline placement and 3 sparkxd ones,
+	// one per threshold; preps stay per kind: 2 kinds x 8 placements.
+	families := map[string]int{}
+	for _, k := range e.memo.Keys() {
+		if family, _, ok := strings.Cut(k, "/"); ok {
+			families[family]++
+		}
 	}
-	if got := e.prepared.Len(); got != 16 {
-		t.Errorf("prep cache holds %d entries, want 16", got)
+	for family, want := range map[string]int{"profile": 2, "layout": 8, "prep": 16} {
+		if got := families[family]; got != want {
+			t.Errorf("memo holds %d %s entries, want %d: %v", got, family, want, e.memo.Keys())
+		}
 	}
 
 	n := net.WeightCount()
@@ -171,11 +178,11 @@ func TestPlacementsAndEnergyShared(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				profile, key, err := e.profileFor(sc, spec)
+				profile, err := e.profileFor(sc, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, err := e.prepFor(sc, spec, key, profile, n, format)
+				p, err := e.prepFor(sc, spec, profile, n, format)
 				if err != nil {
 					t.Fatal(err)
 				}

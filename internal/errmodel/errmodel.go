@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"sparkxd/internal/dram"
 	"sparkxd/internal/quant"
@@ -192,12 +193,13 @@ func (p *Profile) SafeCount(berTh float64) int {
 }
 
 // Injector injects bit errors into a mapped weight image according to an
-// EDEN error model and a device profile. Construct with NewInjector.
+// EDEN error model and a device profile. Construct with NewInjector and
+// call Prepare before injecting.
 //
-// The injector caches the weak-cell sets per subarray region after the
-// first pass over a given placement, so repeated injections (every
-// training epoch, every evaluation point) are fast and hit correlated
-// locations — the fixed-weak-cell physics the models describe.
+// Prepare derives the weak-cell sets of every subarray region of one
+// placement, so repeated injections (every training epoch, every
+// evaluation point) are fast and hit correlated locations — the
+// fixed-weak-cell physics the models describe.
 type Injector struct {
 	Kind    Kind
 	Profile *Profile
@@ -206,34 +208,41 @@ type Injector struct {
 	// activation*P0*2/(P1+P0). Ignored by other models.
 	P1, P0 float64
 
-	regions map[int]*region // keyed by linear subarray index
-	// order is the sorted region key sequence. Inject must visit regions
-	// in a fixed order: every region consumes draws from the caller's
-	// stream, so iterating the map directly would make the flip pattern
-	// depend on Go's randomized map iteration order.
-	order []int
+	// pl is the placement Prepare ran on; Inject accepts no other.
+	pl Placement
+	// regions holds the regions whose BER is above 0, in subarray order.
+	// Inject must visit regions in a fixed order: every region consumes
+	// draws from the caller's stream.
+	regions []region
 }
 
 // region is the portion of an image that lives in one subarray.
 //
-// The weak-cell sets are stored in injection-ready form: absBits holds
-// the absolute image bit index of every weak cell (Models 0 and 3), so
-// the per-flip unit/offset division happens once at Prepare instead of
-// on every injection pass; weakBLOff lists, per DRAM column, the weak
-// bit offsets within one unit in ascending order (Model1), so injection
-// visits only weak bitlines instead of probing a map for every bit; and
-// weakRow is a dense per-row flag slice (Model2).
+// Its units are stored as runs, and its weak-cell set in injection-ready
+// form: absBits holds the absolute image bit index of every weak cell
+// (Models 0 and 3), in sampled order, so the per-flip unit/offset
+// translation happens once at Prepare instead of on every injection
+// pass; blOffs lists, column by column, the weak bit offsets within one
+// unit in ascending order (Model1), so injection visits only weak
+// bitlines; and weakRows is a bitset of the subarray's weak rows
+// (Model2).
 type region struct {
-	sub      dram.SubarrayID
+	sub      int // linear subarray index
 	ber      float64
-	unitIdx  []int32 // image column units in this subarray (image order)
-	bitsPer  int64   // bits per unit
-	weakBits []int64 // region-relative weak bit positions (Models 0 and 3)
-	absBits  []int64 // weakBits translated to absolute image bit indices
-	weakBLOf [][]int32
-	weakRow  []bool
-	rows     []int32 // per unit: row within subarray (Model2 only)
-	cols     []int32 // per unit: column within row (Model1 only)
+	runs     []run
+	absBits  []int64
+	blOffs   []int32
+	blStart  []int32 // column c's offsets are blOffs[blStart[c]:blStart[c+1]]
+	weakRows []uint64
+}
+
+// run is a stretch of consecutive image units in one row of a region,
+// at consecutive columns.
+type run struct {
+	unit int32 // first image unit
+	n    int32 // units in the run
+	row  int32 // row within the subarray
+	col  int32 // column of the first unit
 }
 
 // NewInjector returns an injector for the given model kind and profile.
@@ -243,11 +252,12 @@ func NewInjector(kind Kind, p *Profile) *Injector {
 		Profile: p,
 		P1:      1.5, // EDEN-style asymmetry: true-cells fail more often
 		P0:      0.5,
-		regions: make(map[int]*region),
 	}
 }
 
 // Placement describes where each column unit of an image resides.
+// Inject compares placements with ==, so a placement type must be
+// comparable (a pointer, typically).
 type Placement interface {
 	// Units returns the number of column units in the image.
 	Units() int
@@ -257,85 +267,92 @@ type Placement interface {
 	UnitBytes() int
 }
 
-// Prepare builds (or rebuilds) the weak-cell cache for a placement. It is
-// called automatically by Inject when the placement shape changes; calling
-// it explicitly lets tests pin deterministic weak-cell sets.
+// Prepare builds the weak-cell sets for a placement and records it:
+// Inject and InjectRecord accept only the placement last prepared.
+// Prepare is the only writer of the injector, so a prepared injector is
+// safely shared by concurrent injections.
 func (in *Injector) Prepare(pl Placement) {
-	in.regions = make(map[int]*region)
-	in.order = in.order[:0]
 	geom := in.Profile.Geom
-	bitsPer := int64(pl.UnitBytes()) * 8
+	in.pl = pl
+	in.regions = nil
+	slot := make([]int32, geom.SubarrayCount()) // region index + 1, by subarray
 	for u := 0; u < pl.Units(); u++ {
 		c := pl.CoordOf(u)
 		lin := c.SubarrayOf().Linear(geom)
-		reg := in.regions[lin]
-		if reg == nil {
-			reg = &region{
-				sub:     c.SubarrayOf(),
-				ber:     in.Profile.SubarrayBER[lin],
-				bitsPer: bitsPer,
+		if in.Profile.SubarrayBER[lin] <= 0 {
+			continue // a region with no errors never draws
+		}
+		if slot[lin] == 0 {
+			in.regions = append(in.regions, region{sub: lin, ber: in.Profile.SubarrayBER[lin]})
+			slot[lin] = int32(len(in.regions))
+		}
+		reg := &in.regions[slot[lin]-1]
+		if k := len(reg.runs) - 1; k >= 0 {
+			last := &reg.runs[k]
+			if int(last.unit+last.n) == u && int(last.row) == c.Row && int(last.col+last.n) == c.Column {
+				last.n++
+				continue
 			}
-			in.regions[lin] = reg
 		}
-		reg.unitIdx = append(reg.unitIdx, int32(u))
-		// Only the wordline and bitline models read a unit's row and
-		// column; the other kinds keep neither array.
-		switch in.Kind {
-		case Model2:
-			reg.rows = append(reg.rows, int32(c.Row))
-		case Model1:
-			reg.cols = append(reg.cols, int32(c.Column))
-		}
+		reg.runs = append(reg.runs, run{unit: int32(u), n: 1, row: int32(c.Row), col: int32(c.Column)})
 	}
-	for lin := range in.regions {
-		in.order = append(in.order, lin)
+	sort.Slice(in.regions, func(a, b int) bool { return in.regions[a].sub < in.regions[b].sub })
+	bitsPer := int64(pl.UnitBytes()) * 8
+	for i := range in.regions {
+		in.buildWeakSets(&in.regions[i], bitsPer)
 	}
-	sort.Ints(in.order)
-	for _, lin := range in.order {
-		in.buildWeakSets(in.regions[lin])
+}
+
+// Bytes returns the bytes the prepared regions, runs and weak-cell sets
+// occupy.
+func (in *Injector) Bytes() int64 {
+	n := int64(cap(in.regions)) * int64(unsafe.Sizeof(region{}))
+	for _, reg := range in.regions {
+		n += int64(unsafe.Sizeof(run{}))*int64(cap(reg.runs)) + 8*int64(cap(reg.absBits)+cap(reg.weakRows)) +
+			4*int64(cap(reg.blOffs)+cap(reg.blStart))
 	}
+	return n
 }
 
 // buildWeakSets derives the deterministic weak-cell locations of a region
 // from the device seed.
-func (in *Injector) buildWeakSets(reg *region) {
-	if reg.ber <= 0 {
-		return
-	}
-	seedStream := rng.New(in.Profile.DeviceSeed).
-		DeriveIndex("weak-cells", reg.sub.Linear(in.Profile.Geom))
-	totalBits := int64(len(reg.unitIdx)) * reg.bitsPer
+func (in *Injector) buildWeakSets(reg *region, bitsPer int64) {
+	seedStream := rng.New(in.Profile.DeviceSeed).DeriveIndex("weak-cells", reg.sub)
 	weakFrac := reg.ber * in.Profile.WeakBoost
 	if weakFrac > 0.5 {
 		weakFrac = 0.5
 	}
 	switch in.Kind {
 	case Model0, Model3:
+		// The region's image units in order, for this translation only.
+		var units []int64
+		for _, ru := range reg.runs {
+			for u := int64(ru.unit); u < int64(ru.unit+ru.n); u++ {
+				units = append(units, u)
+			}
+		}
+		totalBits := int64(len(units)) * bitsPer
 		// Sample weak bit positions uniformly over the region, without
-		// duplicates (a physical cell is weak once).
+		// duplicates (a physical cell is weak once), and resolve each to
+		// its absolute image position once, so Inject's hot loop is a
+		// Bernoulli draw and a FlipBit with no division. The sampled
+		// order is kept: draw k of every injection pass maps to the same
+		// physical cell.
 		count := seedStream.Binomial(int(totalBits), weakFrac)
 		seen := make(map[int64]struct{}, count)
-		reg.weakBits = make([]int64, 0, count)
-		for len(reg.weakBits) < count {
+		reg.absBits = make([]int64, 0, count)
+		for len(reg.absBits) < count {
 			b := seedStream.Int63n(totalBits)
 			if _, dup := seen[b]; dup {
 				continue
 			}
 			seen[b] = struct{}{}
-			reg.weakBits = append(reg.weakBits, b)
-		}
-		// Resolve each weak bit to its absolute image position once, so
-		// Inject's hot loop is a Bernoulli draw and a FlipBit with no
-		// division. The sampled order is preserved: draw k of every
-		// injection pass maps to the same physical cell as before.
-		reg.absBits = make([]int64, len(reg.weakBits))
-		for k, wb := range reg.weakBits {
-			reg.absBits[k] = in.regionBitIndex(reg, wb)
+			reg.absBits = append(reg.absBits, units[b/bitsPer]*bitsPer+b%bitsPer)
 		}
 	case Model1:
 		// Weak bitlines: a bitline is one bit offset within the row
 		// (column*bitsPerUnit + bitInUnit). Cluster the same BER mass.
-		nBitlines := in.Profile.Geom.Columns * int(reg.bitsPer)
+		nBitlines := in.Profile.Geom.Columns * int(bitsPer)
 		count := seedStream.Binomial(nBitlines, weakFrac)
 		weak := make([]bool, nBitlines)
 		for i := 0; i < count; i++ {
@@ -343,34 +360,31 @@ func (in *Injector) buildWeakSets(reg *region) {
 		}
 		// Per column, the ascending weak-bit offsets within one unit —
 		// injection then visits exactly the weak bitlines, in the same
-		// order the full 0..bitsPer scan used to find them.
-		reg.weakBLOf = make([][]int32, in.Profile.Geom.Columns)
-		for col := range reg.weakBLOf {
-			base := col * int(reg.bitsPer)
-			var offs []int32
-			for b := 0; b < int(reg.bitsPer); b++ {
-				if weak[base+b] {
-					offs = append(offs, int32(b))
+		// order a full 0..bitsPer scan finds them.
+		reg.blStart = make([]int32, in.Profile.Geom.Columns+1)
+		for col := 0; col < in.Profile.Geom.Columns; col++ {
+			for b := 0; b < int(bitsPer); b++ {
+				if weak[col*int(bitsPer)+b] {
+					reg.blOffs = append(reg.blOffs, int32(b))
 				}
 			}
-			reg.weakBLOf[col] = offs
+			reg.blStart[col+1] = int32(len(reg.blOffs))
 		}
 	case Model2:
 		// Weak wordlines: whole rows of the subarray.
 		nRows := in.Profile.Geom.Rows
 		count := seedStream.Binomial(nRows, weakFrac)
-		reg.weakRow = make([]bool, nRows)
+		reg.weakRows = make([]uint64, (nRows+63)/64)
 		for i := 0; i < count; i++ {
-			reg.weakRow[seedStream.Intn(nRows)] = true
+			row := seedStream.Intn(nRows)
+			reg.weakRows[row/64] |= 1 << uint(row%64)
 		}
 	}
 }
 
-// wordlineMaskBytes bounds the stack-local flip mask a weak wordline is
-// accumulated into before being XORed into the image word-at-a-time;
-// units larger than this fall back to per-bit flips. 512 bytes covers
-// every geometry in the repo (units are one DRAM column, typically
-// 64–256 bytes).
+// wordlineMaskBytes bounds the stack-local flip mask the bits of a weak
+// wordline's units are accumulated into before being XORed into the
+// image word-at-a-time.
 const wordlineMaskBytes = 512
 
 // Inject flips bits of img in place according to the model, profile, and
@@ -382,7 +396,8 @@ const wordlineMaskBytes = 512
 // scan-everything form did — one draw per weak cell visited in region /
 // unit / ascending-bit order — so flip patterns are bit-identical to it
 // for any given stream. Scratch state is stack-local: one Injector is
-// safely shared read-only by concurrent scenario workers.
+// safely shared read-only by concurrent scenario workers. Inject panics
+// when pl is not the placement Prepare last ran on.
 func (in *Injector) Inject(img []byte, pl Placement, r *rng.Stream) int64 {
 	return in.inject(img, pl, r, nil)
 }
@@ -399,16 +414,14 @@ func (in *Injector) InjectRecord(img []byte, pl Placement, r *rng.Stream, flips 
 // inject is the one loop body behind Inject and InjectRecord; rec, when
 // non-nil, receives the index of every flipped bit.
 func (in *Injector) inject(img []byte, pl Placement, r *rng.Stream, rec *[]int64) int64 {
-	if len(in.regions) == 0 {
-		in.Prepare(pl)
+	if in.pl == nil || pl != in.pl {
+		panic("errmodel: Inject with a placement the injector was not prepared for; call Prepare first")
 	}
+	bitsPer := int64(pl.UnitBytes()) * 8
 	var flipped int64
 	actBase := 1.0 / in.Profile.WeakBoost
-	for _, lin := range in.order {
-		reg := in.regions[lin]
-		if reg.ber <= 0 {
-			continue
-		}
+	for i := range in.regions {
+		reg := &in.regions[i]
 		switch in.Kind {
 		case Model0:
 			// absBits pre-resolves every weak cell's image position, so
@@ -442,70 +455,51 @@ func (in *Injector) inject(img []byte, pl Placement, r *rng.Stream, rec *[]int64
 				}
 			}
 		case Model1:
-			for ui := range reg.unitIdx {
-				offs := reg.weakBLOf[reg.cols[ui]]
-				if len(offs) == 0 {
-					continue
-				}
-				unitBase := int64(reg.unitIdx[ui]) * reg.bitsPer
-				for _, b := range offs {
-					if r.Bernoulli(actBase) {
-						quant.FlipBit(img, unitBase+int64(b))
-						flipped++
-						if rec != nil {
-							*rec = append(*rec, unitBase+int64(b))
-						}
-					}
-				}
-			}
-		case Model2:
-			// A weak wordline draws for every bit of the unit — dense
-			// enough that flips are accumulated into a stack mask and
-			// applied with one word-at-a-time XOR pass per unit.
-			unitBytes := int(reg.bitsPer) / 8
-			var maskArr [wordlineMaskBytes]byte
-			for ui := range reg.unitIdx {
-				if !reg.weakRow[reg.rows[ui]] {
-					continue
-				}
-				unitBase := int64(reg.unitIdx[ui]) * reg.bitsPer
-				if unitBytes <= len(maskArr) {
-					mask := maskArr[:unitBytes]
-					for i := range mask {
-						mask[i] = 0
-					}
-					for b := 0; b < int(reg.bitsPer); b++ {
+			for _, ru := range reg.runs {
+				for j := int32(0); j < ru.n; j++ {
+					col := ru.col + j
+					offs := reg.blOffs[reg.blStart[col]:reg.blStart[col+1]]
+					unitBase := int64(ru.unit+j) * bitsPer
+					for _, b := range offs {
 						if r.Bernoulli(actBase) {
-							mask[b>>3] |= 1 << uint(b&7)
+							quant.FlipBit(img, unitBase+int64(b))
+							flipped++
 							if rec != nil {
 								*rec = append(*rec, unitBase+int64(b))
 							}
 						}
 					}
-					byteBase := int(reg.unitIdx[ui]) * unitBytes
-					flipped += quant.XORInto(img[byteBase:byteBase+unitBytes], mask)
-				} else {
-					for b := int64(0); b < reg.bitsPer; b++ {
+				}
+			}
+		case Model2:
+			// A weak wordline draws for every bit of each of its units, and
+			// a run's units are one contiguous stretch of the image, drawn
+			// in ascending bit order: flips are accumulated into a stack
+			// mask, wordlineMaskBytes at a time, and applied with one
+			// word-at-a-time XOR pass each.
+			var maskArr [wordlineMaskBytes]byte
+			for _, ru := range reg.runs {
+				if reg.weakRows[ru.row/64]>>(ru.row%64)&1 == 0 {
+					continue
+				}
+				end := int64(ru.unit+ru.n) * bitsPer / 8
+				for lo := int64(ru.unit) * bitsPer / 8; lo < end; lo += wordlineMaskBytes {
+					mask := maskArr[:min(wordlineMaskBytes, end-lo)]
+					clear(mask)
+					for b := range int64(len(mask)) * 8 {
 						if r.Bernoulli(actBase) {
-							quant.FlipBit(img, unitBase+b)
-							flipped++
+							mask[b>>3] |= 1 << (b & 7)
 							if rec != nil {
-								*rec = append(*rec, unitBase+b)
+								*rec = append(*rec, lo*8+b)
 							}
 						}
 					}
+					flipped += quant.XORInto(img[lo:], mask)
 				}
 			}
 		}
 	}
 	return flipped
-}
-
-// regionBitIndex translates a region-relative bit position to an image
-// bit index.
-func (in *Injector) regionBitIndex(reg *region, regionBit int64) int64 {
-	unit := reg.unitIdx[regionBit/reg.bitsPer]
-	return int64(unit)*reg.bitsPer + regionBit%reg.bitsPer
 }
 
 // ExpectedFlips returns the expected number of flipped bits for an image

@@ -2,6 +2,7 @@ package errmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sparkxd/internal/dram"
@@ -116,6 +117,7 @@ func TestModel0FlipCountNearExpectation(t *testing.T) {
 	p := testProfile(t, voltscale.V1025, 0) // uniform so expectation is exact
 	in := NewInjector(Model0, p)
 	pl := seqPlacement{geom: p.Geom, units: 1024, ub: 32}
+	in.Prepare(pl)
 	img := make([]byte, pl.units*pl.ub)
 	want := in.ExpectedFlips(pl)
 	var total float64
@@ -137,6 +139,7 @@ func TestInjectReportsActualFlips(t *testing.T) {
 	p := testProfile(t, voltscale.V1025, 0)
 	in := NewInjector(Model0, p)
 	pl := seqPlacement{geom: p.Geom, units: 256, ub: 32}
+	in.Prepare(pl)
 	img := make([]byte, pl.units*pl.ub)
 	orig := append([]byte(nil), img...)
 	n := in.Inject(img, pl, rng.New(5))
@@ -149,6 +152,7 @@ func TestWeakCellsCorrelatedAcrossInjections(t *testing.T) {
 	p := testProfile(t, voltscale.V1025, 0)
 	in := NewInjector(Model0, p)
 	pl := seqPlacement{geom: p.Geom, units: 512, ub: 32}
+	in.Prepare(pl)
 	base := make([]byte, pl.units*pl.ub)
 
 	// Two independent injection passes: flipped locations must overlap far
@@ -183,6 +187,7 @@ func TestModel3DataDependence(t *testing.T) {
 	p := testProfile(t, voltscale.V1025, 0)
 	in := NewInjector(Model3, p)
 	pl := seqPlacement{geom: p.Geom, units: 512, ub: 32}
+	in.Prepare(pl)
 
 	ones := make([]byte, pl.units*pl.ub)
 	zeros := make([]byte, pl.units*pl.ub)
@@ -206,6 +211,7 @@ func TestModel1ClustersOnBitlines(t *testing.T) {
 	p := testProfile(t, voltscale.V1025, 0)
 	in := NewInjector(Model1, p)
 	pl := seqPlacement{geom: p.Geom, units: int(p.Geom.TotalColumns()), ub: 32}
+	in.Prepare(pl)
 	img := make([]byte, pl.units*pl.ub)
 	in.Inject(img, pl, rng.New(7))
 
@@ -236,6 +242,7 @@ func TestModel2ClustersOnWordlines(t *testing.T) {
 	p := testProfile(t, voltscale.V1025, 0)
 	in := NewInjector(Model2, p)
 	pl := seqPlacement{geom: p.Geom, units: int(p.Geom.TotalColumns()), ub: 32}
+	in.Prepare(pl)
 	img := make([]byte, pl.units*pl.ub)
 	in.Inject(img, pl, rng.New(11))
 
@@ -264,6 +271,7 @@ func TestInjectNothingAtNominalVoltage(t *testing.T) {
 	p := testProfile(t, voltscale.VNominal, DefaultSpread)
 	in := NewInjector(Model0, p)
 	pl := seqPlacement{geom: p.Geom, units: 128, ub: 32}
+	in.Prepare(pl)
 	img := make([]byte, pl.units*pl.ub)
 	if n := in.Inject(img, pl, rng.New(1)); n != 0 {
 		t.Fatalf("nominal voltage must inject no errors, got %d", n)
@@ -277,5 +285,45 @@ func TestExpectedFlipsScalesWithImage(t *testing.T) {
 	large := seqPlacement{geom: p.Geom, units: 200, ub: 32}
 	if math.Abs(in.ExpectedFlips(large)/in.ExpectedFlips(small)-2) > 1e-9 {
 		t.Fatal("expected flips must scale linearly with image size")
+	}
+}
+
+// TestInjectNeedsItsPreparedPlacement: Prepare is the only writer of an
+// injector. Injecting before it, or into another placement than the one
+// it prepared, panics with a message that names Prepare, in both
+// directions of a size change.
+func TestInjectNeedsItsPreparedPlacement(t *testing.T) {
+	p := testProfile(t, voltscale.V1025, 0)
+	small := seqPlacement{geom: p.Geom, units: 64, ub: 32}
+	large := seqPlacement{geom: p.Geom, units: 2048, ub: 32}
+	cases := []struct {
+		name         string
+		prepared, pl Placement
+	}{
+		{"before Prepare", nil, small},
+		{"larger than prepared", small, large},
+		{"smaller than prepared", large, small},
+	}
+	for _, tc := range cases {
+		for _, record := range []bool{false, true} {
+			in := NewInjector(Model0, p)
+			if tc.prepared != nil {
+				in.Prepare(tc.prepared)
+			}
+			img := make([]byte, tc.pl.Units()*tc.pl.UnitBytes())
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "Prepare") {
+						t.Errorf("%s (record %v): recovered %q, want a panic naming Prepare", tc.name, record, msg)
+					}
+				}()
+				if record {
+					in.InjectRecord(img, tc.pl, rng.New(1), nil)
+				} else {
+					in.Inject(img, tc.pl, rng.New(1))
+				}
+			}()
+		}
 	}
 }

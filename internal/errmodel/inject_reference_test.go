@@ -2,45 +2,100 @@ package errmodel
 
 import (
 	"bytes"
+	"math"
+	"math/rand/v2"
 	"testing"
 
+	"sparkxd/internal/dram"
 	"sparkxd/internal/quant"
 	"sparkxd/internal/rng"
 	"sparkxd/internal/voltscale"
 )
 
-// injectReference is the seed repo's scan-everything Inject, rebuilt from
-// the region's raw fields: per-bit index arithmetic for Models 0/3, a
-// full 0..bitsPer scan against a rebuilt weak-bitline table for Model 1,
-// and per-bit FlipBit calls for Model 2. It consumes Bernoulli draws in
-// exactly the order the production fast path must preserve, so running
-// both against the same stream must yield identical images.
-func injectReference(in *Injector, img []byte, r *rng.Stream) int64 {
+// refRegion is one region expanded to per-unit lists: the image unit,
+// row and column of each of its units, in image order.
+type refRegion struct {
+	sub               int
+	ber               float64
+	units, rows, cols []int64
+}
+
+// expandRegions expands the prepared regions' runs into per-unit lists
+// and checks them against the placement: every unit of a subarray with a
+// nonzero BER must appear exactly once, in its own region, at its own
+// row and column, and regions must come in subarray order.
+func expandRegions(t *testing.T, in *Injector, pl Placement) []refRegion {
+	t.Helper()
+	geom := in.Profile.Geom
+	var out []refRegion
+	seen := make(map[int64]bool)
+	for i, reg := range in.regions {
+		if i > 0 && reg.sub <= in.regions[i-1].sub {
+			t.Fatalf("regions out of subarray order: %d after %d", reg.sub, in.regions[i-1].sub)
+		}
+		rr := refRegion{sub: reg.sub, ber: reg.ber}
+		for _, ru := range reg.runs {
+			for j := int32(0); j < ru.n; j++ {
+				u, row, col := int64(ru.unit+j), int64(ru.row), int64(ru.col+j)
+				c := pl.CoordOf(int(u))
+				if c.SubarrayOf().Linear(geom) != reg.sub || int64(c.Row) != row || int64(c.Column) != col {
+					t.Fatalf("unit %d: region %d says row %d column %d, placement says %v", u, reg.sub, row, col, c)
+				}
+				if seen[u] || (len(rr.units) > 0 && u <= rr.units[len(rr.units)-1]) {
+					t.Fatalf("unit %d listed twice or out of image order", u)
+				}
+				seen[u] = true
+				rr.units, rr.rows, rr.cols = append(rr.units, u), append(rr.rows, row), append(rr.cols, col)
+			}
+		}
+		out = append(out, rr)
+	}
+	for u := 0; u < pl.Units(); u++ {
+		lin := pl.CoordOf(u).SubarrayOf().Linear(geom)
+		if (in.Profile.SubarrayBER[lin] > 0) != seen[int64(u)] {
+			t.Fatalf("unit %d in subarray %d (BER %v): listed %v", u, lin, in.Profile.SubarrayBER[lin], seen[int64(u)])
+		}
+	}
+	return out
+}
+
+// injectReference is the seed repo's scan-everything Inject, run over
+// regions expanded to per-unit lists, with the weak cells re-derived
+// from the device seed by its own copy of the sampling: per-bit index
+// arithmetic for Models 0/3, a full 0..bitsPer scan against a weak
+// bitline table for Model 1, and per-bit FlipBit calls for Model 2. It
+// consumes Bernoulli draws in exactly the order the production fast
+// path must preserve, so running both against the same stream must
+// yield identical images.
+func injectReference(in *Injector, regions []refRegion, bitsPer int64, img []byte, r *rng.Stream) int64 {
+	geom := in.Profile.Geom
 	var flipped int64
 	actBase := 1.0 / in.Profile.WeakBoost
-	for _, lin := range in.order {
-		reg := in.regions[lin]
-		if reg.ber <= 0 {
-			continue
-		}
+	for _, reg := range regions {
+		seedStream := rng.New(in.Profile.DeviceSeed).DeriveIndex("weak-cells", reg.sub)
+		weakFrac := math.Min(reg.ber*in.Profile.WeakBoost, 0.5)
 		switch in.Kind {
-		case Model0:
-			for _, wb := range reg.weakBits {
-				if r.Bernoulli(actBase) {
-					unit := reg.unitIdx[wb/reg.bitsPer]
-					quant.FlipBit(img, int64(unit)*reg.bitsPer+wb%reg.bitsPer)
-					flipped++
+		case Model0, Model3:
+			totalBits := int64(len(reg.units)) * bitsPer
+			count := seedStream.Binomial(int(totalBits), weakFrac)
+			seen := make(map[int64]bool, count)
+			var weakBits []int64
+			for len(weakBits) < count {
+				b := seedStream.Int63n(totalBits)
+				if !seen[b] {
+					seen[b] = true
+					weakBits = append(weakBits, b)
 				}
 			}
-		case Model3:
-			for _, wb := range reg.weakBits {
-				unit := reg.unitIdx[wb/reg.bitsPer]
-				bit := int64(unit)*reg.bitsPer + wb%reg.bitsPer
-				var pAct float64
-				if quant.GetBit(img, bit) {
-					pAct = actBase * in.P1 * 2 / (in.P1 + in.P0)
-				} else {
-					pAct = actBase * in.P0 * 2 / (in.P1 + in.P0)
+			for _, wb := range weakBits {
+				bit := reg.units[wb/bitsPer]*bitsPer + wb%bitsPer
+				pAct := actBase
+				if in.Kind == Model3 {
+					if quant.GetBit(img, bit) {
+						pAct = actBase * in.P1 * 2 / (in.P1 + in.P0)
+					} else {
+						pAct = actBase * in.P0 * 2 / (in.P1 + in.P0)
+					}
 				}
 				if r.Bernoulli(pAct) {
 					quant.FlipBit(img, bit)
@@ -48,35 +103,33 @@ func injectReference(in *Injector, img []byte, r *rng.Stream) int64 {
 				}
 			}
 		case Model1:
-			// Rebuild the per-bitline weak table the seed probed per bit.
+			nBitlines := geom.Columns * int(bitsPer)
+			count := seedStream.Binomial(nBitlines, weakFrac)
 			weak := make(map[int64]bool)
-			for col, offs := range reg.weakBLOf {
-				for _, b := range offs {
-					weak[int64(col)*reg.bitsPer+int64(b)] = true
-				}
+			for i := 0; i < count; i++ {
+				weak[int64(seedStream.Intn(nBitlines))] = true
 			}
-			for ui := range reg.unitIdx {
-				colBase := int64(reg.cols[ui]) * reg.bitsPer
-				unitBase := int64(reg.unitIdx[ui]) * reg.bitsPer
-				for b := int64(0); b < reg.bitsPer; b++ {
-					if !weak[colBase+b] {
-						continue
-					}
-					if r.Bernoulli(actBase) {
-						quant.FlipBit(img, unitBase+b)
+			for i, u := range reg.units {
+				for b := int64(0); b < bitsPer; b++ {
+					if weak[reg.cols[i]*bitsPer+b] && r.Bernoulli(actBase) {
+						quant.FlipBit(img, u*bitsPer+b)
 						flipped++
 					}
 				}
 			}
 		case Model2:
-			for ui := range reg.unitIdx {
-				if !reg.weakRow[reg.rows[ui]] {
+			count := seedStream.Binomial(geom.Rows, weakFrac)
+			weakRow := make(map[int64]bool)
+			for i := 0; i < count; i++ {
+				weakRow[int64(seedStream.Intn(geom.Rows))] = true
+			}
+			for i, u := range reg.units {
+				if !weakRow[reg.rows[i]] {
 					continue
 				}
-				unitBase := int64(reg.unitIdx[ui]) * reg.bitsPer
-				for b := int64(0); b < reg.bitsPer; b++ {
+				for b := int64(0); b < bitsPer; b++ {
 					if r.Bernoulli(actBase) {
-						quant.FlipBit(img, unitBase+b)
+						quant.FlipBit(img, u*bitsPer+b)
 						flipped++
 					}
 				}
@@ -109,39 +162,75 @@ func checkRecorded(t *testing.T, in *Injector, pl Placement, base, injected []by
 	}
 }
 
+// permPlacement places unit u at linear address perm[u], so units that
+// are consecutive in the image are rarely consecutive in a row.
+type permPlacement struct {
+	geom dram.Geometry
+	perm []int
+	ub   int
+}
+
+func (p *permPlacement) Units() int               { return len(p.perm) }
+func (p *permPlacement) UnitBytes() int           { return p.ub }
+func (p *permPlacement) CoordOf(u int) dram.Coord { return p.geom.Decode(int64(p.perm[u])) }
+
 // TestInjectMatchesScanReference pins the word-at-a-time / precomputed
 // injection paths against the scan-everything reference for every model:
 // same stream in, bit-identical image and flip count out. The recording
-// form must match too, and its record must undo the injection.
+// form must match too, and its record must undo the injection. The
+// placements cover whole rows, a short last row, units scattered over
+// rows and subarrays, and subarrays whose BER is zero.
 func TestInjectMatchesScanReference(t *testing.T) {
 	p := testProfile(t, voltscale.V1025, 0)
-	for _, kind := range []Kind{Model0, Model1, Model2, Model3} {
-		in := NewInjector(kind, p)
-		pl := seqPlacement{geom: p.Geom, units: 768, ub: 32}
-		in.Prepare(pl)
-
-		// Non-uniform data so Model3 exercises both the set-bit and
-		// clear-bit probability branches.
-		base := make([]byte, pl.units*pl.ub)
-		for i := range base {
-			base[i] = byte(i * 37)
+	patchy := *p
+	patchy.SubarrayBER = append([]float64(nil), p.SubarrayBER...)
+	for i := range patchy.SubarrayBER {
+		if i%3 == 1 {
+			patchy.SubarrayBER[i] = 0
 		}
-		for seed := uint64(1); seed <= 5; seed++ {
-			got := append([]byte(nil), base...)
-			want := append([]byte(nil), base...)
-			nGot := in.Inject(got, pl, rng.New(seed))
-			nWant := injectReference(in, want, rng.New(seed))
-			if nGot != nWant {
-				t.Fatalf("%v seed %d: Inject flipped %d, reference %d", kind, seed, nGot, nWant)
+	}
+	r := rand.New(rand.NewPCG(7, 8))
+	scattered := &permPlacement{geom: p.Geom, perm: r.Perm(int(p.Geom.TotalColumns()))[:700], ub: 32}
+	cases := []struct {
+		name    string
+		profile *Profile
+		pl      Placement
+	}{
+		{"sequential", p, seqPlacement{geom: p.Geom, units: 768, ub: 32}},
+		{"short last row", &patchy, seqPlacement{geom: p.Geom, units: 3*p.Geom.Rows*p.Geom.Columns + 21, ub: 32}},
+		{"scattered", &patchy, scattered},
+	}
+	for _, tc := range cases {
+		for _, kind := range []Kind{Model0, Model1, Model2, Model3} {
+			in := NewInjector(kind, tc.profile)
+			pl := tc.pl
+			in.Prepare(pl)
+			regions := expandRegions(t, in, pl)
+			bitsPer := int64(pl.UnitBytes()) * 8
+
+			// Non-uniform data so Model3 exercises both the set-bit and
+			// clear-bit probability branches.
+			base := make([]byte, pl.Units()*pl.UnitBytes())
+			for i := range base {
+				base[i] = byte(i * 37)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%v seed %d: injected image diverges from reference (%d bits differ)",
-					kind, seed, quant.CountDiffBits(got, want))
+			for seed := uint64(1); seed <= 5; seed++ {
+				got := append([]byte(nil), base...)
+				want := append([]byte(nil), base...)
+				nGot := in.Inject(got, pl, rng.New(seed))
+				nWant := injectReference(in, regions, bitsPer, want, rng.New(seed))
+				if nGot != nWant {
+					t.Fatalf("%s/%v seed %d: Inject flipped %d, reference %d", tc.name, kind, seed, nGot, nWant)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s/%v seed %d: injected image diverges from reference (%d bits differ)",
+						tc.name, kind, seed, quant.CountDiffBits(got, want))
+				}
+				if nGot == 0 {
+					t.Fatalf("%s/%v seed %d: expected some flips at this BER", tc.name, kind, seed)
+				}
+				checkRecorded(t, in, pl, base, got, nGot, seed)
 			}
-			if nGot == 0 {
-				t.Fatalf("%v seed %d: expected some flips at this BER", kind, seed)
-			}
-			checkRecorded(t, in, pl, base, got, nGot, seed)
 		}
 	}
 }
@@ -163,7 +252,7 @@ func TestInjectOversizedUnitFallback(t *testing.T) {
 	got := append([]byte(nil), base...)
 	want := append([]byte(nil), base...)
 	nGot := in.Inject(got, pl, rng.New(3))
-	nWant := injectReference(in, want, rng.New(3))
+	nWant := injectReference(in, expandRegions(t, in, pl), int64(pl.ub)*8, want, rng.New(3))
 	if nGot != nWant || !bytes.Equal(got, want) {
 		t.Fatalf("oversized-unit fallback diverges: %d vs %d flips", nGot, nWant)
 	}

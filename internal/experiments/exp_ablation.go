@@ -185,6 +185,9 @@ func (r *Runner) AblationCoding() (AblationCodingResult, error) {
 	if err != nil {
 		return AblationCodingResult{}, err
 	}
+	// The labels are fixed, not the coders' names, which carry every
+	// parameter.
+	labels := []string{"rate-poisson(p=0.12)", "rate-deterministic", "time-to-first-spike", "rank-order", "burst"}
 	encoders := []coding.Encoder{
 		coding.NewRate(),
 		coding.NewDeterministicRate(),
@@ -222,7 +225,7 @@ func (r *Runner) AblationCoding() (AblationCodingResult, error) {
 		if err != nil {
 			return err
 		}
-		res.Encoders[i] = encoders[i].Name()
+		res.Encoders[i] = labels[i]
 		res.CleanAcc[i] = r.F.EvaluateUnderErrors(net, test, layout, zero, 1, evalSeed)
 		res.ErrAcc[i] = r.F.EvaluateUnderErrors(net, test, layout, profile, 9, evalSeed)
 		return nil

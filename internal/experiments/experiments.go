@@ -3,10 +3,8 @@
 // function returns a structured result and can render itself as terminal
 // tables/charts. Every entry also registers itself (from its exp_*.go
 // file's init) as a job of the internal/sched scheduler;
-// cmd/experiments is the CLI front-end — `experiments run` executes the
-// whole registered suite in parallel with shard support — and
-// bench_test.go at the repository root wraps each entry as a testing.B
-// benchmark.
+// cmd/experiments is the CLI front-end: `experiments run` executes the
+// whole registered suite in parallel with shard support.
 //
 // Results are *shape-level* reproductions: the DRAM-side numbers
 // (Figs. 2, 6, 12, Table I) track the paper closely because the energy

@@ -17,8 +17,8 @@ type Result interface {
 
 // Entry describes one registered experiment (a figure, table, or
 // ablation). Each exp_*.go file registers its entries from init, so the
-// suite is assembled at link time and cmd/experiments, bench_test.go,
-// and the CI shards all iterate the same index.
+// suite is assembled at link time and cmd/experiments and the CI shards
+// iterate the same index.
 type Entry struct {
 	// Name is the job name ("fig8", "table1", "ablation-coding", ...).
 	Name string

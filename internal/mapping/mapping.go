@@ -13,15 +13,19 @@
 //     the multi-bank burst overlap of Fig. 9(b)), then moving to the next
 //     subarray, then the next row index, then chips, ranks, and channels.
 //
-// A Layout records the DRAM coordinate of every column unit of the image,
-// in image order. The same Layout serves three consumers: the error
-// injector (which bits live in which subarray), the memory controller
-// (the access stream of one inference pass), and the energy model.
+// Both policies place whole DRAM rows, each starting at column 0, and
+// only the image's last row may be short. A Layout therefore records one
+// DRAM coordinate per row of the image, in image order: unit u sits in
+// row u/Columns at column u%Columns. The same Layout serves three
+// consumers: the error injector (which bits live in which subarray), the
+// memory controller (the access stream of one inference pass), and the
+// energy model.
 package mapping
 
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"sparkxd/internal/dram"
 )
@@ -32,26 +36,45 @@ type Layout struct {
 	Geom      dram.Geometry
 	Policy    string
 	unitBytes int
-	coords    []dram.Coord
+	units     int
+	// rows holds the coordinate of the first unit of every row the image
+	// occupies, in image order; each is at column 0.
+	rows []dram.Coord
 }
 
 // Units returns the number of placed column units.
-func (l *Layout) Units() int { return len(l.coords) }
+func (l *Layout) Units() int { return l.units }
 
 // UnitBytes returns the size of one column unit.
 func (l *Layout) UnitBytes() int { return l.unitBytes }
 
+// Bytes returns the bytes the layout's row table occupies.
+func (l *Layout) Bytes() int64 { return int64(cap(l.rows)) * int64(unsafe.Sizeof(dram.Coord{})) }
+
 // CoordOf returns the DRAM coordinate of image unit u.
-func (l *Layout) CoordOf(u int) dram.Coord { return l.coords[u] }
+func (l *Layout) CoordOf(u int) dram.Coord {
+	c := l.rows[u/l.Geom.Columns]
+	c.Column = u % l.Geom.Columns
+	return c
+}
 
 // AccessStream returns the read access sequence of one streaming pass
-// over the image (inference reads weights in image order).
-func (l *Layout) AccessStream() []dram.Coord { return l.coords }
+// over the image (inference reads weights in image order). It builds the
+// slice on each call.
+func (l *Layout) AccessStream() []dram.Coord {
+	out := make([]dram.Coord, 0, l.units)
+	for _, c := range l.rows {
+		for c.Column = 0; c.Column < l.Geom.Columns && len(out) < l.units; c.Column++ {
+			out = append(out, c)
+		}
+	}
+	return out
+}
 
 // SubarraysUsed returns how many distinct subarrays hold data.
 func (l *Layout) SubarraysUsed() int {
 	seen := map[dram.SubarrayID]bool{}
-	for _, c := range l.coords {
+	for _, c := range l.rows {
 		seen[c.SubarrayOf()] = true
 	}
 	return len(seen)
@@ -60,7 +83,7 @@ func (l *Layout) SubarraysUsed() int {
 // BanksUsed returns how many distinct banks hold data.
 func (l *Layout) BanksUsed() int {
 	seen := map[dram.BankID]bool{}
-	for _, c := range l.coords {
+	for _, c := range l.rows {
 		seen[c.BankOf()] = true
 	}
 	return len(seen)
@@ -86,13 +109,14 @@ func Baseline(geom dram.Geometry, units int) (*Layout, error) {
 		return nil, fmt.Errorf("mapping: image (%d units) exceeds device (%d units)",
 			units, geom.TotalColumns())
 	}
-	coords := make([]dram.Coord, units)
 	// The linear Encode order is exactly ch,ra,cp,ba,su,ro,co — i.e.
-	// sequential fill within a bank, then next bank.
-	for u := 0; u < units; u++ {
-		coords[u] = geom.Decode(int64(u))
+	// sequential fill within a bank, then next bank — so row r starts at
+	// linear unit r*Columns.
+	rows := make([]dram.Coord, UnitsFor(units, geom.Columns))
+	for r := range rows {
+		rows[r] = geom.Decode(int64(r) * int64(geom.Columns))
 	}
-	return &Layout{Geom: geom, Policy: "baseline", unitBytes: geom.ColumnBytes, coords: coords}, nil
+	return &Layout{Geom: geom, Policy: "baseline", unitBytes: geom.ColumnBytes, units: units, rows: rows}, nil
 }
 
 // ErrInsufficientSafeCapacity is returned by SparkXD when the safe
@@ -125,7 +149,7 @@ func SparkXD(geom dram.Geometry, units int, safe []bool) (*Layout, error) {
 	if units < 0 {
 		return nil, errors.New("mapping: negative unit count")
 	}
-	coords := make([]dram.Coord, 0, units)
+	rows := make([]dram.Coord, 0, UnitsFor(units, geom.Columns))
 
 placement:
 	for ch := 0; ch < geom.Channels; ch++ {
@@ -134,30 +158,29 @@ placement:
 				for ro := 0; ro < geom.Rows; ro++ {
 					for su := 0; su < geom.Subarrays; su++ {
 						for ba := 0; ba < geom.Banks; ba++ {
+							if len(rows)*geom.Columns >= units {
+								break placement
+							}
 							id := dram.SubarrayID{Channel: ch, Rank: ra, Chip: cp, Bank: ba, Subarray: su}
 							if !safe[id.Linear(geom)] {
 								continue
 							}
-							for co := 0; co < geom.Columns; co++ {
-								if len(coords) == units {
-									break placement
-								}
-								coords = append(coords, dram.Coord{
-									Channel: ch, Rank: ra, Chip: cp,
-									Bank: ba, Subarray: su, Row: ro, Column: co,
-								})
-							}
+							// The co loop fills the row from column 0.
+							rows = append(rows, dram.Coord{
+								Channel: ch, Rank: ra, Chip: cp,
+								Bank: ba, Subarray: su, Row: ro,
+							})
 						}
 					}
 				}
 			}
 		}
 	}
-	if len(coords) < units {
+	if placed := len(rows) * geom.Columns; placed < units {
 		return nil, fmt.Errorf("%w: placed %d of %d units",
-			ErrInsufficientSafeCapacity, len(coords), units)
+			ErrInsufficientSafeCapacity, placed, units)
 	}
-	return &Layout{Geom: geom, Policy: "sparkxd", unitBytes: geom.ColumnBytes, coords: coords}, nil
+	return &Layout{Geom: geom, Policy: "sparkxd", unitBytes: geom.ColumnBytes, units: units, rows: rows}, nil
 }
 
 // AllSafe returns a safe-flag slice marking every subarray usable —
@@ -170,12 +193,17 @@ func AllSafe(geom dram.Geometry) []bool {
 	return s
 }
 
-// Validate checks that every coordinate is inside the geometry and that
-// no column unit is used twice (a layout must be an injection).
+// Validate checks that the layout has one row per Columns units, that
+// every row starts at column 0 inside the geometry, and that no row is
+// used twice (a layout must be an injection).
 func (l *Layout) Validate() error {
-	seen := make(map[int64]struct{}, len(l.coords))
-	for u, c := range l.coords {
-		if !c.Valid(l.Geom) {
+	if l.units < 0 || len(l.rows) != UnitsFor(l.units, l.Geom.Columns) {
+		return fmt.Errorf("mapping: %d rows for %d units of %d columns", len(l.rows), l.units, l.Geom.Columns)
+	}
+	seen := make(map[int64]struct{}, len(l.rows))
+	for r, c := range l.rows {
+		u := r * l.Geom.Columns
+		if c.Column != 0 || !c.Valid(l.Geom) {
 			return fmt.Errorf("mapping: unit %d at invalid coord %v", u, c)
 		}
 		k := l.Geom.Encode(c)

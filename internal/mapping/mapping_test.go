@@ -2,6 +2,8 @@ package mapping
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"sparkxd/internal/dram"
@@ -127,10 +129,18 @@ func TestSparkXDRejectsBadSafeLength(t *testing.T) {
 
 func TestLayoutValidateCatchesDuplicates(t *testing.T) {
 	g := dram.SmallTestGeometry()
-	l := &Layout{Geom: g, unitBytes: g.ColumnBytes,
-		coords: []dram.Coord{{}, {}}}
+	l := &Layout{Geom: g, unitBytes: g.ColumnBytes, units: 2 * g.Columns,
+		rows: []dram.Coord{{}, {}}}
 	if l.Validate() == nil {
 		t.Fatal("duplicate coords must fail validation")
+	}
+	l.rows[1] = dram.Coord{Row: 1, Column: 1}
+	if l.Validate() == nil {
+		t.Fatal("a row that does not start at column 0 must fail validation")
+	}
+	l.rows = l.rows[:1]
+	if l.Validate() == nil {
+		t.Fatal("a row table shorter than the units must fail validation")
 	}
 }
 
@@ -185,5 +195,118 @@ func TestAccessStreamSharesCoords(t *testing.T) {
 	s := l.AccessStream()
 	if len(s) != 10 || s[0] != l.CoordOf(0) {
 		t.Fatal("AccessStream must be the placement in image order")
+	}
+}
+
+// baselineReference is the per-unit Baseline loop: unit u at linear
+// address u.
+func baselineReference(g dram.Geometry, units int) []dram.Coord {
+	coords := make([]dram.Coord, units)
+	for u := range coords {
+		coords[u] = g.Decode(int64(u))
+	}
+	return coords
+}
+
+// sparkXDReference is the per-unit Algorithm 2 loop nest; ok is false
+// when the safe subarrays cannot hold the image.
+func sparkXDReference(g dram.Geometry, units int, safe []bool) (coords []dram.Coord, ok bool) {
+	for ch := 0; ch < g.Channels; ch++ {
+		for ra := 0; ra < g.Ranks; ra++ {
+			for cp := 0; cp < g.Chips; cp++ {
+				for ro := 0; ro < g.Rows; ro++ {
+					for su := 0; su < g.Subarrays; su++ {
+						for ba := 0; ba < g.Banks; ba++ {
+							id := dram.SubarrayID{Channel: ch, Rank: ra, Chip: cp, Bank: ba, Subarray: su}
+							if !safe[id.Linear(g)] {
+								continue
+							}
+							for co := 0; co < g.Columns; co++ {
+								if len(coords) == units {
+									return coords, true
+								}
+								coords = append(coords, dram.Coord{
+									Channel: ch, Rank: ra, Chip: cp,
+									Bank: ba, Subarray: su, Row: ro, Column: co,
+								})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return coords, len(coords) == units
+}
+
+// checkAgainstReference compares every accessor of l with the per-unit
+// coordinates want.
+func checkAgainstReference(t *testing.T, name string, l *Layout, want []dram.Coord) {
+	t.Helper()
+	if l.Units() != len(want) {
+		t.Fatalf("%s: Units = %d, want %d", name, l.Units(), len(want))
+	}
+	if err := l.Validate(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	stream := l.AccessStream()
+	if len(stream) != len(want) {
+		t.Fatalf("%s: AccessStream has %d accesses, want %d", name, len(stream), len(want))
+	}
+	subs := map[dram.SubarrayID]bool{}
+	banks := map[dram.BankID]bool{}
+	for u, c := range want {
+		if got := l.CoordOf(u); got != c {
+			t.Fatalf("%s: CoordOf(%d) = %v, want %v", name, u, got, c)
+		}
+		if stream[u] != c {
+			t.Fatalf("%s: AccessStream[%d] = %v, want %v", name, u, stream[u], c)
+		}
+		subs[c.SubarrayOf()] = true
+		banks[c.BankOf()] = true
+	}
+	if l.SubarraysUsed() != len(subs) || l.BanksUsed() != len(banks) {
+		t.Fatalf("%s: SubarraysUsed, BanksUsed = %d, %d, want %d, %d",
+			name, l.SubarraysUsed(), l.BanksUsed(), len(subs), len(banks))
+	}
+}
+
+// TestLayoutMatchesPerUnitReference checks the row-run layouts of both
+// policies against per-unit placement loops: on the small test geometry
+// and the LPDDR3 device, for random safe sets, image sizes with a short
+// last row, a single unit, and no unit at all.
+func TestLayoutMatchesPerUnitReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	for _, g := range []dram.Geometry{dram.SmallTestGeometry(), dram.LPDDR3_1600_4Gb()} {
+		// The last size is an N200 FP32 image on the LPDDR3 device, and
+		// half the small device plus a short row.
+		sizes := []int{0, 1, g.Columns - 1, g.Columns, 3*g.Columns + 5, min(19600, int(g.TotalColumns()/2)+3)}
+		for _, units := range sizes {
+			base, err := Baseline(g, units)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstReference(t, fmt.Sprintf("baseline/%d", units), base, baselineReference(g, units))
+
+			for trial := 0; trial < 4; trial++ {
+				safe := make([]bool, g.SubarrayCount())
+				for i := range safe {
+					safe[i] = r.Float64() < 0.2+0.2*float64(trial)
+				}
+				name := fmt.Sprintf("sparkxd/%d/trial%d", units, trial)
+				want, ok := sparkXDReference(g, units, safe)
+				spark, err := SparkXD(g, units, safe)
+				if !ok {
+					if !errors.Is(err, ErrInsufficientSafeCapacity) {
+						t.Fatalf("%s: err = %v, want ErrInsufficientSafeCapacity", name, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				checkAgainstReference(t, name, spark, want)
+			}
+		}
 	}
 }

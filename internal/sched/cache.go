@@ -172,14 +172,8 @@ func (c *Cache) Evictions() uint64 {
 	return c.evictions
 }
 
-// Len returns the number of cached keys (including in-flight ones).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Keys returns the sorted cached keys (diagnostics).
+// Keys returns the sorted cached keys, in-flight ones included
+// (diagnostics).
 func (c *Cache) Keys() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -66,21 +66,9 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 	r.NewCounterFunc("sparkxd_warm_systems_evictions_total",
 		"Warm System engines evicted by the LRU bound.",
 		func() uint64 { _, _, e := w.systems.Stats(); return e })
-	r.NewCounterFunc("sparkxd_sweep_profile_cache_hits_total",
-		"Device-profile sweep cache hits across cached engines (SweepCacheStats).",
-		func() uint64 { h, _ := w.systems.SweepCacheStats(); return h })
-	r.NewCounterFunc("sparkxd_sweep_profile_cache_misses_total",
-		"Device-profile sweep cache misses across cached engines (SweepCacheStats).",
-		func() uint64 { _, m := w.systems.SweepCacheStats(); return m })
-	r.NewCounterFunc("sparkxd_sweep_memo_hits_total",
-		"Sweep memo hits (per-model and per-test-set work) across cached engines (SweepMemoStats).",
-		func() uint64 { h, _, _ := w.systems.SweepMemoStats(); return h })
-	r.NewCounterFunc("sparkxd_sweep_memo_misses_total",
-		"Sweep memo misses across cached engines (SweepMemoStats).",
-		func() uint64 { _, m, _ := w.systems.SweepMemoStats(); return m })
-	r.NewCounterFunc("sparkxd_sweep_memo_evictions_total",
-		"Sweep memo values its byte budget did not keep, across cached engines (SweepMemoStats).",
-		func() uint64 { _, _, e := w.systems.SweepMemoStats(); return e })
+	for i, series := range sweepSeries {
+		r.NewCounterFunc(series[0], series[1], func() uint64 { return w.systems.sweepStats()[i] })
+	}
 	// A worker uploading through a read-through composite (remote store
 	// + local cache) surfaces the cache's counters, mirroring the
 	// coordinator's series names.
@@ -110,3 +98,13 @@ func (w *Worker) MetricsHandler() http.Handler { return w.metrics.reg.Handler() 
 // Metrics returns the worker's registry, for a process that exposes it
 // alongside its own (a coordinator's in-process worker).
 func (w *Worker) Metrics() *metrics.Registry { return w.metrics.reg }
+
+// sweepSeries names and describes the sweep-engine counters, in
+// systems.sweepStats order.
+var sweepSeries = [5][2]string{
+	{"sparkxd_sweep_profile_cache_hits_total", "Sweep device-profile lookups served by the engine memo, across cached engines."},
+	{"sparkxd_sweep_profile_cache_misses_total", "Sweep device-profile derivations, one per device point the memo did not hold, across cached engines."},
+	{"sparkxd_sweep_memo_hits_total", "Sweep memo hits (device-point state, per-model and per-test-set work) across cached engines."},
+	{"sparkxd_sweep_memo_misses_total", "Sweep memo misses across cached engines."},
+	{"sparkxd_sweep_memo_evictions_total", "Sweep memo values its byte budget did not keep, across cached engines."},
+}

@@ -180,38 +180,25 @@ func (c *systems) Stats() (hits, misses, evictions uint64) {
 	return c.hits, c.misses, c.evicted
 }
 
-// SweepCacheStats aggregates the device-profile cache counters of every
-// currently cached engine (System.SweepCacheStats). Evicted engines
+// sweepStats sums the sweep-engine counters of every currently cached
+// engine, in sweepSeries order: profile hits and misses (one miss per
+// device point derived, System.SweepCacheStats), then the whole memo's
+// hits, misses and evictions (System.SweepMemoStats). Evicted engines
 // take their counts with them, so this tracks the live working set.
-func (c *systems) SweepCacheStats() (hits, misses uint64) {
+func (c *systems) sweepStats() (sum [5]uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, ent := range c.entries {
 		if ent.sys == nil {
 			continue
 		}
-		h, m := ent.sys.SweepCacheStats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
-}
-
-// SweepMemoStats aggregates the sweep-memo counters of every currently
-// cached engine (System.SweepMemoStats), like SweepCacheStats.
-func (c *systems) SweepMemoStats() (hits, misses, evictions uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ent := range c.entries {
-		if ent.sys == nil {
-			continue
+		ph, pm := ent.sys.SweepCacheStats()
+		mh, mm, me := ent.sys.SweepMemoStats()
+		for i, v := range [5]uint64{ph, pm, mh, mm, me} {
+			sum[i] += v
 		}
-		h, m, e := ent.sys.SweepMemoStats()
-		hits += h
-		misses += m
-		evictions += e
 	}
-	return hits, misses, evictions
+	return sum
 }
 
 // stageObserver receives the wall-clock duration of each completed

@@ -239,8 +239,10 @@ func TestProduceStageObserver(t *testing.T) {
 	}
 }
 
-// TestSweepMemoMetrics pins the sparkxd_sweep_memo_* series to the sum
-// of the cached engines' SweepMemoStats after two sweeps of one model.
+// TestSweepMemoMetrics pins the sparkxd_sweep_memo_* and
+// sparkxd_sweep_profile_cache_* series to the sums of the cached
+// engines' SweepMemoStats and SweepCacheStats after two sweeps of one
+// model.
 func TestSweepMemoMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short mode")
@@ -265,16 +267,19 @@ func TestSweepMemoMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, misses, evictions := c.SweepMemoStats()
+	hits, misses, evictions := sys.SweepMemoStats()
 	if hits == 0 || misses == 0 {
 		t.Fatalf("memo hits %d, misses %d after two sweeps", hits, misses)
 	}
+	profileHits, profileMisses := sys.SweepCacheStats()
 	rec := httptest.NewRecorder()
 	m.reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
 		fmt.Sprintf("sparkxd_sweep_memo_hits_total %d\n", hits),
 		fmt.Sprintf("sparkxd_sweep_memo_misses_total %d\n", misses),
 		fmt.Sprintf("sparkxd_sweep_memo_evictions_total %d\n", evictions),
+		fmt.Sprintf("sparkxd_sweep_profile_cache_hits_total %d\n", profileHits),
+		fmt.Sprintf("sparkxd_sweep_profile_cache_misses_total %d\n", profileMisses),
 	} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("/metrics lacks %q:\n%s", want, rec.Body.String())

@@ -17,7 +17,7 @@
 //	BenchmarkInjectWordline one Model-2 (wordline-clustered) injection pass
 //	BenchmarkSweepScenario  one full scenario through internal/engine
 //	                        (digests + inject + patched evaluate), the
-//	                        engine's caches and memo warm
+//	                        engine's memo warm
 //	BenchmarkSweepScenarioMultiAxis
 //	                        the same with FP16, 50% pruning and TTFS
 //	BenchmarkTrainEpoch     one STDP training epoch, the pipeline
@@ -224,8 +224,8 @@ func BenchmarkInjectWordline(b *testing.B) {
 // BenchmarkSweepScenario measures one full scenario through the sweep
 // engine — a one-scenario Run: digest the model and the test set, take
 // the clean set from the memo, inject into its image, decode and load
-// only the flipped weights, evaluate — with the engine's caches and memo
-// warm (every iteration sweeps the same model, so the clean set is built
+// only the flipped weights, evaluate — with the engine's memo warm
+// (every iteration sweeps the same model, so the clean set is built
 // once, before the timer): the marginal cost of one more grid point of a
 // model the engine has seen, i.e. the kernel the fleet fan-out
 // multiplies.
@@ -262,7 +262,7 @@ func BenchmarkSweepScenario(b *testing.B) {
 
 // BenchmarkSweepScenarioMultiAxis measures one all-non-default scenario
 // through the sweep engine — FP16 bitwidth, 50% magnitude pruning, TTFS
-// encoding — with caches and memo warm. Against BenchmarkSweepScenario
+// encoding — with the memo warm. Against BenchmarkSweepScenario
 // it prices the marginal cost the extended axes add per grid point: the
 // TTFS-encoded set, the pruned master and the FP16 clean set all come
 // from the memo, built once before the timer.

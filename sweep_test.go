@@ -77,8 +77,8 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepProfileCacheStats verifies each (voltage, error model) device
-// point derives its profile exactly once.
+// TestSweepProfileCacheStats verifies each device point (voltage)
+// derives its profile exactly once, whatever the error model.
 func TestSweepProfileCacheStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short mode")
@@ -90,7 +90,7 @@ func TestSweepProfileCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits, misses := sys.SweepCacheStats()
-	const distinct = 4 // 2 voltages x 2 error models
+	const distinct = 2 // 2 voltages; the 2 error models share each profile
 	if misses != distinct {
 		t.Errorf("profile derivations = %d, want %d", misses, distinct)
 	}
