@@ -31,12 +31,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Bounded fuzzing of the AVX2 kernels (drive sums, LIF step, and the
-# training chain's normalize-and-clamp pass and trace decay) against
-# their Go references, of the evaluator's patched weight load against
-# the full load, of the sweep-spec validation on raw float bit patterns,
-# and of job-spec normalization on raw JSON (go test -fuzz takes one
-# target and one package per run).
+# Bounded fuzzing of the AVX2 kernels (drive sums with their in-kernel
+# row checks, the LIF step with its inhibition pass, and the training
+# chain's normalize-and-clamp pass and trace decay) against their Go
+# references, of the evaluator's patched weight load against the full
+# load, of the sweep-spec validation on raw float bit patterns, of
+# job-spec normalization on raw JSON, and of the store's envelope decode
+# on one-byte mutations (go test -fuzz takes one target and one package
+# per run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzNormalizeClamp$$' -fuzztime=20s ./internal/numeric
@@ -44,6 +46,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzPatchedLoad$$' -fuzztime=20s ./internal/snn
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecValidate$$' -fuzztime=20s ./internal/engine
 	$(GO) test -run='^$$' -fuzz='^FuzzJobSpecNormalize$$' -fuzztime=20s .
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeEnvelope$$' -fuzztime=20s ./internal/store
 
 # Quick-mode benchmark smoke run: every kernel benchmark
 # (kernel_bench_test.go, the repo's only Benchmark functions) executes

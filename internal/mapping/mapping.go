@@ -138,6 +138,11 @@ var ErrInsufficientSafeCapacity = errors.New("mapping: safe subarrays cannot hol
 // or row) interleaves consecutive image units across banks at the same
 // row index, which is what maximizes row-buffer hits per bank and lets
 // multi-bank bursts overlap row activations.
+//
+// Every safe subarray holds Rows x Columns units, and a walk that cannot
+// place the image visits all of them, so an image larger than that
+// capacity fails before the walk, at the cost of one pass over safe,
+// with the error the walk would return.
 func SparkXD(geom dram.Geometry, units int, safe []bool) (*Layout, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, fmt.Errorf("mapping: geometry: %w", err)
@@ -148,6 +153,16 @@ func SparkXD(geom dram.Geometry, units int, safe []bool) (*Layout, error) {
 	}
 	if units < 0 {
 		return nil, errors.New("mapping: negative unit count")
+	}
+	safeCount := 0
+	for _, ok := range safe {
+		if ok {
+			safeCount++
+		}
+	}
+	if capacity := int64(safeCount) * int64(geom.Rows) * int64(geom.Columns); capacity < int64(units) {
+		return nil, fmt.Errorf("%w: placed %d of %d units",
+			ErrInsufficientSafeCapacity, capacity, units)
 	}
 	rows := make([]dram.Coord, 0, UnitsFor(units, geom.Columns))
 
@@ -175,10 +190,6 @@ placement:
 				}
 			}
 		}
-	}
-	if placed := len(rows) * geom.Columns; placed < units {
-		return nil, fmt.Errorf("%w: placed %d of %d units",
-			ErrInsufficientSafeCapacity, placed, units)
 	}
 	return &Layout{Geom: geom, Policy: "sparkxd", unitBytes: geom.ColumnBytes, units: units, rows: rows}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"sparkxd/internal/dram"
@@ -307,6 +308,108 @@ func TestLayoutMatchesPerUnitReference(t *testing.T) {
 				}
 				checkAgainstReference(t, name, spark, want)
 			}
+		}
+	}
+}
+
+// sparkXDWalk is SparkXD without its capacity check: every image,
+// fitting or not, walks the loop nest, and the error reports the units
+// the walk placed. It is the reference the check must match.
+func sparkXDWalk(geom dram.Geometry, units int, safe []bool) (*Layout, error) {
+	if err := geom.Validate(); err != nil {
+		return nil, fmt.Errorf("mapping: geometry: %w", err)
+	}
+	if len(safe) != geom.SubarrayCount() {
+		return nil, fmt.Errorf("mapping: safe flags length %d, want %d",
+			len(safe), geom.SubarrayCount())
+	}
+	if units < 0 {
+		return nil, errors.New("mapping: negative unit count")
+	}
+	rows := make([]dram.Coord, 0, UnitsFor(units, geom.Columns))
+
+placement:
+	for ch := 0; ch < geom.Channels; ch++ {
+		for ra := 0; ra < geom.Ranks; ra++ {
+			for cp := 0; cp < geom.Chips; cp++ {
+				for ro := 0; ro < geom.Rows; ro++ {
+					for su := 0; su < geom.Subarrays; su++ {
+						for ba := 0; ba < geom.Banks; ba++ {
+							if len(rows)*geom.Columns >= units {
+								break placement
+							}
+							id := dram.SubarrayID{Channel: ch, Rank: ra, Chip: cp, Bank: ba, Subarray: su}
+							if !safe[id.Linear(geom)] {
+								continue
+							}
+							rows = append(rows, dram.Coord{
+								Channel: ch, Rank: ra, Chip: cp,
+								Bank: ba, Subarray: su, Row: ro,
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	if placed := len(rows) * geom.Columns; placed < units {
+		return nil, fmt.Errorf("%w: placed %d of %d units",
+			ErrInsufficientSafeCapacity, placed, units)
+	}
+	return &Layout{Geom: geom, Policy: "sparkxd", unitBytes: geom.ColumnBytes, units: units, rows: rows}, nil
+}
+
+// TestSparkXDCapacityCheckMatchesWalk checks SparkXD's capacity check
+// against the walk it skips: on the small test geometry and the LPDDR3
+// device, with random safe sets (none safe, some, all), images that fit
+// exactly, that are one unit too large, and that are far too large, and
+// the input errors (bad geometry, wrong flag count, negative units).
+// Both must return the same layout, or errors with the same text that
+// agree under errors.Is.
+func TestSparkXDCapacityCheckMatchesWalk(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	check := func(name string, g dram.Geometry, units int, safe []bool) {
+		t.Helper()
+		want, wantErr := sparkXDWalk(g, units, safe)
+		got, err := SparkXD(g, units, safe)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%s: err = %v, walk %v", name, err, wantErr)
+		}
+		if err != nil {
+			if err.Error() != wantErr.Error() ||
+				errors.Is(err, ErrInsufficientSafeCapacity) != errors.Is(wantErr, ErrInsufficientSafeCapacity) {
+				t.Fatalf("%s: err = %q, walk %q", name, err, wantErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: layout differs from the walk's", name)
+		}
+	}
+	for _, g := range []dram.Geometry{dram.SmallTestGeometry(), dram.LPDDR3_1600_4Gb()} {
+		perSub := g.Rows * g.Columns
+		for trial := 0; trial < 6; trial++ {
+			safe := make([]bool, g.SubarrayCount())
+			count := 0
+			for i := range safe {
+				// Trial 0 marks nothing safe, trial 5 everything.
+				safe[i] = r.Float64() < float64(trial)/5
+				if safe[i] {
+					count++
+				}
+			}
+			capacity := count * perSub
+			for _, units := range []int{0, 1, capacity - 1, capacity, capacity + 1, capacity + perSub, int(g.TotalColumns()) + 1} {
+				if units < 0 {
+					continue
+				}
+				check(fmt.Sprintf("%dx%d/trial%d/units%d", g.Banks, g.Subarrays, trial, units), g, units, safe)
+			}
+			check(fmt.Sprintf("trial%d/negative", trial), g, -1, safe)
+			check(fmt.Sprintf("trial%d/flags", trial), g, 1, safe[1:])
+			bad := g
+			bad.Rows = 0
+			check(fmt.Sprintf("trial%d/geometry", trial), bad, 1, safe)
 		}
 	}
 }

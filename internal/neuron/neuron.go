@@ -71,7 +71,7 @@ type Pool struct {
 
 	V      []float32 // membrane potentials
 	Theta  []float32 // adaptive threshold offsets
-	refrac []int16   // remaining refractory steps
+	refrac []int32   // remaining refractory steps
 
 	decayV     float32 // exp(-dt/tauM)
 	decayTheta float32 // exp(-dt/tauTheta)
@@ -92,7 +92,7 @@ func NewPool(cfg LIFConfig) (*Pool, error) {
 		Cfg:         cfg,
 		V:           make([]float32, cfg.N),
 		Theta:       make([]float32, cfg.N),
-		refrac:      make([]int16, cfg.N),
+		refrac:      make([]int32, cfg.N),
 		winnerStamp: make([]uint64, cfg.N),
 		decayV:      float32(math.Exp(-cfg.DT / cfg.TauM)),
 		decayTheta:  float32(math.Exp(-cfg.DT / cfg.TauTheta)),
@@ -113,7 +113,9 @@ func (p *Pool) ResetState() {
 	}
 }
 
-// Step advances the pool one timestep. input[j] is the synaptic drive
+// Step advances the pool one timestep, then applies lateral inhibition
+// of the given strength to the neurons that did not fire, as
+// Inhibit(spikes, inhibition) does. input[j] is the synaptic drive
 // accumulated for neuron j this step. spikesOut is an optional reusable
 // buffer; the returned slice lists the indices of neurons that fired, in
 // ascending order. Pass a buffer with capacity of at least N: the AVX2
@@ -127,8 +129,9 @@ func (p *Pool) ResetState() {
 // bit-identical to it (TestStepMatchesScalarReference and FuzzStep pin
 // this). With AVX2 in use (numeric.AVX2), neurons [0, N&^7) run eight
 // per block in assembly, each lane doing that same scalar work, and the
-// Go loop handles the last N%8.
-func (p *Pool) Step(input []float32, spikesOut []int32) []int32 {
+// Go loop handles the last N%8. The inhibition then runs as one more
+// assembly pass over all N neurons; other builds call Inhibit.
+func (p *Pool) Step(input []float32, inhibition float32, spikesOut []int32) []int32 {
 	n := p.Cfg.N
 	if len(input) != n {
 		panic("neuron: input length mismatch")
@@ -146,12 +149,13 @@ func (p *Pool) Step(input []float32, spikesOut []int32) []int32 {
 		vth        = p.Cfg.VTh
 		floor      = p.Cfg.VFloor
 		thetaPlus  = p.Cfg.ThetaPlus
-		refSteps   = int16(p.Cfg.RefractorySteps)
+		refSteps   = int32(int16(p.Cfg.RefractorySteps)) // wraps above 32767, so every accepted config keeps its results
 		decayV     = p.decayV
 		decayTheta = p.decayTheta
 	)
+	kernel := numeric.AVX2() && n >= 8
 	j := 0
-	if numeric.AVX2() && n >= 8 {
+	if kernel {
 		if cap(spikes) < n {
 			spikes = make([]int32, 0, n)
 		}
@@ -183,6 +187,12 @@ func (p *Pool) Step(input []float32, spikesOut []int32) []int32 {
 		}
 		V[j] = v
 	}
+	switch {
+	case !kernel:
+		p.Inhibit(spikes, inhibition)
+	case len(spikes) > 0 && inhibition != 0:
+		inhibitAVX2(V, spikes, inhibition*float32(len(spikes)), floor, reset)
+	}
 	return spikes
 }
 
@@ -196,6 +206,10 @@ func (p *Pool) Step(input []float32, spikesOut []int32) []int32 {
 // pass O(N + len(winners)) instead of O(N * len(winners)); the applied
 // arithmetic is unchanged, so membranes stay bit-identical to the
 // scalar form.
+//
+// Step applies this inhibition to its own spikes, so the SNN never
+// calls Inhibit; it is the Go body of Step's inhibition in builds
+// without AVX2, and the form Step's assembly pass is tested against.
 func (p *Pool) Inhibit(winners []int32, strength float32) {
 	if len(winners) == 0 || strength == 0 {
 		return

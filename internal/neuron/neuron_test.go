@@ -43,7 +43,7 @@ func TestNoInputNoSpikes(t *testing.T) {
 	p := pool(t, 10)
 	input := make([]float32, 10)
 	for i := 0; i < 100; i++ {
-		if s := p.Step(input, nil); len(s) != 0 {
+		if s := p.Step(input, 0, nil); len(s) != 0 {
 			t.Fatal("silent input must not spike")
 		}
 	}
@@ -52,7 +52,7 @@ func TestNoInputNoSpikes(t *testing.T) {
 func TestStrongInputSpikes(t *testing.T) {
 	p := pool(t, 4)
 	input := []float32{100, 0, 0, 0}
-	s := p.Step(input, nil)
+	s := p.Step(input, 0, nil)
 	if len(s) != 1 || s[0] != 0 {
 		t.Fatalf("spikes = %v, want [0]", s)
 	}
@@ -66,7 +66,7 @@ func TestSubthresholdIntegration(t *testing.T) {
 	input := []float32{4} // below the threshold of 10 but integrates up
 	spiked := false
 	for i := 0; i < 20; i++ {
-		if len(p.Step(input, nil)) > 0 {
+		if len(p.Step(input, 0, nil)) > 0 {
 			spiked = true
 			break
 		}
@@ -80,7 +80,7 @@ func TestLeakDecay(t *testing.T) {
 	p := pool(t, 1)
 	p.V[0] = 8
 	zero := []float32{0}
-	p.Step(zero, nil)
+	p.Step(zero, 0, nil)
 	want := 8 * float32(math.Exp(-p.Cfg.DT/p.Cfg.TauM))
 	if math.Abs(float64(p.V[0]-want)) > 1e-5 {
 		t.Fatalf("V after leak = %v, want %v", p.V[0], want)
@@ -90,15 +90,15 @@ func TestLeakDecay(t *testing.T) {
 func TestRefractoryPeriod(t *testing.T) {
 	p := pool(t, 1)
 	big := []float32{1000}
-	if len(p.Step(big, nil)) != 1 {
+	if len(p.Step(big, 0, nil)) != 1 {
 		t.Fatal("expected a spike")
 	}
 	for i := 0; i < p.Cfg.RefractorySteps; i++ {
-		if len(p.Step(big, nil)) != 0 {
+		if len(p.Step(big, 0, nil)) != 0 {
 			t.Fatal("refractory neuron must not spike")
 		}
 	}
-	if len(p.Step(big, nil)) != 1 {
+	if len(p.Step(big, 0, nil)) != 1 {
 		t.Fatal("neuron should spike again after the refractory period")
 	}
 }
@@ -106,7 +106,7 @@ func TestRefractoryPeriod(t *testing.T) {
 func TestThetaGrowsWithSpikes(t *testing.T) {
 	p := pool(t, 1)
 	big := []float32{1000}
-	p.Step(big, nil)
+	p.Step(big, 0, nil)
 	if p.Theta[0] <= 0 {
 		t.Fatal("theta must grow after a spike")
 	}
@@ -116,7 +116,7 @@ func TestThetaDecays(t *testing.T) {
 	p := pool(t, 1)
 	p.Theta[0] = 1
 	zero := []float32{0}
-	p.Step(zero, nil)
+	p.Step(zero, 0, nil)
 	if p.Theta[0] >= 1 {
 		t.Fatal("theta must decay over time")
 	}
@@ -131,7 +131,7 @@ func TestHomeostasisSlowsFiring(t *testing.T) {
 	input := []float32{6}
 	var spikeTimes []int
 	for i := 0; i < 400; i++ {
-		if len(p.Step(input, nil)) > 0 {
+		if len(p.Step(input, 0, nil)) > 0 {
 			spikeTimes = append(spikeTimes, i)
 		}
 	}
@@ -147,7 +147,7 @@ func TestHomeostasisSlowsFiring(t *testing.T) {
 
 func TestResetStatePreservesTheta(t *testing.T) {
 	p := pool(t, 2)
-	p.Step([]float32{1000, 0}, nil)
+	p.Step([]float32{1000, 0}, 0, nil)
 	theta := p.Theta[0]
 	p.V[1] = 5
 	p.ResetState()
@@ -192,7 +192,7 @@ func TestInhibitNoopCases(t *testing.T) {
 
 func TestVFloorBoundsInput(t *testing.T) {
 	p := pool(t, 1)
-	p.Step([]float32{-1e6}, nil)
+	p.Step([]float32{-1e6}, 0, nil)
 	if p.V[0] < p.Cfg.VFloor {
 		t.Fatal("membrane must clamp at VFloor under negative drive")
 	}
@@ -201,7 +201,7 @@ func TestVFloorBoundsInput(t *testing.T) {
 func TestSpikeBufferReuse(t *testing.T) {
 	p := pool(t, 3)
 	buf := make([]int32, 0, 3)
-	s := p.Step([]float32{1000, 1000, 0}, buf)
+	s := p.Step([]float32{1000, 1000, 0}, 0, buf)
 	if len(s) != 2 {
 		t.Fatalf("want 2 spikes, got %v", s)
 	}
@@ -217,5 +217,5 @@ func TestStepPanicsOnBadLength(t *testing.T) {
 			t.Fatal("length mismatch must panic")
 		}
 	}()
-	p.Step(make([]float32, 2), nil)
+	p.Step(make([]float32, 2), 0, nil)
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // refState is an independent copy of a pool's mutable state, advanced by
-// the reference kernels below.
+// the reference kernels below. Its refractory counters are int16, the
+// type stepReference is written for; equalState compares them widened.
 type refState struct {
 	V      []float32
 	Theta  []float32
@@ -16,11 +17,15 @@ type refState struct {
 }
 
 func refStateOf(p *Pool) *refState {
-	return &refState{
+	s := &refState{
 		V:      append([]float32(nil), p.V...),
 		Theta:  append([]float32(nil), p.Theta...),
-		refrac: append([]int16(nil), p.refrac...),
+		refrac: make([]int16, len(p.refrac)),
 	}
+	for j, r := range p.refrac {
+		s.refrac[j] = int16(r)
+	}
+	return s
 }
 
 // stepReference is the seed repo's scalar Pool.Step, kept verbatim as
@@ -95,16 +100,19 @@ func equalState(t *testing.T, step int, p *Pool, s *refState) {
 		if !sameBits(p.Theta[j], s.Theta[j]) {
 			t.Fatalf("step %d: Theta[%d] = %v, reference %v", step, j, p.Theta[j], s.Theta[j])
 		}
-		if p.refrac[j] != s.refrac[j] {
+		if p.refrac[j] != int32(s.refrac[j]) {
 			t.Fatalf("step %d: refrac[%d] = %d, reference %d", step, j, p.refrac[j], s.refrac[j])
 		}
 	}
 }
 
 // TestStepMatchesScalarReference drives the production Step and the seed
-// scalar reference through identical randomized input sequences and
-// requires bit-identical membrane, threshold, refractory, and spike
-// trajectories — the regression guard for every future Step rewrite.
+// scalar reference (stepReference, then inhibitReference) through
+// identical randomized input sequences and requires bit-identical
+// membrane, threshold, refractory, and spike trajectories — the
+// regression guard for every future Step rewrite. N = 97 runs twelve
+// eight-neuron blocks of the AVX2 body and a one-neuron Go tail, and the
+// strength cycles through 0, -0 and positive values.
 func TestStepMatchesScalarReference(t *testing.T) {
 	cfg := DefaultLIF(97) // odd size exercises unroll tails downstream
 	cfg.VTh = 5.0
@@ -116,6 +124,7 @@ func TestStepMatchesScalarReference(t *testing.T) {
 	ref := refStateOf(p)
 	r := rng.New(42)
 	input := make([]float32, cfg.N)
+	strengths := []float32{1.5, 0, 0.25, float32(math.Copysign(0, -1)), 4}
 	var spikeBuf []int32
 	for step := 0; step < 300; step++ {
 		for j := range input {
@@ -129,8 +138,10 @@ func TestStepMatchesScalarReference(t *testing.T) {
 				input[j] = -30 // slam into VFloor
 			}
 		}
-		got := p.Step(input, spikeBuf)
+		strength := strengths[step%len(strengths)]
+		got := p.Step(input, strength, spikeBuf)
 		want := stepReference(cfg, ref, input)
+		inhibitReference(cfg, ref, want, strength)
 		if len(got) != len(want) {
 			t.Fatalf("step %d: %d spikes, reference %d", step, len(got), len(want))
 		}
@@ -162,7 +173,7 @@ func TestInhibitMatchesScalarReference(t *testing.T) {
 				input[j] = 9
 			}
 		}
-		spikes := p.Step(input, nil)
+		spikes := p.Step(input, 0, nil)
 		refSpikes := stepReference(cfg, ref, input)
 		p.Inhibit(spikes, 1.5)
 		inhibitReference(cfg, ref, refSpikes, 1.5)
@@ -178,15 +189,17 @@ var special = []float32{
 	math.MaxFloat32, -math.MaxFloat32, -10, 10, 1e-8, 3e7,
 }
 
-// FuzzStep drives Pool.Step, then Inhibit, through up to eight steps
-// against stepReference and inhibitReference, comparing spikes, V, Theta
-// and refrac. N runs from 1 to 40, so the eight-neuron blocks of the
-// AVX2 body and the Go tail both appear. Each byte of state and drive
-// picks a neuron's regime: refractory, floor-clamped (inputs and
-// membranes far below VFloor), firing (suprathreshold drive), a special
-// value, or subthreshold. mode%3 passes spikesOut as nil, shorter than
-// N, or with capacity N and stale contents. The high bits of steps move
-// VRest and VReset off zero, so no two Step constants are equal.
+// FuzzStep drives Pool.Step, inhibition included, through up to eight
+// steps against stepReference followed by inhibitReference, comparing
+// spikes, V, Theta and refrac. N runs from 1 to 40, so the eight-neuron
+// blocks of the AVX2 body and the Go tail both appear. Each byte of
+// state and drive picks a neuron's regime: refractory, floor-clamped
+// (inputs and membranes far below VFloor), firing (suprathreshold
+// drive), a special value, or subthreshold. The step's inhibition
+// strength is drawn from the drive bytes: 0, -0, 4, 8, 12, NaN, +Inf or
+// 1.5. mode%3 passes spikesOut as nil, shorter than N, or with capacity
+// N and stale contents. The high bits of steps move VRest and VReset off
+// zero, so no two Step constants are equal.
 func FuzzStep(f *testing.F) {
 	f.Add(uint8(16), uint8(2), uint8(3), []byte{0x05, 0x81, 0x42, 0xc3}, []byte{0x00, 0x21, 0x40, 0x65, 0x9a})
 	f.Add(uint8(38), uint8(5), uint8(7), []byte{0xff, 0x10, 0x7e}, []byte{0x20, 0x24, 0x00, 0x41, 0x3f})
@@ -206,7 +219,7 @@ func FuzzStep(f *testing.F) {
 			b := fuzzByte(state, j)
 			p.V[j] = fuzzValue(b)
 			p.Theta[j] = float32(b&15) / 8
-			p.refrac[j] = int16(b>>6) % int16(cfg.RefractorySteps+1)
+			p.refrac[j] = int32(b>>6) % int32(cfg.RefractorySteps+1)
 		}
 		ref := refStateOf(p)
 		input := make([]float32, cfg.N)
@@ -224,8 +237,10 @@ func FuzzStep(f *testing.F) {
 					buf[i] = -1
 				}
 			}
-			got := p.Step(input, buf)
+			strength := fuzzStrengths[fuzzByte(drive, step)&7]
+			got := p.Step(input, strength, buf)
 			want := stepReference(cfg, ref, input)
+			inhibitReference(cfg, ref, want, strength)
 			if len(got) != len(want) {
 				t.Fatalf("step %d: spikes %v, reference %v", step, got, want)
 			}
@@ -235,12 +250,16 @@ func FuzzStep(f *testing.F) {
 				}
 			}
 			equalState(t, step, p, ref)
-			strength := float32(fuzzByte(drive, step)&3) * 4
-			p.Inhibit(got, strength)
-			inhibitReference(cfg, ref, want, strength)
-			equalState(t, step, p, ref)
 		}
 	})
+}
+
+// fuzzStrengths are FuzzStep's inhibition strengths, indexed by the low
+// three bits of a drive byte. Indices 0-3 are 4·(b&3), so the committed
+// corpus keeps the strengths it was written with.
+var fuzzStrengths = []float32{
+	0, 4, 8, 12,
+	float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), 1.5,
 }
 
 // fuzzByte is b[i] read cyclically, or 0 when b is empty.

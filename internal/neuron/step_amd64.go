@@ -8,5 +8,12 @@ package neuron
 // spikes from index 0 and returns how many it wrote.
 //
 //go:noescape
-func stepAVX2(v, theta, input []float32, refrac []int16, spikes []int32,
-	rest, reset, vth, floor, thetaPlus, decayV, decayTheta float32, refSteps int16) (n int)
+func stepAVX2(v, theta, input []float32, refrac, spikes []int32,
+	rest, reset, vth, floor, thetaPlus, decayV, decayTheta float32, refSteps int32) (n int)
+
+// inhibitAVX2 is Step's inhibition pass over every neuron, after the LIF
+// pass: v = v - sub, then floor where v < floor; then every neuron
+// listed in spikes, each in [0, len(v)), gets reset back.
+//
+//go:noescape
+func inhibitAVX2(v []float32, spikes []int32, sub, floor, reset float32)

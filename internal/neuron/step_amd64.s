@@ -2,14 +2,15 @@
 
 #include "textflag.h"
 
-// func stepAVX2(v, theta, input []float32, refrac []int16, spikes []int32,
-//	rest, reset, vth, floor, thetaPlus, decayV, decayTheta float32, refSteps int16) (n int)
+// func stepAVX2(v, theta, input []float32, refrac, spikes []int32,
+//	rest, reset, vth, floor, thetaPlus, decayV, decayTheta float32, refSteps int32) (n int)
 //
 // Each lane runs Step's scalar body: the same binary32 operations on the
 // same operands in the same order, with no FMA. The refractory, floor
 // and threshold branches become masks; the compares are ordered-quiet
 // (LT_OQ for <, GE_OQ for >=), false on NaN like Go's operators, and
 // every select is a blend, so -0 and NaN pass through as they do there.
+// The refractory counters are int32 lanes, one per float lane.
 TEXT ·stepAVX2(SB), NOSPLIT, $0-160
 	MOVQ v_base+0(FP), DI
 	MOVQ v_len+8(FP), CX
@@ -24,9 +25,8 @@ TEXT ·stepAVX2(SB), NOSPLIT, $0-160
 	VBROADCASTSS thetaPlus+136(FP), Y8
 	VBROADCASTSS decayV+140(FP), Y9
 	VBROADCASTSS decayTheta+144(FP), Y10
-	VPBROADCASTW refSteps+148(FP), X11
-	VPCMPEQW X12, X12, X12        // -1 in every int16 lane
-	VPXOR X13, X13, X13
+	VBROADCASTSS refSteps+148(FP), Y11  // the int32 bits in every lane
+	VPXOR Y13, Y13, Y13
 	XORQ AX, AX                   // AX: first neuron of the block
 	XORQ R11, R11                 // R11: spikes written
 	TESTQ CX, CX
@@ -49,10 +49,14 @@ block:
 	// fire = v >= vth + th, outside the refractory lanes
 	VADDPS Y0, Y6, Y14
 	VCMPPS $0x1d, Y14, Y3, Y14    // GE_OQ
-	VMOVDQU (R9)(AX*2), X1
-	VPCMPGTW X13, X1, X2          // refrac > 0
-	VPMOVSXWD X2, Y2
+	VMOVDQU (R9)(AX*4), Y1
+	VPCMPGTD Y13, Y1, Y2          // refrac > 0: -1 in those lanes
 	VANDNPS Y14, Y2, Y14
+
+	// refrac + (-1) on refractory lanes, refSteps on firing lanes
+	VPADDD Y2, Y1, Y1
+	VBLENDVPS Y14, Y11, Y1, Y1
+	VMOVDQU Y1, (R9)(AX*4)
 
 	// V = reset on refractory and firing lanes, v elsewhere
 	VORPS Y14, Y2, Y2
@@ -63,15 +67,6 @@ block:
 	VADDPS Y8, Y0, Y2
 	VBLENDVPS Y14, Y2, Y0, Y0
 	VMOVUPS Y0, (SI)(AX*4)
-
-	// refrac - 1 on refractory lanes, refSteps on firing lanes
-	VPCMPGTW X13, X1, X2
-	VPADDW X12, X1, X3
-	VPBLENDVB X2, X3, X1, X1
-	VEXTRACTI128 $1, Y14, X3
-	VPACKSSDW X3, X14, X3         // fire mask as eight int16 lanes
-	VPBLENDVB X3, X11, X1, X1
-	VMOVDQU X1, (R9)(AX*2)
 
 	// append the firing neurons' indices, lowest lane first
 	VMOVMSKPS Y14, BX
@@ -93,4 +88,60 @@ next:
 done:
 	VZEROUPPER
 	MOVQ R11, n+152(FP)
+	RET
+
+// func inhibitAVX2(v []float32, spikes []int32, sub, floor, reset float32)
+//
+// Each lane runs Inhibit's scalar body for a loser: one VSUBPS (v - sub),
+// then an LT_OQ compare against floor and a blend, as Inhibit's `<` and
+// assignment. Winners go through the same pass and are then set back to
+// reset, the value the LIF pass gave every neuron that fired, so each
+// ends as Inhibit leaves it, untouched. The last len(v)%8 lanes run the
+// same operations one at a time.
+TEXT ·inhibitAVX2(SB), NOSPLIT, $0-60
+	MOVQ v_base+0(FP), DI
+	MOVQ v_len+8(FP), CX
+	MOVQ spikes_base+24(FP), SI
+	MOVQ spikes_len+32(FP), BX
+	VBROADCASTSS sub+48(FP), Y1
+	VBROADCASTSS floor+52(FP), Y2
+	MOVQ CX, DX
+	ANDQ $~7, DX                  // DX: lanes in whole vectors
+	XORQ AX, AX
+	TESTQ DX, DX
+	JZ tail
+vec:
+	VMOVUPS (DI)(AX*4), Y0
+	VSUBPS Y1, Y0, Y0
+	VCMPPS $0x11, Y2, Y0, Y3      // LT_OQ
+	VBLENDVPS Y3, Y2, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JB vec
+tail:
+	CMPQ AX, CX
+	JAE winners
+	VMOVSS (DI)(AX*4), X0
+	VSUBSS X1, X0, X0
+	VCMPSS $0x11, X2, X0, X3      // LT_OQ
+	VBLENDVPS X3, X2, X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ AX
+	JMP tail
+
+winners:
+	MOVL reset+56(FP), R8
+	XORQ AX, AX
+	TESTQ BX, BX
+	JZ done
+winner:
+	MOVLQSX (SI)(AX*4), DX
+	MOVL R8, (DI)(DX*4)
+	INCQ AX
+	CMPQ AX, BX
+	JB winner
+
+done:
+	VZEROUPPER
 	RET

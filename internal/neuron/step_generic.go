@@ -2,7 +2,11 @@
 
 package neuron
 
-func stepAVX2(v, theta, input []float32, refrac []int16, spikes []int32,
-	rest, reset, vth, floor, thetaPlus, decayV, decayTheta float32, refSteps int16) (n int) {
+func stepAVX2(v, theta, input []float32, refrac, spikes []int32,
+	rest, reset, vth, floor, thetaPlus, decayV, decayTheta float32, refSteps int32) (n int) {
+	panic("neuron: no AVX2 kernels in this build")
+}
+
+func inhibitAVX2(v []float32, spikes []int32, sub, floor, reset float32) {
 	panic("neuron: no AVX2 kernels in this build")
 }

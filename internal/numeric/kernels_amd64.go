@@ -30,13 +30,16 @@ func detectAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// sumRowsAVX2 is SumRows's body for rows of len(dst) floats starting at
-// data, every rows entry already checked to lie in the matrix. It adds
-// four rows per pass, eight lanes per instruction, with a scalar tail
-// for len(dst) % 8.
+// sumRowsAVX2 is SumRows's body for a matrix of nrows rows of len(dst)
+// floats starting at data (len(data) >= nrows*len(dst)). It adds four
+// rows per pass, eight lanes per instruction, with a scalar tail for
+// len(dst) % 8. Before it reads a row it checks the row's index against
+// nrows, unsigned, so a negative index fails too; at the first index
+// that fails it returns false, having read no memory outside data and
+// with dst part-way summed.
 //
 //go:noescape
-func sumRowsAVX2(dst, data []float32, rows []int32)
+func sumRowsAVX2(dst, data []float32, rows []int32, nrows int) (ok bool)
 
 // scaleClampAVX2 is NormalizeClamp's row-major pass over the first
 // len(f)&^7 columns of every row of data (len(data) is a multiple of

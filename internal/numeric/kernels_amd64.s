@@ -21,15 +21,18 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	RET
 
 // ROW loads the row index at off(R8) into reg as a pointer to that row:
-// data base (SI) + index * row bytes (R10).
-#define ROW(off, reg) MOVLQSX off(R8), reg; IMULQ R10, reg; ADDQ SI, reg
+// data base (SI) + index * row bytes (R10). An index that is not below
+// the row count (R14) jumps to bad; the compare is unsigned, and the
+// index is sign-extended first, so a negative index fails as well.
+#define ROW(off, reg) MOVLQSX off(R8), reg; CMPQ reg, R14; JAE bad; IMULQ R10, reg; ADDQ SI, reg
 
-// func sumRowsAVX2(dst, data []float32, rows []int32)
+// func sumRowsAVX2(dst, data []float32, rows []int32, nrows int) (ok bool)
 //
 // Every lane computes dst + a + b + c + d left to right, with a VADDPS
 // (or, in the tail, VADDSS) rounding after each addition: the same
-// binary32 additions, in the same order, as the Go loop in SumRows.
-TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-72
+// binary32 additions, in the same order, as the Go loop in SumRows. A
+// four-row pass checks all four indices before it reads any row.
+TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-81
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), R10
 	SHLQ $2, R10                // R10: row bytes
@@ -42,6 +45,7 @@ TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-72
 	ANDQ $~3, R9
 	LEAQ (R8)(R9*4), R9         // R9: end of the four-row passes
 	LEAQ (R8)(BX*4), BX         // BX: end of the row list
+	MOVQ nrows+72(FP), R14      // R14: row count
 
 	// dst = 0
 	VXORPS Y0, Y0, Y0
@@ -121,6 +125,12 @@ singletail:
 
 done:
 	VZEROUPPER
+	MOVB $1, ok+80(FP)
+	RET
+
+bad:
+	VZEROUPPER
+	MOVB $0, ok+80(FP)
 	RET
 
 // func scaleClampAVX2(data, f []float32, lo, hi float32)

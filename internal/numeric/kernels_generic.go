@@ -6,7 +6,7 @@ package numeric
 // see memory that assembly touches: every kernel runs its Go loop.
 const useAVX2 = false
 
-func sumRowsAVX2(dst, data []float32, rows []int32) {
+func sumRowsAVX2(dst, data []float32, rows []int32, nrows int) bool {
 	panic("numeric: no AVX2 kernels in this build")
 }
 

@@ -53,15 +53,15 @@ func (m *Matrix) String() string {
 // results are bit-identical to that sequential form, while dst is loaded
 // and stored a quarter as often.
 //
-// With AVX2 in use, each pass runs eight columns per instruction. The
-// assembly is entered only once every row index is known to lie in the
-// matrix; otherwise the Go loop runs and panics where it always has.
+// With AVX2 in use, each pass runs eight columns per instruction, and
+// the assembly checks each row index as it forms that row's address. At
+// the first index outside the matrix it stops and the Go loop runs
+// instead, and panics where it always has.
 func (m *Matrix) SumRows(rows []int32, dst []float32) {
 	if len(dst) != m.Cols {
 		panic("numeric: SumRows dimension mismatch")
 	}
-	if useAVX2 && m.rowsInRange(rows) {
-		sumRowsAVX2(dst, m.Data, rows)
+	if useAVX2 && len(m.Data) >= m.Rows*m.Cols && sumRowsAVX2(dst, m.Data, rows, m.Rows) {
 		return
 	}
 	for j := range dst {
@@ -83,21 +83,6 @@ func (m *Matrix) SumRows(rows []int32, dst []float32) {
 			dst[j] += a[j]
 		}
 	}
-}
-
-// rowsInRange reports whether every entry of rows names a whole row of
-// m.Data.
-func (m *Matrix) rowsInRange(rows []int32) bool {
-	if len(m.Data) < m.Rows*m.Cols {
-		return false
-	}
-	limit := uint64(m.Rows)
-	for _, r := range rows {
-		if uint64(int64(r)) >= limit { // a negative r wraps above limit
-			return false
-		}
-	}
-	return true
 }
 
 // AVX2 reports whether the AVX2 kernel bodies are in use: on amd64 CPUs

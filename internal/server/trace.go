@@ -50,6 +50,10 @@ type jobTraceState struct {
 	spans      []sparkxd.TraceSpan
 	dropped    int  // spans discarded past maxTraceSpans
 	finalized  bool // the terminal assembly ran (at most once)
+	// persisted is closed when finalizeTrace's store write has returned,
+	// whether or not it succeeded. A job turns terminal before its trace
+	// is written, so TraceFor waits on it for a terminal job.
+	persisted chan struct{}
 }
 
 // newJobTraceState opens a job's trace at submission time. A valid
@@ -57,7 +61,7 @@ type jobTraceState struct {
 // root span's parent); anything else starts a fresh trace.
 func newJobTraceState(traceparent string) *jobTraceState {
 	now := time.Now()
-	tr := &jobTraceState{start: now, queueStart: now}
+	tr := &jobTraceState{start: now, queueStart: now, persisted: make(chan struct{})}
 	if sc, err := tracing.ParseTraceparent(traceparent); err == nil {
 		tr.root = sc.Child()
 		tr.clientSpan = sc.SpanID.String()
@@ -160,6 +164,7 @@ func (s *Server) finalizeTrace(rec *jobRec) {
 		return
 	}
 	tr.finalized = true
+	defer close(tr.persisted)
 	attrs := map[string]string{
 		"job_id":          rec.status.ID,
 		"kind":            string(rec.status.Spec.Kind),
@@ -204,18 +209,25 @@ func (s *Server) finalizeTrace(rec *jobRec) {
 // TraceFor returns a terminal job's assembled trace. known reports
 // whether the job exists at all; a known job whose trace has not been
 // assembled yet (still running, or restored from a pre-tracing record)
-// returns (nil, true, nil).
+// returns (nil, true, nil), and so does a job whose trace could not be
+// stored. For a terminal job whose trace is still being stored, it waits
+// for that write.
 func (s *Server) TraceFor(id string) (trace *sparkxd.JobTrace, known bool, err error) {
 	s.mu.Lock()
 	rec, ok := s.jobs[id]
-	var key sparkxd.ArtifactKey
-	if ok {
+	if !ok {
+		s.mu.Unlock()
+		return nil, false, nil
+	}
+	key := rec.traceKey
+	if key == "" && rec.trace != nil && rec.status.State.Terminal() {
+		persisted := rec.trace.persisted
+		s.mu.Unlock()
+		<-persisted
+		s.mu.Lock()
 		key = rec.traceKey
 	}
 	s.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
 	if key == "" {
 		return nil, true, nil
 	}

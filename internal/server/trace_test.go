@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -367,4 +369,102 @@ func dumpTrace(tr *sparkxd.JobTrace) string {
 		out += fmt.Sprintf("  %s parent=%s %s %s %v\n", sp.SpanID, sp.Parent, sp.Process, sp.Name, sp.Attrs)
 	}
 	return out
+}
+
+// traceWriteStore wraps a store and holds back the write of a job trace:
+// it closes writing when that write begins, then waits for release, and
+// fails the write instead of storing it when fail is set.
+type traceWriteStore struct {
+	sparkxd.ArtifactStore
+	fail             bool
+	writing, release chan struct{}
+}
+
+func (h *traceWriteStore) Put(kind string, payload any) (sparkxd.ArtifactKey, error) {
+	if kind != sparkxd.KindJobTrace {
+		return h.ArtifactStore.Put(kind, payload)
+	}
+	close(h.writing)
+	<-h.release
+	if h.fail {
+		return "", errors.New("trace write refused")
+	}
+	return h.ArtifactStore.Put(kind, payload)
+}
+
+// A job turns terminal before its trace is written. TraceFor on a
+// terminal job must wait for that write and return the trace, never
+// "no trace yet"; when the write fails it must return no trace without
+// blocking.
+func TestTraceForWaitsForTraceWrite(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
+			st := &traceWriteStore{ArtifactStore: sparkxd.MemoryStore(), fail: fail,
+				writing: make(chan struct{}), release: make(chan struct{})}
+			var releaseOnce sync.Once
+			release := func() { releaseOnce.Do(func() { close(st.release) }) }
+			t.Cleanup(release)
+			srv, err := New(Config{Dispatch: DispatchFleet, Store: st, Logger: testLogger(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Close)
+			status, _, err := srv.Submit(tinySweepJob())
+			if err != nil {
+				t.Fatal(err)
+			}
+			grants, err := srv.AcquireLeases("w1", 1)
+			if err != nil || len(grants) != 1 {
+				t.Fatalf("AcquireLeases = %v, %v", grants, err)
+			}
+			key, err := sparkxd.PutArtifact(srv.Store(), &sparkxd.SweepReport{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			completed := make(chan error, 1)
+			go func() {
+				completed <- srv.CompleteLease(grants[0].LeaseID,
+					map[string]sparkxd.ArtifactKey{"sweep": key}, "", nil)
+			}()
+			<-st.writing
+			if got, _ := srv.Job(status.ID); got.State != sparkxd.JobDone {
+				t.Fatalf("state while the trace is written = %s, want done", got.State)
+			}
+			// TraceFor looks while the write is still held. However late
+			// the release comes, a TraceFor that waits for the write gets
+			// its outcome.
+			time.AfterFunc(50*time.Millisecond, release)
+			type result struct {
+				tr    *sparkxd.JobTrace
+				known bool
+				err   error
+			}
+			got := make(chan result, 1)
+			go func() {
+				tr, known, err := srv.TraceFor(status.ID)
+				got <- result{tr, known, err}
+			}()
+			var r result
+			select {
+			case r = <-got:
+			case <-time.After(30 * time.Second):
+				t.Fatal("TraceFor still blocked 30 s after the trace write returned")
+			}
+			if err := <-completed; err != nil {
+				t.Fatal(err)
+			}
+			if r.err != nil || !r.known {
+				t.Fatalf("TraceFor: known=%v, err=%v", r.known, r.err)
+			}
+			if fail {
+				if r.tr != nil {
+					t.Fatal("TraceFor returned a trace whose write failed")
+				}
+				return
+			}
+			if r.tr == nil || r.tr.State != sparkxd.JobDone {
+				t.Fatalf("TraceFor of a done job = %v, want its trace", r.tr)
+			}
+		})
+	}
 }

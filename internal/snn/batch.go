@@ -112,8 +112,9 @@ func (n *Network) EncodeDatasetWith(ctx context.Context, ds *dataset.Dataset, en
 // chain samples sequentially (Pool.Step mutates the adaptive thresholds
 // even during inference), so parallelism is applied only to the
 // per-sample synaptic-drive accumulation — a pure function of the
-// weights and the spike train — while the stateful Step/Inhibit pass
-// consumes the precomputed drives strictly in sample order. Every
+// weights and the spike train — while the stateful Step pass, lateral
+// inhibition included, consumes the precomputed drives strictly in
+// sample order. Every
 // floating-point operation happens with the same operands in the same
 // order as the scalar path.
 func (n *Network) EvaluateEncoded(ctx context.Context, es *EncodedSet, workers int) (float64, error) {
@@ -216,12 +217,8 @@ func (n *Network) presentDrives(drives []float32) []int {
 	n.Pool.ResetState()
 	neurons := cfg.Neurons
 	for t := 0; t*neurons < len(drives); t++ {
-		spikes := n.Pool.Step(drives[t*neurons:(t+1)*neurons], n.spikeBuf)
-		if len(spikes) > 0 {
-			n.Pool.Inhibit(spikes, cfg.Inhibition)
-			for _, j := range spikes {
-				n.counts[j]++
-			}
+		for _, j := range n.Pool.Step(drives[t*neurons:(t+1)*neurons], cfg.Inhibition, n.spikeBuf) {
+			n.counts[j]++
 		}
 	}
 	return n.counts

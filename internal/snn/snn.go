@@ -198,15 +198,12 @@ func (n *Network) present(tr coding.Train, learn bool) []int {
 		// Synaptic drive from this step's input spikes.
 		n.W.SumRows(active, n.drive)
 
-		spikes := n.Pool.Step(n.drive, n.spikeBuf)
-		if len(spikes) > 0 {
-			n.Pool.Inhibit(spikes, cfg.Inhibition)
-			for _, j := range spikes {
-				n.counts[j]++
-			}
-			if learn {
-				n.applySTDP(spikes)
-			}
+		spikes := n.Pool.Step(n.drive, cfg.Inhibition, n.spikeBuf)
+		for _, j := range spikes {
+			n.counts[j]++
+		}
+		if learn {
+			n.applySTDP(spikes)
 		}
 	}
 	if learn {

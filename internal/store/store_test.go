@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -222,4 +224,45 @@ func TestEncodeDecodeEnvelope(t *testing.T) {
 	if err := env.Decode("wrong", &out); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Decode with wrong kind: want ErrCorrupt, got %v", err)
 	}
+}
+
+// FuzzDecodeEnvelope mutates one byte of a valid Encode result: the
+// envelope of a sample payload drawn from name, count and vals, whose
+// byte at pos (modulo its length) becomes b. DecodeEnvelope must either
+// fail with ErrCorrupt or return an envelope with the original Kind and
+// Payload bytes, never panic. A mutation can keep the envelope valid
+// (a byte set to its own value, the trailing newline set to other
+// whitespace, or a field name changed in case, which encoding/json
+// matches case-insensitively), but no byte of the payload can change
+// without the hash check failing.
+func FuzzDecodeEnvelope(f *testing.F) {
+	f.Add("w", int64(3), 0.5, uint16(2), byte('K'))
+	f.Add("", int64(-1), math.Copysign(0, -1), uint16(70), byte(' '))
+	f.Fuzz(func(t *testing.T, name string, count int64, val float64, pos uint16, b byte) {
+		p := sample{Name: name, Count: int(count)}
+		if !math.IsNaN(val) && !math.IsInf(val, 0) {
+			p.Vals = []float64{val}
+		}
+		key, enc, err := Encode("sample", p)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		orig, err := DecodeEnvelope(key, enc)
+		if err != nil {
+			t.Fatalf("DecodeEnvelope of the unmutated envelope: %v", err)
+		}
+		mutated := append([]byte(nil), enc...)
+		mutated[int(pos)%len(mutated)] = b
+		env, err := DecodeEnvelope(key, mutated)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("mutated %q: error %v is not ErrCorrupt", mutated, err)
+			}
+			return
+		}
+		if env.Kind != orig.Kind || !bytes.Equal(env.Payload, orig.Payload) {
+			t.Fatalf("mutated %q decoded as kind %q payload %s, want %q %s",
+				mutated, env.Kind, env.Payload, orig.Kind, orig.Payload)
+		}
+	})
 }

@@ -85,7 +85,8 @@ func BenchmarkRateEncode(b *testing.B) {
 // BenchmarkLIFStep measures one timestep of an N3600 LIF population (the
 // paper's largest network) with a realistic sparse drive: a fraction of
 // the neurons receive suprathreshold input so the spike/reset/refractory
-// paths are exercised, not just the leak.
+// paths are exercised, not just the leak. Strength 0 leaves out Step's
+// inhibition pass; BenchmarkEvaluate and BenchmarkSweepScenario run it.
 func BenchmarkLIFStep(b *testing.B) {
 	const n = 3600
 	pool, err := neuron.NewPool(neuron.DefaultLIF(n))
@@ -109,7 +110,7 @@ func BenchmarkLIFStep(b *testing.B) {
 	spikes := make([]int32, 0, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spikes = pool.Step(drives[i&3], spikes)
+		spikes = pool.Step(drives[i&3], 0, spikes)
 	}
 	_ = spikes
 }
