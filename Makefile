@@ -36,9 +36,9 @@ race:
 # chain's normalize-and-clamp pass and trace decay) against their Go
 # references, of the evaluator's patched weight load against the full
 # load, of the sweep-spec validation on raw float bit patterns, of
-# job-spec normalization on raw JSON, and of the store's envelope decode
-# on one-byte mutations (go test -fuzz takes one target and one package
-# per run).
+# job-spec normalization on raw JSON, of the store's envelope decode on
+# one-byte mutations, and of the W3C traceparent parser on raw strings
+# (go test -fuzz takes one target and one package per run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzNormalizeClamp$$' -fuzztime=20s ./internal/numeric
@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecValidate$$' -fuzztime=20s ./internal/engine
 	$(GO) test -run='^$$' -fuzz='^FuzzJobSpecNormalize$$' -fuzztime=20s .
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeEnvelope$$' -fuzztime=20s ./internal/store
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=20s ./internal/tracing
 
 # Quick-mode benchmark smoke run: every kernel benchmark
 # (kernel_bench_test.go, the repo's only Benchmark functions) executes

@@ -12,6 +12,7 @@ import (
 	"sparkxd"
 	"sparkxd/internal/sched"
 	"sparkxd/internal/server"
+	"sparkxd/internal/store"
 )
 
 // runServe starts the HTTP job service: submit pipeline-stage and sweep
@@ -69,26 +70,10 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return 2
 	}
 
-	var st sparkxd.ArtifactStore
-	if *storeDir != "" {
-		if st, err = sparkxd.OpenStore(*storeDir); err != nil {
-			fmt.Fprintf(stderr, "sparkxd serve: %v\n", err)
-			return 1
-		}
-	} else {
-		st = sparkxd.MemoryStore()
-	}
-	if *cacheDir != "" {
-		if !sparkxd.IsStoreURL(*storeDir) {
-			fmt.Fprintln(stderr, "sparkxd serve: -cache only makes sense in front of a remote -store URL")
-			return 2
-		}
-		cache, err := sparkxd.OpenStore(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(stderr, "sparkxd serve: %v\n", err)
-			return 1
-		}
-		st = sparkxd.ReadThroughStore(cache, st)
+	// No -store leaves st nil: server.New then keeps an in-memory store.
+	st, code := openServiceStore("sparkxd serve", *storeDir, *cacheDir, nil, stderr)
+	if code != 0 {
+		return code
 	}
 	logger, code := newCLILogger("sparkxd serve", *quiet, *logLevel, stderr)
 	if code != 0 {
@@ -146,4 +131,39 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	}
 	<-done
 	return 0
+}
+
+// openServiceStore opens the -store of `sparkxd serve` or `sparkxd
+// worker`: nil when location is empty, else the directory or remote
+// store URL it names (a remote store's requests go through hc; nil
+// keeps the store client's default). With cacheDir, a remote store gets
+// a local read-through cache in front. The exit code is 2 for a -cache
+// without a remote -store and 1 for a store that fails to open, after
+// one line on stderr.
+func openServiceStore(cmd, location, cacheDir string, hc *http.Client, stderr io.Writer) (sparkxd.ArtifactStore, int) {
+	if cacheDir != "" && !sparkxd.IsStoreURL(location) {
+		fmt.Fprintf(stderr, "%s: -cache needs a remote -store URL\n", cmd)
+		return nil, 2
+	}
+	if location == "" {
+		return nil, 0
+	}
+	var st sparkxd.ArtifactStore
+	var err error
+	if sparkxd.IsStoreURL(location) {
+		st, err = sparkxd.RemoteStore(location, store.WithHTTPClient(hc))
+	} else {
+		st, err = sparkxd.OpenStore(location)
+	}
+	if err == nil && cacheDir != "" {
+		var cache sparkxd.ArtifactStore
+		if cache, err = sparkxd.OpenStore(cacheDir); err == nil {
+			st = sparkxd.ReadThroughStore(cache, st)
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", cmd, err)
+		return nil, 1
+	}
+	return st, 0
 }

@@ -9,24 +9,22 @@ import (
 	"net/http"
 	"time"
 
-	"sparkxd"
-	"sparkxd/internal/store"
 	"sparkxd/internal/worker"
 )
 
 // runWorker joins a coordinator (`sparkxd serve`, either dispatch mode)
 // as a fleet worker: lease queued jobs, execute them on the local pool,
-// stream events back, upload result envelopes, and complete. An idle
+// stream events back, store the results, and complete. An idle
 // lease request waits on the coordinator for up to -poll, so a
 // submission is picked up as it arrives. SIGINT/SIGTERM drains:
 // in-flight jobs get -drain-timeout to finish; whatever is still
 // running has its lease released so the coordinator requeues it
 // immediately.
 //
+// Results go into the coordinator's store through its artifact routes.
 // In a federation, -store points the worker at the shared artifact
-// store (a directory or a `sparkxd store serve` URL) so results bypass
-// the coordinator's upload endpoint; -cache layers a local read-through
-// cache in front of a remote store.
+// store (a directory or a `sparkxd store serve` URL) instead; -cache
+// layers a local read-through cache in front of a remote store.
 func runWorker(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sparkxd worker", flag.ContinueOnError)
 	var (
@@ -36,7 +34,7 @@ func runWorker(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		poll      = fs.Duration("poll", 500*time.Millisecond, "how long one idle lease request waits for work")
 		drain     = fs.Duration("drain-timeout", 30*time.Second, "how long a signalled worker keeps finishing in-flight jobs")
 		maxWarm   = fs.Int("max-warm-systems", 0, "bound on cached warm System engines, LRU-evicted (0 = unbounded)")
-		storeLoc  = fs.String("store", "", "shared artifact store (directory or store URL); empty = upload via the coordinator")
+		storeLoc  = fs.String("store", "", "shared artifact store (directory or store URL); empty = the coordinator's store")
 		cacheDir  = fs.String("cache", "", "local read-through cache directory in front of a remote -store URL")
 		metrics   = fs.String("metrics", "", "serve Prometheus metrics on this address (host:port; port 0 picks a free port; empty = off)")
 		logLevel  = fs.String("log-level", "info", "structured log threshold on stderr: debug, info, warn, error")
@@ -62,33 +60,11 @@ func runWorker(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	// they share connection pools toward the same hosts; the timeout
 	// matches newCoordClient's default client.
 	hc := &http.Client{Timeout: 30 * time.Second}
-	var st sparkxd.ArtifactStore
-	if *storeLoc != "" {
-		var err error
-		if sparkxd.IsStoreURL(*storeLoc) {
-			st, err = sparkxd.RemoteStore(*storeLoc, store.WithHTTPClient(hc))
-		} else {
-			st, err = sparkxd.OpenStore(*storeLoc)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "sparkxd worker: %v\n", err)
-			return 1
-		}
-		if *cacheDir != "" {
-			if !sparkxd.IsStoreURL(*storeLoc) {
-				fmt.Fprintln(stderr, "sparkxd worker: -cache only makes sense in front of a remote -store URL")
-				return 2
-			}
-			cache, err := sparkxd.OpenStore(*cacheDir)
-			if err != nil {
-				fmt.Fprintf(stderr, "sparkxd worker: %v\n", err)
-				return 1
-			}
-			st = sparkxd.ReadThroughStore(cache, st)
-		}
-	} else if *cacheDir != "" {
-		fmt.Fprintln(stderr, "sparkxd worker: -cache needs a remote -store URL")
-		return 2
+	// No -store leaves st nil: the worker then puts into the
+	// coordinator's store through hc.
+	st, code := openServiceStore("sparkxd worker", *storeLoc, *cacheDir, hc, stderr)
+	if code != 0 {
+		return code
 	}
 	w, err := worker.New(worker.Config{
 		Coordinator:    *join,

@@ -75,12 +75,6 @@ type Pool struct {
 
 	decayV     float32 // exp(-dt/tauM)
 	decayTheta float32 // exp(-dt/tauTheta)
-
-	// winnerStamp/stampGen implement Inhibit's O(N + winners) winner
-	// lookup: winnerStamp[j] == stampGen marks j a winner of the current
-	// Inhibit call, so no per-call clearing or allocation is needed.
-	winnerStamp []uint64
-	stampGen    uint64
 }
 
 // NewPool allocates a pool at resting state.
@@ -89,13 +83,12 @@ func NewPool(cfg LIFConfig) (*Pool, error) {
 		return nil, err
 	}
 	p := &Pool{
-		Cfg:         cfg,
-		V:           make([]float32, cfg.N),
-		Theta:       make([]float32, cfg.N),
-		refrac:      make([]int32, cfg.N),
-		winnerStamp: make([]uint64, cfg.N),
-		decayV:      float32(math.Exp(-cfg.DT / cfg.TauM)),
-		decayTheta:  float32(math.Exp(-cfg.DT / cfg.TauTheta)),
+		Cfg:        cfg,
+		V:          make([]float32, cfg.N),
+		Theta:      make([]float32, cfg.N),
+		refrac:     make([]int32, cfg.N),
+		decayV:     float32(math.Exp(-cfg.DT / cfg.TauM)),
+		decayTheta: float32(math.Exp(-cfg.DT / cfg.TauTheta)),
 	}
 	for i := range p.V {
 		p.V[i] = cfg.VRest
@@ -202,10 +195,11 @@ func (p *Pool) Step(input []float32, inhibition float32, spikesOut []int32) []in
 // its effective one-step form (exc -> inh -> exc with one-to-one
 // excitation and all-to-others inhibition).
 //
-// Winners are marked in a generation-stamped scratch slice, making the
-// pass O(N + len(winners)) instead of O(N * len(winners)); the applied
-// arithmetic is unchanged, so membranes stay bit-identical to the
-// scalar form.
+// winners must be in strictly ascending order, as Step returns its
+// spikes: the pass walks them alongside the membranes, so it is
+// O(N + len(winners)) instead of O(N * len(winners)) and needs no
+// scratch; the applied arithmetic is unchanged, so membranes stay
+// bit-identical to the scalar form.
 //
 // Step applies this inhibition to its own spikes, so the SNN never
 // calls Inhibit; it is the Go body of Step's inhibition in builds
@@ -214,17 +208,13 @@ func (p *Pool) Inhibit(winners []int32, strength float32) {
 	if len(winners) == 0 || strength == 0 {
 		return
 	}
-	p.stampGen++
-	gen := p.stampGen
-	stamp := p.winnerStamp
-	for _, w := range winners {
-		stamp[w] = gen
-	}
 	sub := strength * float32(len(winners))
 	floor := p.Cfg.VFloor
 	V := p.V
+	next := 0 // winners[next] is the first winner not yet passed
 	for j := range V {
-		if stamp[j] == gen {
+		if next < len(winners) && int(winners[next]) == j {
+			next++
 			continue
 		}
 		v := V[j] - sub

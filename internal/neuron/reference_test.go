@@ -154,9 +154,9 @@ func TestStepMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestInhibitMatchesScalarReference pins the generation-stamped Inhibit
-// against the seed's quadratic winner scan, including repeated calls
-// (the stamp generation must not leak winners across calls).
+// TestInhibitMatchesScalarReference pins Inhibit's walk over its
+// ascending winners against the seed's quadratic winner scan, including
+// repeated calls (no call may leak winners into the next).
 func TestInhibitMatchesScalarReference(t *testing.T) {
 	cfg := DefaultLIF(61)
 	p, err := NewPool(cfg)

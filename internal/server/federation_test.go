@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -305,35 +306,77 @@ func TestFailoverCompletesRequeuedWork(t *testing.T) {
 	}
 }
 
-// The server-side artifact routes share the wire contract of
-// store.NewHandler: malformed keys 400, absent keys 404, listings 200.
+// The coordinator's artifact routes are store.NewHandler's, so they
+// keep the artifact wire's contract: malformed keys 400, absent keys
+// 404, listings 200; a PUT stores only bytes that hash back to the key
+// it names (201), and a HEAD reports the envelope's size.
 func TestArtifactRouteErrorContract(t *testing.T) {
 	srv, ts := newTestServer(t)
 	key, err := srv.Store().Put("sample-note", map[string]int{"n": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A valid envelope the store does not hold yet, and a copy of it
+	// with one payload byte changed.
+	newKey, env, err := store.Encode("sample-note", map[string]int{"n": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := bytes.Replace(env, []byte(`"n":2`), []byte(`"n":3`), 1)
+	if bytes.Equal(tampered, env) {
+		t.Fatalf("no payload byte to change in %s", env)
+	}
 	tests := []struct {
-		path string
-		want int
+		method, path string
+		body         []byte
+		want         int
 	}{
-		{"/v1/artifacts/" + string(key), http.StatusOK},
-		{"/v1/artifacts/", http.StatusNotFound},
-		{"/v1/artifacts/noslash", http.StatusBadRequest},
-		{"/v1/artifacts/sample-note/nothex", http.StatusBadRequest},
-		{"/v1/artifacts/sample-note/" + status64("ab"), http.StatusNotFound},
-		{"/v1/artifacts", http.StatusOK},
-		{"/v1/artifacts?kind=sample-note", http.StatusOK},
+		{http.MethodGet, "/v1/artifacts/" + string(key), nil, http.StatusOK},
+		{http.MethodGet, "/v1/artifacts/", nil, http.StatusNotFound},
+		{http.MethodGet, "/v1/artifacts/noslash", nil, http.StatusBadRequest},
+		{http.MethodGet, "/v1/artifacts/sample-note/nothex", nil, http.StatusBadRequest},
+		{http.MethodGet, "/v1/artifacts/sample-note/" + status64("ab"), nil, http.StatusNotFound},
+		{http.MethodGet, "/v1/artifacts", nil, http.StatusOK},
+		{http.MethodGet, "/v1/artifacts?kind=sample-note", nil, http.StatusOK},
+		{http.MethodPut, "/v1/artifacts/" + string(newKey), tampered, http.StatusBadRequest},
+		{http.MethodPut, "/v1/artifacts/" + string(key), env, http.StatusBadRequest},
+		{http.MethodGet, "/v1/artifacts/" + string(newKey), nil, http.StatusNotFound},
+		{http.MethodPut, "/v1/artifacts/" + string(newKey), env, http.StatusCreated},
+		{http.MethodGet, "/v1/artifacts/" + string(newKey), nil, http.StatusOK},
+		{http.MethodHead, "/v1/artifacts/" + string(newKey), nil, http.StatusOK},
+		{http.MethodHead, "/v1/artifacts/sample-note/" + status64("ab"), nil, http.StatusNotFound},
 	}
 	for _, tc := range tests {
-		resp, err := http.Get(ts.URL + tc.path)
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Errorf("GET %s = %d, want %d", tc.path, resp.StatusCode, tc.want)
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
+	}
+
+	get, err := http.Get(ts.URL + "/v1/artifacts/" + string(newKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(get.Body)
+	get.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := http.Head(ts.URL + "/v1/artifacts/" + string(newKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head.Body.Close()
+	if head.ContentLength != int64(len(body)) {
+		t.Errorf("HEAD Content-Length = %d, GET body is %d bytes", head.ContentLength, len(body))
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 //	                                (?kind=; federation peers preload job
 //	                                records through it)
 //	GET    /v1/artifacts/{key...}   the stored envelope of one artifact key
+//	                                (HEAD: its size)
 //	PUT    /v1/artifacts/{key...}   upload an envelope (fleet workers;
 //	                                verified against its content address)
 //	POST   /v1/workers              register a fleet worker
@@ -45,6 +46,10 @@ import (
 //	GET    /v1/healthz              liveness probe (dispatch mode, queue
 //	                                depth, registered-worker count)
 //	GET    /metrics                 Prometheus text-format metrics
+//
+// The artifact routes are store.NewHandler's over the server's store,
+// so a coordinator speaks the artifact wire exactly as `sparkxd store
+// serve` does, and every Get and Put through them is metered.
 //
 // When admission control is enabled (Config.Rate > 0), POST /v1/jobs
 // may answer 429 with a Retry-After header; all other routes are never
@@ -61,9 +66,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/artifacts", s.handleArtifactList)
-	mux.HandleFunc("GET /v1/artifacts/{key...}", s.handleArtifact)
-	mux.HandleFunc("PUT /v1/artifacts/{key...}", s.handleArtifactPut)
+	artifacts := store.NewHandler(s.st)
+	mux.Handle("GET /v1/artifacts", artifacts)
+	mux.Handle("GET /v1/artifacts/{key...}", artifacts)
+	mux.Handle("PUT /v1/artifacts/{key...}", artifacts)
 	mux.HandleFunc("POST /v1/workers", s.handleWorkerRegister)
 	mux.HandleFunc("GET /v1/workers", s.handleWorkerList)
 	mux.HandleFunc("POST /v1/leases", s.handleLeaseAcquire)
@@ -289,68 +295,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, trace)
-}
-
-// handleArtifact serves one stored envelope. The error contract is the
-// artifact wire's (shared with `sparkxd store serve` and relied on by
-// the HTTP store client's sentinel mapping): a missing key path or an
-// absent artifact is 404, a malformed key 400, a store-side failure
-// 500. The key is validated before touching the store, so every
-// backend — including a remote one — reports malformed keys uniformly.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	key := sparkxd.ArtifactKey(r.PathValue("key"))
-	if key == "" {
-		writeError(w, http.StatusNotFound, "no artifact key")
-		return
-	}
-	if err := key.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	env, err := s.st.Get(key)
-	if err != nil {
-		store.WriteArtifactError(w, err)
-		return
-	}
-	// Serve the canonical envelope encoding, so what a client fetches
-	// hashes back to the key it asked for.
-	store.ServeEnvelope(w, env)
-}
-
-// handleArtifactList enumerates stored artifacts of one kind (?kind=,
-// empty for all). Federation peers use it to preload job records from a
-// coordinator-backed store the same way they would from `store serve`.
-func (s *Server) handleArtifactList(w http.ResponseWriter, r *http.Request) {
-	infos, err := s.st.List(r.URL.Query().Get("kind"))
-	if err != nil {
-		store.WriteArtifactError(w, err)
-		return
-	}
-	if infos == nil {
-		infos = []sparkxd.ArtifactInfo{}
-	}
-	writeJSON(w, http.StatusOK, infos)
-}
-
-// handleArtifactPut accepts a worker-uploaded envelope. The bytes must
-// decode and hash back to the claimed key (store.DecodeEnvelope), so a
-// corrupt or tampered upload can never land at a valid address.
-func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
-	key := sparkxd.ArtifactKey(r.PathValue("key"))
-	if err := key.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	env, code, err := store.ReadUploadedEnvelope(store.Key(key), r.Body)
-	if err != nil {
-		writeError(w, code, "%v", err)
-		return
-	}
-	if err := s.PutUploadedArtifact(key, env); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"key": string(key)})
 }
 
 func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {

@@ -309,24 +309,6 @@ func (s *Server) CompleteLease(id string, arts map[string]sparkxd.ArtifactKey, f
 	return nil
 }
 
-// PutUploadedArtifact stores an envelope a worker uploaded, after
-// verifying the bytes hash back to the claimed key. Content addressing
-// makes this idempotent and race-free: two workers (or a zombie and its
-// replacement) uploading the same deterministic result write the same
-// bytes to the same address.
-func (s *Server) PutUploadedArtifact(key sparkxd.ArtifactKey, env *sparkxd.ArtifactEnvelope) error {
-	got, err := s.st.Put(env.Kind, env.Payload)
-	if err != nil {
-		return err
-	}
-	if got != key {
-		// Unreachable when the envelope was decoded against the key, but
-		// guard the store's integrity anyway.
-		return fmt.Errorf("uploaded envelope stored at %s, claimed %s", got, key)
-	}
-	return nil
-}
-
 // reapLoop expires overdue leases, requeueing their jobs with the dead
 // worker excluded. Runs for the server's lifetime in both dispatch
 // modes: local jobs are leases too.

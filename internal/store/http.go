@@ -12,8 +12,9 @@ import (
 	"time"
 )
 
-// HTTP is the remote Store backend: a client for the artifact wire the
-// job server and `sparkxd store serve` both speak —
+// HTTP is the remote Store backend: a client for the artifact wire
+// NewHandler serves, under `sparkxd store serve` and every job
+// coordinator —
 //
 //	GET  /v1/artifacts/{key...}   the canonical envelope bytes
 //	HEAD /v1/artifacts/{key...}   existence + envelope size

@@ -10,13 +10,14 @@ import (
 	"strconv"
 )
 
-// MaxUploadBytes bounds one uploaded envelope on the artifact wire
+// maxUploadBytes bounds one uploaded envelope on the artifact wire
 // (trained models for the largest paper configurations are far below
-// this). Shared by the job server's artifact routes.
-const MaxUploadBytes = 256 << 20
+// this).
+const maxUploadBytes = 256 << 20
 
-// NewHandler exposes a Store over the artifact wire, making any local
-// store a standalone artifact service (`sparkxd store serve`):
+// NewHandler exposes a Store over the artifact wire: `sparkxd store
+// serve` mounts it to make any local store a standalone artifact
+// service, and a job coordinator mounts its artifact routes:
 //
 //	GET  /v1/artifacts?kind=      Info listing of one kind ("" = all)
 //	GET  /v1/artifacts/{key...}   canonical envelope bytes (trailing \n)
@@ -25,10 +26,9 @@ const MaxUploadBytes = 256 << 20
 //	                              content address (200/201)
 //	GET  /v1/healthz              liveness probe
 //
-// Error contract (mirrored by the job server's artifact routes and
-// mapped back to sentinels by the HTTP store client): malformed keys
-// are 400, absent keys 404, oversized uploads 413, and a store-side
-// failure 500.
+// Error contract (mapped back to sentinels by the HTTP store client):
+// malformed keys are 400, absent keys 404, oversized uploads 413, and a
+// store-side failure 500.
 func NewHandler(st Store) http.Handler {
 	h := &storeHandler{st: st}
 	mux := http.NewServeMux()
@@ -62,10 +62,10 @@ func writeWireError(w http.ResponseWriter, code int, format string, args ...any)
 	writeWireJSON(w, code, wireError{Error: fmt.Sprintf(format, args...)})
 }
 
-// WriteArtifactError maps a store failure onto the wire's status codes:
+// writeArtifactError maps a store failure onto the wire's status codes:
 // a key the store has never seen is 404, a malformed key 400, anything
 // else (IO failure, corrupt stored bytes) 500.
-func WriteArtifactError(w http.ResponseWriter, err error) {
+func writeArtifactError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, ErrNotFound):
@@ -88,10 +88,10 @@ func (h *storeHandler) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	env, err := h.st.Get(key)
 	if err != nil {
-		WriteArtifactError(w, err)
+		writeArtifactError(w, err)
 		return
 	}
-	ServeEnvelope(w, env)
+	serveEnvelope(w, env)
 }
 
 func (h *storeHandler) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -100,7 +100,7 @@ func (h *storeHandler) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeWireError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	env, code, err := ReadUploadedEnvelope(key, r.Body)
+	env, code, err := readUploadedEnvelope(key, r.Body)
 	if err != nil {
 		writeWireError(w, code, "%v", err)
 		return
@@ -123,7 +123,7 @@ func (h *storeHandler) handleList(w http.ResponseWriter, r *http.Request) {
 	kind := r.URL.Query().Get("kind")
 	infos, err := h.st.List(kind)
 	if err != nil {
-		WriteArtifactError(w, err)
+		writeArtifactError(w, err)
 		return
 	}
 	if infos == nil {
@@ -132,11 +132,11 @@ func (h *storeHandler) handleList(w http.ResponseWriter, r *http.Request) {
 	writeWireJSON(w, http.StatusOK, infos)
 }
 
-// ServeEnvelope writes an envelope's canonical encoding (plus trailing
+// serveEnvelope writes an envelope's canonical encoding (plus trailing
 // newline) with an explicit Content-Length, so HEAD probes — which Go's
 // ServeMux routes through GET patterns with the body suppressed — still
 // report the envelope size.
-func ServeEnvelope(w http.ResponseWriter, env *Envelope) {
+func serveEnvelope(w http.ResponseWriter, env *Envelope) {
 	b, err := json.Marshal(env)
 	if err != nil {
 		writeWireError(w, http.StatusInternalServerError, "%v", err)
@@ -149,17 +149,17 @@ func ServeEnvelope(w http.ResponseWriter, env *Envelope) {
 	w.Write(b)
 }
 
-// ReadUploadedEnvelope reads and verifies one uploaded envelope against
+// readUploadedEnvelope reads and verifies one uploaded envelope against
 // its claimed key. On failure it returns the HTTP status the wire
 // contract assigns: 400 for bytes that do not verify, 413 for an
 // oversized upload.
-func ReadUploadedEnvelope(key Key, body io.Reader) (*Envelope, int, error) {
-	b, err := io.ReadAll(io.LimitReader(body, MaxUploadBytes+1))
+func readUploadedEnvelope(key Key, body io.Reader) (*Envelope, int, error) {
+	b, err := io.ReadAll(io.LimitReader(body, maxUploadBytes+1))
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("read upload: %w", err)
 	}
-	if len(b) > MaxUploadBytes {
-		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("upload exceeds %d bytes", MaxUploadBytes)
+	if len(b) > maxUploadBytes {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("upload exceeds %d bytes", maxUploadBytes)
 	}
 	env, err := DecodeEnvelope(key, bytes.TrimRight(b, "\r\n"))
 	if err != nil {

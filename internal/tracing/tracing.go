@@ -105,7 +105,9 @@ func (sc SpanContext) Traceparent() string {
 
 // ParseTraceparent decodes a W3C traceparent header. Unknown versions
 // are rejected conservatively (the caller should then mint a fresh
-// context), as are all-zero trace or span IDs.
+// context), as are all-zero trace or span IDs and any field that is not
+// lowercase hex (W3C Trace Context's HEXDIGLC). So an accepted header is
+// exactly the Traceparent() of the context it decodes to.
 func ParseTraceparent(s string) (SpanContext, error) {
 	var sc SpanContext
 	if len(s) != 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
@@ -114,14 +116,14 @@ func ParseTraceparent(s string) (SpanContext, error) {
 	if s[0] != '0' || s[1] != '0' {
 		return sc, fmt.Errorf("tracing: unsupported traceparent version %q", s[:2])
 	}
-	if _, err := hex.Decode(sc.TraceID[:], []byte(s[3:35])); err != nil {
+	if !decodeLowerHex(sc.TraceID[:], s[3:35]) {
 		return sc, fmt.Errorf("tracing: bad trace id in %q", s)
 	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(s[36:52])); err != nil {
+	if !decodeLowerHex(sc.SpanID[:], s[36:52]) {
 		return sc, fmt.Errorf("tracing: bad span id in %q", s)
 	}
 	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(s[53:55])); err != nil {
+	if !decodeLowerHex(flags[:], s[53:55]) {
 		return sc, fmt.Errorf("tracing: bad flags in %q", s)
 	}
 	sc.Flags = flags[0]
@@ -129,6 +131,18 @@ func ParseTraceparent(s string) (SpanContext, error) {
 		return SpanContext{}, fmt.Errorf("tracing: all-zero ids in %q", s)
 	}
 	return sc, nil
+}
+
+// decodeLowerHex decodes src into dst and reports whether src was
+// lowercase hex: hex.Decode alone also accepts A-F.
+func decodeLowerHex(dst []byte, src string) bool {
+	for i := 0; i < len(src); i++ {
+		if c := src[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	_, err := hex.Decode(dst, []byte(src))
+	return err == nil
 }
 
 // SpanData is the serializable record of one finished span — the unit

@@ -148,3 +148,24 @@ func TestHeaderInjectExtract(t *testing.T) {
 		t.Fatal("ParseTraceparent on empty headers succeeded")
 	}
 }
+
+// FuzzParseTraceparent feeds ParseTraceparent arbitrary strings. It
+// must never panic, and it either fails or returns a valid context
+// whose Traceparent() is the input byte for byte: every field is
+// lowercase hex, so no other spelling of a context parses. The seed
+// corpus (testdata/fuzz/FuzzParseTraceparent) holds the malformed and
+// accepted headers of the tests above and uppercase hex in each field.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted invalid context %+v", s, sc)
+		}
+		if got := sc.Traceparent(); got != s {
+			t.Fatalf("ParseTraceparent(%q) re-encodes as %q", s, got)
+		}
+	})
+}

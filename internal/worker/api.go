@@ -81,26 +81,6 @@ func (c *coordClient) complete(ctx context.Context, leaseID string, arts map[str
 		fleetapi.CompleteRequest{Artifacts: arts, Error: failure, Spans: spans}, nil)
 }
 
-// putArtifact uploads one canonical envelope to the coordinator's
-// store; the server re-verifies the bytes against the content address.
-func (c *coordClient) putArtifact(ctx context.Context, key sparkxd.ArtifactKey, envelope []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		c.base+"/v1/artifacts/"+string(key), bytes.NewReader(envelope))
-	if err != nil {
-		return fmt.Errorf("worker: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("worker: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return errorFrom(resp)
-	}
-	return nil
-}
-
 // do performs one JSON round trip. body == nil sends no body; out ==
 // nil discards the response body.
 func (c *coordClient) do(ctx context.Context, method, path string, body, out any) error {

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"sparkxd"
 	"sparkxd/internal/metrics"
 	"sparkxd/internal/store"
 )
@@ -24,8 +25,6 @@ type workerMetrics struct {
 	// jobs counts leased executions by outcome:
 	// done | failed | released | abandoned.
 	jobs *metrics.CounterVec
-	// uploadBytes totals artifact envelope bytes PUT to the coordinator.
-	uploadBytes *metrics.Counter
 	// stageDur times pipeline stages executed by this worker.
 	stageDur *metrics.HistogramVec
 	// queueDepth mirrors the coordinator backlog from the latest lease
@@ -41,8 +40,6 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 			"Lease renewals by outcome.", "outcome"),
 		jobs: r.NewCounterVec("sparkxd_worker_jobs_total",
 			"Leased job executions by outcome.", "outcome"),
-		uploadBytes: r.NewCounter("sparkxd_worker_upload_bytes_total",
-			"Artifact envelope bytes uploaded to the coordinator."),
 		stageDur: r.NewHistogramVec("sparkxd_job_stage_duration_seconds",
 			"Wall time of pipeline stages executed by this worker.", metrics.DefLatencyBuckets, "stage"),
 		queueDepth: r.NewGauge("sparkxd_worker_coordinator_queue_depth",
@@ -69,21 +66,28 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 	for i, series := range sweepSeries {
 		r.NewCounterFunc(series[0], series[1], func() uint64 { return w.systems.sweepStats()[i] })
 	}
-	// A worker uploading through a read-through composite (remote store
-	// + local cache) surfaces the cache's counters, mirroring the
-	// coordinator's series names.
-	if rt, ok := w.st.(*store.ReadThrough); ok {
-		r.NewCounterFunc("sparkxd_store_cache_hits_total",
-			"Read-through store Gets served entirely from the local cache.",
-			func() uint64 { h, _, _ := rt.Stats(); return h })
-		r.NewCounterFunc("sparkxd_store_cache_misses_total",
-			"Read-through store Gets that consulted the remote store.",
-			func() uint64 { _, m, _ := rt.Stats(); return m })
-		r.NewCounterFunc("sparkxd_store_cache_fills_total",
-			"Remote envelopes copied into the read-through local cache.",
-			func() uint64 { _, _, f := rt.Stats(); return f })
-	}
+	RegisterReadThrough(r, w.st)
 	return m
+}
+
+// RegisterReadThrough binds the hit/miss/fill counters of a
+// read-through store (remote store + local cache) into a registry as
+// sparkxd_store_cache_*_total; any other store registers nothing. A
+// worker and a coordinator over such a store export the same series.
+func RegisterReadThrough(r *metrics.Registry, st sparkxd.ArtifactStore) {
+	rt, ok := st.(*store.ReadThrough)
+	if !ok {
+		return
+	}
+	r.NewCounterFunc("sparkxd_store_cache_hits_total",
+		"Read-through store Gets served entirely from the local cache.",
+		func() uint64 { h, _, _ := rt.Stats(); return h })
+	r.NewCounterFunc("sparkxd_store_cache_misses_total",
+		"Read-through store Gets that consulted the remote store.",
+		func() uint64 { _, m, _ := rt.Stats(); return m })
+	r.NewCounterFunc("sparkxd_store_cache_fills_total",
+		"Remote envelopes copied into the read-through local cache.",
+		func() uint64 { _, _, f := rt.Stats(); return f })
 }
 
 // observeStage is the stageObserver of this worker's jobs.
@@ -102,9 +106,9 @@ func (w *Worker) Metrics() *metrics.Registry { return w.metrics.reg }
 // sweepSeries names and describes the sweep-engine counters, in
 // systems.sweepStats order.
 var sweepSeries = [5][2]string{
-	{"sparkxd_sweep_profile_cache_hits_total", "Sweep device-profile lookups served by the engine memo, across cached engines."},
-	{"sparkxd_sweep_profile_cache_misses_total", "Sweep device-profile derivations, one per device point the memo did not hold, across cached engines."},
-	{"sparkxd_sweep_memo_hits_total", "Sweep memo hits (device-point state, per-model and per-test-set work) across cached engines."},
-	{"sparkxd_sweep_memo_misses_total", "Sweep memo misses across cached engines."},
-	{"sparkxd_sweep_memo_evictions_total", "Sweep memo values its byte budget did not keep, across cached engines."},
+	{"sparkxd_sweep_profile_cache_hits_total", "Sweep device-profile lookups served by the engine memo, over every engine this process built."},
+	{"sparkxd_sweep_profile_cache_misses_total", "Sweep device-profile derivations, one per device point the memo did not hold, over every engine this process built."},
+	{"sparkxd_sweep_memo_hits_total", "Sweep memo hits (device-point state, per-model and per-test-set work) over every engine this process built."},
+	{"sparkxd_sweep_memo_misses_total", "Sweep memo misses over every engine this process built."},
+	{"sparkxd_sweep_memo_evictions_total", "Sweep memo values its byte budget did not keep, over every engine this process built."},
 }

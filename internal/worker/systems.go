@@ -37,6 +37,7 @@ type systems struct {
 	hits    uint64
 	misses  uint64
 	evicted uint64
+	retired [5]uint64 // sweep counters of evicted engines (sweepStats order)
 }
 
 // sysEntry lazily builds one shared System per config fingerprint.
@@ -161,6 +162,8 @@ func (c *systems) evictLocked() {
 		}
 		fp := c.order[victim]
 		c.order = append(c.order[:victim:victim], c.order[victim+1:]...)
+		// Unpinned, the engine runs nothing: its sweep counts are final.
+		c.retired = c.entries[fp].addSweepStats(c.retired)
 		delete(c.entries, fp)
 		c.evicted++
 	}
@@ -180,23 +183,31 @@ func (c *systems) Stats() (hits, misses, evictions uint64) {
 	return c.hits, c.misses, c.evicted
 }
 
-// sweepStats sums the sweep-engine counters of every currently cached
-// engine, in sweepSeries order: profile hits and misses (one miss per
+// sweepStats sums the sweep-engine counters of every engine the cache
+// has built, in sweepSeries order: profile hits and misses (one miss per
 // device point derived, System.SweepCacheStats), then the whole memo's
-// hits, misses and evictions (System.SweepMemoStats). Evicted engines
-// take their counts with them, so this tracks the live working set.
-func (c *systems) sweepStats() (sum [5]uint64) {
+// hits, misses and evictions (System.SweepMemoStats). An evicted
+// engine's counts stay in the sum, so the exported counters never fall.
+func (c *systems) sweepStats() [5]uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	sum := c.retired
 	for _, ent := range c.entries {
-		if ent.sys == nil {
-			continue
-		}
-		ph, pm := ent.sys.SweepCacheStats()
-		mh, mm, me := ent.sys.SweepMemoStats()
-		for i, v := range [5]uint64{ph, pm, mh, mm, me} {
-			sum[i] += v
-		}
+		sum = ent.addSweepStats(sum)
+	}
+	return sum
+}
+
+// addSweepStats returns sum plus the entry's sweep counters (nothing
+// for an engine that is unbuilt or failed to build).
+func (ent *sysEntry) addSweepStats(sum [5]uint64) [5]uint64 {
+	if ent.sys == nil {
+		return sum
+	}
+	ph, pm := ent.sys.SweepCacheStats()
+	mh, mm, me := ent.sys.SweepMemoStats()
+	for i, v := range [5]uint64{ph, pm, mh, mm, me} {
+		sum[i] += v
 	}
 	return sum
 }
@@ -207,8 +218,8 @@ type stageObserver func(stage string, d time.Duration)
 
 // produce runs spec's work on sys and returns the artifact values
 // keyed by their result role ("baseline", "improved", "tolerance",
-// "placement", "evaluation", "energy", "sweep"). The caller persists
-// them (locally or by uploading to the coordinator); every returned
+// "placement", "evaluation", "energy", "sweep"). The caller puts them
+// into its ArtifactStore; every returned
 // value is accepted by sparkxd.PutArtifact. observe, when non-nil,
 // receives per-stage wall-clock durations.
 func produce(ctx context.Context, sys *sparkxd.System, spec sparkxd.JobSpec, observe stageObserver) (map[string]any, error) {

@@ -286,3 +286,43 @@ func TestSweepMemoMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepCountersSurviveEviction pins the sweep series as counters:
+// evicting a warm engine keeps its sweep counts in the sums, so the
+// exported values never fall.
+func TestSweepCountersSurviveEviction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training skipped in -short mode")
+	}
+	c := newSystems(1, 1, nil)
+	cfg := tinyConfig(4)
+	spec, err := sparkxd.JobSpec{Kind: sparkxd.JobSweep, Config: cfg, Sweep: &sparkxd.SweepSpec{
+		BERs: []float64{1e-5, 1e-4},
+	}}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := cfg.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, release := mustAcquire(t, c, fp, spec.Config)
+	if _, err := produce(context.Background(), sys, spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	before := c.sweepStats()
+	if before == [5]uint64{} {
+		t.Fatal("no sweep counts after a sweep")
+	}
+
+	// A second fingerprint evicts the swept engine (the bound is 1).
+	_, relOther := mustAcquire(t, c, "other", tinyConfig(5))
+	relOther()
+	if _, _, evictions := c.Stats(); evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", evictions)
+	}
+	if after := c.sweepStats(); after != before {
+		t.Fatalf("sweep counters went from %v to %v when their engine was evicted", before, after)
+	}
+}

@@ -1,8 +1,8 @@
 // Package worker is the one executor of the sparkxd job service
 // (DESIGN.md §9): a Worker leases queued jobs from a coordinator,
 // executes them against a cache of warm per-configuration Systems,
-// streams stage events back for SSE bridging, stores result envelopes
-// in the coordinator's content-addressed store, and completes the
+// streams stage events back for SSE bridging, puts result artifacts
+// into the coordinator's content-addressed store, and completes the
 // lease. A `sparkxd worker`
 // process joins a coordinator over HTTP; a coordinator in local
 // dispatch runs its own slots as a Worker in its process, leasing
@@ -61,15 +61,15 @@ type Config struct {
 	// FlushInterval batches forwarded engine events (zero: 200ms).
 	FlushInterval time.Duration
 	// HTTPClient overrides the coordinator transport (nil: 30s-timeout
-	// default client). A remote Store opened with the same client shares
-	// its connection pool.
+	// default client). The default Store is opened with it, and a remote
+	// Store opened with the same client shares its connection pool.
 	HTTPClient *http.Client
-	// Store, when non-nil, receives result artifacts directly (e.g. the
-	// federation's shared remote store, optionally wrapped read-through,
-	// or a coordinator's own store for its in-process worker) instead of
-	// uploading them through the coordinator's artifact endpoint. The
-	// coordinator must be backed by the same store, or completions will
-	// fail its artifact verification.
+	// Store receives result artifacts (nil: the coordinator's store,
+	// through its /v1/artifacts routes as a store.HTTP client). Set it to
+	// the federation's shared remote store, optionally wrapped
+	// read-through, or to a coordinator's own store for its in-process
+	// worker. The coordinator must be backed by the same store, or
+	// completions will fail its artifact verification.
 	Store sparkxd.ArtifactStore
 	// Logger, when non-nil, receives structured logs (job/lease/trace
 	// IDs as attrs).
@@ -85,7 +85,7 @@ type Worker struct {
 	flushInterval time.Duration
 	log           *slog.Logger
 	api           *coordClient
-	st            sparkxd.ArtifactStore // nil: upload via the coordinator
+	st            sparkxd.ArtifactStore
 
 	ttl time.Duration // coordinator's lease TTL (learned at register)
 
@@ -144,6 +144,12 @@ func New(cfg Config) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
+	st := cfg.Store
+	if st == nil {
+		if st, err = store.NewHTTP(api.base, store.WithHTTPClient(api.hc)); err != nil {
+			return nil, fmt.Errorf("worker: %w", err)
+		}
+	}
 	name := cfg.Name
 	if name == "" {
 		host, _ := os.Hostname()
@@ -176,7 +182,7 @@ func New(cfg Config) (*Worker, error) {
 		flushInterval: flush,
 		log:           logging.New(cfg.Logger),
 		api:           api,
-		st:            cfg.Store,
+		st:            st,
 		byFP:          make(map[string]map[*task]struct{}),
 		freed:         make(chan struct{}, 1),
 	}
@@ -396,12 +402,12 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 		return
 	}
 
-	// Store every produced artifact (the heartbeat keeps the lease alive
-	// throughout), then mark the job complete with the role → key map.
-	// With a configured Store the values go there directly and the store
-	// derives each key — the coordinator shares the store, so its
-	// completion-time Stat verification still passes; otherwise each is
-	// encoded once and uploaded through the coordinator. The upload and
+	// Put every produced artifact into the store (the heartbeat keeps
+	// the lease alive throughout), then mark the job complete with the
+	// role → key map. The store derives each key, and the coordinator is
+	// backed by the same store, so its completion-time Stat verification
+	// passes. A remote store retries transient failures itself: every PUT
+	// is idempotent by content address. The upload and
 	// execution-envelope spans travel in the completion request: no
 	// event batch is flushed after this point.
 	uploadStart := time.Now()
@@ -413,23 +419,7 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 			failWith(fmt.Sprintf("artifact %s: %v", role, err))
 			return
 		}
-		var key sparkxd.ArtifactKey
-		if w.st != nil {
-			key, err = w.st.Put(kind, v)
-		} else {
-			var envelope []byte
-			if key, envelope, err = store.Encode(kind, v); err != nil {
-				stopHeartbeat()
-				failWith(fmt.Sprintf("artifact %s: %v", role, err))
-				return
-			}
-			opCtx, opCancel := w.opContext()
-			err = w.api.putArtifact(opCtx, key, envelope)
-			opCancel()
-			if err == nil {
-				w.metrics.uploadBytes.Add(uint64(len(envelope)))
-			}
-		}
+		key, err := w.st.Put(kind, v)
 		if err != nil {
 			w.metrics.jobs.With("abandoned").Inc()
 			w.log.Warn("upload failed; abandoning (lease will expire)", "job", g.JobID, "role", role, "err", err)

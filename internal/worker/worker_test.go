@@ -323,8 +323,8 @@ func (c *countingStore) Put(kind string, payload any) (sparkxd.ArtifactKey, erro
 	return c.ArtifactStore.Put(kind, payload)
 }
 
-// With a direct Store the worker puts each artifact once and uploads
-// nothing through the coordinator, so its upload-bytes counter stays 0.
+// With a direct Store the worker puts each artifact once and sends no
+// artifact PUT to the coordinator.
 func TestWorkerDirectStorePutsOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short mode")
@@ -340,7 +340,7 @@ func TestWorkerDirectStorePutsOnce(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	st := &countingStore{ArtifactStore: srv.Store()}
-	w, _ := startWorker(t, worker.Config{Coordinator: ts.URL, Slots: 1, Poll: 30 * time.Millisecond, Store: st})
+	startWorker(t, worker.Config{Coordinator: ts.URL, Slots: 1, Poll: 30 * time.Millisecond, Store: st})
 
 	final := waitTerminal(t, srv, submit(t, srv, 1))
 	if final.State != sparkxd.JobDone {
@@ -352,9 +352,62 @@ func TestWorkerDirectStorePutsOnce(t *testing.T) {
 	if n := uploads.Load(); n != 0 {
 		t.Errorf("%d PUT /v1/artifacts requests with a direct store", n)
 	}
-	rec := httptest.NewRecorder()
-	w.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if !strings.Contains(rec.Body.String(), "sparkxd_worker_upload_bytes_total 0\n") {
-		t.Errorf("upload bytes counted on the direct-store path:\n%s", rec.Body.String())
+}
+
+// A worker without a Store puts into the coordinator's store over the
+// artifact wire, which retries a transient failure: a 503 on the first
+// artifact PUT costs one retry, not the lease. The job completes on its
+// first lease, and the coordinator never requeues it.
+func TestWorkerRetriesTransientArtifactPut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training skipped in -short mode")
+	}
+	srv := newCoordinator(t)
+	var puts atomic.Int64
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v1/artifacts/") && puts.Add(1) == 1 {
+			http.Error(w, "store briefly unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	w, _ := startWorker(t, worker.Config{Coordinator: ts.URL, Slots: 1, Poll: 30 * time.Millisecond})
+
+	final := waitTerminal(t, srv, submit(t, srv, 1))
+	if final.State != sparkxd.JobDone {
+		t.Fatalf("job %s: %s", final.State, final.Error)
+	}
+	if got, want := puts.Load(), int64(len(final.Artifacts))+1; got != want {
+		t.Errorf("%d artifact PUTs for %d artifacts and one 503, want %d", got, len(final.Artifacts), want)
+	}
+	scrape := func(h http.Handler) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return rec.Body.String()
+	}
+	if body := scrape(h); !strings.Contains(body, "sparkxd_jobs_requeued_total 0\n") {
+		t.Errorf("coordinator requeued the job:\n%s", body)
+	}
+	// The worker counts its outcome once the completion round trip
+	// returns, which may be just after the job turned done.
+	var body string
+	waitFor(5*time.Second, func() bool {
+		body = scrape(w.MetricsHandler())
+		return strings.Contains(body, `sparkxd_worker_jobs_total{outcome="done"} 1`+"\n")
+	})
+	if !strings.Contains(body, `sparkxd_worker_jobs_total{outcome="done"} 1`+"\n") ||
+		strings.Contains(body, `outcome="abandoned"`) {
+		t.Errorf("worker outcomes, want one done and no abandoned:\n%s", body)
+	}
+}
+
+// Without a Store the worker's artifacts go to the coordinator over
+// the artifact wire, so a coordinator URL that wire cannot use fails
+// New at once instead of the first artifact PUT.
+func TestNewRejectsNonHTTPCoordinator(t *testing.T) {
+	if _, err := worker.New(worker.Config{Coordinator: "ftp://127.0.0.1:1"}); err == nil {
+		t.Fatal("New accepted an ftp:// coordinator")
 	}
 }
