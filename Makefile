@@ -82,8 +82,9 @@ sweep-smoke: build
 # Job-service smoke: start `sparkxd serve` on a random port, submit a
 # tiny sweep twice through the Go client (same deterministic job ID),
 # poll to completion, `cmp` the fetched artifact payload against the
-# in-process `sparkxd sweep` output, and check the local job's trace
-# nests job -> queue-wait + lease -> execute -> stage:*.
+# in-process `sparkxd sweep` output, check the local job's trace nests
+# job -> queue-wait + lease -> execute -> stage:*, and check that a grid
+# the sweep would refuse answers 400 at submission and creates no job.
 serve-smoke: build
 	./scripts/serve-smoke.sh
 

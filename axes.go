@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"sparkxd/internal/coding"
-	"sparkxd/internal/quant"
 )
 
 // Encoder selects the spike encoder of a sweep's encoder axis.
@@ -148,46 +147,13 @@ func (m ErrorModel) ScenarioName() (ErrorModelName, error) {
 	return ErrorModelName(k.String()), nil
 }
 
-// canonBitwidthAxis validates a bitwidth axis and canonicalizes it: an
-// empty axis stays nil, and a single-element axis equal to the
-// configured format (def) elides to nil — the spelled-out default and
-// the omitted axis are the same grid.
-func canonBitwidthAxis(list []int, def quant.Format) ([]int, error) {
-	if len(list) == 0 {
-		return nil, nil
+// elideDefault returns nil for an axis that is empty or holds only its
+// default value, and the axis otherwise.
+func elideDefault[T comparable](axis []T, def T) []T {
+	if len(axis) == 0 || len(axis) == 1 && axis[0] == def {
+		return nil
 	}
-	out := make([]int, len(list))
-	for i, b := range list {
-		if _, err := ParseBitwidth(b); err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	if len(out) == 1 {
-		q, _ := ParseBitwidth(out[0])
-		if f, err := q.format(); err == nil && f == def {
-			return nil, nil
-		}
-	}
-	return out, nil
-}
-
-// canonPruneAxis validates a prune axis and canonicalizes it (−0 is
-// written as 0, and a lone 0 elides to nil).
-func canonPruneAxis(list []float64) ([]float64, error) {
-	if len(list) == 0 {
-		return nil, nil
-	}
-	out := unsignedZeros(list)
-	for _, lv := range out {
-		if err := ValidatePruneLevel(lv); err != nil {
-			return nil, err
-		}
-	}
-	if len(out) == 1 && out[0] == 0 {
-		return nil, nil
-	}
-	return out, nil
+	return axis
 }
 
 // unsignedZeros returns a copy of xs with every −0 written as 0. The two
@@ -202,24 +168,4 @@ func unsignedZeros(xs []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// canonEncoderAxis validates an encoder axis, canonicalizes names
-// (case, aliases), and elides a lone default-encoder axis to nil.
-func canonEncoderAxis(list []Encoder) ([]Encoder, error) {
-	if len(list) == 0 {
-		return nil, nil
-	}
-	out := make([]Encoder, len(list))
-	for i, e := range list {
-		parsed, err := ParseEncoder(string(e))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = parsed
-	}
-	if len(out) == 1 && out[0] == EncoderRate {
-		return nil, nil
-	}
-	return out, nil
 }

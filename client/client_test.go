@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,10 +284,11 @@ func TestWaitOnFailedJob(t *testing.T) {
 	}
 	ctx := context.Background()
 	c := newClient(t)
-	// An out-of-range BER axis passes spec normalization (which only
-	// canonicalizes names) but fails sweep validation at execution time.
+	// A valid spec that fails while running: at 1.0 V no subarray meets
+	// any BER of the schedule, so the map stage cannot place the weights.
 	spec := tinySweepSpec()
-	spec.Sweep.BERs = []float64{0.75}
+	spec.Kind, spec.Stage, spec.Sweep = sparkxd.JobPipeline, "map", nil
+	spec.Config.Voltage = 1.0
 	status, err := c.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +297,7 @@ func TestWaitOnFailedJob(t *testing.T) {
 	if !errors.Is(err, client.ErrJobFailed) {
 		t.Fatalf("want ErrJobFailed, got %v", err)
 	}
-	if final == nil || final.State != sparkxd.JobFailed || final.Error == "" {
+	if final == nil || final.State != sparkxd.JobFailed || !strings.Contains(final.Error, "safe subarrays cannot hold") {
 		t.Errorf("failed status not surfaced: %+v", final)
 	}
 }

@@ -42,8 +42,8 @@ var (
 	ErrCorruptArtifact = errors.New("sparkxd: corrupt artifact")
 
 	// ErrInvalidJobSpec is returned when a JobSpec cannot be normalized
-	// into a runnable job (unknown kind, stage, dataset, error model, or
-	// policy).
+	// into a runnable job: an unknown kind, stage or name, a configuration
+	// New refuses, or a sweep grid Pipeline.Sweep refuses.
 	ErrInvalidJobSpec = errors.New("sparkxd: invalid job spec")
 )
 

@@ -455,23 +455,18 @@ func (f *Framework) MapWeightsAdaptive(weightCount int, v, berTh float64) (*mapp
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("core: device profile at %.3f V: %w", v, err)
 	}
-	layout, th, err := f.MapAdaptiveWithProfile(profile, weightCount, berTh)
+	layout, th, err := f.MapAdaptiveWithProfileIn(f.Format, profile, weightCount, berTh)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	return layout, profile, th, nil
 }
 
-// MapAdaptiveWithProfile is the relaxation kernel of MapWeightsAdaptive
-// against an already-derived profile (the sweep engine shares one
-// profile across many thresholds): the threshold doubles until the safe
-// subarrays can hold the image, for at most 64 attempts.
-func (f *Framework) MapAdaptiveWithProfile(profile *errmodel.Profile, weightCount int, berTh float64) (*mapping.Layout, float64, error) {
-	return f.MapAdaptiveWithProfileIn(f.Format, profile, weightCount, berTh)
-}
-
-// MapAdaptiveWithProfileIn is MapAdaptiveWithProfile with an explicit
-// stored-weight format (see LayoutForWeightsIn).
+// MapAdaptiveWithProfileIn is the relaxation kernel of
+// MapWeightsAdaptive against an already-derived profile (the sweep
+// engine shares one profile across many thresholds) and an explicit
+// stored-weight format (see LayoutForWeightsIn): the threshold doubles
+// until the safe subarrays can hold the image, for at most 64 attempts.
 func (f *Framework) MapAdaptiveWithProfileIn(format quant.Format, profile *errmodel.Profile, weightCount int, berTh float64) (*mapping.Layout, float64, error) {
 	th := berTh
 	if th <= 0 {

@@ -50,6 +50,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -159,17 +160,30 @@ type Scenario struct {
 // values (zero bitwidth/prune, zero EncoderAxis) are elided, keeping
 // 4-axis keys byte-identical to the pre-N-axis engine.
 func (sc Scenario) Key() string {
-	key := fmt.Sprintf("v%.4f/ber%.3e/%s/%s", sc.Voltage, sc.BER, sc.Kind, sc.Policy)
-	if sc.Bits != 0 {
-		key += fmt.Sprintf("/bw%d", sc.Bits)
+	return voltageSegment(sc.Voltage) + berSegment(sc.BER) + kindSegment(sc.Kind) + policySegment(sc.Policy) +
+		bitsSegment(sc.Bits) + pruneSegment(sc.Prune) + encoderSegment(sc.Encoder.Name)
+}
+
+// The key segments, one per axis, in key order. The first four are
+// always present and hold no "/" after their leading one; each of the
+// last three is empty at the axis default and otherwise starts with its
+// own prefix, the encoder's last. Two scenarios therefore share a key
+// exactly when they share every segment.
+func voltageSegment(v float64) string    { return fmt.Sprintf("v%.4f", v) }
+func berSegment(ber float64) string      { return fmt.Sprintf("/ber%.3e", ber) }
+func kindSegment(k errmodel.Kind) string { return "/" + k.String() }
+func policySegment(policy string) string { return "/" + policy }
+func bitsSegment(bits int) string        { return extendedSegment(bits != 0, "/bw%d", bits) }
+func pruneSegment(level float64) string  { return extendedSegment(level != 0, "/pr%.4f", level) }
+func encoderSegment(name string) string  { return extendedSegment(name != "", "/enc-%s", name) }
+
+// extendedSegment formats an extended axis's segment, or returns "" for
+// the axis default.
+func extendedSegment(set bool, format string, v any) string {
+	if !set {
+		return ""
 	}
-	if sc.Prune != 0 {
-		key += fmt.Sprintf("/pr%.4f", sc.Prune)
-	}
-	if sc.Encoder.Name != "" {
-		key += "/enc-" + sc.Encoder.Name
-	}
-	return key
+	return fmt.Sprintf(format, v)
 }
 
 // Result is the outcome of one scenario, deterministic in (spec, model,
@@ -343,13 +357,38 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("engine: encoder axis %q must set Name and Coder together", enc.Name)
 		}
 	}
-	seen := make(map[string]bool)
-	for _, sc := range s.Scenarios() {
-		key := sc.Key()
-		if seen[key] {
-			return fmt.Errorf("engine: duplicate scenario %q (axis values collide at key precision)", key)
+	// Two scenarios share a key exactly when they share every segment
+	// (see Key), so the grid names a point twice exactly when one axis
+	// has two values with the same segment: each axis is checked on its
+	// own, never the cross product. Uniform grids key every voltage as 0.
+	voltages := s.Voltages
+	if s.Uniform {
+		voltages = nil
+	}
+	encoders := make([]string, len(s.Encoders))
+	for i, enc := range s.Encoders {
+		encoders[i] = enc.Name
+	}
+	return cmp.Or(
+		distinctSegments("voltage", voltages, voltageSegment),
+		distinctSegments("BER", s.BERs, berSegment),
+		distinctSegments("error model", s.Kinds, kindSegment),
+		distinctSegments("policy", s.Policies, policySegment),
+		distinctSegments("bitwidth", s.Bitwidths, bitsSegment),
+		distinctSegments("prune level", s.PruneLevels, pruneSegment),
+		distinctSegments("encoder", encoders, encoderSegment))
+}
+
+// distinctSegments reports the first value of an axis whose key segment
+// an earlier value already has.
+func distinctSegments[T any](axis string, values []T, segment func(T) string) error {
+	seen := make(map[string]bool, len(values))
+	for _, v := range values {
+		seg := segment(v)
+		if seen[seg] {
+			return fmt.Errorf("engine: %s %v repeats in sweep spec (axis values collide at key precision)", axis, v)
 		}
-		seen[key] = true
+		seen[seg] = true
 	}
 	return nil
 }

@@ -122,7 +122,7 @@ func (r *Runner) AblationMapping() (AblationMappingResult, error) {
 	if err != nil {
 		return AblationMappingResult{}, err
 	}
-	inter, err := r.F.LayoutForWeights(weights, allTrue(len(safe)))
+	inter, err := r.F.LayoutForWeights(weights, mapping.AllSafe(r.F.Geom))
 	if err != nil {
 		return AblationMappingResult{}, err
 	}
@@ -241,13 +241,4 @@ func (res AblationCodingResult) Render(w io.Writer) {
 		tb.AddRow(res.Encoders[i], report.Pct(res.CleanAcc[i]), report.Pct(res.ErrAcc[i]))
 	}
 	tb.Render(w)
-}
-
-// allTrue returns n true flags (every subarray considered safe).
-func allTrue(n int) []bool {
-	s := make([]bool, n)
-	for i := range s {
-		s[i] = true
-	}
-	return s
 }

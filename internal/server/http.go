@@ -133,6 +133,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxSubmitBytes bounds the body of a job submission; a larger body is
+// refused with 413 before it is decoded in full.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if s.admit != nil {
@@ -144,11 +148,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var spec sparkxd.JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		s.metrics.submitted.With("invalid").Inc()
-		writeError(w, http.StatusBadRequest, "decode job spec: %v", err)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "decode job spec: %v", err)
 		return
 	}
 	status, created, err := s.SubmitTraced(spec, r.Header.Get(tracing.Header))

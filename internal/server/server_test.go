@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -146,6 +147,55 @@ func TestStageLimitedPipelineJob(t *testing.T) {
 		if _, ok := final.Artifacts[role]; ok {
 			t.Errorf("train-stage job must not produce %q", role)
 		}
+	}
+}
+
+// A spec the job would fail on before doing any work is refused at
+// submission: an out-of-range or repeated sweep axis, or a configuration
+// New refuses, answers 400, and a body over maxSubmitBytes answers 413.
+// Neither creates a job or writes a job record, and both count as
+// invalid submissions.
+func TestSubmitRefusesInvalidSpecs(t *testing.T) {
+	st := sparkxd.MemoryStore()
+	srv, err := New(Config{Dispatch: DispatchFleet, Store: st, Logger: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	cases := []struct {
+		body string
+		code int
+	}{
+		{`{"kind":"sweep","sweep":{"bers":[0.7]}}`, http.StatusBadRequest},
+		{`{"kind":"sweep","sweep":{"voltages":[-1]}}`, http.StatusBadRequest},
+		{`{"kind":"sweep","sweep":{"encoders":["ttfs","TTFS"]}}`, http.StatusBadRequest},
+		{`{"kind":"pipeline","config":{"neurons":-5}}`, http.StatusBadRequest},
+		{`{"kind":"pipeline","config":{"ber_schedule":[1e-3,1e-5]}}`, http.StatusBadRequest},
+		{`{"kind":"pipeline","config":{"dataset":"` + strings.Repeat("m", maxSubmitBytes) + `"}}`,
+			http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("POST %.60s: status %d, want %d", tc.body, resp.StatusCode, tc.code)
+		}
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Errorf("refused submissions created jobs: %+v", jobs)
+	}
+	if infos, err := st.List(sparkxd.KindJobRecord); err != nil || len(infos) != 0 {
+		t.Errorf("refused submissions wrote job records: %v, %v", infos, err)
+	}
+	want := fmt.Sprintf(`sparkxd_jobs_submitted_total{result="invalid"} %d`, len(cases))
+	if out := scrape(t, ts); !strings.Contains(out, want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }
 

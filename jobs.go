@@ -1,6 +1,7 @@
 package sparkxd
 
 import (
+	"errors"
 	"fmt"
 
 	"sparkxd/internal/store"
@@ -116,23 +117,28 @@ func (c ConfigSpec) Options() ([]Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, _ := ParseDataset(n.Dataset)
-	em, _ := ParseErrorModel(n.ErrorModel)
-	q, _ := ParseQuantization(n.Quantization)
+	return n.options(), nil
+}
+
+// options translates a normalized spec into New's options.
+func (c ConfigSpec) options() []Option {
+	d, _ := ParseDataset(c.Dataset)
+	em, _ := ParseErrorModel(c.ErrorModel)
+	q, _ := ParseQuantization(c.Quantization)
 	return []Option{
-		WithNeurons(n.Neurons),
+		WithNeurons(c.Neurons),
 		WithDataset(d),
-		WithSampleBudget(n.TrainSamples, n.TestSamples),
-		WithBaseEpochs(n.BaseEpochs),
-		WithVoltage(n.Voltage),
-		WithBERSchedule(n.BERSchedule...),
-		WithAccuracyBound(n.AccBound),
-		WithSeed(n.Seed),
-		WithTrainSeed(n.TrainSeed),
-		WithDeviceSeed(n.DeviceSeed),
+		WithSampleBudget(c.TrainSamples, c.TestSamples),
+		WithBaseEpochs(c.BaseEpochs),
+		WithVoltage(c.Voltage),
+		WithBERSchedule(c.BERSchedule...),
+		WithAccuracyBound(c.AccBound),
+		WithSeed(c.Seed),
+		WithTrainSeed(c.TrainSeed),
+		WithDeviceSeed(c.DeviceSeed),
 		WithErrorModel(em),
 		WithQuantization(q),
-	}, nil
+	}
 }
 
 // Fingerprint is the content hash of the normalized configuration: jobs
@@ -182,108 +188,55 @@ const (
 )
 
 // Normalized validates the spec and fills every defaulted field,
-// returning the canonical form the job ID is derived from. Failures
-// satisfy errors.Is(err, ErrInvalidJobSpec).
+// returning the canonical form the job ID is derived from. It refuses
+// exactly the specs the job would fail on before doing any work: the
+// configuration must pass New's checks, and a sweep grid must pass
+// Pipeline.Sweep's. Failures satisfy errors.Is(err, ErrInvalidJobSpec).
 func (s JobSpec) Normalized() (JobSpec, error) {
-	cfg, err := s.Config.normalized()
-	if err != nil {
+	invalid := func(err error) (JobSpec, error) {
 		return s, fmt.Errorf("%w: %w", ErrInvalidJobSpec, err)
 	}
-	s.Config = cfg
+	cs, err := s.Config.normalized()
+	if err != nil {
+		return invalid(err)
+	}
+	s.Config = cs
+	cfg, err := newConfig(cs.options())
+	if err != nil {
+		return invalid(err)
+	}
 	if s.Priority < MinPriority || s.Priority > MaxPriority {
-		return s, fmt.Errorf("%w: priority %d outside [%d, %d]", ErrInvalidJobSpec, s.Priority, MinPriority, MaxPriority)
+		return invalid(fmt.Errorf("priority %d outside [%d, %d]", s.Priority, MinPriority, MaxPriority))
 	}
 	switch s.Kind {
 	case JobPipeline:
 		if s.Sweep != nil {
-			return s, fmt.Errorf("%w: pipeline job must not carry a sweep grid", ErrInvalidJobSpec)
+			return invalid(errors.New("pipeline job must not carry a sweep grid"))
 		}
 		if s.Stage == "" {
 			s.Stage = "energy"
 		}
 		if StageRank(s.Stage) < 0 {
-			return s, fmt.Errorf("%w: unknown stage %q (valid: %v)", ErrInvalidJobSpec, s.Stage, PipelineStages)
+			return invalid(fmt.Errorf("unknown stage %q (valid: %v)", s.Stage, PipelineStages))
 		}
 	case JobSweep:
 		if s.Stage != "" {
-			return s, fmt.Errorf("%w: sweep job must not set a stage", ErrInvalidJobSpec)
+			return invalid(errors.New("sweep job must not set a stage"))
 		}
-		sw, err := s.normalizedSweep()
-		if err != nil {
-			return s, err
+		var sw SweepSpec
+		if s.Sweep != nil {
+			sw = *s.Sweep
 		}
-		s.Sweep = sw
+		if sw, _, err = resolveSweep(sw, &cfg); err != nil {
+			return invalid(err)
+		}
+		s.Sweep = &sw
 	case "":
-		return s, fmt.Errorf("%w: missing kind (valid: %s, %s)", ErrInvalidJobSpec, JobPipeline, JobSweep)
+		return invalid(fmt.Errorf("missing kind (valid: %s, %s)", JobPipeline, JobSweep))
 	default:
-		return s, fmt.Errorf("%w: unknown kind %q (valid: %s, %s)", ErrInvalidJobSpec, s.Kind, JobPipeline, JobSweep)
+		return invalid(fmt.Errorf("unknown kind %q (valid: %s, %s)", s.Kind, JobPipeline, JobSweep))
 	}
 	return s, nil
-}
-
-// normalizedSweep resolves the sweep grid's defaulted axes against the
-// (already normalized) configuration, mirroring how Pipeline.Sweep
-// resolves a zero-valued axis at run time.
-func (s JobSpec) normalizedSweep() (*SweepSpec, error) {
-	var sw SweepSpec
-	if s.Sweep != nil {
-		sw = *s.Sweep
-	}
-	sw.Workers = 0 // execution detail, never part of the job identity
-	if len(sw.Voltages) == 0 {
-		sw.Voltages = []float64{s.Config.Voltage}
-	} else {
-		sw.Voltages = unsignedZeros(sw.Voltages)
-	}
-	if len(sw.BERs) == 0 {
-		sw.BERs = append([]float64(nil), s.Config.BERSchedule...)
-	} else {
-		sw.BERs = unsignedZeros(sw.BERs)
-	}
-	if len(sw.ErrorModels) == 0 {
-		em, err := ParseErrorModel(s.Config.ErrorModel)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalidJobSpec, err)
-		}
-		sw.ErrorModels = []ErrorModel{em}
-	} else {
-		sw.ErrorModels = append([]ErrorModel(nil), sw.ErrorModels...)
-	}
-	if len(sw.Policies) == 0 {
-		sw.Policies = []Policy{PolicySparkXD}
-	} else {
-		canon := make([]Policy, len(sw.Policies))
-		for i, pol := range sw.Policies {
-			p, err := ParsePolicy(string(pol))
-			if err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrInvalidJobSpec, err)
-			}
-			canon[i] = p
-		}
-		sw.Policies = canon
-	}
-	// The extended axes normalize the other way: an omitted axis stays
-	// nil (omitempty), and a spelled-out single-element axis equal to the
-	// configured default elides back to nil, so both spellings hash to
-	// the job ID a pre-N-axis spec produced.
-	q, err := ParseQuantization(s.Config.Quantization)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidJobSpec, err)
-	}
-	def, err := q.format()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidJobSpec, err)
-	}
-	if sw.Bitwidths, err = canonBitwidthAxis(sw.Bitwidths, def); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidJobSpec, err)
-	}
-	if sw.PruneLevels, err = canonPruneAxis(sw.PruneLevels); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidJobSpec, err)
-	}
-	if sw.Encoders, err = canonEncoderAxis(sw.Encoders); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidJobSpec, err)
-	}
-	return &sw, nil
 }
 
 // ID derives the job's deterministic identity: the hex-truncated SHA-256

@@ -129,6 +129,22 @@ func TestJobSpecInvalid(t *testing.T) {
 		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{Policies: []sparkxd.Policy{"rr"}}}, // bad policy
 		{Kind: sparkxd.JobPipeline, Priority: sparkxd.MaxPriority + 1},                        // priority above range
 		{Kind: sparkxd.JobPipeline, Priority: sparkxd.MinPriority - 1},                        // priority below range
+		// Grids Pipeline.Sweep refuses.
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{BERs: []float64{0.7}}},
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{Voltages: []float64{-1}}},
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{Voltages: []float64{math.NaN()}}},
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{Voltages: []float64{1.1, 1.1}}},
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{BERs: []float64{1e-5, 1e-5}}},
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{ErrorModels: []sparkxd.ErrorModel{sparkxd.ErrorModelUniform, sparkxd.ErrorModelUniform}}},
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{Policies: []sparkxd.Policy{"sparkxd", "SparkXD"}}},
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{Bitwidths: []int{16, 16}}},
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{PruneLevels: []float64{0.5, 0.5}}},
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{Encoders: []sparkxd.Encoder{"ttfs", "time-to-first-spike"}}},
+		// Configurations New refuses, on either job kind.
+		{Kind: sparkxd.JobPipeline, Config: sparkxd.ConfigSpec{Neurons: -5}},
+		{Kind: sparkxd.JobSweep, Config: sparkxd.ConfigSpec{Voltage: -1}},
+		{Kind: sparkxd.JobPipeline, Config: sparkxd.ConfigSpec{BERSchedule: []float64{1e-3, 1e-5}}},
+		{Kind: sparkxd.JobSweep, Config: sparkxd.ConfigSpec{AccBound: -0.1}},
 	}
 	for i, spec := range bad {
 		if _, err := spec.Normalized(); !errors.Is(err, sparkxd.ErrInvalidJobSpec) {
@@ -418,9 +434,10 @@ func TestJobSpecNegativeZeroIsZero(t *testing.T) {
 }
 
 // FuzzJobSpecNormalize feeds raw JSON to the job-spec trust boundary.
-// For every spec that decodes and normalizes: normalization is
-// idempotent, re-encoding the spec as JSON keeps its ID, and writing
-// every −0 as 0 keeps its ID too.
+// For every spec that decodes and normalizes: New accepts its
+// configuration and ValidateSweep its grid, normalization is idempotent,
+// re-encoding the spec as JSON keeps its ID, and writing every −0 as 0
+// keeps its ID too.
 func FuzzJobSpecNormalize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var spec sparkxd.JobSpec
@@ -430,6 +447,19 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		norm, err := spec.Normalized()
 		if err != nil {
 			return
+		}
+		opts, err := norm.Config.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := sparkxd.New(opts...)
+		if err != nil {
+			t.Fatalf("Normalized accepted a configuration New refuses: %v", err)
+		}
+		if norm.Sweep != nil {
+			if err := sys.ValidateSweep(*norm.Sweep); err != nil {
+				t.Fatalf("Normalized accepted a grid ValidateSweep refuses: %v", err)
+			}
 		}
 		again, err := norm.Normalized()
 		if err != nil {

@@ -168,6 +168,23 @@ func (m ErrorModel) kind() (errmodel.Kind, error) {
 	}
 }
 
+// errorModelOf maps an error-model kind back to its ErrorModel: the
+// inverse of kind.
+func errorModelOf(k errmodel.Kind) ErrorModel {
+	switch k {
+	case errmodel.Model0:
+		return ErrorModelUniform
+	case errmodel.Model1:
+		return ErrorModelBitline
+	case errmodel.Model2:
+		return ErrorModelWordline
+	case errmodel.Model3:
+		return ErrorModelDataDependent
+	default:
+		return -1 // no ErrorModel has this kind, and kind rejects -1
+	}
+}
+
 // PolicyNames enumerates the mapping-policy names ParsePolicy accepts.
 func PolicyNames() []string {
 	return []string{string(PolicyBaseline), string(PolicySparkXD)}

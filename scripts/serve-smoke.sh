@@ -10,6 +10,8 @@
 #    service must reproduce the direct run byte for byte.
 # 6. Fetch the job's trace: a locally executed job has the one lease
 #    shape, job -> queue-wait + lease -> execute -> stage:*.
+# 7. Submit a grid the sweep would refuse (BER 0.7): submission answers
+#    400 and creates no job.
 set -euo pipefail
 
 workdir="$(mktemp -d)"
@@ -101,3 +103,19 @@ if ! jq -e '
 	exit 1
 fi
 echo "serve-smoke: local job's trace nests job -> queue-wait + lease -> execute -> stage"
+
+jobs_before="$(curl -fsS "$addr/v1/jobs" | jq length)"
+code="$(curl -sS -o "$workdir/refused.json" -w '%{http_code}' -X POST \
+	-H 'Content-Type: application/json' \
+	-d '{"kind":"sweep","sweep":{"bers":[0.7]}}' "$addr/v1/jobs")"
+if [ "$code" != 400 ]; then
+	echo "serve-smoke: a BER-0.7 grid answered $code at submission, want 400:" >&2
+	cat "$workdir/refused.json" >&2
+	exit 1
+fi
+jobs_after="$(curl -fsS "$addr/v1/jobs" | jq length)"
+if [ "$jobs_after" != "$jobs_before" ]; then
+	echo "serve-smoke: the refused grid changed the job list ($jobs_before -> $jobs_after jobs)" >&2
+	exit 1
+fi
+echo "serve-smoke: a grid the sweep would refuse is refused at submission (400, no job)"

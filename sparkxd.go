@@ -72,14 +72,9 @@ type System struct {
 
 // New builds a System from the paper's defaults plus the given options.
 func New(opts ...Option) (*System, error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, fmt.Errorf("sparkxd: %w", err)
-		}
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, fmt.Errorf("sparkxd: %w", err)
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.dataDir == "" {
 		cfg.dataDir = os.Getenv("SPARKXD_DATA_DIR")
@@ -98,6 +93,22 @@ func New(opts ...Option) (*System, error) {
 		return nil, fmt.Errorf("sparkxd: %w", err)
 	}
 	return &System{cfg: cfg, fw: fw}, nil
+}
+
+// newConfig applies opts to the paper's defaults and validates the
+// result: the configuration New builds a System from, and the one a job
+// spec's configuration must resolve to.
+func newConfig(opts []Option) (config, error) {
+	cfg := defaultConfig()
+	for _, opt := range opts {
+		if err := opt(&cfg); err != nil {
+			return cfg, fmt.Errorf("sparkxd: %w", err)
+		}
+	}
+	if err := cfg.validate(); err != nil {
+		return cfg, fmt.Errorf("sparkxd: %w", err)
+	}
+	return cfg, nil
 }
 
 // notify delivers an SDK-level event to the configured observer.

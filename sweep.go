@@ -3,6 +3,7 @@ package sparkxd
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"sparkxd/internal/engine"
 	"sparkxd/internal/errmodel"
@@ -120,11 +121,10 @@ func (p *Pipeline) Sweep(ctx context.Context, spec SweepSpec) (*SweepReport, err
 	if err != nil {
 		return nil, wrapStage("sweep", err)
 	}
-	rs, err := p.sys.resolveSweep(spec)
+	canon, espec, err := resolveSweep(spec, &p.sys.cfg)
 	if err != nil {
-		return nil, err
+		return nil, invalidSweep(err)
 	}
-	espec := rs.espec
 
 	scenarios := len(espec.Scenarios())
 	p.sys.notify(Event{Stage: "sweep", Phase: "start", Epochs: scenarios,
@@ -138,15 +138,15 @@ func (p *Pipeline) Sweep(ctx context.Context, spec SweepSpec) (*SweepReport, err
 		Dataset:     m.Dataset,
 		Neurons:     m.Neurons,
 		BaselineAcc: m.BaselineAcc,
-		Voltages:    espec.Voltages,
-		BERs:        espec.BERs,
-		Policies:    append([]Policy(nil), resolvePolicies(spec.Policies)...),
-		Bitwidths:   rs.bitwidths,
-		PruneLevels: rs.pruneLevels,
-		Encoders:    rs.encoders,
+		Voltages:    canon.Voltages,
+		BERs:        canon.BERs,
+		Policies:    canon.Policies,
+		Bitwidths:   canon.Bitwidths,
+		PruneLevels: canon.PruneLevels,
+		Encoders:    canon.Encoders,
 		Points:      make([]SweepPoint, len(results)),
 	}
-	for _, k := range rs.kinds {
+	for _, k := range espec.Kinds {
 		report.ErrorModels = append(report.ErrorModels, ErrorModelName(k.String()))
 	}
 	for i, r := range results {
@@ -176,110 +176,107 @@ func (p *Pipeline) Sweep(ctx context.Context, spec SweepSpec) (*SweepReport, err
 // front-ends can reject a malformed grid before spending time training;
 // failures satisfy errors.Is(err, ErrInvalidSweep).
 func (s *System) ValidateSweep(spec SweepSpec) error {
-	_, err := s.resolveSweep(spec)
-	return err
+	if _, _, err := resolveSweep(spec, &s.cfg); err != nil {
+		return invalidSweep(err)
+	}
+	return nil
 }
 
-// resolvedSweep is a public SweepSpec resolved against the system
-// defaults: the engine grid plus the canonical public axis echoes the
-// report carries.
-type resolvedSweep struct {
-	espec engine.Spec
-	kinds []errmodel.Kind
-	// Canonicalized extended axes (nil when left at the default).
-	bitwidths   []int
-	pruneLevels []float64
-	encoders    []Encoder
-}
-
-// resolveSweep resolves a public SweepSpec against the system defaults
-// and translates it to the internal engine's grid, validating every
-// axis. Extended-axis values equal to the configured default map to the
-// engine's elided zero value, so their scenario keys — and therefore RNG
-// streams and artifacts — match the axis-less spelling exactly; for the
-// same reason every −0 on a float axis is written as 0.
-func (s *System) resolveSweep(spec SweepSpec) (resolvedSweep, error) {
-	cfg := &s.cfg
-	voltages := spec.Voltages
-	if len(voltages) == 0 {
-		voltages = []float64{cfg.voltage}
-	}
-	bers := spec.BERs
-	if len(bers) == 0 {
-		bers = cfg.rates
-	}
-	var kinds []errmodel.Kind
-	if len(spec.ErrorModels) == 0 {
-		kinds = []errmodel.Kind{cfg.errKind}
-	} else {
-		for _, m := range spec.ErrorModels {
-			k, err := m.kind()
-			if err != nil {
-				return resolvedSweep{}, invalidSweep(err)
-			}
-			kinds = append(kinds, k)
-		}
-	}
-	var policies []string
-	for _, pol := range resolvePolicies(spec.Policies) {
-		switch pol {
-		case PolicyBaseline:
-			policies = append(policies, engine.PolicyBaseline)
-		case PolicySparkXD:
-			policies = append(policies, engine.PolicySparkXD)
-		default:
-			return resolvedSweep{}, invalidSweep(fmt.Errorf("unknown policy %q", pol))
-		}
-	}
-
-	bitAxis, err := canonBitwidthAxis(spec.Bitwidths, cfg.format)
-	if err != nil {
-		return resolvedSweep{}, invalidSweep(err)
-	}
-	pruneAxis, err := canonPruneAxis(spec.PruneLevels)
-	if err != nil {
-		return resolvedSweep{}, invalidSweep(err)
-	}
-	encAxis, err := canonEncoderAxis(spec.Encoders)
-	if err != nil {
-		return resolvedSweep{}, invalidSweep(err)
-	}
-	// Per-value elision: within a multi-value axis, the value equal to
-	// the configured default becomes the engine's zero value and is
-	// elided from scenario keys.
-	var engBits []int
-	for _, b := range bitAxis {
-		q, _ := ParseBitwidth(b)
-		if f, err := q.format(); err == nil && f == cfg.format {
-			engBits = append(engBits, 0)
-		} else {
-			engBits = append(engBits, b)
-		}
-	}
-	var engEncs []engine.EncoderAxis
-	for _, e := range encAxis {
-		if e == EncoderRate {
-			engEncs = append(engEncs, engine.EncoderAxis{})
-			continue
-		}
-		c, err := e.coder()
-		if err != nil {
-			return resolvedSweep{}, invalidSweep(err)
-		}
-		engEncs = append(engEncs, engine.EncoderAxis{Name: string(e), Coder: c})
-	}
-
+// resolveSweep is the one resolution of a sweep grid against a
+// configuration; Pipeline.Sweep, ValidateSweep and JobSpec.Normalized
+// all call it. It returns the validated engine grid, and the canonical
+// spec that job IDs hash and reports echo: empty base axes filled from
+// cfg (the configured voltage, BER schedule and error model, and the
+// SparkXD policy), names canonicalized, every −0 written as 0, Workers
+// zeroed, and each extended axis resolved by the rule of axes.go.
+func resolveSweep(spec SweepSpec, cfg *config) (SweepSpec, engine.Spec, error) {
+	fail := func(err error) (SweepSpec, engine.Spec, error) { return SweepSpec{}, engine.Spec{}, err }
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = cfg.sweepWorkers
 	}
+	spec.Workers = 0
+	if len(spec.Voltages) == 0 {
+		spec.Voltages = []float64{cfg.voltage}
+	}
+	spec.Voltages = unsignedZeros(spec.Voltages)
+	if len(spec.BERs) == 0 {
+		spec.BERs = cfg.rates
+	}
+	spec.BERs = unsignedZeros(spec.BERs)
+	if len(spec.ErrorModels) == 0 {
+		spec.ErrorModels = []ErrorModel{errorModelOf(cfg.errKind)}
+	}
+	spec.ErrorModels = slices.Clone(spec.ErrorModels)
+	kinds := make([]errmodel.Kind, len(spec.ErrorModels))
+	for i, m := range spec.ErrorModels {
+		k, err := m.kind()
+		if err != nil {
+			return fail(err)
+		}
+		kinds[i] = k
+	}
+	if len(spec.Policies) == 0 {
+		spec.Policies = []Policy{PolicySparkXD}
+	}
+	spec.Policies = slices.Clone(spec.Policies)
+	policies := make([]string, len(spec.Policies))
+	for i, pol := range spec.Policies {
+		p, err := ParsePolicy(string(pol))
+		if err != nil {
+			return fail(err)
+		}
+		spec.Policies[i], policies[i] = p, string(p)
+	}
+
+	// The extended axes. A value equal to the configured default is the
+	// engine's zero value, which scenario keys elide.
+	engBits := make([]int, len(spec.Bitwidths))
+	for i, b := range spec.Bitwidths {
+		q, err := ParseBitwidth(b)
+		if err != nil {
+			return fail(err)
+		}
+		if f, err := q.format(); err != nil || f != cfg.format {
+			engBits[i] = b
+		}
+	}
+	if engBits = elideDefault(engBits, 0); engBits == nil {
+		spec.Bitwidths = nil
+	}
+	spec.Bitwidths = slices.Clone(spec.Bitwidths)
+	spec.PruneLevels = elideDefault(unsignedZeros(spec.PruneLevels), 0)
+	for _, lv := range spec.PruneLevels {
+		if err := ValidatePruneLevel(lv); err != nil {
+			return fail(err)
+		}
+	}
+	encoders := make([]Encoder, len(spec.Encoders))
+	for i, e := range spec.Encoders {
+		var err error
+		if encoders[i], err = ParseEncoder(string(e)); err != nil {
+			return fail(err)
+		}
+	}
+	spec.Encoders = elideDefault(encoders, EncoderRate)
+	engEncs := make([]engine.EncoderAxis, len(spec.Encoders))
+	for i, e := range spec.Encoders {
+		if e != EncoderRate {
+			c, err := e.coder()
+			if err != nil {
+				return fail(err)
+			}
+			engEncs[i] = engine.EncoderAxis{Name: string(e), Coder: c}
+		}
+	}
+
 	espec := engine.Spec{
-		Voltages:    unsignedZeros(voltages),
-		BERs:        unsignedZeros(bers),
+		Voltages:    spec.Voltages,
+		BERs:        spec.BERs,
 		Kinds:       kinds,
 		Policies:    policies,
 		Bitwidths:   engBits,
-		PruneLevels: append([]float64(nil), pruneAxis...),
+		PruneLevels: spec.PruneLevels,
 		Encoders:    engEncs,
 		// The seed family matches EvaluateUnderErrors (trainSeed+2 roots
 		// injection, trainSeed+3 drives paired spike encoding), so sweep
@@ -289,21 +286,7 @@ func (s *System) resolveSweep(spec SweepSpec) (resolvedSweep, error) {
 		Workers:  workers,
 	}
 	if err := espec.Validate(); err != nil {
-		return resolvedSweep{}, invalidSweep(err)
+		return fail(err)
 	}
-	return resolvedSweep{
-		espec:       espec,
-		kinds:       kinds,
-		bitwidths:   bitAxis,
-		pruneLevels: pruneAxis,
-		encoders:    encAxis,
-	}, nil
-}
-
-// resolvePolicies applies the default mapping-policy axis.
-func resolvePolicies(ps []Policy) []Policy {
-	if len(ps) == 0 {
-		return []Policy{PolicySparkXD}
-	}
-	return ps
+	return spec, espec, nil
 }
