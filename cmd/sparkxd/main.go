@@ -27,7 +27,7 @@
 //
 // The serve subcommand exposes the pipeline and sweep engine as an HTTP
 // job service over a content-addressed artifact store. Every job runs
-// under a lease protocol (at-most-one lease per job, TTL heartbeats,
+// under a lease protocol (at-most-one lease per job, TTL renewals,
 // requeue on expiry): on the server's in-process worker, on `sparkxd
 // worker` processes that join it, or — with -dispatch fleet — on those
 // alone. Completed jobs are served from durable store records across

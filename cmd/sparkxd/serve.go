@@ -19,7 +19,7 @@ import (
 // jobs over POST /v1/jobs, poll GET /v1/jobs/{id}, stream progress from
 // GET /v1/jobs/{id}/events, and fetch content-addressed artifacts from
 // GET /v1/artifacts/{key}. Jobs execute under leases (POST /v1/leases,
-// heartbeats, uploads): in the default local dispatch an in-process
+// renewals, uploads): in the default local dispatch an in-process
 // worker runs -workers of them at a time, and `sparkxd worker`
 // processes may join to add slots; -dispatch fleet leaves all execution
 // to them. The listening address is printed on stdout ("listening on

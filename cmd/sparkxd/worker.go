@@ -14,7 +14,8 @@ import (
 
 // runWorker joins a coordinator (`sparkxd serve`, either dispatch mode)
 // as a fleet worker: lease queued jobs, execute them on the local pool,
-// stream events back, store the results, and complete. An idle
+// deliver their events and spans with the lease renewals, store the
+// results, and complete. An idle
 // lease request waits on the coordinator for up to -poll, so a
 // submission is picked up as it arrives. SIGINT/SIGTERM drains:
 // in-flight jobs get -drain-timeout to finish; whatever is still

@@ -29,8 +29,8 @@ var (
 
 	// ErrInvalidSweep is returned by Pipeline.Sweep when the SweepSpec
 	// does not describe a runnable grid (empty axis after defaulting,
-	// out-of-range BER, unknown policy or error model, or axis values
-	// that collide at scenario-key precision).
+	// out-of-range BER, unknown policy or error model, axis values that
+	// collide at scenario-key precision, or more than 2^18 scenarios).
 	ErrInvalidSweep = errors.New("sparkxd: invalid sweep spec")
 
 	// ErrCorruptArtifact is returned by the artifact loaders and typed

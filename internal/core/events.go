@@ -1,7 +1,5 @@
 package core
 
-import "sparkxd/internal/tracing"
-
 // Event is one structured progress notification from the framework
 // kernel. Servers and CLIs subscribe to the stream through an Observer
 // instead of polling; every field is a plain value so events can be
@@ -22,12 +20,6 @@ type Event struct {
 	Acc float64 `json:"acc,omitempty"`
 	// Message carries free-form detail.
 	Message string `json:"message,omitempty"`
-	// Span, when set, marks this event as a finished-span record riding
-	// the existing worker→coordinator event batches (DESIGN.md §14). The
-	// coordinator routes span events into the job's trace instead of its
-	// SSE stream; the kernel itself never sets this field, so ordinary
-	// progress events serialize exactly as before.
-	Span *tracing.SpanData `json:"span,omitempty"`
 }
 
 // Observer receives progress events. Observers must be fast and must not

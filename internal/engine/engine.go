@@ -312,6 +312,36 @@ func (s Spec) Scenarios() []Scenario {
 	return out
 }
 
+// maxScenarios bounds a grid's size. At about 300 B per report point, a
+// grid at the bound makes a report of about 80 MB, inside the store's
+// 256 MiB upload limit; the paper-scale full cross product is about
+// 2·10⁴ scenarios.
+const maxScenarios = 1 << 18
+
+// ScenarioCount returns how many scenarios the grid names, without
+// enumerating them: the product of the axis lengths, where an empty
+// extended axis counts 1 and a uniform grid's voltage axis counts 1.
+// The product saturates at math.MaxInt.
+func (s Spec) ScenarioCount() int {
+	voltages := len(s.Voltages)
+	if s.Uniform {
+		voltages = 1
+	}
+	n := 1
+	for _, l := range []int{voltages, len(s.BERs), len(s.Kinds), len(s.Policies),
+		max(len(s.Bitwidths), 1), max(len(s.PruneLevels), 1), max(len(s.Encoders), 1)} {
+		switch {
+		case l == 0:
+			return 0
+		case n > math.MaxInt/l:
+			n = math.MaxInt
+		default:
+			n *= l
+		}
+	}
+	return n
+}
+
 // Validate reports whether the spec describes a runnable grid.
 func (s Spec) Validate() error {
 	switch {
@@ -323,6 +353,9 @@ func (s Spec) Validate() error {
 		return errors.New("engine: no error models in sweep spec")
 	case len(s.Policies) == 0:
 		return errors.New("engine: no mapping policies in sweep spec")
+	}
+	if n := s.ScenarioCount(); n > maxScenarios {
+		return fmt.Errorf("engine: sweep spec names %d scenarios, more than the %d a grid may have", n, maxScenarios)
 	}
 	if !s.Uniform {
 		for _, v := range s.Voltages {

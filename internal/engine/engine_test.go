@@ -226,6 +226,63 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// A grid may name at most maxScenarios scenarios. The count is the
+// product of the axis lengths, computed without enumerating the grid
+// and saturating instead of overflowing.
+func TestSpecScenarioBound(t *testing.T) {
+	values := func(start, step float64, n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = start + float64(i)*step
+		}
+		return out
+	}
+	// 32 voltages × 32 BERs × 4 kinds × 2 policies × 2 bitwidths × 16
+	// prune levels = 1 << 18.
+	spec := Spec{
+		Voltages:    values(1.0, 0.01, 32),
+		BERs:        values(1e-6, 1e-6, 32),
+		Kinds:       []errmodel.Kind{errmodel.Model0, errmodel.Model1, errmodel.Model2, errmodel.Model3},
+		Policies:    []string{PolicyBaseline, PolicySparkXD},
+		Bitwidths:   []int{16, 32},
+		PruneLevels: values(0, 0.05, 16),
+	}
+	if n := spec.ScenarioCount(); n != maxScenarios {
+		t.Fatalf("ScenarioCount = %d, want %d", n, maxScenarios)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("grid of exactly %d scenarios refused: %v", maxScenarios, err)
+	}
+	spec.PruneLevels = values(0, 0.05, 17)
+	if err := spec.Validate(); err == nil {
+		t.Fatalf("grid of %d scenarios accepted", spec.ScenarioCount())
+	}
+
+	// 2^16 values on each of four axes: the product 2^64 passes
+	// math.MaxInt.
+	huge := make([]float64, 1<<16)
+	over := Spec{
+		Voltages:    huge,
+		BERs:        huge,
+		Kinds:       []errmodel.Kind{errmodel.Model0},
+		Policies:    []string{PolicyBaseline},
+		Bitwidths:   make([]int, 1<<16),
+		PruneLevels: huge,
+	}
+	if n := over.ScenarioCount(); n != math.MaxInt {
+		t.Errorf("ScenarioCount = %d, want it saturated at math.MaxInt", n)
+	}
+	if err := over.Validate(); err == nil {
+		t.Error("grid of 2^64 scenarios accepted")
+	}
+
+	for _, small := range []Spec{gridSpec(1), uniformSpec()} {
+		if n, all := small.ScenarioCount(), len(small.Scenarios()); n != all {
+			t.Errorf("ScenarioCount = %d, the cross product has %d", n, all)
+		}
+	}
+}
+
 // uniformSpec matches the second half of the committed scenario-key
 // golden: three uniform BER points, no voltage axis.
 func uniformSpec() Spec {

@@ -47,6 +47,9 @@ func FuzzSpecValidate(f *testing.F) {
 				inRange = false
 			}
 		}
+		if n, all := spec.ScenarioCount(), len(spec.Scenarios()); n != all {
+			t.Fatalf("ScenarioCount(%+v) = %d; the cross product has %d", spec, n, all)
+		}
 		err := spec.Validate()
 		if want := inRange && !duplicateKey(spec); (err == nil) != want {
 			t.Fatalf("Validate(%+v) = %v; want accepted %v", spec, err, want)

@@ -5,13 +5,16 @@
 //
 // The protocol is four verbs over plain HTTP/JSON:
 //
-//	POST   /v1/workers              register (idempotent presence ping)
 //	POST   /v1/leases               lease up to `capacity` queued jobs,
 //	                                waiting up to `wait_ms` for one
-//	POST   /v1/leases/{id}/renew    heartbeat: extend the lease TTL
-//	POST   /v1/leases/{id}/events   forward engine events for SSE bridging
+//	POST   /v1/leases/{id}/renew    extend the lease TTL, delivering the
+//	                                job's events and spans since the
+//	                                last renewal
 //	POST   /v1/leases/{id}/complete finish the job (artifacts or error)
 //	DELETE /v1/leases/{id}          release: requeue without completing
+//
+// Every lease request puts its worker on the roster that
+// GET /v1/workers lists; there is no separate registration.
 //
 // A lost lease (expired, replaced, or unknown) answers 410 Gone; the
 // worker must abandon the job — another worker may already own it.
@@ -19,31 +22,17 @@ package fleetapi
 
 import "sparkxd"
 
-// RegisterRequest announces a worker to the coordinator.
-type RegisterRequest struct {
-	// Name identifies the worker across requests; lease exclusion after
-	// a crash is keyed by it, so restarts should reuse the name only if
-	// the operator wants the restart to inherit those exclusions.
-	Name string `json:"name"`
-	// Slots is how many jobs the worker executes concurrently.
-	Slots int `json:"slots"`
-}
-
-// RegisterResponse acknowledges a registration.
-type RegisterResponse struct {
-	Name string `json:"name"`
-	// LeaseTTLMillis is the coordinator's lease TTL; workers heartbeat
-	// a few times per TTL window.
-	LeaseTTLMillis int64 `json:"lease_ttl_ms"`
-	// Dispatch echoes the coordinator's dispatch mode (informational:
-	// workers lease in either mode).
-	Dispatch string `json:"dispatch"`
-}
-
 // LeaseRequest asks for up to Capacity queued jobs.
 type LeaseRequest struct {
-	Worker   string `json:"worker"`
-	Capacity int    `json:"capacity"`
+	// Worker identifies the worker across requests; lease exclusion
+	// after a crash is keyed by it, so restarts should reuse the name
+	// only if the operator wants the restart to inherit those
+	// exclusions.
+	Worker string `json:"worker"`
+	// Slots is how many jobs the worker executes concurrently, as the
+	// roster reports it.
+	Slots    int `json:"slots"`
+	Capacity int `json:"capacity"`
 	// WaitMillis lets the coordinator hold the request, up to its own
 	// cap, until a job is grantable instead of answering empty at once
 	// (a long-poll). Zero answers at once; coordinators that predate the
@@ -78,9 +67,12 @@ type LeaseResponse struct {
 	QueueDepth int `json:"queue_depth"`
 }
 
-// RenewResponse acknowledges a heartbeat with the refreshed TTL.
-type RenewResponse struct {
-	TTLMillis int64 `json:"ttl_ms"`
+// RenewRequest extends a lease and delivers everything the job
+// produced since the last renewal: progress events for the job's SSE
+// log and finished spans (stages, warm-System builds) for its trace.
+type RenewRequest struct {
+	Events []sparkxd.Event     `json:"events,omitempty"`
+	Spans  []sparkxd.TraceSpan `json:"spans,omitempty"`
 }
 
 // CompleteRequest finishes a leased job. Exactly one of Artifacts or
@@ -91,20 +83,18 @@ type CompleteRequest struct {
 	Artifacts map[string]sparkxd.ArtifactKey `json:"artifacts,omitempty"`
 	Error     string                         `json:"error,omitempty"`
 	// Spans carries the worker's final spans (artifact upload, the
-	// execution envelope) that only finish at completion time, when no
-	// further event batch will be flushed. Earlier spans (stages, warm
-	// builds) ride the ordinary event batches instead.
+	// execution envelope), which finish after the last renewal.
 	Spans []sparkxd.TraceSpan `json:"spans,omitempty"`
 }
 
 // WorkerStatus is one row of GET /v1/workers.
 type WorkerStatus struct {
 	Name string `json:"name"`
-	// Slots is the concurrency the worker registered with.
+	// Slots is the concurrency the worker's latest lease request named.
 	Slots int `json:"slots"`
 	// ActiveLeases counts the worker's live leases.
 	ActiveLeases int `json:"active_leases"`
 	// LastSeenMillisAgo is how long ago the worker last talked to the
-	// coordinator (registration, lease request, or heartbeat).
+	// coordinator (a lease request, renewal, completion or release).
 	LastSeenMillisAgo int64 `json:"last_seen_ms_ago"`
 }

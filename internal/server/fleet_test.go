@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"sparkxd"
+	"sparkxd/internal/fleetapi"
 	"sparkxd/internal/store"
+	"sparkxd/internal/tracing"
 	"sparkxd/internal/worker"
 )
 
@@ -98,8 +100,25 @@ func TestLeaseCrashRecovery(t *testing.T) {
 	waitState(t, srv, status.ID, "requeued", func(st sparkxd.JobStatus) bool {
 		return st.State == sparkxd.JobQueued
 	})
-	if _, err := srv.RenewLease(grants[0].LeaseID); !errors.Is(err, ErrLeaseLost) {
+	// The crashed worker's late renewal is refused, and what it carries
+	// reaches neither the job's event log nor its trace.
+	logged := func() (events, spans int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		rec := srv.jobs[status.ID]
+		return len(rec.events), len(rec.trace.spans)
+	}
+	events, spans := logged()
+	late := fleetapi.RenewRequest{
+		Events: []sparkxd.Event{{Stage: "train", Phase: "done"}},
+		Spans: []sparkxd.TraceSpan{tracing.Completed(tracing.NewContext(), "crashy", "stage:train",
+			time.Now(), time.Millisecond, nil)},
+	}
+	if err := srv.RenewLease(grants[0].LeaseID, late); !errors.Is(err, ErrLeaseLost) {
 		t.Errorf("renew of expired lease: err = %v, want ErrLeaseLost", err)
+	}
+	if e, sp := logged(); e != events || sp != spans {
+		t.Errorf("renew of expired lease changed the job: %d → %d events, %d → %d spans", events, e, spans, sp)
 	}
 	if g3, _ := srv.AcquireLeases("crashy", 4); len(g3) != 0 {
 		t.Errorf("excluded worker re-leased its failed job: %v", g3)

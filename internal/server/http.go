@@ -35,16 +35,16 @@ import (
 //	                                (HEAD: its size)
 //	PUT    /v1/artifacts/{key...}   upload an envelope (fleet workers;
 //	                                verified against its content address)
-//	POST   /v1/workers              register a fleet worker
-//	GET    /v1/workers              list registered workers
+//	GET    /v1/workers              the roster: workers that asked for leases
 //	POST   /v1/leases               lease queued jobs, long-polling up to
 //	                                wait_ms (capped) for one
-//	POST   /v1/leases/{id}/renew    heartbeat a lease
-//	POST   /v1/leases/{id}/events   bridge worker events into the SSE feed
+//	POST   /v1/leases/{id}/renew    extend a lease, bridging the job's
+//	                                events into its SSE feed and its
+//	                                spans into its trace
 //	POST   /v1/leases/{id}/complete finish a leased job
 //	DELETE /v1/leases/{id}          release a lease (requeue the job)
 //	GET    /v1/healthz              liveness probe (dispatch mode, queue
-//	                                depth, registered-worker count)
+//	                                depth, roster size)
 //	GET    /metrics                 Prometheus text-format metrics
 //
 // The artifact routes are store.NewHandler's over the server's store,
@@ -70,11 +70,9 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/artifacts", artifacts)
 	mux.Handle("GET /v1/artifacts/{key...}", artifacts)
 	mux.Handle("PUT /v1/artifacts/{key...}", artifacts)
-	mux.HandleFunc("POST /v1/workers", s.handleWorkerRegister)
 	mux.HandleFunc("GET /v1/workers", s.handleWorkerList)
 	mux.HandleFunc("POST /v1/leases", s.handleLeaseAcquire)
 	mux.HandleFunc("POST /v1/leases/{id}/renew", s.handleLeaseRenew)
-	mux.HandleFunc("POST /v1/leases/{id}/events", s.handleLeaseEvents)
 	mux.HandleFunc("POST /v1/leases/{id}/complete", s.handleLeaseComplete)
 	mux.HandleFunc("DELETE /v1/leases/{id}", s.handleLeaseRelease)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
@@ -306,20 +304,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, trace)
 }
 
-func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
-	var req fleetapi.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode registration: %v", err)
-		return
-	}
-	resp, err := s.RegisterWorker(req.Name, req.Slots)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleWorkerList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Workers())
 }
@@ -330,8 +314,7 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode lease request: %v", err)
 		return
 	}
-	wait := time.Duration(req.WaitMillis) * time.Millisecond
-	grants, err := s.awaitLeases(r.Context(), req.Worker, req.Capacity, wait)
+	grants, err := s.awaitLeases(r.Context(), req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -340,21 +323,12 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
-	ttl, err := s.RenewLease(r.PathValue("id"))
-	if err != nil {
-		writeLeaseError(w, err)
+	var req fleetapi.RenewRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "decode renewal: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, fleetapi.RenewResponse{TTLMillis: ttl.Milliseconds()})
-}
-
-func (s *Server) handleLeaseEvents(w http.ResponseWriter, r *http.Request) {
-	var evs []sparkxd.Event
-	if err := json.NewDecoder(r.Body).Decode(&evs); err != nil {
-		writeError(w, http.StatusBadRequest, "decode events: %v", err)
-		return
-	}
-	if err := s.IngestEvents(r.PathValue("id"), evs); err != nil {
+	if err := s.RenewLease(r.PathValue("id"), req); err != nil {
 		writeLeaseError(w, err)
 		return
 	}

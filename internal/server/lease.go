@@ -22,28 +22,7 @@ var (
 	ErrBadComplete = errors.New("server: invalid completion")
 )
 
-// RegisterWorker records a fleet worker's presence and returns the
-// lease parameters it should heartbeat under. Registration is
-// idempotent — workers may re-register on every reconnect.
-func (s *Server) RegisterWorker(name string, slots int) (fleetapi.RegisterResponse, error) {
-	if name == "" {
-		return fleetapi.RegisterResponse{}, fmt.Errorf("empty worker name")
-	}
-	if slots <= 0 {
-		slots = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.touchWorkerLocked(name, slots)
-	s.log.Info("worker registered", "worker", name, "slots", slots)
-	return fleetapi.RegisterResponse{
-		Name:           name,
-		LeaseTTLMillis: s.leaseTTL.Milliseconds(),
-		Dispatch:       string(s.dispatch),
-	}, nil
-}
-
-// Workers lists the registered fleet workers, sorted by name.
+// Workers lists the workers that have asked for leases, sorted by name.
 func (s *Server) Workers() []fleetapi.WorkerStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -75,26 +54,30 @@ const maxLeaseWait = 10 * time.Second
 // finish them), and each granted job carries exactly one live lease.
 // While draining, no work is handed out.
 func (s *Server) AcquireLeases(worker string, capacity int) ([]fleetapi.Grant, error) {
-	return s.awaitLeases(context.Background(), worker, capacity, 0)
+	return s.awaitLeases(context.Background(), fleetapi.LeaseRequest{Worker: worker, Capacity: capacity})
 }
 
-// awaitLeases is AcquireLeases as a long-poll: with nothing grantable
-// it waits up to wait (capped at maxLeaseWait) for a job to enter the
-// queue, so an idle worker is handed a submission as soon as it
-// arrives instead of at its next poll. A drain, a close, or ctx ending
-// answers empty at once.
-func (s *Server) awaitLeases(ctx context.Context, worker string, capacity int, wait time.Duration) ([]fleetapi.Grant, error) {
-	if worker == "" {
+// awaitLeases answers one lease request. Every request for work puts
+// its worker on the roster with the request's slots, even one that is
+// granted nothing. With nothing grantable it waits up to the request's
+// wait (capped at maxLeaseWait) for a job to enter the queue, so an
+// idle worker is handed a submission as soon as it arrives instead of
+// at its next poll. A drain, a close, or ctx ending answers empty at
+// once.
+func (s *Server) awaitLeases(ctx context.Context, req fleetapi.LeaseRequest) ([]fleetapi.Grant, error) {
+	if req.Worker == "" {
 		return nil, fmt.Errorf("empty worker name")
 	}
-	if capacity <= 0 {
+	if req.Capacity <= 0 {
 		return nil, nil
 	}
+	wait := time.Duration(req.WaitMillis) * time.Millisecond
 	timeout := time.NewTimer(min(wait, maxLeaseWait))
 	defer timeout.Stop()
 	for {
 		s.mu.Lock()
-		grants := s.grantLocked(worker, capacity)
+		s.touchWorkerLocked(req.Worker, req.Slots)
+		grants := s.grantLocked(req.Worker, req.Capacity)
 		// Read the wake channel under the same lock as the empty grant, so
 		// a submission landing in between is not missed.
 		enqueued := s.enqueued
@@ -116,7 +99,6 @@ func (s *Server) awaitLeases(ctx context.Context, worker string, capacity int, w
 // grantLocked leases up to capacity queued jobs to worker, in aged
 // priority order. Caller holds s.mu.
 func (s *Server) grantLocked(worker string, capacity int) []fleetapi.Grant {
-	s.touchWorkerLocked(worker, 0)
 	if s.draining || s.closed {
 		return nil
 	}
@@ -181,20 +163,29 @@ func (s *Server) grantLocked(worker string, capacity int) []fleetapi.Grant {
 	return grants
 }
 
-// RenewLease extends a live lease's TTL (the worker heartbeat). A lost
-// lease returns ErrLeaseLost: the worker must stop working on the job.
-func (s *Server) RenewLease(id string) (time.Duration, error) {
+// RenewLease extends a live lease's TTL and delivers what the job
+// produced since the worker's last renewal: the events join the job's
+// SSE log and the spans its trace. A lost lease returns ErrLeaseLost
+// and drops both, so a worker that lost the job cannot touch a job that
+// moved on; it must stop working on the job.
+func (s *Server) RenewLease(id string, req fleetapi.RenewRequest) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l, ok := s.leases[id]
 	if !ok {
-		return 0, ErrLeaseLost
+		return ErrLeaseLost
 	}
 	l.expires = time.Now().Add(s.leaseTTL)
 	l.renews++
 	s.touchWorkerLocked(l.worker, 0)
 	s.metrics.leaseOps.With("renew").Inc()
-	return s.leaseTTL, nil
+	for _, ev := range req.Events {
+		s.appendEventLocked(l.rec, ev)
+	}
+	for _, sd := range req.Spans {
+		s.addSpanLocked(l.rec, sd)
+	}
+	return nil
 }
 
 // ReleaseLease returns a leased job to the queue without penalty (the
@@ -215,37 +206,14 @@ func (s *Server) ReleaseLease(id string) error {
 	return nil
 }
 
-// IngestEvents bridges a worker's forwarded engine events into the
-// job's SSE stream. Span-bearing events are routed into the job's trace
-// instead of the event log — they are telemetry, not progress. Events
-// on a lost lease are dropped (ErrLeaseLost) so a zombie worker cannot
-// pollute a job that moved on.
-func (s *Server) IngestEvents(id string, evs []sparkxd.Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.leases[id]
-	if !ok {
-		return ErrLeaseLost
-	}
-	for _, ev := range evs {
-		if ev.Span != nil {
-			s.addSpanLocked(l.rec, *ev.Span)
-			continue
-		}
-		s.appendEventLocked(l.rec, ev)
-	}
-	return nil
-}
-
 // CompleteLease finishes a leased job — the only done/failed transition
 // of an executed job, wherever it ran: either with an artifact role map
 // the worker has already uploaded to the store, or with a failure
 // message. Artifact keys are verified present before the job is marked
 // done — a completion must never dangle. spans carries the worker's
-// completion-time spans (artifact upload, the execution envelope) that
-// no further event batch could have delivered; they join the job's
-// trace, which is assembled and persisted here at the terminal
-// transition.
+// completion-time spans (artifact upload, the execution envelope),
+// which finish after its last renewal; they join the job's trace,
+// which is assembled and persisted here at the terminal transition.
 func (s *Server) CompleteLease(id string, arts map[string]sparkxd.ArtifactKey, failure string, spans []sparkxd.TraceSpan) error {
 	if failure == "" && len(arts) == 0 {
 		return fmt.Errorf("%w: neither artifacts nor an error", ErrBadComplete)
@@ -370,8 +338,8 @@ func (s *Server) hasLiveAlternativeLocked(rec *jobRec, cutoff time.Time) bool {
 	return false
 }
 
-// touchWorkerLocked refreshes a worker's presence entry. Caller holds
-// s.mu. slots == 0 keeps the registered slot count.
+// touchWorkerLocked refreshes a worker's roster entry. Caller holds
+// s.mu. slots <= 0 keeps the entry's slot count.
 func (s *Server) touchWorkerLocked(name string, slots int) {
 	w, ok := s.fleet[name]
 	if !ok {
@@ -382,4 +350,7 @@ func (s *Server) touchWorkerLocked(name string, slots int) {
 		w.slots = slots
 	}
 	w.lastSeen = time.Now()
+	if !ok {
+		s.log.Info("worker joined", "worker", name, "slots", w.slots)
+	}
 }

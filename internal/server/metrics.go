@@ -81,7 +81,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return float64(len(s.leases))
 		})
 	r.NewGaugeFunc("sparkxd_workers_registered",
-		"Workers that have ever registered with this coordinator (the in-process one included).",
+		"Workers that have asked this coordinator for leases (the in-process one included).",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()

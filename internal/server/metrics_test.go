@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sparkxd"
+	"sparkxd/internal/fleetapi"
 )
 
 func scrape(t *testing.T, ts *httptest.Server) string {
@@ -224,7 +225,8 @@ func TestPriorityLeaseOrder(t *testing.T) {
 }
 
 // healthz reports the cheap triage numbers: dispatch mode, queue depth,
-// and registered workers.
+// and the roster size. A worker joins the roster, with its slots, by
+// asking for a lease, even one that is granted nothing.
 func TestHealthzReportsQueueState(t *testing.T) {
 	srv, err := New(Config{Dispatch: DispatchFleet, Logger: testLogger(t)})
 	if err != nil {
@@ -234,8 +236,26 @@ func TestHealthzReportsQueueState(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	if _, err := srv.RegisterWorker("w1", 2); err != nil {
+	lease, err := ts.Client().Post(ts.URL+"/v1/leases", "application/json",
+		strings.NewReader(`{"worker": "w1", "slots": 2, "capacity": 1}`))
+	if err != nil {
 		t.Fatal(err)
+	}
+	lease.Body.Close()
+	if lease.StatusCode != http.StatusOK {
+		t.Fatalf("lease request: %s", lease.Status)
+	}
+	roster, err := ts.Client().Get(ts.URL + "/v1/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer roster.Body.Close()
+	var workers []fleetapi.WorkerStatus
+	if err := json.NewDecoder(roster.Body).Decode(&workers); err != nil {
+		t.Fatal(err)
+	}
+	if len(workers) != 1 || workers[0].Name != "w1" || workers[0].Slots != 2 || workers[0].ActiveLeases != 0 {
+		t.Fatalf("roster = %+v, want w1 with 2 slots and no lease", workers)
 	}
 	for i := 0; i < 3; i++ {
 		if _, _, err := srv.Submit(sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Stage: "train",

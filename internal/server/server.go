@@ -26,8 +26,9 @@
 //     recomputed.
 //
 // Progress events stream over GET /v1/jobs/{id}/events as server-sent
-// events, backed by the SDK's Observer hook; events forwarded by fleet
-// workers are bridged into the same per-job streams.
+// events, backed by the SDK's Observer hook; the events a worker
+// delivers with its lease renewals are bridged into the same per-job
+// streams.
 package server
 
 import (
@@ -137,7 +138,7 @@ type Server struct {
 	leases   map[string]*lease
 	leaseSeq uint64
 	jobSeq   uint64                 // submission order (priority tiebreak)
-	fleet    map[string]*workerInfo // worker name -> registration/presence
+	fleet    map[string]*workerInfo // the roster: worker name -> presence
 
 	// local is the in-process worker running local dispatch's slots (nil
 	// in fleet dispatch). Set once in New, before any request.
@@ -191,12 +192,12 @@ type lease struct {
 
 	// span is the open lease-lifecycle span; its context rides the Grant
 	// as a traceparent so worker spans nest under it. renews counts
-	// heartbeats (reported as a span attribute at close).
+	// renewals (reported as a span attribute at close).
 	span   *tracing.Span
 	renews int
 }
 
-// workerInfo tracks one registered fleet worker for observability.
+// workerInfo is one roster entry: a worker that has asked for leases.
 type workerInfo struct {
 	name     string
 	slots    int

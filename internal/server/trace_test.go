@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sparkxd"
+	"sparkxd/internal/fleetapi"
 	"sparkxd/internal/tracing"
 	"sparkxd/internal/version"
 )
@@ -88,8 +89,8 @@ func TestTraceparentDoesNotAffectJobIdentity(t *testing.T) {
 // A job that survives a worker crash carries one trace across both
 // lease attempts: the assembled trace shows the first lease expiring,
 // a second queue-wait episode, the replacement worker's lease
-// completing, and the worker-side spans shipped through events and the
-// completion payload — all under the trace ID the client submitted.
+// completing, and the worker-side spans shipped through a renewal and
+// the completion payload — all under the trace ID the client submitted.
 func TestTraceAcrossLeaseHandoff(t *testing.T) {
 	srv, err := New(Config{
 		Dispatch: DispatchFleet,
@@ -124,8 +125,8 @@ func TestTraceAcrossLeaseHandoff(t *testing.T) {
 	})
 
 	// The replacement worker executes "remotely": it parents its spans
-	// onto the new grant's lease span, streams a stage span through the
-	// event channel, and completes with its envelope spans.
+	// onto the new grant's lease span, delivers a stage span with a lease
+	// renewal, and completes with its envelope spans.
 	g2, err := srv.AcquireLeases("medic", 1)
 	if err != nil || len(g2) != 1 {
 		t.Fatalf("second AcquireLeases = %v, %v", g2, err)
@@ -137,7 +138,7 @@ func TestTraceAcrossLeaseHandoff(t *testing.T) {
 	exec := tracing.Start(sc2, "medic", "execute")
 	stage := tracing.Completed(exec.Context(), "medic", "stage:sweep",
 		time.Now(), time.Millisecond, nil)
-	if err := srv.IngestEvents(g2[0].LeaseID, []sparkxd.Event{{Span: &stage}}); err != nil {
+	if err := srv.RenewLease(g2[0].LeaseID, fleetapi.RenewRequest{Spans: []sparkxd.TraceSpan{stage}}); err != nil {
 		t.Fatal(err)
 	}
 	key, err := sparkxd.PutArtifact(srv.Store(), &sparkxd.SweepReport{})
@@ -210,7 +211,7 @@ func TestTraceAcrossLeaseHandoff(t *testing.T) {
 	}
 	stages := findSpans(tr, "stage:sweep")
 	if len(stages) != 1 || stages[0].Parent != execs[0].SpanID {
-		t.Errorf("event-channel stage span missing or mis-parented:\n%s", dumpTrace(tr))
+		t.Errorf("renewal stage span missing or mis-parented:\n%s", dumpTrace(tr))
 	}
 
 	// The trace involves both processes.

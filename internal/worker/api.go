@@ -40,37 +40,22 @@ func newCoordClient(baseURL string, hc *http.Client) (*coordClient, error) {
 	return &coordClient{base: base, hc: hc}, nil
 }
 
-// register announces the worker and returns the coordinator's lease
-// parameters.
-func (c *coordClient) register(ctx context.Context, name string, slots int) (fleetapi.RegisterResponse, error) {
-	var resp fleetapi.RegisterResponse
-	err := c.do(ctx, http.MethodPost, "/v1/workers",
-		fleetapi.RegisterRequest{Name: name, Slots: slots}, &resp)
-	return resp, err
-}
-
-// acquire leases up to capacity queued jobs, letting the coordinator
-// hold the request up to wait for one.
-func (c *coordClient) acquire(ctx context.Context, name string, capacity int, wait time.Duration) (fleetapi.LeaseResponse, error) {
+// acquire sends one lease request, which the coordinator may hold up
+// to req.WaitMillis for a job.
+func (c *coordClient) acquire(ctx context.Context, req fleetapi.LeaseRequest) (fleetapi.LeaseResponse, error) {
 	var resp fleetapi.LeaseResponse
-	err := c.do(ctx, http.MethodPost, "/v1/leases",
-		fleetapi.LeaseRequest{Worker: name, Capacity: capacity, WaitMillis: wait.Milliseconds()}, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/leases", req, &resp)
 	return resp, err
 }
 
-// renew heartbeats one lease.
-func (c *coordClient) renew(ctx context.Context, leaseID string) error {
-	return c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/renew", struct{}{}, nil)
+// renew extends one lease, delivering req's events and spans.
+func (c *coordClient) renew(ctx context.Context, leaseID string, req fleetapi.RenewRequest) error {
+	return c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/renew", req, nil)
 }
 
 // release hands a lease back for immediate requeue (graceful drain).
 func (c *coordClient) release(ctx context.Context, leaseID string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/leases/"+leaseID, nil, nil)
-}
-
-// postEvents forwards a batch of engine events for SSE bridging.
-func (c *coordClient) postEvents(ctx context.Context, leaseID string, evs []sparkxd.Event) error {
-	return c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/events", evs, nil)
 }
 
 // complete finishes the leased job with either an uploaded artifact

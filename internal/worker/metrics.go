@@ -19,8 +19,9 @@ import (
 type workerMetrics struct {
 	reg *metrics.Registry
 
-	// heartbeats counts lease renewals by outcome: ok | lost | error
-	// (transport failure; the lease may still be alive).
+	// heartbeats counts lease renewals, those that deliver events and
+	// spans included, by outcome: ok | lost | error (transport failure;
+	// the lease may still be alive).
 	heartbeats *metrics.CounterVec
 	// jobs counts leased executions by outcome:
 	// done | failed | released | abandoned.

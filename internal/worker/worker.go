@@ -1,15 +1,15 @@
 // Package worker is the one executor of the sparkxd job service
 // (DESIGN.md §9): a Worker leases queued jobs from a coordinator,
 // executes them against a cache of warm per-configuration Systems,
-// streams stage events back for SSE bridging, puts result artifacts
-// into the coordinator's content-addressed store, and completes the
-// lease. A `sparkxd worker`
+// delivers stage events and spans with its lease renewals, puts result
+// artifacts into the coordinator's content-addressed store, and
+// completes the lease. A `sparkxd worker`
 // process joins a coordinator over HTTP; a coordinator in local
 // dispatch runs its own slots as a Worker in its process, leasing
 // through direct handler calls.
 //
-// Liveness is lease-based: the worker heartbeats each lease a few times
-// per TTL window; a worker that crashes or partitions simply goes
+// Liveness is lease-based: the worker renews each lease about every
+// third of its TTL; a worker that crashes or partitions simply goes
 // silent, its leases expire, and the coordinator requeues the jobs with
 // the dead worker excluded. Because job IDs are content hashes and
 // execution is deterministic, the re-executed job provably reproduces
@@ -58,7 +58,10 @@ type Config struct {
 	// DrainTimeout bounds how long a signalled worker keeps finishing
 	// in-flight jobs before releasing their leases (zero: 30s).
 	DrainTimeout time.Duration
-	// FlushInterval batches forwarded engine events (zero: 200ms).
+	// FlushInterval is how often a leased job's pending events and spans
+	// go out in a lease renewal, and how often the lease is checked for
+	// one (zero: 200ms). It must stay well below the coordinator's lease
+	// TTL.
 	FlushInterval time.Duration
 	// HTTPClient overrides the coordinator transport (nil: 30s-timeout
 	// default client). The default Store is opened with it, and a remote
@@ -87,8 +90,6 @@ type Worker struct {
 	api           *coordClient
 	st            sparkxd.ArtifactStore
 
-	ttl time.Duration // coordinator's lease TTL (learned at register)
-
 	metrics *workerMetrics
 
 	mu      sync.Mutex
@@ -106,7 +107,7 @@ type task struct {
 	cancel context.CancelFunc
 
 	mu      sync.Mutex
-	pending []sparkxd.Event
+	pending fleetapi.RenewRequest // what the next renewal delivers
 	lost    bool
 }
 
@@ -123,22 +124,39 @@ func (t *task) isLost() bool {
 	return t.lost
 }
 
-func (t *task) append(ev sparkxd.Event) {
+func (t *task) addEvent(ev sparkxd.Event) {
 	t.mu.Lock()
-	t.pending = append(t.pending, ev)
+	t.pending.Events = append(t.pending.Events, ev)
 	t.mu.Unlock()
 }
 
-func (t *task) take() []sparkxd.Event {
+func (t *task) addSpan(sd sparkxd.TraceSpan) {
 	t.mu.Lock()
-	evs := t.pending
-	t.pending = nil
+	t.pending.Spans = append(t.pending.Spans, sd)
 	t.mu.Unlock()
-	return evs
+}
+
+// take empties the pending batch and returns it, and whether it holds
+// anything.
+func (t *task) take() (fleetapi.RenewRequest, bool) {
+	t.mu.Lock()
+	req := t.pending
+	t.pending = fleetapi.RenewRequest{}
+	t.mu.Unlock()
+	return req, len(req.Events)+len(req.Spans) > 0
+}
+
+// putBack returns a batch that failed to go out to the front of the
+// pending one.
+func (t *task) putBack(req fleetapi.RenewRequest) {
+	t.mu.Lock()
+	t.pending.Events = append(req.Events, t.pending.Events...)
+	t.pending.Spans = append(req.Spans, t.pending.Spans...)
+	t.mu.Unlock()
 }
 
 // New builds a Worker (it does not contact the coordinator yet; Run
-// registers and retries until the coordinator answers).
+// asks for leases and retries until the coordinator answers).
 func New(cfg Config) (*Worker, error) {
 	api, err := newCoordClient(cfg.Coordinator, cfg.HTTPClient)
 	if err != nil {
@@ -194,19 +212,13 @@ func New(cfg Config) (*Worker, error) {
 // Name returns the worker's fleet name.
 func (w *Worker) Name() string { return w.name }
 
-// Run registers with the coordinator and processes leased jobs until
-// ctx is cancelled, then drains: in-flight jobs get up to DrainTimeout
-// to finish (and complete normally); whatever is still running has its
-// lease released so the coordinator requeues it immediately. Returns
-// nil on a clean (possibly drained) shutdown.
+// Run leases and processes jobs until ctx is cancelled, then drains:
+// in-flight jobs get up to DrainTimeout to finish (and complete
+// normally); whatever is still running has its lease released so the
+// coordinator requeues it immediately. Returns nil on a clean (possibly
+// drained) shutdown.
 func (w *Worker) Run(ctx context.Context) error {
-	if err := w.register(ctx); err != nil {
-		return err
-	}
-	if ctx.Err() != nil {
-		return nil
-	}
-
+	w.log.Info("leasing", "coordinator", w.api.base, "worker", w.name, "slots", w.slots)
 	// jobCtx outlives ctx so draining jobs keep running after the
 	// shutdown signal; it is only cancelled once the drain window ends.
 	jobCtx, cancelJobs := context.WithCancel(context.Background())
@@ -223,7 +235,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		asked := time.Now()
-		resp, err := w.api.acquire(ctx, w.name, free, w.poll)
+		resp, err := w.api.acquire(ctx, fleetapi.LeaseRequest{
+			Worker: w.name, Slots: w.slots, Capacity: free, WaitMillis: w.poll.Milliseconds()})
 		if err != nil {
 			if ctx.Err() == nil {
 				w.log.Warn("lease request failed", "err", err)
@@ -267,40 +280,9 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
-// register announces the worker, retrying (the coordinator may start
-// after its workers) until ctx is cancelled.
-func (w *Worker) register(ctx context.Context) error {
-	backoff := 200 * time.Millisecond
-	for {
-		resp, err := w.api.register(ctx, w.name, w.slots)
-		if err == nil {
-			w.ttl = time.Duration(resp.LeaseTTLMillis) * time.Millisecond
-			if w.ttl <= 0 {
-				w.ttl = 15 * time.Second
-			}
-			w.log.Info("registered", "coordinator", w.api.base, "worker", w.name,
-				"slots", w.slots, "lease_ttl", w.ttl, "dispatch", resp.Dispatch)
-			return nil
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-		w.log.Warn("register failed", "err", err, "retry_in", backoff)
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
-	}
-}
-
-// execute runs one leased job end to end: heartbeat + event forwarding
-// in the background, produce in the foreground, then
-// artifact upload and lease completion (or release, when cancelled by
-// drain timeout).
+// execute runs one leased job end to end: the lease kept in the
+// background, produce in the foreground, then artifact upload and
+// lease completion (or release, when cancelled by drain timeout).
 func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 	ctx, cancel := context.WithCancel(jobCtx)
 	defer cancel()
@@ -323,44 +305,38 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 		failWith(fmt.Sprintf("fingerprint: %v", err))
 		return
 	}
-	w.addTask(fp, t)
-	defer w.removeTask(fp, t)
 	w.log.Info("executing", "job", g.JobID, "lease", g.LeaseID, "trace", exec.Context().TraceID.String())
 
-	// The heartbeat must outlive execution: artifact uploads can take
+	// The lease must be kept past execution: artifact uploads can take
 	// many TTL windows, and a lease that expires mid-upload would throw
-	// the finished result away. It is stopped only just before the
-	// (single, bounded) completion round trip.
-	stopHB := make(chan struct{})
-	hbDone := make(chan struct{})
-	go func() { defer close(hbDone); w.heartbeat(t, stopHB) }()
-	var hbOnce sync.Once
-	stopHeartbeat := func() {
-		hbOnce.Do(func() { close(stopHB) })
-		<-hbDone
+	// the finished result away. Keeping stops only just before the
+	// (single, bounded) completion or release round trip, once the job's
+	// remaining events and spans are delivered.
+	stopKeep := make(chan struct{})
+	keepDone := make(chan struct{})
+	go func() { defer close(keepDone); w.keep(t, stopKeep) }()
+	var keepOnce sync.Once
+	stopKeeping := func() {
+		keepOnce.Do(func() { close(stopKeep) })
+		<-keepDone
 	}
-	defer stopHeartbeat()
-
-	stopFlush := make(chan struct{})
-	flushDone := make(chan struct{})
-	go func() { defer close(flushDone); w.flushLoop(t, stopFlush) }()
+	defer stopKeeping()
 
 	var produced map[string]any
+	w.addTask(fp, t)
 	acqStart := time.Now()
 	sys, built, release, err := w.systems.Acquire(fp, g.Spec.Config)
 	if err == nil {
 		if built {
-			sd := tracing.Completed(exec.Context(), w.name, "warm-system-build",
-				acqStart, time.Since(acqStart), map[string]string{"fingerprint": fp})
-			t.append(sparkxd.Event{Span: &sd})
+			t.addSpan(tracing.Completed(exec.Context(), w.name, "warm-system-build",
+				acqStart, time.Since(acqStart), map[string]string{"fingerprint": fp}))
 		}
-		// Per-stage spans ride the ordinary event batches alongside the
-		// engine events (the coordinator routes them into the trace).
+		// Per-stage spans go out with the renewals, beside the engine
+		// events (the coordinator puts them into the trace).
 		observe := func(stage string, d time.Duration) {
 			w.metrics.observeStage(stage, d)
-			sd := tracing.Completed(exec.Context(), w.name, "stage:"+stage,
-				time.Now().Add(-d), d, nil)
-			t.append(sparkxd.Event{Span: &sd})
+			t.addSpan(tracing.Completed(exec.Context(), w.name, "stage:"+stage,
+				time.Now().Add(-d), d, nil))
 		}
 		func() {
 			defer release()
@@ -374,9 +350,7 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 	} else {
 		release()
 	}
-	close(stopFlush)
-	<-flushDone
-	w.flushEvents(t) // final batch, best-effort
+	w.removeTask(fp, t)
 
 	if t.isLost() {
 		w.metrics.jobs.With("abandoned").Inc()
@@ -386,7 +360,7 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 	if err != nil && jobCtx.Err() != nil {
 		// Drain-timeout cancellation, not a real failure: hand the job
 		// back so the coordinator requeues it immediately.
-		stopHeartbeat()
+		stopKeeping()
 		opCtx, opCancel := w.opContext()
 		defer opCancel()
 		if rerr := w.api.release(opCtx, g.LeaseID); rerr != nil && !errors.Is(rerr, ErrLeaseLost) {
@@ -397,25 +371,25 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 		return
 	}
 	if err != nil {
-		stopHeartbeat()
+		stopKeeping()
 		failWith(err.Error())
 		return
 	}
 
-	// Put every produced artifact into the store (the heartbeat keeps
-	// the lease alive throughout), then mark the job complete with the
-	// role → key map. The store derives each key, and the coordinator is
-	// backed by the same store, so its completion-time Stat verification
-	// passes. A remote store retries transient failures itself: every PUT
-	// is idempotent by content address. The upload and
-	// execution-envelope spans travel in the completion request: no
-	// event batch is flushed after this point.
+	// Put every produced artifact into the store (the lease is kept
+	// throughout), then mark the job complete with the role → key map.
+	// The store derives each key, and the coordinator is backed by the
+	// same store, so its completion-time Stat verification passes. A
+	// remote store retries transient failures itself: every PUT is
+	// idempotent by content address. The upload and execution-envelope
+	// spans travel in the completion request: they finish after the last
+	// renewal.
 	uploadStart := time.Now()
 	arts := make(map[string]sparkxd.ArtifactKey, len(produced))
 	for role, v := range produced {
 		kind, err := sparkxd.ArtifactKind(v)
 		if err != nil {
-			stopHeartbeat()
+			stopKeeping()
 			failWith(fmt.Sprintf("artifact %s: %v", role, err))
 			return
 		}
@@ -435,7 +409,7 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 	upload := tracing.Completed(exec.Context(), w.name, "artifact-upload",
 		uploadStart, time.Since(uploadStart), map[string]string{"artifacts": strconv.Itoa(len(arts))})
 	exec.SetAttr("outcome", "done")
-	stopHeartbeat()
+	stopKeeping()
 	w.completeWith(t, arts, "", []sparkxd.TraceSpan{upload, exec.End()})
 }
 
@@ -461,90 +435,65 @@ func (w *Worker) completeWith(t *task, arts map[string]sparkxd.ArtifactKey, fail
 	}
 }
 
-// heartbeat renews the task's lease a few times per TTL window. A 410
-// from the coordinator — or a transport outage longer than one TTL, by
+// keep holds the task's lease until stop is closed. Every FlushInterval
+// it renews the lease when events or spans are pending or a third of
+// the grant's TTL has passed since the last renewal; each renewal
+// delivers everything pending, and a failed one leaves its batch for
+// the next. A 410 — or renewals failing for longer than one TTL, by
 // which time the lease has certainly expired — marks the task lost and
-// cancels its execution.
-func (w *Worker) heartbeat(t *task, stop <-chan struct{}) {
-	interval := w.ttl / 3
-	if interval < 20*time.Millisecond {
-		interval = 20 * time.Millisecond
-	}
-	// One renew may take much longer than the cadence (a loaded
+// cancels its execution. Once stop is closed it renews until nothing is
+// pending, so the job's events and spans reach the coordinator ahead of
+// its completion or release.
+func (w *Worker) keep(t *task, stop <-chan struct{}) {
+	ttl := time.Duration(t.grant.TTLMillis) * time.Millisecond
+	// One renewal may take much longer than the cadence (a loaded
 	// coordinator still refreshes the TTL on arrival), so its timeout is
-	// floored independently of the interval.
-	timeout := interval
-	if timeout < 2*time.Second {
-		timeout = 2 * time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	var failingSince time.Time
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		opCtx, opCancel := context.WithTimeout(context.Background(), timeout)
-		err := w.api.renew(opCtx, t.grant.LeaseID)
-		opCancel()
-		switch {
-		case err == nil:
-			w.metrics.heartbeats.With("ok").Inc()
-			failingSince = time.Time{}
-		case errors.Is(err, ErrLeaseLost):
-			w.metrics.heartbeats.With("lost").Inc()
-			w.log.Warn("heartbeat: lease lost", "job", t.grant.JobID, "lease", t.grant.LeaseID, "err", err)
-			t.markLost()
-			return
-		default:
-			w.metrics.heartbeats.With("error").Inc()
-			if failingSince.IsZero() {
-				failingSince = time.Now()
-			}
-			if time.Since(failingSince) > w.ttl {
-				w.log.Warn("coordinator unreachable past the lease TTL", "job", t.grant.JobID, "err", err)
-				t.markLost()
-				return
-			}
-		}
-	}
-}
-
-// flushLoop periodically forwards buffered engine events.
-func (w *Worker) flushLoop(t *task, stop <-chan struct{}) {
+	// floored independently of the TTL.
+	timeout := max(ttl/3, 2*time.Second)
 	tick := time.NewTicker(w.flushInterval)
 	defer tick.Stop()
-	for {
+	last := time.Now()
+	var failingSince time.Time
+	for stopped := false; ; {
+		req, pending := t.take()
+		if stopped && !pending {
+			return
+		}
+		if pending || time.Since(last) >= ttl/3 {
+			last = time.Now()
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			err := w.api.renew(ctx, t.grant.LeaseID, req)
+			cancel()
+			switch {
+			case err == nil:
+				w.metrics.heartbeats.With("ok").Inc()
+				failingSince = time.Time{}
+				if stopped {
+					return
+				}
+			case errors.Is(err, ErrLeaseLost):
+				w.metrics.heartbeats.With("lost").Inc()
+				w.log.Warn("renew: lease lost", "job", t.grant.JobID, "lease", t.grant.LeaseID, "err", err)
+				t.markLost()
+				return
+			default:
+				w.metrics.heartbeats.With("error").Inc()
+				t.putBack(req)
+				if failingSince.IsZero() {
+					failingSince = last
+				}
+				if time.Since(failingSince) > ttl {
+					w.log.Warn("coordinator unreachable past the lease TTL", "job", t.grant.JobID, "err", err)
+					t.markLost()
+					return
+				}
+			}
+		}
 		select {
 		case <-stop:
-			return
+			stopped, stop = true, nil // a nil channel never fires again
 		case <-tick.C:
-			w.flushEvents(t)
 		}
-	}
-}
-
-// flushEvents posts the task's pending events. A lost lease cancels the
-// job; a transient failure puts the batch back so the next flush
-// retries it (the buffer is bounded in practice by the heartbeat, which
-// marks the task lost once the coordinator is silent past one TTL).
-func (w *Worker) flushEvents(t *task) {
-	evs := t.take()
-	if len(evs) == 0 || t.isLost() {
-		return
-	}
-	opCtx, opCancel := w.opContext()
-	defer opCancel()
-	if err := w.api.postEvents(opCtx, t.grant.LeaseID, evs); err != nil {
-		if errors.Is(err, ErrLeaseLost) {
-			t.markLost()
-			return
-		}
-		t.mu.Lock()
-		t.pending = append(evs, t.pending...)
-		t.mu.Unlock()
 	}
 }
 
@@ -558,7 +507,7 @@ func (w *Worker) fanout(fp string, ev sparkxd.Event) {
 	}
 	w.mu.Unlock()
 	for _, t := range tasks {
-		t.append(ev)
+		t.addEvent(ev)
 	}
 }
 

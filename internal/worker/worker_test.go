@@ -1,15 +1,18 @@
 // End-to-end tests of the fleet worker against an in-process
-// coordinator: lease → execute → event bridging → upload → complete,
-// plus the graceful drain path.
+// coordinator: lease → execute → renewals bridging events and spans →
+// upload → complete, plus the graceful drain path.
 package worker_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -175,29 +178,15 @@ func TestWorkerExecutesLeasedJob(t *testing.T) {
 		t.Errorf("uploaded model looks wrong: neurons=%d weights=%d", m.Neurons, m.WeightCount())
 	}
 
-	// The worker must have registered, and the job's event log must
-	// contain bridged engine events (stage "train"), not just the
-	// coordinator's own lifecycle markers.
+	// The worker's lease requests put it on the roster with its slots,
+	// and the job's event log must contain bridged engine events (stage
+	// "train"), not just the coordinator's own lifecycle markers.
 	workers := srv.Workers()
-	if len(workers) != 1 || workers[0].Name != "test-worker" {
-		t.Errorf("fleet registry = %+v, want one test-worker", workers)
+	if len(workers) != 1 || workers[0].Name != "test-worker" || workers[0].Slots != 2 {
+		t.Errorf("roster = %+v, want one test-worker with 2 slots", workers)
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + status.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var stages []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		data, ok := strings.CutPrefix(sc.Text(), "data: ")
-		if !ok {
-			continue
-		}
-		var ev sparkxd.Event
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			t.Fatalf("bad event %q: %v", data, err)
-		}
+	for _, ev := range sseEvents(t, ts.URL, status.ID) {
 		stages = append(stages, ev.Stage+"/"+ev.Phase)
 	}
 	joined := strings.Join(stages, " ")
@@ -209,6 +198,115 @@ func TestWorkerExecutesLeasedJob(t *testing.T) {
 	}
 	if stages[len(stages)-1] != "job/done" {
 		t.Errorf("stream did not end with job/done: %v", stages)
+	}
+}
+
+// sseEvents reads a terminal job's whole event stream.
+func sseEvents(t *testing.T, base, id string) []sparkxd.Event {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var evs []sparkxd.Event
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev sparkxd.Event
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("bad event %q: %v", data, err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+// A renewal that fails is delivered again by the next one: with the
+// first event-carrying renewal answered 503, the job's event log holds
+// each stage event of an in-process run of the same job exactly once
+// and in order, and its trace each stage span once.
+func TestWorkerRedeliversFailedRenewal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training skipped in -short mode")
+	}
+	spec := sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Stage: "improve", Config: tinyConfig()}
+	opts, err := spec.Config.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []sparkxd.Event
+	sys, err := sparkxd.New(append(opts, sparkxd.WithObserver(func(ev sparkxd.Event) { want = append(want, ev) }))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.Pipeline()
+	if _, err := p.Train(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ImproveTolerance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newCoordinator(t)
+	var refused atomic.Int64
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/renew") {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var renewal struct {
+				Events []json.RawMessage `json:"events"`
+			}
+			if json.Unmarshal(body, &renewal) == nil && len(renewal.Events) > 0 && refused.CompareAndSwap(0, 1) {
+				http.Error(w, "coordinator briefly unavailable", http.StatusServiceUnavailable)
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	startWorker(t, worker.Config{Coordinator: ts.URL, Slots: 1, Poll: 30 * time.Millisecond})
+
+	status, _, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, srv, status.ID)
+	if final.State != sparkxd.JobDone {
+		t.Fatalf("job %s: %s", final.State, final.Error)
+	}
+	if refused.Load() == 0 {
+		t.Fatal("no lease renewal carried events")
+	}
+	var got []sparkxd.Event
+	for _, ev := range sseEvents(t, ts.URL, status.ID) {
+		if ev.Stage != "job" {
+			got = append(got, ev)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("bridged stage events differ from the in-process run:\n got %+v\nwant %+v", got, want)
+	}
+	tr, _, err := srv.TraceFor(status.ID)
+	if err != nil || tr == nil {
+		t.Fatalf("TraceFor = %v, %v", tr, err)
+	}
+	var stages []string
+	for _, sp := range tr.Spans {
+		if strings.HasPrefix(sp.Name, "stage:") {
+			stages = append(stages, sp.Name)
+		}
+	}
+	if want := []string{"stage:train", "stage:improve"}; !reflect.DeepEqual(stages, want) {
+		t.Errorf("trace stage spans %v, want %v", stages, want)
 	}
 }
 
@@ -291,9 +389,6 @@ func TestBusyWorkerRefillsFreedSlot(t *testing.T) {
 func TestWorkerDoesNotSpinOnImmediateEmptyAnswers(t *testing.T) {
 	var leaseRequests atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(fleetapi.RegisterResponse{Name: "test-worker", LeaseTTLMillis: 1000})
-	})
 	mux.HandleFunc("POST /v1/leases", func(w http.ResponseWriter, r *http.Request) {
 		leaseRequests.Add(1)
 		json.NewEncoder(w).Encode(fleetapi.LeaseResponse{})

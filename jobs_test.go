@@ -145,6 +145,12 @@ func TestJobSpecInvalid(t *testing.T) {
 		{Kind: sparkxd.JobSweep, Config: sparkxd.ConfigSpec{Voltage: -1}},
 		{Kind: sparkxd.JobPipeline, Config: sparkxd.ConfigSpec{BERSchedule: []float64{1e-3, 1e-5}}},
 		{Kind: sparkxd.JobSweep, Config: sparkxd.ConfigSpec{AccBound: -0.1}},
+		// Non-finite configurations (only Go callers can build them).
+		{Kind: sparkxd.JobPipeline, Config: sparkxd.ConfigSpec{AccBound: math.NaN()}},
+		{Kind: sparkxd.JobPipeline, Config: sparkxd.ConfigSpec{Voltage: math.Inf(1)}},
+		{Kind: sparkxd.JobPipeline, Config: sparkxd.ConfigSpec{BERSchedule: []float64{1e-5, math.NaN()}}},
+		// A grid past the engine's scenario bound (600 × 500 scenarios).
+		{Kind: sparkxd.JobSweep, Sweep: &sparkxd.SweepSpec{Voltages: steps(1.0, 1e-3, 600), BERs: steps(1e-6, 1e-6, 500)}},
 	}
 	for i, spec := range bad {
 		if _, err := spec.Normalized(); !errors.Is(err, sparkxd.ErrInvalidJobSpec) {
@@ -154,6 +160,15 @@ func TestJobSpecInvalid(t *testing.T) {
 			t.Errorf("spec %d: ID() must fail for an invalid spec", i)
 		}
 	}
+}
+
+// steps returns n values from start in increments of step.
+func steps(start, step float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = start + float64(i)*step
+	}
+	return out
 }
 
 // Priority is part of the job's identity — except priority 0, whose

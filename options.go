@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"sparkxd/internal/dataset"
@@ -313,6 +314,7 @@ func defaultConfig() config {
 }
 
 func (c *config) validate() error {
+	// The float checks are negated in-range tests, so NaN fails them.
 	switch {
 	case c.neurons <= 0:
 		return errors.New("neuron count must be positive")
@@ -320,19 +322,22 @@ func (c *config) validate() error {
 		return errors.New("sample budgets must be positive")
 	case c.baseEpochs < 0:
 		return errors.New("base epochs must be non-negative")
-	case c.voltage <= 0:
-		return errors.New("supply voltage must be positive")
+	case !(c.voltage > 0 && c.voltage <= math.MaxFloat64):
+		return errors.New("supply voltage must be positive and finite")
 	case len(c.rates) == 0:
 		return errors.New("BER schedule must not be empty")
 	case c.epochsPerRate <= 0:
 		return errors.New("epochs per rate must be positive")
-	case c.accBound < 0:
-		return errors.New("accuracy bound must be non-negative")
-	case c.spread < 0:
-		return errors.New("BER spread must be non-negative")
+	case !(c.accBound >= 0 && c.accBound <= math.MaxFloat64):
+		return errors.New("accuracy bound must be non-negative and finite")
+	case !(c.spread >= 0 && c.spread <= math.MaxFloat64):
+		return errors.New("BER spread must be non-negative and finite")
 	}
-	for i := 1; i < len(c.rates); i++ {
-		if c.rates[i] <= c.rates[i-1] {
+	for i, r := range c.rates {
+		if !(math.Abs(r) <= math.MaxFloat64) {
+			return errors.New("BER schedule rates must be finite")
+		}
+		if i > 0 && !(r > c.rates[i-1]) {
 			return errors.New("BER schedule must be strictly increasing")
 		}
 	}

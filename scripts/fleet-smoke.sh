@@ -10,6 +10,8 @@
 #    excluded) and worker 2 completes it.
 # 5. `cmp` the fetched artifact payload against the in-process report:
 #    the re-executed job must reproduce the direct run byte for byte.
+#    The roster must list worker 2 with its slots: workers join it by
+#    asking for leases.
 # 6. Drain the coordinator (SIGTERM), restart it on the same store with
 #    no workers at all, resubmit the same spec — the job must be served
 #    `done` instantly from the persisted job record, and the artifact
@@ -112,6 +114,14 @@ worker2_pid=$!
 	> "$workdir/served.json"
 cmp "$workdir/direct.json" "$workdir/served.json"
 echo "fleet-smoke: fleet artifact is byte-identical to the in-process sweep"
+
+curl -fsS "$addr/v1/workers" > "$workdir/workers.json"
+if ! jq -e 'any(.[]; .name == "smoke-w2" and .slots == 2)' "$workdir/workers.json" > /dev/null; then
+	echo "fleet-smoke: the roster does not list smoke-w2 with 2 slots:" >&2
+	cat "$workdir/workers.json" >&2
+	exit 1
+fi
+echo "fleet-smoke: the roster lists smoke-w2 with its 2 slots"
 
 # The live coordinator must expose the fleet's activity on /metrics:
 # lease grants and completed-job latency observations are both nonzero

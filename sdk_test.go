@@ -7,6 +7,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -48,6 +49,13 @@ func TestNewRejectsBadOptions(t *testing.T) {
 		{"bad dataset", []sparkxd.Option{sparkxd.WithDataset(sparkxd.Dataset(99))}},
 		{"bad voltage", []sparkxd.Option{sparkxd.WithVoltage(0)}},
 		{"bad budget", []sparkxd.Option{sparkxd.WithSampleBudget(0, 10)}},
+		{"NaN voltage", []sparkxd.Option{sparkxd.WithVoltage(math.NaN())}},
+		{"infinite voltage", []sparkxd.Option{sparkxd.WithVoltage(math.Inf(1))}},
+		{"NaN bound", []sparkxd.Option{sparkxd.WithAccuracyBound(math.NaN())}},
+		{"NaN schedule", []sparkxd.Option{sparkxd.WithBERSchedule(math.NaN())}},
+		{"NaN schedule tail", []sparkxd.Option{sparkxd.WithBERSchedule(1e-5, math.NaN())}},
+		{"infinite schedule tail", []sparkxd.Option{sparkxd.WithBERSchedule(1e-5, math.Inf(1))}},
+		{"NaN spread", []sparkxd.Option{sparkxd.WithBERSpread(math.NaN())}},
 	}
 	for _, tc := range cases {
 		if _, err := sparkxd.New(tc.opts...); err == nil {

@@ -104,7 +104,7 @@ type SweepReport struct {
 // Sweep evaluates the model under every scenario of the grid — the
 // batched, parallel generalization of EvaluateUnderErrors. Scenarios run
 // in key order on a pool of Workers slots; device profiles are derived
-// once per (voltage, error model) point and shared, and every scenario
+// once per device point and shared, and every scenario
 // draws its injection randomness from a stream derived from its scenario
 // key, so the report is byte-identical whether Workers is 1 or N.
 // Evaluation is paired: every scenario uses the spike trains of the same
@@ -126,7 +126,7 @@ func (p *Pipeline) Sweep(ctx context.Context, spec SweepSpec) (*SweepReport, err
 		return nil, invalidSweep(err)
 	}
 
-	scenarios := len(espec.Scenarios())
+	scenarios := espec.ScenarioCount()
 	p.sys.notify(Event{Stage: "sweep", Phase: "start", Epochs: scenarios,
 		Message: fmt.Sprintf("%d scenarios on %d workers", scenarios, espec.Workers)})
 	results, err := p.sys.sweepEngine().Run(ctx, m.net, test, espec)
