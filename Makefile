@@ -37,8 +37,9 @@ race:
 # references, of the evaluator's patched weight load against the full
 # load, of the sweep-spec validation on raw float bit patterns, of
 # job-spec normalization on raw JSON, of the store's envelope decode on
-# one-byte mutations, and of the W3C traceparent parser on raw strings
-# (go test -fuzz takes one target and one package per run).
+# one-byte mutations, of the W3C traceparent parser on raw strings, and
+# of the IDX dataset readers on raw files (go test -fuzz takes one target
+# and one package per run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzNormalizeClamp$$' -fuzztime=20s ./internal/numeric
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzJobSpecNormalize$$' -fuzztime=20s .
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeEnvelope$$' -fuzztime=20s ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=20s ./internal/tracing
+	$(GO) test -run='^$$' -fuzz='^FuzzReadIDX$$' -fuzztime=20s ./internal/dataset
 
 # Quick-mode benchmark smoke run: every kernel benchmark
 # (kernel_bench_test.go, the repo's only Benchmark functions) executes

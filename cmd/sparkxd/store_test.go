@@ -78,11 +78,15 @@ func TestStoreServeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	got, err := store.Get[map[string]int](cl, key)
+	env, err := cl.Get(key)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
-	if (*got)["n"] != 42 {
+	var got map[string]int
+	if err := env.Decode(key.Kind(), &got); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if got["n"] != 42 {
 		t.Errorf("round trip = %v", got)
 	}
 

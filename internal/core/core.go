@@ -51,15 +51,16 @@ type Framework struct {
 	// Format is the stored weight representation (FP32 in the paper).
 	Format quant.Format
 	// EvalWorkers parallelizes accuracy evaluations within one call
-	// (spike encoding and synaptic-drive accumulation fan out across
-	// goroutines; the theta-coupled neuron updates stay sequential).
-	// ImproveErrorTolerance runs one such evaluation beside the training
-	// of the next rate, whose loops keep their own GOMAXPROCS-1 encoding
-	// goroutines. Accuracy is bit-identical for any value; <= 0 means
-	// GOMAXPROCS.
+	// (spike encoding and synaptic-drive accumulation fan out on
+	// sched.ParallelFor; the theta-coupled neuron updates stay
+	// sequential). ImproveErrorTolerance runs one such evaluation beside
+	// the training of the next rate, whose loops encode ahead on their
+	// own GOMAXPROCS-1 ParallelFor slots. Accuracy is bit-identical for
+	// any value; <= 0 means GOMAXPROCS.
 	EvalWorkers int
 	// Observer, when non-nil, receives structured progress events from
-	// the training and analysis loops.
+	// the training and analysis loops whose context names no observer of
+	// its own (WithObserver).
 	Observer Observer
 
 	// evalStarted, when non-nil, is called first by the goroutine that
@@ -282,7 +283,7 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline evaluation: %w", err)
 	}
-	f.emit(Event{Stage: "improve", Phase: "start", Epochs: len(cfg.Rates) * cfg.EpochsPerRate, Acc: acc0})
+	f.Emit(ctx, Event{Stage: "improve", Phase: "start", Epochs: len(cfg.Rates) * cfg.EpochsPerRate, Acc: acc0})
 
 	res := &TrainResult{BaselineAcc: acc0, BERth: 0}
 	best := modelTemp.Clone() // nothing passes: the input, as its acc0 pass left it
@@ -341,7 +342,7 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 			if err := modelTemp.TrainEpochCtx(ctx, train, root.DeriveIndex("train", i*cfg.EpochsPerRate+e)); err != nil {
 				return nil, fmt.Errorf("core: fault-aware epoch at BER %.0e: %w", rate, err)
 			}
-			f.emit(Event{Stage: "improve", Phase: "progress",
+			f.Emit(ctx, Event{Stage: "improve", Phase: "progress",
 				Epoch: i*cfg.EpochsPerRate + e + 1, Epochs: len(cfg.Rates) * cfg.EpochsPerRate, BER: rate})
 		}
 		if err := modelTemp.AssignLabelsCtx(ctx, train, root.DeriveIndex("assign", i)); err != nil {
@@ -365,7 +366,7 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 		return nil, err
 	}
 	res.Model = best
-	f.emit(Event{Stage: "improve", Phase: "done", BER: res.BERth, Acc: acc0})
+	f.Emit(ctx, Event{Stage: "improve", Phase: "done", BER: res.BERth, Acc: acc0})
 	return res, nil
 }
 
@@ -387,7 +388,7 @@ func (f *Framework) AnalyzeErrorTolerance(ctx context.Context, model *snn.Networ
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: analyze-tolerance layout: %w", err)
 	}
-	f.emit(Event{Stage: "analyze", Phase: "start", Epochs: len(rates)})
+	f.Emit(ctx, Event{Stage: "analyze", Phase: "start", Epochs: len(rates)})
 	root := rng.New(seed)
 	evalSeed := root.Derive("eval").Uint64()
 	berTh := 0.0
@@ -413,12 +414,12 @@ func (f *Framework) AnalyzeErrorTolerance(ctx context.Context, model *snn.Networ
 			return 0, nil, fmt.Errorf("core: tolerance evaluation at BER %.0e: %w", rate, err)
 		}
 		curve = append(curve, RatePoint{BER: rate, Acc: acc})
-		f.emit(Event{Stage: "analyze", Phase: "progress", Epoch: i + 1, Epochs: len(rates), BER: rate, Acc: acc})
+		f.Emit(ctx, Event{Stage: "analyze", Phase: "progress", Epoch: i + 1, Epochs: len(rates), BER: rate, Acc: acc})
 		if acc >= baselineAcc-accBound {
 			berTh = rate
 		}
 	}
-	f.emit(Event{Stage: "analyze", Phase: "done", BER: berTh})
+	f.Emit(ctx, Event{Stage: "analyze", Phase: "done", BER: berTh})
 	return berTh, curve, nil
 }
 

@@ -1,5 +1,7 @@
 package core
 
+import "context"
+
 // Event is one structured progress notification from the framework
 // kernel. Servers and CLIs subscribe to the stream through an Observer
 // instead of polling; every field is a plain value so events can be
@@ -27,9 +29,23 @@ type Event struct {
 // and analysis loops.
 type Observer func(Event)
 
-// emit delivers an event to the framework's observer, if any.
-func (f *Framework) emit(ev Event) {
-	if f.Observer != nil {
-		f.Observer(ev)
+type observerKey struct{}
+
+// WithObserver returns a context whose events Emit delivers to obs in
+// place of the framework's Observer: one job's events reach that job's
+// observer even when many jobs share one Framework.
+func WithObserver(ctx context.Context, obs Observer) context.Context {
+	return context.WithValue(ctx, observerKey{}, obs)
+}
+
+// Emit delivers ev to the context's observer (WithObserver) or else to
+// the framework's Observer, if any.
+func (f *Framework) Emit(ctx context.Context, ev Event) {
+	obs, _ := ctx.Value(observerKey{}).(Observer)
+	if obs == nil {
+		obs = f.Observer
+	}
+	if obs != nil {
+		obs(ev)
 	}
 }

@@ -358,7 +358,9 @@ func WriteIDXLabels(w io.Writer, labels []uint8) error {
 	return err
 }
 
-// ReadIDXImages parses an idx3-ubyte image file.
+// ReadIDXImages parses an idx3-ubyte image file. The header's count is
+// not trusted: images are read one at a time, so what the call
+// allocates is bounded by the input's length.
 func ReadIDXImages(r io.Reader) ([][]byte, error) {
 	var hdr [4]uint32
 	for i := range hdr {
@@ -369,22 +371,22 @@ func ReadIDXImages(r io.Reader) ([][]byte, error) {
 	if hdr[0] != idxMagicImages {
 		return nil, fmt.Errorf("dataset: bad image magic %#x", hdr[0])
 	}
-	n, rows, cols := int(hdr[1]), int(hdr[2]), int(hdr[3])
-	if rows != Side || cols != Side {
+	if rows, cols := hdr[2], hdr[3]; rows != Side || cols != Side {
 		return nil, fmt.Errorf("dataset: unsupported image size %dx%d", rows, cols)
 	}
-	images := make([][]byte, n)
-	for i := range images {
+	var images [][]byte
+	for i := uint32(0); i < hdr[1]; i++ {
 		img := make([]byte, Pixels)
 		if _, err := io.ReadFull(r, img); err != nil {
 			return nil, fmt.Errorf("dataset: truncated image %d: %w", i, err)
 		}
-		images[i] = img
+		images = append(images, img)
 	}
 	return images, nil
 }
 
-// ReadIDXLabels parses an idx1-ubyte label file.
+// ReadIDXLabels parses an idx1-ubyte label file. As in ReadIDXImages,
+// allocation follows the bytes read, not the header's count.
 func ReadIDXLabels(r io.Reader) ([]uint8, error) {
 	var hdr [2]uint32
 	for i := range hdr {
@@ -395,8 +397,11 @@ func ReadIDXLabels(r io.Reader) ([]uint8, error) {
 	if hdr[0] != idxMagicLabels {
 		return nil, fmt.Errorf("dataset: bad label magic %#x", hdr[0])
 	}
-	labels := make([]uint8, hdr[1])
-	if _, err := io.ReadFull(r, labels); err != nil {
+	labels, err := io.ReadAll(io.LimitReader(r, int64(hdr[1])))
+	if err == nil && int64(len(labels)) < int64(hdr[1]) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("dataset: truncated labels: %w", err)
 	}
 	for i, l := range labels {

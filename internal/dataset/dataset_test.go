@@ -2,6 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"sparkxd/internal/rng"
@@ -278,6 +282,70 @@ func TestIDXRejectsTruncated(t *testing.T) {
 	if _, err := ReadIDXImages(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated file must error")
 	}
+}
+
+// The IDX readers allocate by what they read, not by the header's
+// count: a short file claiming millions of images or labels fails as
+// truncated having allocated well under a megabyte.
+func TestIDXHeaderCountNotTrusted(t *testing.T) {
+	header := func(words ...uint32) []byte {
+		b := make([]byte, 4*len(words))
+		for i, w := range words {
+			binary.BigEndian.PutUint32(b[4*i:], w)
+		}
+		return b
+	}
+	cases := []struct {
+		name string
+		file []byte
+		read func(io.Reader) error
+		want string
+	}{
+		{"images", header(idxMagicImages, 1<<22, Side, Side),
+			func(r io.Reader) error { _, err := ReadIDXImages(r); return err }, "truncated image 0"},
+		{"labels", header(idxMagicLabels, 1<<26),
+			func(r io.Reader) error { _, err := ReadIDXLabels(r); return err }, "truncated labels"},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.read(bytes.NewReader(c.file))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes for a %d-byte file", c.name, d, len(c.file))
+		}
+	}
+}
+
+// FuzzReadIDX: any input either fails to parse or parses to images or
+// labels that the writers encode back to exactly the bytes the reader
+// consumed; no input panics.
+func FuzzReadIDX(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		if images, err := ReadIDXImages(r); err == nil {
+			var buf bytes.Buffer
+			if err := WriteIDXImages(&buf, images); err != nil {
+				t.Fatalf("parsed images do not write back: %v", err)
+			}
+			if consumed := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+				t.Fatalf("images write back to %d bytes, reader consumed %d", buf.Len(), len(consumed))
+			}
+		}
+		r = bytes.NewReader(data)
+		if labels, err := ReadIDXLabels(r); err == nil {
+			var buf bytes.Buffer
+			if err := WriteIDXLabels(&buf, labels); err != nil {
+				t.Fatalf("parsed labels do not write back: %v", err)
+			}
+			if consumed := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+				t.Fatalf("labels write back to %x, reader consumed %x", buf.Bytes(), consumed)
+			}
+		}
+	})
 }
 
 func TestIDXRejectsBadLabels(t *testing.T) {

@@ -148,11 +148,12 @@ type Server struct {
 	admit   *admitter // nil: admission control disabled
 }
 
-// maxJobEvents bounds one job's retained event history. Engine events
-// of a busy shared System fan out to every job running on it, so an
-// unbounded log would grow for the server's lifetime; once the cap is
-// hit the oldest events are dropped (SSE subscribers that have already
-// read them are unaffected, late subscribers miss the trimmed prefix).
+// maxJobEvents bounds one job's retained event history. Job records
+// live for the server's lifetime and a job's events arrive from its
+// worker, so the log is capped rather than trusted to stay small; once
+// the cap is hit the oldest events are dropped (SSE subscribers that
+// have already read them are unaffected, late subscribers miss the
+// trimmed prefix).
 const maxJobEvents = 1024
 
 // jobRec is the server-side state of one job. Records themselves are

@@ -3,8 +3,11 @@ package snn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,6 +201,96 @@ func TestTrainEpochCancelJoinsEncoders(t *testing.T) {
 		if !matched {
 			t.Fatalf("cancel at encode %d: network matches no sample boundary of the sequential loop", cancelAt)
 		}
+	}
+}
+
+// panicEncoder is its inner encoder, except that it panics on one image.
+type panicEncoder struct {
+	coding.Encoder
+	bad []byte
+}
+
+func (e panicEncoder) Encode(img []byte, steps int, r *rng.Stream) coding.Train {
+	if &img[0] == &e.bad[0] {
+		panic("encoder fault")
+	}
+	return e.Encoder.Encode(img, steps, r)
+}
+
+// TestEncoderPanicBecomesError: an encoder that panics on one sample
+// makes EncodeDatasetWith, trainEpoch and assignLabels return an error
+// naming the panic instead of crashing the process. The training
+// consumer sees every sample before the failing block, in order and
+// encoded, and nothing after; label assignment leaves Assign untouched;
+// and no encoding runs or starts after the call returns.
+func TestEncoderPanicBecomesError(t *testing.T) {
+	ds, _ := smallData(t, 60, 1)
+	const bad = 29
+	wantFault := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "encoder fault") {
+			t.Fatalf("%s: err = %v, want the encoder's panic", what, err)
+		}
+	}
+	faulty := func() *countingEncoder {
+		return &countingEncoder{Encoder: panicEncoder{Encoder: coding.NewRate(), bad: ds.Images[bad]}}
+	}
+	for _, width := range []int{1, 3} {
+		block := width * encodeAheadPerWorker
+		enc := faulty()
+		n := aheadNet(t)
+		n.Cfg.Encoder = enc
+		before := runtime.NumGoroutine()
+		seen := 0
+		err := n.forEachEncoded(context.Background(), ds, rng.New(5), "enc", width, func(s int, tr coding.Train) {
+			if s != seen || tr == nil {
+				t.Errorf("width %d: fn got sample %d (train nil: %v), want sample %d encoded", width, s, tr == nil, seen)
+			}
+			seen++
+		})
+		wantFault(fmt.Sprintf("width %d: forEachEncoded", width), err)
+		if want := bad / block * block; seen != want {
+			t.Fatalf("width %d: fn saw %d samples, want the %d before the failing block", width, seen, want)
+		}
+		wantFault(fmt.Sprintf("width %d: trainEpoch", width), n.trainEpoch(context.Background(), ds, rng.New(5), width))
+		assign := append([]int(nil), n.Assign...)
+		wantFault(fmt.Sprintf("width %d: assignLabels", width), n.assignLabels(context.Background(), ds, rng.New(6), width))
+		if !slices.Equal(n.Assign, assign) {
+			t.Fatalf("width %d: a failed label assignment changed Assign", width)
+		}
+		encodersJoined(t, fmt.Sprintf("width %d", width), enc, before)
+	}
+	for _, workers := range []int{1, 2} {
+		enc := faulty()
+		before := runtime.NumGoroutine()
+		es, err := aheadNet(t).EncodeDatasetWith(context.Background(), ds, enc, rng.New(5), workers)
+		wantFault(fmt.Sprintf("workers %d: EncodeDatasetWith", workers), err)
+		if es != nil {
+			t.Fatalf("workers %d: EncodeDatasetWith returned a set beside its error", workers)
+		}
+		encodersJoined(t, fmt.Sprintf("workers %d", workers), enc, before)
+	}
+}
+
+// encodersJoined fails the test if enc has an encoding in flight, starts
+// another within 20ms, or if more goroutines than before are still
+// running after a second.
+func encodersJoined(t *testing.T, what string, enc *countingEncoder, before int) {
+	t.Helper()
+	if n := enc.inFlight.Load(); n != 0 {
+		t.Fatalf("%s: %d encodes still running after return", what, n)
+	}
+	calls := enc.calls.Load()
+	time.Sleep(20 * time.Millisecond)
+	if enc.calls.Load() != calls {
+		t.Fatalf("%s: encoding continued after return", what)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%s: %d goroutines after return, %d before", what, n, before)
 	}
 }
 

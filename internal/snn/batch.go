@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"unsafe"
 
 	"sparkxd/internal/coding"
 	"sparkxd/internal/dataset"
 	"sparkxd/internal/rng"
+	"sparkxd/internal/sched"
 )
 
 // EncodedSet is a dataset pre-encoded into spike trains with the exact
@@ -52,7 +52,7 @@ func (es *EncodedSet) EncoderName() string { return es.enc }
 // the same per-sample derived streams as EvaluateCtx. DeriveIndex never
 // advances the parent stream, so samples encode independently and the
 // result is bit-identical for any worker count (workers <= 0 means
-// GOMAXPROCS).
+// GOMAXPROCS). A panicking encoder fails the call with an error.
 func (n *Network) EncodeDataset(ctx context.Context, ds *dataset.Dataset, r *rng.Stream, workers int) (*EncodedSet, error) {
 	return n.EncodeDatasetWith(ctx, ds, nil, r, workers)
 }
@@ -71,36 +71,14 @@ func (n *Network) EncodeDatasetWith(ctx context.Context, ds *dataset.Dataset, en
 		trains: make([]coding.Train, ds.Len()),
 		labels: append([]uint8(nil), ds.Labels...),
 	}
-	total := ds.Len()
-	if total == 0 {
-		return es, nil
-	}
-	workers = clampWorkers(workers, total)
-	if workers == 1 {
-		for s := 0; s < total; s++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			es.trains[s] = enc.Encode(ds.Images[s], n.Cfg.Steps, r.DeriveIndex("eval", s))
+	err := sched.ParallelFor(workers, ds.Len(), func(_, s int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return es, nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := chunkRange(total, workers, w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := lo; s < hi; s++ {
-				if ctx.Err() != nil {
-					return
-				}
-				es.trains[s] = enc.Encode(ds.Images[s], n.Cfg.Steps, r.DeriveIndex("eval", s))
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		es.trains[s] = enc.Encode(ds.Images[s], n.Cfg.Steps, r.DeriveIndex("eval", s))
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return es, nil
@@ -150,33 +128,19 @@ func (n *Network) EvaluateEncoded(ctx context.Context, es *EncodedSet, workers i
 		n.driveBuf = make([]float32, block*per)
 	}
 	drives := n.driveBuf[:block*per]
-	var wg sync.WaitGroup
 	for lo := 0; lo < total; lo += block {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		hi := lo + block
-		if hi > total {
-			hi = total
-		}
+		hi := min(lo+block, total)
 		// Phase A: accumulate each sample's per-step drive vectors in
 		// parallel. Drive depends only on W and the train; writes are to
 		// disjoint regions of the block buffer.
-		for w := 0; w < workers; w++ {
-			clo, chi := chunkRange(hi-lo, workers, w)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for s := clo; s < chi; s++ {
-					if ctx.Err() != nil {
-						return
-					}
-					n.accumulateDrives(es.trains[lo+s], drives[s*per:(s+1)*per])
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
+		err := sched.ParallelFor(workers, hi-lo, func(_, s int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			n.accumulateDrives(es.trains[lo+s], drives[s*per:(s+1)*per])
+			return nil
+		})
+		if err != nil {
 			return 0, err
 		}
 		// Phase B: theta-chained consume, strictly in sample order.
@@ -235,17 +199,4 @@ func clampWorkers(workers, total int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// chunkRange splits [0, total) into parts contiguous chunks and returns
-// the w-th; the first total%parts chunks are one element longer.
-func chunkRange(total, parts, w int) (lo, hi int) {
-	base := total / parts
-	rem := total % parts
-	lo = w*base + min(w, rem)
-	hi = lo + base
-	if w < rem {
-		hi++
-	}
-	return lo, hi
 }

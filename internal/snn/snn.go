@@ -233,9 +233,12 @@ func (n *Network) applySTDP(spikes []int32) {
 }
 
 // TrainEpoch presents every sample of the dataset once with learning
-// enabled. The stream drives spike encoding.
+// enabled. The stream drives spike encoding. Without a context only a
+// panicking encoder can fail the epoch; its error is raised again here.
 func (n *Network) TrainEpoch(ds *dataset.Dataset, r *rng.Stream) {
-	_ = n.TrainEpochCtx(context.Background(), ds, r)
+	if err := n.TrainEpochCtx(context.Background(), ds, r); err != nil {
+		panic(err)
+	}
 }
 
 // TrainEpochCtx is TrainEpoch with cooperative cancellation: the context
@@ -248,9 +251,10 @@ func (n *Network) TrainEpoch(ds *dataset.Dataset, r *rng.Stream) {
 // before it, so presentations stay strictly sequential. Spike encoding
 // does not read the network: sample s's train is always
 // Encoder.Encode(ds.Images[s], Steps, r.DeriveIndex("enc", s)), and
-// those trains are encoded ahead of the presentation loop on
-// GOMAXPROCS-1 goroutines (at least one) in bounded, double-buffered
-// blocks. The result is bit-identical to encoding each sample inline.
+// those trains are encoded ahead of the presentation loop by a
+// sched.ParallelFor of GOMAXPROCS-1 slots (at least one) in bounded,
+// double-buffered blocks. The result is bit-identical to encoding each
+// sample inline; a panicking encoder fails the epoch with an error.
 func (n *Network) TrainEpochCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) error {
 	return n.trainEpoch(ctx, ds, r, aheadWidth())
 }
@@ -266,17 +270,19 @@ func (n *Network) trainEpoch(ctx context.Context, ds *dataset.Dataset, r *rng.St
 // using the given (typically training) dataset — the unsupervised
 // labeling step of Diehl&Cook.
 func (n *Network) AssignLabels(ds *dataset.Dataset, r *rng.Stream) {
-	_ = n.AssignLabelsCtx(context.Background(), ds, r)
+	if err := n.AssignLabelsCtx(context.Background(), ds, r); err != nil {
+		panic(err) // a panicking encoder, as in TrainEpoch
+	}
 }
 
 // AssignLabelsCtx is AssignLabels with cooperative cancellation, checked
-// between samples. On cancellation the existing assignments are left
-// untouched (the response tally is discarded).
+// between samples. On cancellation or a panicking encoder's error the
+// existing assignments are left untouched (the tally is discarded).
 //
 // Inference presentations still move the adaptive thresholds, so the
 // tally pass stays sequential; as in TrainEpochCtx, the spike trains
 // (sample s encoded from r.DeriveIndex("assign", s)) are encoded ahead
-// on GOMAXPROCS-1 goroutines, bit-identically to inline encoding.
+// on GOMAXPROCS-1 ParallelFor slots, bit-identically to inline encoding.
 func (n *Network) AssignLabelsCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) error {
 	return n.assignLabels(ctx, ds, r, aheadWidth())
 }

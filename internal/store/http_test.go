@@ -53,9 +53,13 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("re-Put = (%s, %v), want (%s, nil)", key2, err, key)
 	}
 
-	out, err := Get[sample](cl, key)
+	env, err := cl.Get(key)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
+	}
+	var out sample
+	if err := env.Decode(key.Kind(), &out); err != nil {
+		t.Fatalf("Decode: %v", err)
 	}
 	if out.Name != in.Name || out.Count != in.Count {
 		t.Errorf("round trip mismatch: got %+v, want %+v", out, in)

@@ -196,20 +196,6 @@ func DecodeEnvelope(key Key, b []byte) (*Envelope, error) {
 	return &env, nil
 }
 
-// Get is a generic typed fetch: the artifact at key, decoded into a
-// fresh T after kind and integrity checks.
-func Get[T any](st Store, key Key) (*T, error) {
-	env, err := st.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	var v T
-	if err := env.Decode(key.Kind(), &v); err != nil {
-		return nil, err
-	}
-	return &v, nil
-}
-
 // sortInfos orders a listing by key (the contract of List).
 func sortInfos(infos []Info) {
 	sort.Slice(infos, func(a, b int) bool { return infos[a].Key < infos[b].Key })

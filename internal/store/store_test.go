@@ -38,9 +38,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 			if key.Kind() != "sample" {
 				t.Errorf("key kind = %q, want sample", key.Kind())
 			}
-			out, err := Get[sample](st, key)
+			env, err := st.Get(key)
 			if err != nil {
 				t.Fatalf("Get: %v", err)
+			}
+			var out sample
+			if err := env.Decode(key.Kind(), &out); err != nil {
+				t.Fatalf("Decode: %v", err)
 			}
 			if out.Name != in.Name || out.Count != in.Count || len(out.Vals) != 2 || out.Vals[0] != 1.25 || out.Vals[1] != -0.5 {
 				t.Errorf("round trip mismatch: got %+v, want %+v", out, in)

@@ -13,8 +13,9 @@ import (
 // whose ConfigSpecs hash to the same fingerprint run against one
 // lazily-built *sparkxd.System, so datasets, device
 // profiles, and sweep caches are derived once per configuration per
-// process. The observer receives every engine event tagged with the
-// owning fingerprint (for per-job fanout).
+// process. A job's events reach only that job: the worker routes them
+// through the job's context (core.WithObserver), not through the
+// shared System.
 //
 // The cache is optionally bounded: with maxWarm > 0 it keeps at most
 // that many engines, evicting the least-recently-acquired unpinned one
@@ -27,9 +28,8 @@ import (
 // deterministic in the spec, the rebuilt engine produces byte-identical
 // artifacts (pinned by TestEvictedFingerprintRebuildsIdentically).
 type systems struct {
-	workers  int
-	maxWarm  int // 0 = unbounded (the pre-bound behavior)
-	observer func(fp string, ev sparkxd.Event)
+	workers int
+	maxWarm int // 0 = unbounded (the pre-bound behavior)
 
 	mu      sync.Mutex
 	entries map[string]*sysEntry
@@ -50,24 +50,19 @@ type sysEntry struct {
 }
 
 // newSystems builds a cache whose engines run sweeps on a pool of
-// `workers` and report events through observer. The same budget also
-// parallelizes within single evaluations (batched spike encoding and
-// drive accumulation), so a lone big job on an idle worker process uses
-// every core instead of one; artifacts stay byte-identical for any
-// worker count. maxWarm bounds the number of cached engines (0 keeps
-// the cache unbounded).
-func newSystems(workers, maxWarm int, observer func(fp string, ev sparkxd.Event)) *systems {
-	if observer == nil {
-		observer = func(string, sparkxd.Event) {}
-	}
+// `workers`. The same budget also parallelizes within single
+// evaluations (batched spike encoding and drive accumulation), so a lone
+// big job on an idle worker process uses every core instead of one;
+// artifacts stay byte-identical for any worker count. maxWarm bounds the
+// number of cached engines (0 keeps the cache unbounded).
+func newSystems(workers, maxWarm int) *systems {
 	if maxWarm < 0 {
 		maxWarm = 0
 	}
 	return &systems{
-		workers:  workers,
-		maxWarm:  maxWarm,
-		observer: observer,
-		entries:  make(map[string]*sysEntry),
+		workers: workers,
+		maxWarm: maxWarm,
+		entries: make(map[string]*sysEntry),
 	}
 }
 
@@ -103,11 +98,7 @@ func (c *systems) Acquire(fp string, cfg sparkxd.ConfigSpec) (sys *sparkxd.Syste
 			c.setBuiltLocked(ent, nil, err)
 			return
 		}
-		opts = append(opts,
-			sparkxd.WithSweepWorkers(c.workers),
-			sparkxd.WithObserver(func(ev sparkxd.Event) { c.observer(fp, ev) }),
-		)
-		s, err := sparkxd.New(opts...)
+		s, err := sparkxd.New(append(opts, sparkxd.WithSweepWorkers(c.workers))...)
 		c.setBuiltLocked(ent, s, err)
 	})
 

@@ -47,7 +47,7 @@ func assertStats(t *testing.T, c *systems, hits, misses, evictions uint64) {
 // TestLRUEvictionOrder pins the eviction policy: least recently
 // acquired goes first, and a hit refreshes recency.
 func TestLRUEvictionOrder(t *testing.T) {
-	c := newSystems(1, 2, nil)
+	c := newSystems(1, 2)
 	cfg := tinyConfig(1)
 
 	_, relA := mustAcquire(t, c, "A", cfg)
@@ -82,7 +82,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 // an entry with a live Acquire is never evicted even when the cache is
 // over its bound; the bound is restored on release.
 func TestPinnedEntriesSurviveEviction(t *testing.T) {
-	c := newSystems(1, 1, nil)
+	c := newSystems(1, 1)
 	cfg := tinyConfig(1)
 
 	sysA, relA := mustAcquire(t, c, "A", cfg)
@@ -130,7 +130,7 @@ func TestPinnedEntriesSurviveEviction(t *testing.T) {
 // its ConfigSpec yields a System whose artifacts are byte-identical to
 // the first build's.
 func TestEvictedFingerprintRebuildsIdentically(t *testing.T) {
-	c := newSystems(1, 1, nil)
+	c := newSystems(1, 1)
 	cfg := tinyConfig(7)
 	spec := sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Config: cfg, Stage: "train"}
 	spec, err := spec.Normalized()
@@ -186,7 +186,7 @@ func TestEvictedFingerprintRebuildsIdentically(t *testing.T) {
 // TestUnboundedKeepsEverything pins the default (-max-warm-systems 0)
 // behavior: no evictions, ever.
 func TestUnboundedKeepsEverything(t *testing.T) {
-	c := newSystems(1, 0, nil)
+	c := newSystems(1, 0)
 	cfg := tinyConfig(1)
 	for _, fp := range []string{"A", "B", "C", "D"} {
 		_, rel := mustAcquire(t, c, fp, cfg)
@@ -201,7 +201,7 @@ func TestUnboundedKeepsEverything(t *testing.T) {
 // TestProduceStageObserver checks the per-stage timing callback fires
 // once per executed stage, in order.
 func TestProduceStageObserver(t *testing.T) {
-	c := newSystems(1, 0, nil)
+	c := newSystems(1, 0)
 	cfg := tinyConfig(3)
 	spec := sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Config: cfg, Stage: "improve"}
 	spec, err := spec.Normalized()
@@ -247,7 +247,7 @@ func TestSweepMemoMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short mode")
 	}
-	c := newSystems(1, 0, nil)
+	c := newSystems(1, 0)
 	m := newWorkerMetrics(&Worker{systems: c})
 	cfg := tinyConfig(4)
 	spec, err := sparkxd.JobSpec{Kind: sparkxd.JobSweep, Config: cfg, Sweep: &sparkxd.SweepSpec{
@@ -294,7 +294,7 @@ func TestSweepCountersSurviveEviction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short mode")
 	}
-	c := newSystems(1, 1, nil)
+	c := newSystems(1, 1)
 	cfg := tinyConfig(4)
 	spec, err := sparkxd.JobSpec{Kind: sparkxd.JobSweep, Config: cfg, Sweep: &sparkxd.SweepSpec{
 		BERs: []float64{1e-5, 1e-4},

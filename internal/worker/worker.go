@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"sparkxd"
+	"sparkxd/internal/core"
 	"sparkxd/internal/fleetapi"
 	"sparkxd/internal/logging"
 	"sparkxd/internal/store"
@@ -95,7 +96,6 @@ type Worker struct {
 	mu      sync.Mutex
 	running int
 	systems *systems // shared warm engines, one per config fingerprint
-	byFP    map[string]map[*task]struct{}
 	// freed receives (without blocking) whenever an execution ends, so
 	// a worker with every slot busy asks for work as soon as one frees.
 	freed chan struct{}
@@ -201,10 +201,9 @@ func New(cfg Config) (*Worker, error) {
 		log:           logging.New(cfg.Logger),
 		api:           api,
 		st:            st,
-		byFP:          make(map[string]map[*task]struct{}),
 		freed:         make(chan struct{}, 1),
 	}
-	w.systems = newSystems(slots, cfg.MaxWarmSystems, w.fanout)
+	w.systems = newSystems(slots, cfg.MaxWarmSystems)
 	w.metrics = newWorkerMetrics(w)
 	return w, nil
 }
@@ -323,7 +322,6 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 	defer stopKeeping()
 
 	var produced map[string]any
-	w.addTask(fp, t)
 	acqStart := time.Now()
 	sys, built, release, err := w.systems.Acquire(fp, g.Spec.Config)
 	if err == nil {
@@ -345,12 +343,11 @@ func (w *Worker) execute(jobCtx context.Context, g fleetapi.Grant) {
 					err = fmt.Errorf("panic: %v", r)
 				}
 			}()
-			produced, err = produce(ctx, sys, g.Spec, observe)
+			produced, err = produce(core.WithObserver(ctx, t.addEvent), sys, g.Spec, observe)
 		}()
 	} else {
 		release()
 	}
-	w.removeTask(fp, t)
 
 	if t.isLost() {
 		w.metrics.jobs.With("abandoned").Inc()
@@ -495,37 +492,6 @@ func (w *Worker) keep(t *task, stop <-chan struct{}) {
 		case <-tick.C:
 		}
 	}
-}
-
-// fanout buffers an engine event on every task currently executing on
-// that fingerprint.
-func (w *Worker) fanout(fp string, ev sparkxd.Event) {
-	w.mu.Lock()
-	tasks := make([]*task, 0, len(w.byFP[fp]))
-	for t := range w.byFP[fp] {
-		tasks = append(tasks, t)
-	}
-	w.mu.Unlock()
-	for _, t := range tasks {
-		t.addEvent(ev)
-	}
-}
-
-func (w *Worker) addTask(fp string, t *task) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	set := w.byFP[fp]
-	if set == nil {
-		set = make(map[*task]struct{})
-		w.byFP[fp] = set
-	}
-	set[t] = struct{}{}
-}
-
-func (w *Worker) removeTask(fp string, t *task) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.byFP[fp], t)
 }
 
 func (w *Worker) addRunning(d int) {

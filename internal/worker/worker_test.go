@@ -225,21 +225,16 @@ func sseEvents(t *testing.T, base, id string) []sparkxd.Event {
 	return evs
 }
 
-// A renewal that fails is delivered again by the next one: with the
-// first event-carrying renewal answered 503, the job's event log holds
-// each stage event of an in-process run of the same job exactly once
-// and in order, and its trace each stage span once.
-func TestWorkerRedeliversFailedRenewal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training skipped in -short mode")
-	}
-	spec := sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Stage: "improve", Config: tinyConfig()}
-	opts, err := spec.Config.Options()
+// improveEvents returns the events an in-process Train and
+// ImproveTolerance of cfg emit, in order.
+func improveEvents(t *testing.T, cfg sparkxd.ConfigSpec) []sparkxd.Event {
+	t.Helper()
+	opts, err := cfg.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []sparkxd.Event
-	sys, err := sparkxd.New(append(opts, sparkxd.WithObserver(func(ev sparkxd.Event) { want = append(want, ev) }))...)
+	var evs []sparkxd.Event
+	sys, err := sparkxd.New(append(opts, sparkxd.WithObserver(func(ev sparkxd.Event) { evs = append(evs, ev) }))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +245,68 @@ func TestWorkerRedeliversFailedRenewal(t *testing.T) {
 	if _, err := p.ImproveTolerance(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	return evs
+}
+
+// stageEvents returns a terminal job's events other than the
+// coordinator's own "job" lifecycle markers.
+func stageEvents(t *testing.T, base, id string) []sparkxd.Event {
+	t.Helper()
+	var evs []sparkxd.Event
+	for _, ev := range sseEvents(t, base, id) {
+		if ev.Stage != "job" {
+			evs = append(evs, ev)
+		}
+	}
+	return evs
+}
+
+// Two jobs that differ only in priority have two IDs but one config
+// fingerprint, so one 2-slot worker runs both at once on one warm
+// System. Each job's event log must hold exactly the events of an
+// in-process run, in order, and none of the other job's.
+func TestConcurrentJobsGetOnlyTheirOwnEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training skipped in -short mode")
+	}
+	spec := sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Stage: "improve", Config: tinyConfig()}
+	want := improveEvents(t, spec.Config)
+
+	srv := newCoordinator(t)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	// Both jobs are queued before the worker asks, so its first lease
+	// request takes them together.
+	var ids []string
+	for prio := range 2 {
+		spec.Priority = prio
+		status, created, err := srv.Submit(spec)
+		if err != nil || !created {
+			t.Fatalf("submit priority %d: created=%v err=%v", prio, created, err)
+		}
+		ids = append(ids, status.ID)
+	}
+	startWorker(t, worker.Config{Coordinator: ts.URL, Slots: 2, Poll: 30 * time.Millisecond})
+	for _, id := range ids {
+		if final := waitTerminal(t, srv, id); final.State != sparkxd.JobDone {
+			t.Fatalf("job %s %s: %s", id, final.State, final.Error)
+		}
+		if got := stageEvents(t, ts.URL, id); !reflect.DeepEqual(got, want) {
+			t.Errorf("job %s: %d stage events, want the in-process run's %d:\n got %+v\nwant %+v", id, len(got), len(want), got, want)
+		}
+	}
+}
+
+// A renewal that fails is delivered again by the next one: with the
+// first event-carrying renewal answered 503, the job's event log holds
+// each stage event of an in-process run of the same job exactly once
+// and in order, and its trace each stage span once.
+func TestWorkerRedeliversFailedRenewal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training skipped in -short mode")
+	}
+	spec := sparkxd.JobSpec{Kind: sparkxd.JobPipeline, Stage: "improve", Config: tinyConfig()}
+	want := improveEvents(t, spec.Config)
 
 	srv := newCoordinator(t)
 	var refused atomic.Int64
@@ -286,13 +343,7 @@ func TestWorkerRedeliversFailedRenewal(t *testing.T) {
 	if refused.Load() == 0 {
 		t.Fatal("no lease renewal carried events")
 	}
-	var got []sparkxd.Event
-	for _, ev := range sseEvents(t, ts.URL, status.ID) {
-		if ev.Stage != "job" {
-			got = append(got, ev)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
+	if got := stageEvents(t, ts.URL, status.ID); !reflect.DeepEqual(got, want) {
 		t.Errorf("bridged stage events differ from the in-process run:\n got %+v\nwant %+v", got, want)
 	}
 	tr, _, err := srv.TraceFor(status.ID)

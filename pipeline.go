@@ -111,7 +111,7 @@ func (p *Pipeline) Train(ctx context.Context) (*TrainedModel, error) {
 	if err != nil {
 		return nil, wrapStage("train", err)
 	}
-	p.sys.notify(Event{Stage: "train", Phase: "start", Epochs: cfg.baseEpochs})
+	p.sys.fw.Emit(ctx, Event{Stage: "train", Phase: "start", Epochs: cfg.baseEpochs})
 	baseline, err := snn.New(snn.DefaultConfig(cfg.neurons), p.sys.newRNG())
 	if err != nil {
 		return nil, wrapStage("train", err)
@@ -121,12 +121,12 @@ func (p *Pipeline) Train(ctx context.Context) (*TrainedModel, error) {
 		if err := baseline.TrainEpochCtx(ctx, train, root.DeriveIndex("base-epoch", e)); err != nil {
 			return nil, wrapStage("train", err)
 		}
-		p.sys.notify(Event{Stage: "train", Phase: "progress", Epoch: e + 1, Epochs: cfg.baseEpochs})
+		p.sys.fw.Emit(ctx, Event{Stage: "train", Phase: "progress", Epoch: e + 1, Epochs: cfg.baseEpochs})
 	}
 	if err := baseline.AssignLabelsCtx(ctx, train, root.Derive("base-assign")); err != nil {
 		return nil, wrapStage("train", err)
 	}
-	p.sys.notify(Event{Stage: "train", Phase: "done"})
+	p.sys.fw.Emit(ctx, Event{Stage: "train", Phase: "done"})
 	p.Baseline = &TrainedModel{
 		Stage:        "baseline",
 		Dataset:      datasetName(cfg.flavor),
@@ -261,7 +261,7 @@ func (p *Pipeline) mapModel(ctx context.Context, adaptive bool) (*Placement, err
 	if err != nil {
 		return nil, wrapStage("map", err)
 	}
-	p.sys.notify(Event{Stage: "map", Phase: "done", BER: effTh,
+	p.sys.fw.Emit(ctx, Event{Stage: "map", Phase: "done", BER: effTh,
 		Message: fmt.Sprintf("%d units in %d subarrays", layout.Units(), layout.SubarraysUsed())})
 	p.Placement = &Placement{
 		Voltage:        cfg.voltage,
@@ -333,7 +333,7 @@ func (p *Pipeline) EvaluateUnderErrors(ctx context.Context) (*Evaluation, error)
 	if err != nil {
 		return nil, wrapStage("evaluate", err)
 	}
-	p.sys.notify(Event{Stage: "evaluate", Phase: "done", Acc: acc, BER: p.Placement.EffectiveBERth})
+	p.sys.fw.Emit(ctx, Event{Stage: "evaluate", Phase: "done", Acc: acc, BER: p.Placement.EffectiveBERth})
 	p.Evaluation = &Evaluation{
 		Voltage:     p.Placement.Voltage,
 		BERth:       p.Placement.EffectiveBERth,
@@ -384,7 +384,7 @@ func (p *Pipeline) EnergyReport(ctx context.Context) (*EnergyReport, error) {
 	if eBase.TotalMJ() > 0 {
 		savings = 1 - eSpark.TotalMJ()/eBase.TotalMJ()
 	}
-	p.sys.notify(Event{Stage: "energy", Phase: "done",
+	p.sys.fw.Emit(ctx, Event{Stage: "energy", Phase: "done",
 		Message: fmt.Sprintf("%.4f mJ -> %.4f mJ", eBase.TotalMJ(), eSpark.TotalMJ())})
 	p.Energy = &EnergyReport{
 		Baseline: energyPoint(eBase),

@@ -111,13 +111,6 @@ func newConfig(opts []Option) (config, error) {
 	return cfg, nil
 }
 
-// notify delivers an SDK-level event to the configured observer.
-func (s *System) notify(ev Event) {
-	if s.cfg.observer != nil {
-		s.cfg.observer(ev)
-	}
-}
-
 // Pipeline returns a fresh pipeline over this system with no artifacts
 // populated. Assign persisted artifacts to its fields to resume from a
 // checkpoint instead of recomputing earlier stages.

@@ -127,7 +127,7 @@ func (p *Pipeline) Sweep(ctx context.Context, spec SweepSpec) (*SweepReport, err
 	}
 
 	scenarios := espec.ScenarioCount()
-	p.sys.notify(Event{Stage: "sweep", Phase: "start", Epochs: scenarios,
+	p.sys.fw.Emit(ctx, Event{Stage: "sweep", Phase: "start", Epochs: scenarios,
 		Message: fmt.Sprintf("%d scenarios on %d workers", scenarios, espec.Workers)})
 	results, err := p.sys.sweepEngine().Run(ctx, m.net, test, espec)
 	if err != nil {
@@ -167,7 +167,7 @@ func (p *Pipeline) Sweep(ctx context.Context, spec SweepSpec) (*SweepReport, err
 			HitRate:        r.HitRate,
 		}
 	}
-	p.sys.notify(Event{Stage: "sweep", Phase: "done", Epochs: scenarios})
+	p.sys.fw.Emit(ctx, Event{Stage: "sweep", Phase: "done", Epochs: scenarios})
 	return report, nil
 }
 
