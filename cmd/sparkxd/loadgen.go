@@ -40,9 +40,7 @@ func runLoadgen(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		mix      = fs.String("mix", "1:0", "single:sweep job mix per client, e.g. 3:1")
 		prios    = fs.String("priorities", "0", "comma-separated job priorities, cycled per submission")
 		neurons  = fs.Int("neurons", 20, "excitatory neurons per generated job (kept tiny for load testing)")
-		bitw     = fs.String("bitwidths", "", "comma-separated bitwidth axis of generated sweep jobs (16,32)")
-		prunes   = fs.String("prune", "", "comma-separated prune-level axis of generated sweep jobs")
-		encoders = fs.String("encoders", "", "comma-separated encoder axis of generated sweep jobs")
+		axes     = addAxisFlags(fs)
 	)
 	if code, done := parseFlags(fs, args, stderr); done {
 		return code
@@ -69,22 +67,10 @@ func runLoadgen(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	if len(priorities) == 0 {
 		priorities = []int{0}
 	}
-	axes := sweepAxes{}
-	if axes.bitwidths, err = parseIntList(*bitw); err != nil {
-		fmt.Fprintf(stderr, "sparkxd loadgen: -bitwidths: %v\n", err)
+	var grid sparkxd.SweepSpec
+	if err := axes.parse(&grid); err != nil {
+		fmt.Fprintf(stderr, "sparkxd loadgen: %v\n", err)
 		return 2
-	}
-	if axes.pruneLevels, err = parseFloatList(*prunes); err != nil {
-		fmt.Fprintf(stderr, "sparkxd loadgen: -prune: %v\n", err)
-		return 2
-	}
-	for _, tok := range splitList(*encoders) {
-		enc, err := sparkxd.ParseEncoder(tok)
-		if err != nil {
-			fmt.Fprintf(stderr, "sparkxd loadgen: %v\n", err)
-			return 2
-		}
-		axes.encoders = append(axes.encoders, enc)
 	}
 
 	var throttled atomic.Uint64
@@ -107,7 +93,7 @@ func runLoadgen(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		go func(id int, cli *client.Client) {
 			defer wg.Done()
 			for seq := 0; time.Now().Before(deadline) && ctx.Err() == nil; seq++ {
-				spec := loadSpec(id, seq, singles, sweeps, priorities, *neurons, axes)
+				spec := loadSpec(id, seq, singles, sweeps, priorities, *neurons, grid)
 				s := loadSample{priority: spec.Priority}
 				t0 := time.Now()
 				status, err := cli.Submit(ctx, spec)
@@ -191,19 +177,12 @@ func parseMix(s string) (singles, sweeps int, err error) {
 	return singles, sweeps, nil
 }
 
-// sweepAxes is the optional extended-axis grid generated sweep jobs
-// carry (-bitwidths/-prune/-encoders).
-type sweepAxes struct {
-	bitwidths   []int
-	pruneLevels []float64
-	encoders    []sparkxd.Encoder
-}
-
 // loadSpec builds the seq-th job of one client: the first `singles`
 // slots of each mix cycle are pipeline-train jobs, the rest tiny
 // sweeps. The seed encodes (client, seq) so every spec is distinct
 // work, and priorities cycle so the run exercises the priority queue.
-func loadSpec(id, seq, singles, sweeps int, priorities []int, neurons int, axes sweepAxes) sparkxd.JobSpec {
+// Sweeps take their bitwidth, prune and encoder axes from grid.
+func loadSpec(id, seq, singles, sweeps int, priorities []int, neurons int, grid sparkxd.SweepSpec) sparkxd.JobSpec {
 	cfg := sparkxd.ConfigSpec{
 		Neurons:      neurons,
 		TrainSamples: 20,
@@ -226,9 +205,9 @@ func loadSpec(id, seq, singles, sweeps int, priorities []int, neurons int, axes 
 			BERs:        []float64{1e-5},
 			ErrorModels: []sparkxd.ErrorModel{sparkxd.ErrorModelUniform},
 			Policies:    []sparkxd.Policy{sparkxd.PolicySparkXD},
-			Bitwidths:   axes.bitwidths,
-			PruneLevels: axes.pruneLevels,
-			Encoders:    axes.encoders,
+			Bitwidths:   grid.Bitwidths,
+			PruneLevels: grid.PruneLevels,
+			Encoders:    grid.Encoders,
 		}
 	}
 	return spec

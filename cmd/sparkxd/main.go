@@ -329,9 +329,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		bers     = fs.String("bers", "", "comma-separated BER thresholds (default: configured schedule)")
 		models   = fs.String("models", "", "comma-separated error models (uniform,bitline,wordline,data-dependent)")
 		policies = fs.String("policies", "", "comma-separated mapping policies (baseline,sparkxd)")
-		bitw     = fs.String("bitwidths", "", "comma-separated stored-weight bitwidths (16,32; default: configured quantization)")
-		prunes   = fs.String("prune", "", "comma-separated prune levels in [0,1) (default: unpruned)")
-		encoders = fs.String("encoders", "", "comma-separated spike encoders (rate,rate-det,ttfs,rank-order,phase,burst)")
+		axes     = addAxisFlags(fs)
 		trainN   = fs.Int("train", 300, "training samples")
 		testN    = fs.Int("test", 128, "test samples")
 		epochs   = fs.Int("epochs", 2, "error-free training epochs")
@@ -339,7 +337,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		workers  = fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 		jsonOut  = fs.Bool("json", false, "emit the SweepReport as JSON on stdout")
 		artDir   = fs.String("artifacts", "", "directory or store URL to persist the model and sweep report")
-		resume   = fs.String("resume", "", "directory or store URL with a persisted improved model to sweep (skips training)")
+		resumeAt = fs.String("resume", "", "directory or store URL with a persisted improved model to sweep (skips training)")
 		quiet    = fs.Bool("quiet", false, "suppress progress events on stderr")
 	)
 	if code, done := parseFlags(fs, args, stderr); done {
@@ -375,21 +373,9 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		}
 		spec.Policies = append(spec.Policies, pol)
 	}
-	if spec.Bitwidths, err = parseIntList(*bitw); err != nil {
-		fmt.Fprintf(stderr, "sparkxd sweep: -bitwidths: %v\n", err)
+	if err := axes.parse(&spec); err != nil {
+		fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
 		return 2
-	}
-	if spec.PruneLevels, err = parseFloatList(*prunes); err != nil {
-		fmt.Fprintf(stderr, "sparkxd sweep: -prune: %v\n", err)
-		return 2
-	}
-	for _, tok := range splitList(*encoders) {
-		enc, err := sparkxd.ParseEncoder(tok)
-		if err != nil {
-			fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
-			return 2
-		}
-		spec.Encoders = append(spec.Encoders, enc)
 	}
 
 	opts := []sparkxd.Option{
@@ -418,23 +404,11 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	}
 
 	p := sys.Pipeline()
-	if *resume != "" {
-		rd, err := openResumeDir(*resume)
-		if err != nil {
-			fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
-			return 1
-		}
-		if rd != nil {
-			m, err := rd.model(*neurons, fl, *trainN, *testN, *seed)
-			if err != nil {
-				fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
-				return 1
-			}
-			if m != nil {
-				p.Improved = m
-				fmt.Fprintf(stderr, "resume: loaded improved model (%s, N%d)\n", m.Dataset, m.Neurons)
-			}
-		}
+	want := sparkxd.TrainedModel{Neurons: *neurons, Dataset: fl.String(),
+		TrainSamples: *trainN, TestSamples: *testN, Seed: *seed}
+	if err := resume(p, *resumeAt, want, false, stderr); err != nil {
+		fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
+		return 1
 	}
 	if p.Improved == nil {
 		// Train the same fault-aware improved model a -resume run loads,
@@ -453,27 +427,10 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
 		return 1
 	}
-	if *artDir != "" {
-		// Persist through the content-addressed store (plus the manifest
-		// -resume reads), recording the swept model next to its report.
-		st, err := sparkxd.OpenStore(*artDir)
-		if err != nil {
-			fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
-			return 1
-		}
-		roles := map[string]sparkxd.ArtifactKey{}
-		for role, v := range map[string]any{"improved": p.Improved, "sweep": rep} {
-			key, err := sparkxd.PutArtifact(st, v)
-			if err != nil {
-				fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
-				return 1
-			}
-			roles[role] = key
-		}
-		if err := writeManifest(*artDir, roles); err != nil {
-			fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
-			return 1
-		}
+	// The swept model goes beside its report, so -resume sweeps it again.
+	if err := persist(*artDir, map[string]any{"improved": p.Improved, "sweep": rep}); err != nil {
+		fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
+		return 1
 	}
 
 	if *jsonOut {
@@ -532,6 +489,39 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
+// axisFlags are the sweep axes beyond the paper's four, which sweep
+// and loadgen both take: -bitwidths, -prune and -encoders.
+type axisFlags struct{ bitwidths, prune, encoders *string }
+
+// addAxisFlags declares the axis flags on fs.
+func addAxisFlags(fs *flag.FlagSet) axisFlags {
+	return axisFlags{
+		bitwidths: fs.String("bitwidths", "", "comma-separated stored-weight bitwidths (16,32; default: configured quantization)"),
+		prune:     fs.String("prune", "", "comma-separated prune levels in [0,1) (default: unpruned)"),
+		encoders:  fs.String("encoders", "", "comma-separated spike encoders (rate,rate-det,ttfs,rank-order,phase,burst)"),
+	}
+}
+
+// parse sets spec's bitwidth, prune-level and encoder axes from the
+// flags; an empty flag leaves its axis at the configured default.
+func (a axisFlags) parse(spec *sparkxd.SweepSpec) error {
+	var err error
+	if spec.Bitwidths, err = parseIntList(*a.bitwidths); err != nil {
+		return fmt.Errorf("-bitwidths: %w", err)
+	}
+	if spec.PruneLevels, err = parseFloatList(*a.prune); err != nil {
+		return fmt.Errorf("-prune: %w", err)
+	}
+	for _, tok := range splitList(*a.encoders) {
+		enc, err := sparkxd.ParseEncoder(tok)
+		if err != nil {
+			return err
+		}
+		spec.Encoders = append(spec.Encoders, enc)
+	}
+	return nil
+}
+
 func runSingle(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sparkxd single", flag.ContinueOnError)
 	var (
@@ -544,7 +534,7 @@ func runSingle(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		seed      = fs.Uint64("seed", 1, "random seed")
 		quiet     = fs.Bool("quiet", false, "suppress progress events on stderr")
 		artifacts = fs.String("artifacts", "", "directory or store URL to persist stage artifacts (model, tolerance, placement)")
-		resume    = fs.String("resume", "", "directory or store URL with persisted artifacts to resume from (skips training)")
+		resumeAt  = fs.String("resume", "", "directory or store URL with persisted artifacts to resume from (skips training)")
 	)
 	if code, done := parseFlags(fs, args, stderr); done {
 		return code
@@ -579,34 +569,11 @@ func runSingle(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	}
 
 	p := sys.Pipeline()
-	if *resume != "" {
-		rd, err := openResumeDir(*resume)
-		if err != nil {
-			fmt.Fprintf(stderr, "sparkxd: %v\n", err)
-			return 1
-		}
-		if rd != nil {
-			m, err := rd.model(*neurons, fl, *trainN, *testN, *seed)
-			if err != nil {
-				fmt.Fprintf(stderr, "sparkxd: %v\n", err)
-				return 1
-			}
-			if m != nil {
-				p.Improved = m
-				fmt.Fprintf(stderr, "resume: loaded improved model (%s, N%d)\n", m.Dataset, m.Neurons)
-				// The tolerance report is only reusable together with the
-				// model it was measured on; never resume it alone.
-				tol, err := rd.tolerance()
-				if err != nil {
-					fmt.Fprintf(stderr, "sparkxd: %v\n", err)
-					return 1
-				}
-				if tol != nil {
-					p.Tolerance = tol
-					fmt.Fprintf(stderr, "resume: loaded tolerance report (BERth %.0e)\n", tol.BERth)
-				}
-			}
-		}
+	want := sparkxd.TrainedModel{Neurons: *neurons, Dataset: fl.String(),
+		TrainSamples: *trainN, TestSamples: *testN, Seed: *seed}
+	if err := resume(p, *resumeAt, want, true, stderr); err != nil {
+		fmt.Fprintf(stderr, "sparkxd: %v\n", err)
+		return 1
 	}
 
 	fmt.Fprintf(stdout, "SparkXD: N%d on %s, approximate DRAM at %.3f V\n", *neurons, fl, *voltage)
@@ -615,11 +582,15 @@ func runSingle(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		fmt.Fprintf(stderr, "sparkxd: %v\n", err)
 		return 1
 	}
-	if *artifacts != "" {
-		if err := saveArtifacts(*artifacts, res); err != nil {
-			fmt.Fprintf(stderr, "sparkxd: %v\n", err)
-			return 1
-		}
+	if err := persist(*artifacts, map[string]any{
+		"improved":   res.Improved,
+		"tolerance":  res.Tolerance,
+		"placement":  res.Placement,
+		"evaluation": res.Evaluation,
+		"energy":     res.Energy,
+	}); err != nil {
+		fmt.Fprintf(stderr, "sparkxd: %v\n", err)
+		return 1
 	}
 
 	tb := report.NewTable("pipeline result", "metric", "value")
@@ -750,93 +721,73 @@ func putRemoteManifest(base string, roles map[string]sparkxd.ArtifactKey) error 
 	return nil
 }
 
-// resumeDir is an opened -resume directory: its store and manifest,
-// read once and shared by the per-artifact loaders.
-type resumeDir struct {
-	st    sparkxd.ArtifactStore
-	roles map[string]sparkxd.ArtifactKey
-}
-
-// openResumeDir opens dir's store and manifest. Nothing persisted there
-// means "nothing to resume" (nil, nil).
-func openResumeDir(dir string) (*resumeDir, error) {
-	roles, err := readManifest(dir)
-	if err != nil {
-		return nil, err
+// resume loads the improved model that location's manifest records
+// into p, and with tolerance also the tolerance report stored beside
+// it: that report is only reusable together with the model it was
+// measured on, so it is never resumed alone. An empty location, or one
+// with no model persisted yet, leaves p as it is. A corrupt artifact or
+// a model that does not match want's neurons, dataset, sample budgets
+// and seed is an error — silently computing results from a mismatched
+// checkpoint would be worse than failing.
+func resume(p *sparkxd.Pipeline, location string, want sparkxd.TrainedModel, tolerance bool, stderr io.Writer) error {
+	if location == "" {
+		return nil
 	}
-	if len(roles) == 0 {
-		return nil, nil
-	}
-	st, err := sparkxd.OpenStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &resumeDir{st: st, roles: roles}, nil
-}
-
-// model loads the persisted improved model, or (nil, nil) when the
-// manifest has none. A corrupt artifact or a model that does not match
-// the requested configuration is an error — silently computing results
-// from a mismatched checkpoint would be worse than failing.
-func (r *resumeDir) model(neurons int, fl sparkxd.Dataset, trainN, testN int, seed uint64) (*sparkxd.TrainedModel, error) {
-	key, ok := r.roles["improved"]
-	if !ok {
-		return nil, nil
-	}
-	m, err := sparkxd.GetTrainedModel(r.st, key)
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	if m.Neurons != neurons {
-		return nil, fmt.Errorf("resume: %s was trained with %d neurons, but -neurons is %d", key, m.Neurons, neurons)
-	}
-	if want := fl.String(); m.Dataset != "" && m.Dataset != want {
-		return nil, fmt.Errorf("resume: %s was trained on %q, but -dataset is %q", key, m.Dataset, want)
-	}
-	if m.TrainSamples != 0 && (m.TrainSamples != trainN || m.TestSamples != testN) {
-		return nil, fmt.Errorf("resume: %s was measured with -train %d -test %d, but got -train %d -test %d",
-			key, m.TrainSamples, m.TestSamples, trainN, testN)
-	}
-	if m.Seed != seed {
-		return nil, fmt.Errorf("resume: %s was trained with -seed %d, but got -seed %d", key, m.Seed, seed)
-	}
-	return m, nil
-}
-
-// tolerance loads the persisted tolerance report, or (nil, nil) when
-// the manifest has none.
-func (r *resumeDir) tolerance() (*sparkxd.ToleranceReport, error) {
-	key, ok := r.roles["tolerance"]
-	if !ok {
-		return nil, nil
-	}
-	tol, err := sparkxd.GetToleranceReport(r.st, key)
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	return tol, nil
-}
-
-// saveArtifacts persists the resumable stage artifacts into the
-// content-addressed store at dir and records their keys in the manifest.
-func saveArtifacts(dir string, res *sparkxd.Result) error {
-	st, err := sparkxd.OpenStore(dir)
+	roles, err := readManifest(location)
 	if err != nil {
 		return err
 	}
-	roles := map[string]sparkxd.ArtifactKey{}
-	for role, v := range map[string]any{
-		"improved":   res.Improved,
-		"tolerance":  res.Tolerance,
-		"placement":  res.Placement,
-		"evaluation": res.Evaluation,
-		"energy":     res.Energy,
-	} {
-		key, err := sparkxd.PutArtifact(st, v)
-		if err != nil {
+	key, ok := roles["improved"]
+	if !ok {
+		return nil
+	}
+	st, err := sparkxd.OpenStore(location)
+	if err != nil {
+		return err
+	}
+	m, err := sparkxd.GetTrainedModel(st, key)
+	switch {
+	case err != nil:
+		return fmt.Errorf("resume: %w", err)
+	case m.Neurons != want.Neurons:
+		return fmt.Errorf("resume: %s was trained with %d neurons, but -neurons is %d", key, m.Neurons, want.Neurons)
+	case m.Dataset != "" && m.Dataset != want.Dataset:
+		return fmt.Errorf("resume: %s was trained on %q, but -dataset is %q", key, m.Dataset, want.Dataset)
+	case m.TrainSamples != 0 && (m.TrainSamples != want.TrainSamples || m.TestSamples != want.TestSamples):
+		return fmt.Errorf("resume: %s was measured with -train %d -test %d, but got -train %d -test %d",
+			key, m.TrainSamples, m.TestSamples, want.TrainSamples, want.TestSamples)
+	case m.Seed != want.Seed:
+		return fmt.Errorf("resume: %s was trained with -seed %d, but got -seed %d", key, m.Seed, want.Seed)
+	}
+	p.Improved = m
+	fmt.Fprintf(stderr, "resume: loaded improved model (%s, N%d)\n", m.Dataset, m.Neurons)
+	key, ok = roles["tolerance"]
+	if !tolerance || !ok {
+		return nil
+	}
+	if p.Tolerance, err = sparkxd.GetToleranceReport(st, key); err != nil {
+		return fmt.Errorf("resume: %w", err)
+	}
+	fmt.Fprintf(stderr, "resume: loaded tolerance report (BERth %.0e)\n", p.Tolerance.BERth)
+	return nil
+}
+
+// persist puts each role's artifact into the content-addressed store at
+// location and merges the roles' keys into the location's manifest. An
+// empty location persists nothing.
+func persist(location string, arts map[string]any) error {
+	if location == "" {
+		return nil
+	}
+	st, err := sparkxd.OpenStore(location)
+	if err != nil {
+		return err
+	}
+	roles := make(map[string]sparkxd.ArtifactKey, len(arts))
+	for role, v := range arts {
+		if roles[role], err = sparkxd.PutArtifact(st, v); err != nil {
 			return fmt.Errorf("save %s: %w", role, err)
 		}
-		roles[role] = key
 	}
-	return writeManifest(dir, roles)
+	return writeManifest(location, roles)
 }

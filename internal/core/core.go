@@ -144,21 +144,14 @@ func (f *Framework) CorruptWeights(w []float32, layout *mapping.Layout,
 	return out, flips
 }
 
-// EvaluateUnderErrors measures a network's accuracy when its weights pass
-// through approximate DRAM: weights are corrupted via (layout, profile),
-// loaded into a clone (with on-load sanitization), and evaluated.
-// The eval stream is derived deterministically from evalSeed so that
-// different corruption conditions are compared on identical spike trains
-// (paired evaluation, which removes encoder noise from the comparison).
-func (f *Framework) EvaluateUnderErrors(net *snn.Network, test *dataset.Dataset,
-	layout *mapping.Layout, profile *errmodel.Profile, injectSeed, evalSeed uint64) float64 {
-	acc, _ := f.EvaluateUnderErrorsCtx(context.Background(), net, test, layout, profile, injectSeed, evalSeed)
-	return acc
-}
-
-// EvaluateUnderErrorsCtx is EvaluateUnderErrors with cooperative
-// cancellation (checked between test samples); a cancelled evaluation
-// returns ctx.Err().
+// EvaluateUnderErrorsCtx measures a network's accuracy when its weights
+// pass through approximate DRAM: weights are corrupted via (layout,
+// profile), loaded into a clone (with on-load sanitization), and
+// evaluated. The eval stream is derived deterministically from evalSeed
+// so that different corruption conditions are compared on identical
+// spike trains (paired evaluation, which removes encoder noise from the
+// comparison). The context is checked between test samples; a cancelled
+// evaluation returns ctx.Err().
 func (f *Framework) EvaluateUnderErrorsCtx(ctx context.Context, net *snn.Network,
 	test *dataset.Dataset, layout *mapping.Layout, profile *errmodel.Profile,
 	injectSeed, evalSeed uint64) (float64, error) {

@@ -123,8 +123,14 @@ func TestEvaluateUnderErrorsPairedDeterminism(t *testing.T) {
 	_, test := tinyData(t, 10, 30)
 	layout, _ := f.LayoutFor(net, nil)
 	profile, _ := errmodel.UniformProfile(f.Geom, 1e-5, f.DeviceSeed)
-	a := f.EvaluateUnderErrors(net, test, layout, profile, 5, 9)
-	b := f.EvaluateUnderErrors(net, test, layout, profile, 5, 9)
+	a, err := f.EvaluateUnderErrorsCtx(context.Background(), net, test, layout, profile, 5, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := f.EvaluateUnderErrorsCtx(context.Background(), net, test, layout, profile, 5, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != b {
 		t.Fatal("evaluation must be deterministic in its seeds")
 	}
@@ -158,8 +164,12 @@ func TestImproveErrorToleranceSmoke(t *testing.T) {
 	f := framework(t)
 	train, test := tinyData(t, 120, 60)
 	baseline := tinyNet(t, 60)
-	baseline.TrainEpoch(train, rng.New(3))
-	baseline.AssignLabels(train, rng.New(4))
+	if err := baseline.TrainEpochCtx(context.Background(), train, rng.New(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := baseline.AssignLabelsCtx(context.Background(), train, rng.New(4)); err != nil {
+		t.Fatal(err)
+	}
 
 	cfg := DefaultTrainConfig()
 	cfg.Rates = []float64{1e-6, 1e-4, 1e-3}
@@ -181,7 +191,10 @@ func TestImproveErrorToleranceSmoke(t *testing.T) {
 	if res.BERth > 0 {
 		layout, _ := f.LayoutFor(res.Model, nil)
 		profile, _ := errmodel.UniformProfile(f.Geom, res.BERth, f.DeviceSeed)
-		acc := f.EvaluateUnderErrors(res.Model, test, layout, profile, 11, 12)
+		acc, err := f.EvaluateUnderErrorsCtx(context.Background(), res.Model, test, layout, profile, 11, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if acc < res.BaselineAcc-0.15 {
 			t.Errorf("improved model at BERth: %.2f, baseline %.2f", acc, res.BaselineAcc)
 		}
@@ -195,9 +208,16 @@ func TestAnalyzeErrorTolerance(t *testing.T) {
 	f := framework(t)
 	train, test := tinyData(t, 100, 50)
 	net := tinyNet(t, 60)
-	net.TrainEpoch(train, rng.New(3))
-	net.AssignLabels(train, rng.New(4))
-	acc0 := net.Evaluate(test, rng.New(5))
+	if err := net.TrainEpochCtx(context.Background(), train, rng.New(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AssignLabelsCtx(context.Background(), train, rng.New(4)); err != nil {
+		t.Fatal(err)
+	}
+	acc0, err := net.EvaluateCtx(context.Background(), test, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rates := []float64{1e-8, 1e-6, 1e-4, 1e-3}
 	berTh, curve, err := f.AnalyzeErrorTolerance(context.Background(), net, test, rates, acc0, 0.05, 7)

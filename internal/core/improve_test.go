@@ -21,8 +21,12 @@ func improveFixture(t *testing.T, trainN, testN int) (*snn.Network, *dataset.Dat
 	t.Helper()
 	train, test := tinyData(t, trainN, testN)
 	net := tinyNet(t, 24)
-	net.TrainEpoch(train, rng.New(3))
-	net.AssignLabels(train, rng.New(4))
+	if err := net.TrainEpochCtx(context.Background(), train, rng.New(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AssignLabelsCtx(context.Background(), train, rng.New(4)); err != nil {
+		t.Fatal(err)
+	}
 	return net, train, test
 }
 
@@ -45,12 +49,16 @@ func checkpointJSON(t *testing.T, n *snn.Network) string {
 // the scalar evaluation path: acc0 on a clone of the input, training
 // continued on that clone, each rate evaluated on a corrupted clone
 // before the next rate trains.
-func improveReference(f *Framework, baseline *snn.Network, train, test *dataset.Dataset, cfg TrainConfig) *TrainResult {
+func improveReference(t *testing.T, f *Framework, baseline *snn.Network, train, test *dataset.Dataset, cfg TrainConfig) *TrainResult {
+	t.Helper()
 	layout, _ := f.LayoutFor(baseline, nil)
 	root := rng.New(cfg.Seed)
 	evalSeed := root.Derive("eval").Uint64()
 	modelTemp := baseline.Clone()
-	acc0 := modelTemp.Evaluate(test, rng.New(evalSeed))
+	acc0, err := modelTemp.EvaluateCtx(context.Background(), test, rng.New(evalSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := &TrainResult{BaselineAcc: acc0}
 	best := modelTemp.Clone()
 	for i, rate := range cfg.Rates {
@@ -59,14 +67,21 @@ func improveReference(f *Framework, baseline *snn.Network, train, test *dataset.
 			k := i*cfg.EpochsPerRate + e
 			w, _ := f.CorruptWeights(modelTemp.WeightsFlat(), layout, profile, root.DeriveIndex("inject", k))
 			_ = modelTemp.SetWeightsFlat(w)
-			modelTemp.TrainEpoch(train, root.DeriveIndex("train", k))
+			if err := modelTemp.TrainEpochCtx(context.Background(), train, root.DeriveIndex("train", k)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		modelTemp.AssignLabels(train, root.DeriveIndex("assign", i))
+		if err := modelTemp.AssignLabelsCtx(context.Background(), train, root.DeriveIndex("assign", i)); err != nil {
+			t.Fatal(err)
+		}
 		w, _ := f.CorruptWeights(modelTemp.WeightsFlat(), layout, profile,
 			rng.New(root.DeriveIndex("evalinject", i).Uint64()))
 		probe := modelTemp.Clone()
 		_ = probe.SetWeightsFlat(w)
-		acc := probe.Evaluate(test, rng.New(evalSeed))
+		acc, err := probe.EvaluateCtx(context.Background(), test, rng.New(evalSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
 		res.PerRate = append(res.PerRate, RatePoint{BER: rate, Acc: acc})
 		if acc >= acc0-cfg.AccBound {
 			best = modelTemp.Clone()
@@ -105,7 +120,7 @@ func TestImproveErrorToleranceMatchesSequentialReference(t *testing.T) {
 		cfg := DefaultTrainConfig()
 		cfg.Rates = []float64{1e-7, 1e-5, 1e-3, 5e-2}
 		cfg.AccBound = bound
-		want := improveReference(framework(t), net, train, test, cfg)
+		want := improveReference(t, framework(t), net, train, test, cfg)
 		for _, workers := range []int{1, 8} {
 			f := framework(t)
 			f.EvalWorkers = workers

@@ -37,8 +37,12 @@ func shareFixture(t testing.TB) (*snn.Network, *dataset.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.TrainEpoch(train, rng.New(5))
-	net.AssignLabels(train, rng.New(6))
+	if err := net.TrainEpochCtx(context.Background(), train, rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AssignLabelsCtx(context.Background(), train, rng.New(6)); err != nil {
+		t.Fatal(err)
+	}
 	return net, test
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -67,7 +68,10 @@ func (r *Runner) AblationErrModels(ber float64) (AblationErrModelResult, error) 
 	if err != nil {
 		return res, err
 	}
-	res.CleanAcc = r.F.EvaluateUnderErrors(pair.Baseline, test, layout, zero, 1, evalSeed)
+	ctx := context.Background()
+	if res.CleanAcc, err = r.F.EvaluateUnderErrorsCtx(ctx, pair.Baseline, test, layout, zero, 1, evalSeed); err != nil {
+		return res, err
+	}
 	for _, kind := range []errmodel.Kind{errmodel.Model0, errmodel.Model1, errmodel.Model2, errmodel.Model3} {
 		profile, err := errmodel.UniformProfile(r.F.Geom, ber, r.F.DeviceSeed)
 		if err != nil {
@@ -75,7 +79,10 @@ func (r *Runner) AblationErrModels(ber float64) (AblationErrModelResult, error) 
 		}
 		fw := *r.F // shallow copy with a different error model kind
 		fw.ErrKind = kind
-		acc := fw.EvaluateUnderErrors(pair.Baseline, test, layout, profile, 7, evalSeed)
+		acc, err := fw.EvaluateUnderErrorsCtx(ctx, pair.Baseline, test, layout, profile, 7, evalSeed)
+		if err != nil {
+			return res, err
+		}
 		res.Models = append(res.Models, kind.String())
 		res.Accuracy = append(res.Accuracy, acc)
 	}
@@ -212,10 +219,15 @@ func (r *Runner) AblationCoding() (AblationCodingResult, error) {
 			return err
 		}
 		root := rng.New(r.Opts.Seed).DeriveIndex("coding", i)
+		ctx := context.Background()
 		for e := 0; e < 2; e++ {
-			net.TrainEpoch(train, root.DeriveIndex("epoch", e))
+			if err := net.TrainEpochCtx(ctx, train, root.DeriveIndex("epoch", e)); err != nil {
+				return err
+			}
 		}
-		net.AssignLabels(train, root.Derive("assign"))
+		if err := net.AssignLabelsCtx(ctx, train, root.Derive("assign")); err != nil {
+			return err
+		}
 		layout, err := r.F.LayoutFor(net, nil)
 		if err != nil {
 			return err
@@ -226,9 +238,11 @@ func (r *Runner) AblationCoding() (AblationCodingResult, error) {
 			return err
 		}
 		res.Encoders[i] = labels[i]
-		res.CleanAcc[i] = r.F.EvaluateUnderErrors(net, test, layout, zero, 1, evalSeed)
-		res.ErrAcc[i] = r.F.EvaluateUnderErrors(net, test, layout, profile, 9, evalSeed)
-		return nil
+		if res.CleanAcc[i], err = r.F.EvaluateUnderErrorsCtx(ctx, net, test, layout, zero, 1, evalSeed); err != nil {
+			return err
+		}
+		res.ErrAcc[i], err = r.F.EvaluateUnderErrorsCtx(ctx, net, test, layout, profile, 9, evalSeed)
+		return err
 	})
 	return res, err
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -63,12 +64,17 @@ func (r *Runner) Fig1a() (Fig1aResult, error) {
 			return err
 		}
 		root := rng.New(r.Opts.Seed).DeriveIndex("fig1a", i)
+		ctx := context.Background()
 		for e := 0; e < r.Opts.BaseEpochs(); e++ {
-			n.TrainEpoch(train, root.DeriveIndex("epoch", e))
+			if err := n.TrainEpochCtx(ctx, train, root.DeriveIndex("epoch", e)); err != nil {
+				return err
+			}
 		}
-		n.AssignLabels(train, root.Derive("assign"))
-		accs[i] = n.Evaluate(test, root.Derive("eval"))
-		return nil
+		if err := n.AssignLabelsCtx(ctx, train, root.Derive("assign")); err != nil {
+			return err
+		}
+		accs[i], err = n.EvaluateCtx(ctx, test, root.Derive("eval"))
+		return err
 	})
 	if err != nil {
 		return res, err

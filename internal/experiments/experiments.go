@@ -218,12 +218,17 @@ func (r *Runner) Pair(size int, fl dataset.Flavor) (*ModelPair, error) {
 		// comparison, which isolates the effect of error awareness.
 		root := rng.New(r.Opts.Seed).Derive(label)
 		epochs := r.Opts.BaseEpochs() + len(r.Opts.BERs())*r.trainCfg().EpochsPerRate
+		ctx := context.Background()
 		for e := 0; e < epochs; e++ {
-			baseline.TrainEpoch(train, root.DeriveIndex("epoch", e))
+			if err := baseline.TrainEpochCtx(ctx, train, root.DeriveIndex("epoch", e)); err != nil {
+				return nil, err
+			}
 		}
-		baseline.AssignLabels(train, root.Derive("assign"))
+		if err := baseline.AssignLabelsCtx(ctx, train, root.Derive("assign")); err != nil {
+			return nil, err
+		}
 
-		res, err := r.F.ImproveErrorTolerance(context.Background(), baseline, train, test, r.trainCfg())
+		res, err := r.F.ImproveErrorTolerance(ctx, baseline, train, test, r.trainCfg())
 		if err != nil {
 			return nil, err
 		}

@@ -212,8 +212,10 @@ func (s *Server) ReleaseLease(id string) error {
 // message. Artifact keys are verified present before the job is marked
 // done — a completion must never dangle. spans carries the worker's
 // completion-time spans (artifact upload, the execution envelope),
-// which finish after its last renewal; they join the job's trace,
-// which is assembled and persisted here at the terminal transition.
+// which finish after its last renewal; they join the job's trace. The
+// trace, and for a done job its durable record, are stored before the
+// job reads terminal, so a client that sees the terminal state, or a
+// coordinator opened on the same store after that, finds both.
 func (s *Server) CompleteLease(id string, arts map[string]sparkxd.ArtifactKey, failure string, spans []sparkxd.TraceSpan) error {
 	if failure == "" && len(arts) == 0 {
 		return fmt.Errorf("%w: neither artifacts nor an error", ErrBadComplete)
@@ -246,34 +248,41 @@ func (s *Server) CompleteLease(id string, arts map[string]sparkxd.ArtifactKey, f
 	for _, sd := range spans {
 		s.addSpanLocked(rec, sd)
 	}
-	executor := s.executorOf(l.worker)
+	final := copyStatus(rec.status)
 	if failure != "" {
-		rec.status.State = sparkxd.JobFailed
-		rec.status.Error = failure
+		final.State, final.Error = sparkxd.JobFailed, failure
+		s.closeLeaseSpanLocked(l, "failed")
+	} else {
+		final.State, final.Artifacts = sparkxd.JobDone, arts
+		s.closeLeaseSpanLocked(l, "completed")
+	}
+	trace := s.finishTraceLocked(rec, final.State)
+	executor := s.executorOf(l.worker)
+	s.mu.Unlock()
+
+	// The lease is gone, so nothing else moves the job while its trace
+	// and record are written.
+	traceKey := s.storeTrace(trace)
+	if failure == "" {
+		s.persistRecord(final, traceKey)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec.traceKey = traceKey
+	rec.status = final
+	if failure != "" {
 		s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "failed", Message: failure})
 		s.metrics.observeTerminal(rec, "failed", executor)
-		s.closeLeaseSpanLocked(l, "failed")
 		s.log.Warn("job failed on worker", "job", rec.status.ID, "trace", rec.status.TraceID,
 			"worker", l.worker, "err", failure)
-		s.mu.Unlock()
-		s.finalizeTrace(rec)
 		return nil
 	}
-	rec.status.State = sparkxd.JobDone
-	rec.status.Artifacts = arts
 	s.metrics.observeTerminal(rec, "done", executor)
 	s.appendEventLocked(rec, sparkxd.Event{Stage: "job", Phase: "done",
 		Message: fmt.Sprintf("%d artifacts (worker %s)", len(arts), l.worker)})
-	s.closeLeaseSpanLocked(l, "completed")
 	s.log.Info("job done on worker", "job", rec.status.ID, "trace", rec.status.TraceID,
 		"worker", l.worker, "artifacts", len(arts))
-	s.mu.Unlock()
-	s.finalizeTrace(rec)
-	s.mu.Lock()
-	status := copyStatus(rec.status)
-	traceKey := rec.traceKey
-	s.mu.Unlock()
-	s.persistRecord(status, traceKey)
 	return nil
 }
 

@@ -175,9 +175,9 @@ type jobRec struct {
 	leaseID  string          // active lease ("" when unleased)
 	excluded map[string]bool // workers whose lease on this job expired
 
-	// trace accumulates the job's distributed spans (nil only for jobs
-	// restored as done from persisted records); traceKey is the assembled
-	// KindJobTrace artifact once the job is terminal.
+	// trace accumulates the job's distributed spans until the job
+	// finishes (nil for jobs restored as done from persisted records);
+	// traceKey is the stored KindJobTrace artifact once it is terminal.
 	trace    *jobTraceState
 	traceKey sparkxd.ArtifactKey
 }

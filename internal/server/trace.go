@@ -15,9 +15,9 @@ import (
 // otherwise) plus the spans recorded so far. The coordinator emits
 // queue-wait, admission, and lease-lifecycle spans; worker spans — the
 // in-process worker's included — arrive through the lease event batches
-// and the completion payload. At the terminal transition the whole set is
-// assembled, sorted, and persisted as a content-addressed KindJobTrace
-// artifact.
+// and the completion payload. When the job's lease completes, the whole
+// set is assembled, sorted, and persisted as a content-addressed
+// KindJobTrace artifact before the job reads terminal.
 //
 // Trace context is strictly out-of-band: it lives on jobRec, the lease
 // table, HTTP headers, and the Grant payload — never inside a JobSpec —
@@ -48,12 +48,7 @@ type jobTraceState struct {
 	queueStart time.Time
 	episodes   int
 	spans      []sparkxd.TraceSpan
-	dropped    int  // spans discarded past maxTraceSpans
-	finalized  bool // the terminal assembly ran (at most once)
-	// persisted is closed when finalizeTrace's store write has returned,
-	// whether or not it succeeded. A job turns terminal before its trace
-	// is written, so TraceFor waits on it for a terminal job.
-	persisted chan struct{}
+	dropped    int // spans discarded past maxTraceSpans
 }
 
 // newJobTraceState opens a job's trace at submission time. A valid
@@ -61,7 +56,7 @@ type jobTraceState struct {
 // root span's parent); anything else starts a fresh trace.
 func newJobTraceState(traceparent string) *jobTraceState {
 	now := time.Now()
-	tr := &jobTraceState{start: now, queueStart: now, persisted: make(chan struct{})}
+	tr := &jobTraceState{start: now, queueStart: now}
 	if sc, err := tracing.ParseTraceparent(traceparent); err == nil {
 		tr.root = sc.Child()
 		tr.clientSpan = sc.SpanID.String()
@@ -87,7 +82,7 @@ func (s *Server) procName() string {
 // addSpanLocked records one finished span on a job. Caller holds s.mu.
 func (s *Server) addSpanLocked(rec *jobRec, sd sparkxd.TraceSpan) {
 	tr := rec.trace
-	if tr == nil || tr.finalized {
+	if tr == nil {
 		return
 	}
 	if len(tr.spans) >= maxTraceSpans {
@@ -151,24 +146,20 @@ func (s *Server) closeLeaseSpanLocked(l *lease, outcome string) {
 	l.span = nil
 }
 
-// finalizeTrace assembles and persists a terminal job's trace: the root
-// "job" span is closed over the whole submit→terminal interval, the
-// collected spans are sorted, and the JobTrace artifact is written to
-// the store (IO outside the lock). Runs at most once per job; the
-// resulting key is what GET /v1/jobs/{id}/trace serves.
-func (s *Server) finalizeTrace(rec *jobRec) {
-	s.mu.Lock()
+// finishTraceLocked assembles a finishing job's trace: the root "job"
+// span is closed over the whole submit→terminal interval and joins the
+// collected spans. The job drops its trace state, so no later span
+// joins; nil for a job that has none. Caller holds s.mu.
+func (s *Server) finishTraceLocked(rec *jobRec, state sparkxd.JobState) *sparkxd.JobTrace {
 	tr := rec.trace
-	if tr == nil || tr.finalized || !rec.status.State.Terminal() {
-		s.mu.Unlock()
-		return
+	if tr == nil {
+		return nil
 	}
-	tr.finalized = true
-	defer close(tr.persisted)
+	rec.trace = nil
 	attrs := map[string]string{
 		"job_id":          rec.status.ID,
 		"kind":            string(rec.status.Spec.Kind),
-		"state":           string(rec.status.State),
+		"state":           string(state),
 		"service.version": version.String(),
 	}
 	if tr.dropped > 0 {
@@ -183,35 +174,38 @@ func (s *Server) finalizeTrace(rec *jobRec) {
 		DurationNanos: time.Since(tr.start).Nanoseconds(),
 		Attrs:         attrs,
 	}
-	trace := &sparkxd.JobTrace{
+	return &sparkxd.JobTrace{
 		Version: sparkxd.JobTraceVersion,
 		TraceID: tr.traceID(),
 		JobID:   rec.status.ID,
-		State:   rec.status.State,
-		Spans:   append(append([]sparkxd.TraceSpan(nil), tr.spans...), root),
+		State:   state,
+		Spans:   append(tr.spans, root),
 	}
-	tr.spans = nil // the artifact owns them now
-	s.mu.Unlock()
+}
 
+// storeTrace sorts a finished job's trace and writes it to the store as
+// a KindJobTrace artifact; its key is what GET /v1/jobs/{id}/trace
+// serves. It returns "" when there is no trace or the write failed.
+// Called without s.mu held (store writes do IO).
+func (s *Server) storeTrace(trace *sparkxd.JobTrace) sparkxd.ArtifactKey {
+	if trace == nil {
+		return ""
+	}
 	trace.Sort()
 	key, err := sparkxd.PutArtifact(s.st, trace)
 	if err != nil {
 		s.log.Warn("trace persist failed", "job", trace.JobID, "trace", trace.TraceID, "err", err)
-		return
+		return ""
 	}
-	s.mu.Lock()
-	rec.traceKey = key
-	s.mu.Unlock()
 	s.log.Debug("trace assembled", "job", trace.JobID, "trace", trace.TraceID,
 		"spans", len(trace.Spans), "key", string(key))
+	return key
 }
 
-// TraceFor returns a terminal job's assembled trace. known reports
-// whether the job exists at all; a known job whose trace has not been
-// assembled yet (still running, or restored from a pre-tracing record)
-// returns (nil, true, nil), and so does a job whose trace could not be
-// stored. For a terminal job whose trace is still being stored, it waits
-// for that write.
+// TraceFor returns a terminal job's stored trace. known reports whether
+// the job exists at all; a known job without a stored trace (not yet
+// terminal, restored from a pre-tracing record, or whose trace write
+// failed) returns (nil, true, nil).
 func (s *Server) TraceFor(id string) (trace *sparkxd.JobTrace, known bool, err error) {
 	s.mu.Lock()
 	rec, ok := s.jobs[id]
@@ -220,13 +214,6 @@ func (s *Server) TraceFor(id string) (trace *sparkxd.JobTrace, known bool, err e
 		return nil, false, nil
 	}
 	key := rec.traceKey
-	if key == "" && rec.trace != nil && rec.status.State.Terminal() {
-		persisted := rec.trace.persisted
-		s.mu.Unlock()
-		<-persisted
-		s.mu.Lock()
-		key = rec.traceKey
-	}
 	s.mu.Unlock()
 	if key == "" {
 		return nil, true, nil

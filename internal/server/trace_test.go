@@ -372,35 +372,47 @@ func dumpTrace(tr *sparkxd.JobTrace) string {
 	return out
 }
 
-// traceWriteStore wraps a store and holds back the write of a job trace:
-// it closes writing when that write begins, then waits for release, and
+// heldWriteStore wraps a store and holds back one write: the job trace
+// (kind KindJobTrace) or the done job record (kind KindJobRecord). It
+// closes writing when that write begins, then waits for release, and
 // fails the write instead of storing it when fail is set.
-type traceWriteStore struct {
+type heldWriteStore struct {
 	sparkxd.ArtifactStore
+	kind             string
 	fail             bool
 	writing, release chan struct{}
 }
 
-func (h *traceWriteStore) Put(kind string, payload any) (sparkxd.ArtifactKey, error) {
-	if kind != sparkxd.KindJobTrace {
+func (h *heldWriteStore) Put(kind string, payload any) (sparkxd.ArtifactKey, error) {
+	if rec, ok := payload.(*sparkxd.JobRecord); kind != h.kind || (ok && rec.State != sparkxd.JobDone) {
 		return h.ArtifactStore.Put(kind, payload)
 	}
 	close(h.writing)
 	<-h.release
 	if h.fail {
-		return "", errors.New("trace write refused")
+		return "", errors.New("write refused")
 	}
 	return h.ArtifactStore.Put(kind, payload)
 }
 
-// A job turns terminal before its trace is written. TraceFor on a
-// terminal job must wait for that write and return the trace, never
-// "no trace yet"; when the write fails it must return no trace without
-// blocking.
-func TestTraceForWaitsForTraceWrite(t *testing.T) {
-	for _, fail := range []bool{false, true} {
-		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
-			st := &traceWriteStore{ArtifactStore: sparkxd.MemoryStore(), fail: fail,
+// A job reads terminal only after its trace, and when done its record,
+// are stored. While either write is held, the job is not terminal and
+// TraceFor answers at once without a trace. After release the job reads
+// done, TraceFor returns the trace (nil when its write failed), and a
+// coordinator opened on the store right then preloads the job as done
+// instead of requeueing it.
+func TestTerminalAfterTraceAndRecordStored(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind string
+		fail bool
+	}{
+		{"trace", sparkxd.KindJobTrace, false},
+		{"trace-fails", sparkxd.KindJobTrace, true},
+		{"record", sparkxd.KindJobRecord, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := &heldWriteStore{ArtifactStore: sparkxd.MemoryStore(), kind: tc.kind, fail: tc.fail,
 				writing: make(chan struct{}), release: make(chan struct{})}
 			var releaseOnce sync.Once
 			release := func() { releaseOnce.Do(func() { close(st.release) }) }
@@ -428,36 +440,54 @@ func TestTraceForWaitsForTraceWrite(t *testing.T) {
 					map[string]sparkxd.ArtifactKey{"sweep": key}, "", nil)
 			}()
 			<-st.writing
-			if got, _ := srv.Job(status.ID); got.State != sparkxd.JobDone {
-				t.Fatalf("state while the trace is written = %s, want done", got.State)
+			if got, _ := srv.Job(status.ID); got.State.Terminal() {
+				t.Fatalf("state while the %s is written = %s, want not terminal", tc.kind, got.State)
 			}
-			// TraceFor looks while the write is still held. However late
-			// the release comes, a TraceFor that waits for the write gets
-			// its outcome.
-			time.AfterFunc(50*time.Millisecond, release)
 			type result struct {
 				tr    *sparkxd.JobTrace
 				known bool
 				err   error
 			}
-			got := make(chan result, 1)
-			go func() {
-				tr, known, err := srv.TraceFor(status.ID)
-				got <- result{tr, known, err}
-			}()
-			var r result
-			select {
-			case r = <-got:
-			case <-time.After(30 * time.Second):
-				t.Fatal("TraceFor still blocked 30 s after the trace write returned")
+			traceFor := func() result {
+				got := make(chan result, 1)
+				go func() {
+					tr, known, err := srv.TraceFor(status.ID)
+					got <- result{tr, known, err}
+				}()
+				select {
+				case r := <-got:
+					if r.err != nil || !r.known {
+						t.Fatalf("TraceFor: known=%v, err=%v", r.known, r.err)
+					}
+					return r
+				case <-time.After(10 * time.Second):
+					t.Fatal("TraceFor blocked")
+					return result{}
+				}
+			}
+			if r := traceFor(); r.tr != nil {
+				t.Fatalf("TraceFor of an unfinished job = %v, want no trace", r.tr)
+			}
+
+			release()
+			waitState(t, srv, status.ID, "a terminal state", func(s sparkxd.JobStatus) bool { return s.State.Terminal() })
+			next, err := New(Config{Dispatch: DispatchFleet, Store: st.ArtifactStore, Logger: testLogger(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(next.Close)
+			if got, _ := next.Job(status.ID); got.State != sparkxd.JobDone || next.QueueDepth() != 0 {
+				t.Errorf("coordinator opened after the job finished: state %s, queue depth %d; want done, 0",
+					got.State, next.QueueDepth())
 			}
 			if err := <-completed; err != nil {
 				t.Fatal(err)
 			}
-			if r.err != nil || !r.known {
-				t.Fatalf("TraceFor: known=%v, err=%v", r.known, r.err)
+			if got, _ := srv.Job(status.ID); got.State != sparkxd.JobDone {
+				t.Fatalf("state after release = %s, want done", got.State)
 			}
-			if fail {
+			r := traceFor()
+			if tc.fail {
 				if r.tr != nil {
 					t.Fatal("TraceFor returned a trace whose write failed")
 				}

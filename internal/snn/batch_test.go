@@ -13,8 +13,12 @@ func trainedNet(t *testing.T, neurons int) *Network {
 	t.Helper()
 	net := smallNet(t, neurons)
 	train, _ := smallData(t, 6, 1)
-	net.TrainEpoch(train, rng.New(4))
-	net.AssignLabels(train, rng.New(5))
+	if err := net.TrainEpochCtx(context.Background(), train, rng.New(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AssignLabelsCtx(context.Background(), train, rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
 	return net
 }
 

@@ -26,8 +26,12 @@ func TestEvaluatorMatchesFreshClone(t *testing.T) {
 	}
 	// Train a little so Theta is non-zero and the restore actually
 	// matters.
-	net.TrainEpoch(train, rng.New(4))
-	net.AssignLabels(train, rng.New(5))
+	if err := net.TrainEpochCtx(context.Background(), train, rng.New(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AssignLabelsCtx(context.Background(), train, rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
 
 	// Two corrupted weight images.
 	imgs := make([][]float32, 2)

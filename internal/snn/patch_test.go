@@ -136,8 +136,12 @@ func TestEvaluatePatchedMatchesFullLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.TrainEpoch(train, rng.New(4))
-	net.AssignLabels(train, rng.New(5))
+	if err := net.TrainEpochCtx(context.Background(), train, rng.New(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AssignLabelsCtx(context.Background(), train, rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	es, err := net.EncodeDataset(ctx, test, rng.New(7), 1)
 	if err != nil {

@@ -113,7 +113,7 @@ type Network struct {
 	Pool *neuron.Pool
 
 	// Assign maps each neuron to the class it responds to (-1 before
-	// AssignLabels).
+	// AssignLabelsCtx).
 	Assign []int
 
 	xpre     []float32 // presynaptic traces
@@ -232,18 +232,10 @@ func (n *Network) applySTDP(spikes []int32) {
 	}
 }
 
-// TrainEpoch presents every sample of the dataset once with learning
-// enabled. The stream drives spike encoding. Without a context only a
-// panicking encoder can fail the epoch; its error is raised again here.
-func (n *Network) TrainEpoch(ds *dataset.Dataset, r *rng.Stream) {
-	if err := n.TrainEpochCtx(context.Background(), ds, r); err != nil {
-		panic(err)
-	}
-}
-
-// TrainEpochCtx is TrainEpoch with cooperative cancellation: the context
-// is checked between sample presentations, so a cancelled training run
-// returns promptly with ctx.Err(). The network after a cancelled run is
+// TrainEpochCtx presents every sample of the dataset once with learning
+// enabled; the stream drives spike encoding. The context is checked
+// between sample presentations, so a cancelled training run returns
+// promptly with ctx.Err(). The network after a cancelled run is
 // exactly the one an uncancelled run has at that sample boundary, which
 // keeps partially trained networks deterministic.
 //
@@ -266,18 +258,11 @@ func (n *Network) trainEpoch(ctx context.Context, ds *dataset.Dataset, r *rng.St
 	})
 }
 
-// AssignLabels assigns every neuron to the class it spikes most for,
+// AssignLabelsCtx assigns every neuron to the class it spikes most for,
 // using the given (typically training) dataset — the unsupervised
-// labeling step of Diehl&Cook.
-func (n *Network) AssignLabels(ds *dataset.Dataset, r *rng.Stream) {
-	if err := n.AssignLabelsCtx(context.Background(), ds, r); err != nil {
-		panic(err) // a panicking encoder, as in TrainEpoch
-	}
-}
-
-// AssignLabelsCtx is AssignLabels with cooperative cancellation, checked
-// between samples. On cancellation or a panicking encoder's error the
-// existing assignments are left untouched (the tally is discarded).
+// labeling step of Diehl&Cook. The context is checked between samples.
+// On cancellation or a panicking encoder's error the existing
+// assignments are left untouched (the tally is discarded).
 //
 // Inference presentations still move the adaptive thresholds, so the
 // tally pass stays sequential; as in TrainEpochCtx, the spike trains
@@ -348,14 +333,9 @@ func (n *Network) classify(counts []int) int {
 	return best
 }
 
-// Evaluate returns classification accuracy on a dataset.
-func (n *Network) Evaluate(ds *dataset.Dataset, r *rng.Stream) float64 {
-	acc, _ := n.EvaluateCtx(context.Background(), ds, r)
-	return acc
-}
-
-// EvaluateCtx is Evaluate with cooperative cancellation, checked between
-// samples; a cancelled evaluation returns 0 and ctx.Err().
+// EvaluateCtx returns classification accuracy on a dataset. The context
+// is checked between samples; a cancelled evaluation returns 0 and
+// ctx.Err().
 func (n *Network) EvaluateCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) (float64, error) {
 	if ds.Len() == 0 {
 		return 0, nil

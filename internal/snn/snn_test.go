@@ -1,6 +1,7 @@
 package snn
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -99,7 +100,9 @@ func TestTrainingMovesWeights(t *testing.T) {
 	n := smallNet(t, 30)
 	train, _ := smallData(t, 20, 5)
 	before := n.WeightsFlat()
-	n.TrainEpoch(train, rng.New(5))
+	if err := n.TrainEpochCtx(context.Background(), train, rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
 	after := n.WeightsFlat()
 	diff := 0.0
 	for i := range before {
@@ -113,7 +116,9 @@ func TestTrainingMovesWeights(t *testing.T) {
 func TestTrainingPreservesNormalization(t *testing.T) {
 	n := smallNet(t, 25)
 	train, _ := smallData(t, 30, 5)
-	n.TrainEpoch(train, rng.New(5))
+	if err := n.TrainEpochCtx(context.Background(), train, rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
 	for j, s := range n.W.ColumnSums() {
 		if s > n.Cfg.NormTarget*1.05 {
 			t.Fatalf("neuron %d sum %v exceeds norm target after training", j, s)
@@ -135,10 +140,17 @@ func TestUnsupervisedLearningBeatsChance(t *testing.T) {
 	train, test := smallData(t, 300, 100)
 	n := smallNet(t, 100)
 	for epoch := 0; epoch < 2; epoch++ {
-		n.TrainEpoch(train, rng.New(uint64(10+epoch)))
+		if err := n.TrainEpochCtx(context.Background(), train, rng.New(uint64(10+epoch))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	n.AssignLabels(train, rng.New(20))
-	acc := n.Evaluate(test, rng.New(30))
+	if err := n.AssignLabelsCtx(context.Background(), train, rng.New(20)); err != nil {
+		t.Fatal(err)
+	}
+	acc, err := n.EvaluateCtx(context.Background(), test, rng.New(30))
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("accuracy after training: %.1f%%", acc*100)
 	if acc < 0.40 {
 		t.Errorf("accuracy %.1f%% below 40%% (chance is 10%%)", acc*100)
@@ -154,12 +166,26 @@ func TestLargerNetworkAtLeastAsGood(t *testing.T) {
 	train, test := smallData(t, 200, 80)
 	small := smallNet(t, 20)
 	large := smallNet(t, 120)
-	small.TrainEpoch(train, rng.New(11))
-	large.TrainEpoch(train, rng.New(11))
-	small.AssignLabels(train, rng.New(12))
-	large.AssignLabels(train, rng.New(12))
-	accS := small.Evaluate(test, rng.New(13))
-	accL := large.Evaluate(test, rng.New(13))
+	if err := small.TrainEpochCtx(context.Background(), train, rng.New(11)); err != nil {
+		t.Fatal(err)
+	}
+	if err := large.TrainEpochCtx(context.Background(), train, rng.New(11)); err != nil {
+		t.Fatal(err)
+	}
+	if err := small.AssignLabelsCtx(context.Background(), train, rng.New(12)); err != nil {
+		t.Fatal(err)
+	}
+	if err := large.AssignLabelsCtx(context.Background(), train, rng.New(12)); err != nil {
+		t.Fatal(err)
+	}
+	accS, err := small.EvaluateCtx(context.Background(), test, rng.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accL, err := large.EvaluateCtx(context.Background(), test, rng.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("N20: %.1f%%  N120: %.1f%%", accS*100, accL*100)
 	if accL < accS-0.10 {
 		t.Errorf("large net (%.1f%%) much worse than small (%.1f%%)", accL*100, accS*100)
@@ -172,8 +198,12 @@ func TestAssignLabelsCoversClasses(t *testing.T) {
 	}
 	train, _ := smallData(t, 200, 10)
 	n := smallNet(t, 100)
-	n.TrainEpoch(train, rng.New(7))
-	n.AssignLabels(train, rng.New(8))
+	if err := n.TrainEpochCtx(context.Background(), train, rng.New(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AssignLabelsCtx(context.Background(), train, rng.New(8)); err != nil {
+		t.Fatal(err)
+	}
 	seen := map[int]bool{}
 	for _, c := range n.Assign {
 		if c >= 0 {
@@ -239,8 +269,8 @@ func TestCloneIndependence(t *testing.T) {
 func TestEvaluateEmptyDataset(t *testing.T) {
 	n := smallNet(t, 10)
 	empty := &dataset.Dataset{}
-	if n.Evaluate(empty, rng.New(1)) != 0 {
-		t.Fatal("empty dataset accuracy must be 0")
+	if acc, err := n.EvaluateCtx(context.Background(), empty, rng.New(1)); acc != 0 || err != nil {
+		t.Fatalf("empty dataset accuracy = %v, %v; want 0, nil", acc, err)
 	}
 }
 
@@ -282,7 +312,11 @@ func TestAlternativeEncodersRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", enc.Name(), err)
 		}
-		n.TrainEpoch(train, rng.New(3))
-		_ = n.Evaluate(train, rng.New(4))
+		if err := n.TrainEpochCtx(context.Background(), train, rng.New(3)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.EvaluateCtx(context.Background(), train, rng.New(4)); err != nil {
+			t.Fatalf("%s: %v", enc.Name(), err)
+		}
 	}
 }

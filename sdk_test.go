@@ -98,9 +98,13 @@ func TestPipelineMatchesLegacyRun(t *testing.T) {
 	}
 	root := rng.New(seed).Derive("run")
 	for e := 0; e < baseEpochs; e++ {
-		baseline.TrainEpoch(train, root.DeriveIndex("base-epoch", e))
+		if err := baseline.TrainEpochCtx(context.Background(), train, root.DeriveIndex("base-epoch", e)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	baseline.AssignLabels(train, root.Derive("base-assign"))
+	if err := baseline.AssignLabelsCtx(context.Background(), train, root.Derive("base-assign")); err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	tcfg := core.TrainConfig{Rates: rates, EpochsPerRate: 1, AccBound: 0.01, Seed: trainSeed}
 	tr, err := f.ImproveErrorTolerance(ctx, baseline, train, test, tcfg)
@@ -120,7 +124,10 @@ func TestPipelineMatchesLegacyRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	improvedAcc := f.EvaluateUnderErrors(tr.Model, test, layout, profile, trainSeed+2, trainSeed+3)
+	improvedAcc, err := f.EvaluateUnderErrorsCtx(context.Background(), tr.Model, test, layout, profile, trainSeed+2, trainSeed+3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eBase, err := f.EvaluateEnergy(baseLayout, voltscale.VNominal)
 	if err != nil {
 		t.Fatal(err)
