@@ -40,16 +40,18 @@ race:
 # Bounded fuzzing of the AVX2 kernels (drive sums with their in-kernel
 # row checks, the LIF step with its inhibition pass, and the training
 # chain's normalize-and-clamp pass and trace decay) against their Go
-# references, of the evaluator's patched weight load against the full
-# load, of the sweep-spec validation on raw float bit patterns, of
-# job-spec normalization on raw JSON, of the store's envelope decode on
-# one-byte mutations, of the W3C traceparent parser on raw strings, and
-# of the IDX dataset readers on raw files (go test -fuzz takes one target
-# and one package per run).
+# references, of the STDP update's branch-free clamp against the
+# branchy loop on raw weight bits, of the evaluator's patched weight
+# load against the full load, of the sweep-spec validation on raw float
+# bit patterns, of job-spec normalization on raw JSON, of the store's
+# envelope decode on one-byte mutations, of the W3C traceparent parser
+# on raw strings, and of the IDX dataset readers on raw files (go test
+# -fuzz takes one target and one package per run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzNormalizeClamp$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=20s ./internal/neuron
+	$(GO) test -run='^$$' -fuzz='^FuzzApplySTDP$$' -fuzztime=20s ./internal/snn
 	$(GO) test -run='^$$' -fuzz='^FuzzPatchedLoad$$' -fuzztime=20s ./internal/snn
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecValidate$$' -fuzztime=20s ./internal/engine
 	$(GO) test -run='^$$' -fuzz='^FuzzJobSpecNormalize$$' -fuzztime=20s .

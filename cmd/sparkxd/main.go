@@ -620,31 +620,53 @@ func runSingle(ctx context.Context, args []string, stdout, stderr io.Writer) int
 // GET/PUT /v1/manifest, merged server-side.
 const manifestName = "manifest.json"
 
-// writeManifest merges roles into the location's manifest: roles
-// persisted by earlier runs (e.g. `single -artifacts` before a
-// `sweep -artifacts` into the same location) keep their entries
-// unless this run re-recorded them. For a remote store the merge is
-// done by the server (one writer, mutex-guarded), so this just PUTs the
-// delta.
+// modelRoles are the roles measured on the manifest's improved model.
+var modelRoles = []string{"tolerance", "placement", "evaluation", "energy", "sweep"}
+
+// mergeManifest returns the manifest old updated by delta, the roles one
+// run persisted. Roles delta does not record keep their entries (e.g.
+// `single -artifacts` before a `sweep -artifacts` into the same
+// location), except when delta records an improved model other than
+// old's: then the roles measured on old's model are dropped unless
+// delta re-records them, so no -resume pairs them with the new model.
+// Both writers, writeManifest and `store serve`, merge through it.
+func mergeManifest(old, delta map[string]sparkxd.ArtifactKey) map[string]sparkxd.ArtifactKey {
+	merged := make(map[string]sparkxd.ArtifactKey, len(old)+len(delta))
+	for role, key := range old {
+		merged[role] = key
+	}
+	if key, ok := delta["improved"]; ok && key != old["improved"] {
+		for _, role := range modelRoles {
+			delete(merged, role)
+		}
+	}
+	for role, key := range delta {
+		merged[role] = key
+	}
+	return merged
+}
+
+// writeManifest merges roles into the location's manifest with
+// mergeManifest. For a remote store the merge is done by the server
+// (one writer, mutex-guarded), so this just PUTs the delta.
 func writeManifest(location string, roles map[string]sparkxd.ArtifactKey) error {
 	if sparkxd.IsStoreURL(location) {
 		return putRemoteManifest(location, roles)
 	}
-	merged, err := readManifest(location)
+	old, err := readManifest(location)
 	if err != nil {
 		return err
 	}
-	if merged == nil {
-		merged = make(map[string]sparkxd.ArtifactKey, len(roles))
-	}
-	for role, key := range roles {
-		merged[role] = key
-	}
-	b, err := json.MarshalIndent(merged, "", "  ")
+	return saveManifest(location, mergeManifest(old, roles))
+}
+
+// saveManifest writes roles as the whole manifest of directory dir.
+func saveManifest(dir string, roles map[string]sparkxd.ArtifactKey) error {
+	b, err := json.MarshalIndent(roles, "", "  ")
 	if err != nil {
 		return fmt.Errorf("write manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(location, manifestName), append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestName), append(b, '\n'), 0o644); err != nil {
 		return fmt.Errorf("write manifest: %w", err)
 	}
 	return nil

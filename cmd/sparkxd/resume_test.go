@@ -99,6 +99,26 @@ func TestPersistAndResume(t *testing.T) {
 			if want := "resume: loaded improved model (mnist, N40)\n"; stderr != want {
 				t.Errorf("sweep -resume stderr = %q, want %q", stderr, want)
 			}
+
+			// A sweep of another seed into loc replaces the improved
+			// model, so the reports measured on single's model leave the
+			// manifest, and resuming that seed's single run measures its
+			// own tolerance instead of loading the stale report.
+			seed2 := append([]string{"-seed", "2"}, tinyRun...)
+			if code, _, stderr := runCLI(t, append([]string{"sweep", "-json", "-artifacts", loc}, seed2...)...); code != 0 {
+				t.Fatalf("sweep -seed 2 -artifacts: exit %d\nstderr: %s", code, stderr)
+			}
+			if got, want := manifestRoles(t, loc), "improved,sweep"; got != want {
+				t.Errorf("manifest roles after a sweep of another model = %s, want %s", got, want)
+			}
+			code, fresh, _ = runCLI(t, append([]string{"single"}, seed2...)...)
+			code2, resumed, stderr := runCLI(t, append([]string{"single", "-resume", loc}, seed2...)...)
+			if code2 != code || resumed != fresh {
+				t.Errorf("single -seed 2 -resume: exit %d, stdout:\n%s\nwant exit %d, the fresh run's:\n%s", code2, resumed, code, fresh)
+			}
+			if want := "resume: loaded improved model (mnist, N40)\n"; !strings.Contains(stderr, want) || strings.Contains(stderr, "tolerance report") {
+				t.Errorf("single -seed 2 -resume stderr should load only the model:\n%s", stderr)
+			}
 		})
 	}
 }

@@ -114,9 +114,10 @@ func runStoreServe(ctx context.Context, args []string, stdout, stderr io.Writer)
 // manifestEndpoint serves the shared role → key manifest of a store
 // server. Writes merge server-side under one mutex, so concurrent
 // `-artifacts http://...` runs interleave without losing roles (the
-// same merge a directory store gets from writeManifest). A dir-backed
-// endpoint persists through manifest.json next to the artifacts; an
-// in-memory one lives and dies with the process, like its store.
+// same mergeManifest a directory store gets from writeManifest). A
+// dir-backed endpoint persists through manifest.json next to the
+// artifacts; an in-memory one lives and dies with the process, like its
+// store.
 type manifestEndpoint struct {
 	mu  sync.Mutex
 	dir string
@@ -153,13 +154,7 @@ func (m *manifestEndpoint) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if roles == nil {
-		roles = make(map[string]sparkxd.ArtifactKey, len(delta))
-	}
-	for role, key := range delta {
-		roles[role] = key
-	}
-	if err := m.save(roles); err != nil {
+	if err := m.save(mergeManifest(roles, delta)); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -180,7 +175,7 @@ func (m *manifestEndpoint) save(roles map[string]sparkxd.ArtifactKey) error {
 		m.mem = roles
 		return nil
 	}
-	return writeManifest(m.dir, roles)
+	return saveManifest(m.dir, roles)
 }
 
 // logRequests emits one structured line per request — method, path,

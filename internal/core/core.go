@@ -324,22 +324,35 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 		if err != nil {
 			return nil, fmt.Errorf("core: profile at BER %.0e: %w", rate, err)
 		}
-		for e := 0; e < cfg.EpochsPerRate; e++ {
-			// Inject errors into the stored weights, load (sanitized),
-			// then train: the network adapts around the corrupted cells.
-			w, _ := f.CorruptWeights(modelTemp.W.Data, layout, profile,
-				root.DeriveIndex("inject", i*cfg.EpochsPerRate+e))
-			if err := modelTemp.SetWeightsFlat(w); err != nil {
-				return nil, fmt.Errorf("core: load corrupted weights: %w", err)
-			}
-			if err := modelTemp.TrainEpochCtx(ctx, train, root.DeriveIndex("train", i*cfg.EpochsPerRate+e)); err != nil {
-				return nil, fmt.Errorf("core: fault-aware epoch at BER %.0e: %w", rate, err)
-			}
-			f.Emit(ctx, Event{Stage: "improve", Phase: "progress",
-				Epoch: i*cfg.EpochsPerRate + e + 1, Epochs: len(cfg.Rates) * cfg.EpochsPerRate, BER: rate})
+		// One Train call per rate: its epochs, then label assignment,
+		// with the trains of all of them encoded ahead by one producer.
+		first := i * cfg.EpochsPerRate
+		epochs := make([]*rng.Stream, cfg.EpochsPerRate)
+		for e := range epochs {
+			epochs[e] = root.DeriveIndex("train", first+e)
 		}
-		if err := modelTemp.AssignLabelsCtx(ctx, train, root.DeriveIndex("assign", i)); err != nil {
-			return nil, fmt.Errorf("core: label assignment at BER %.0e: %w", rate, err)
+		err = modelTemp.Train(ctx, train, snn.TrainPlan{
+			Epochs: epochs,
+			Assign: root.DeriveIndex("assign", i),
+			Boundary: func(e int) error {
+				if e > 0 { // epoch e-1 just ended
+					f.Emit(ctx, Event{Stage: "improve", Phase: "progress",
+						Epoch: first + e, Epochs: len(cfg.Rates) * cfg.EpochsPerRate, BER: rate})
+				}
+				if e < cfg.EpochsPerRate {
+					// Inject errors into the stored weights, load
+					// (sanitized), then train: the network adapts around
+					// the corrupted cells.
+					w, _ := f.CorruptWeights(modelTemp.W.Data, layout, profile, root.DeriveIndex("inject", first+e))
+					if err := modelTemp.SetWeightsFlat(w); err != nil {
+						return fmt.Errorf("core: load corrupted weights: %w", err)
+					}
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: fault-aware training at BER %.0e: %w", rate, err)
 		}
 		if err := settle(); err != nil {
 			return nil, err

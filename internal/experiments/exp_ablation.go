@@ -220,12 +220,7 @@ func (r *Runner) AblationCoding() (AblationCodingResult, error) {
 		}
 		root := rng.New(r.Opts.Seed).DeriveIndex("coding", i)
 		ctx := context.Background()
-		for e := 0; e < 2; e++ {
-			if err := net.TrainEpochCtx(ctx, train, root.DeriveIndex("epoch", e)); err != nil {
-				return err
-			}
-		}
-		if err := net.AssignLabelsCtx(ctx, train, root.Derive("assign")); err != nil {
+		if err := net.Train(ctx, train, trainPlan(root, 2)); err != nil {
 			return err
 		}
 		layout, err := r.F.LayoutFor(net, nil)

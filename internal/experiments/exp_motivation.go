@@ -65,12 +65,7 @@ func (r *Runner) Fig1a() (Fig1aResult, error) {
 		}
 		root := rng.New(r.Opts.Seed).DeriveIndex("fig1a", i)
 		ctx := context.Background()
-		for e := 0; e < r.Opts.BaseEpochs(); e++ {
-			if err := n.TrainEpochCtx(ctx, train, root.DeriveIndex("epoch", e)); err != nil {
-				return err
-			}
-		}
-		if err := n.AssignLabelsCtx(ctx, train, root.Derive("assign")); err != nil {
+		if err := n.Train(ctx, train, trainPlan(root, r.Opts.BaseEpochs())); err != nil {
 			return err
 		}
 		accs[i], err = n.EvaluateCtx(ctx, test, root.Derive("eval"))

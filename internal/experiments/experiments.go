@@ -219,12 +219,7 @@ func (r *Runner) Pair(size int, fl dataset.Flavor) (*ModelPair, error) {
 		root := rng.New(r.Opts.Seed).Derive(label)
 		epochs := r.Opts.BaseEpochs() + len(r.Opts.BERs())*r.trainCfg().EpochsPerRate
 		ctx := context.Background()
-		for e := 0; e < epochs; e++ {
-			if err := baseline.TrainEpochCtx(ctx, train, root.DeriveIndex("epoch", e)); err != nil {
-				return nil, err
-			}
-		}
-		if err := baseline.AssignLabelsCtx(ctx, train, root.Derive("assign")); err != nil {
+		if err := baseline.Train(ctx, train, trainPlan(root, epochs)); err != nil {
 			return nil, err
 		}
 
@@ -248,6 +243,17 @@ func (r *Runner) Pair(size int, fl dataset.Flavor) (*ModelPair, error) {
 		return nil, err
 	}
 	return v.(*ModelPair), nil
+}
+
+// trainPlan is the experiments' training schedule: epochs STDP epochs,
+// epoch e encoded from root.DeriveIndex("epoch", e), then label
+// assignment encoded from root.Derive("assign").
+func trainPlan(root *rng.Stream, epochs int) snn.TrainPlan {
+	plan := snn.TrainPlan{Epochs: make([]*rng.Stream, epochs), Assign: root.Derive("assign")}
+	for e := range plan.Epochs {
+		plan.Epochs[e] = root.DeriveIndex("epoch", e)
+	}
+	return plan
 }
 
 // parallelFor runs fn(i) for i in [0, n) on up to Opts.Workers workers

@@ -48,18 +48,19 @@ func DefaultLIF(n int) LIFConfig {
 	}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. The float
+// checks are written so that NaN fails them.
 func (c LIFConfig) Validate() error {
 	switch {
 	case c.N <= 0:
 		return errors.New("neuron: N must be positive")
-	case c.DT <= 0 || c.TauM <= 0 || c.TauTheta <= 0:
+	case !(c.DT > 0) || !(c.TauM > 0) || !(c.TauTheta > 0):
 		return errors.New("neuron: time constants must be positive")
-	case c.VTh <= c.VReset:
+	case !(c.VTh > c.VReset):
 		return errors.New("neuron: threshold must exceed reset potential")
 	case c.RefractorySteps < 0:
 		return errors.New("neuron: negative refractory period")
-	case c.ThetaPlus < 0:
+	case !(c.ThetaPlus >= 0):
 		return errors.New("neuron: negative theta increment")
 	}
 	return nil

@@ -10,24 +10,60 @@ import (
 	"sparkxd/internal/sched"
 )
 
-// encodeAheadPerWorker sizes the look-ahead blocks of forEachEncoded: a
-// block holds width*encodeAheadPerWorker samples' spike trains, and at
-// most two blocks are alive at once (the one being consumed and the one
-// being encoded).
+// encodeAheadPerWorker sizes the blocks of forEachEncoded: a block holds
+// width*encodeAheadPerWorker samples' spike trains and is encoded by one
+// sched.ParallelFor of width slots.
 const encodeAheadPerWorker = 8
+
+// encodeAheadTrains is the look-ahead forEachEncoded aims for: about
+// 1 MB of trains at 784 inputs and 60 steps, enough for the encoder to
+// keep working through a pass boundary's hook and through the label
+// assignment pass, whose presentations are much cheaper than its
+// encodes.
+const encodeAheadTrains = 128
 
 // aheadWidth is the number of ParallelFor slots that encode ahead of the
 // training loops' sequential consumer: one per processor the consumer
 // does not occupy, at least one.
 func aheadWidth() int { return max(1, runtime.GOMAXPROCS(0)-1) }
 
-// forEachEncoded calls fn(s, tr) for every sample s of ds in order, where
-// tr = Encoder.Encode(ds.Images[s], Steps, r.DeriveIndex(label, s)) — the
-// train the sequential loops encode inline. Encoding depends only on the
-// image and the per-sample derived stream, never on the weights or
-// thresholds fn evolves, so it runs ahead in double-buffered blocks: while
-// fn consumes block k, one goroutine encodes block k+1 with a
-// sched.ParallelFor of width slots.
+// aheadBlocks is the number of blocks of size block that forEachEncoded
+// keeps alive at once: the block being consumed and those encoded or
+// being encoded ahead of it. It is at least two, and the trains alive
+// (aheadBlocks*block) at least encodeAheadTrains.
+func aheadBlocks(block int) int {
+	return max(2, (encodeAheadTrains+block-1)/block)
+}
+
+// encodePass is one sequential pass over a dataset: sample s's train is
+// Encoder.Encode(ds.Images[s], Steps, r.DeriveIndex(label, s)).
+type encodePass struct {
+	r     *rng.Stream
+	label string
+}
+
+// encodedBlock is one block of trains handed from the encoder to the
+// consumer, or the error that stopped its encoding.
+type encodedBlock struct {
+	trains []coding.Train
+	err    error
+}
+
+// forEachEncoded runs the passes over ds in order: before pass p it calls
+// boundary(p), unless boundary is nil, then fn(p, s, tr) for every
+// sample s in order, where tr is the train the pass's stream gives s
+// (see encodePass) — the train the sequential loops encode inline.
+// boundary and fn run on the caller's goroutine.
+//
+// Encoding depends only on the image and the per-sample derived stream,
+// never on the weights or thresholds fn and boundary evolve, so one
+// producer goroutine encodes every pass's trains ahead of the consumer,
+// straight through the pass boundaries. It splits each pass into blocks
+// of width*encodeAheadPerWorker samples, encodes each block with a
+// sched.ParallelFor of width slots, and keeps at most aheadBlocks blocks
+// alive: it starts a block only once the consumer has finished the block
+// that many before it. So the encoder never runs more than
+// aheadBlocks(block)*block trains ahead of the chain.
 //
 // The context is checked before every sample, exactly where the
 // sequential loops check it; on cancellation forEachEncoded returns
@@ -37,61 +73,93 @@ func aheadWidth() int { return max(1, runtime.GOMAXPROCS(0)-1) }
 // only once its ParallelFor has returned, so the consumer's check fails
 // before it reaches that train. A block whose encoding failed (a
 // panicking encoder) is never handed over: its error is returned before
-// any of its samples reach fn. Every goroutine is joined before
-// forEachEncoded returns.
-func (n *Network) forEachEncoded(ctx context.Context, ds *dataset.Dataset, r *rng.Stream,
-	label string, width int, fn func(s int, tr coding.Train)) error {
+// any of its samples reach fn, after every earlier sample did. A
+// non-nil error from boundary stops the passes and is returned as it
+// is. Every goroutine is joined before forEachEncoded returns.
+func (n *Network) forEachEncoded(ctx context.Context, ds *dataset.Dataset, passes []encodePass,
+	width int, boundary func(p int) error, fn func(p, s int, tr coding.Train)) error {
 	total := ds.Len()
 	block := width * encodeAheadPerWorker
-	enc, steps := n.Cfg.Encoder, n.Cfg.Steps
-	var bufs [2][]coding.Train
-	// start encodes block k into bufs[k%2] beside the caller; the
-	// returned channel yields the block's error once it is encoded.
-	start := func(k int) <-chan error {
-		lo := k * block
-		if bufs[k%2] == nil {
-			bufs[k%2] = make([]coding.Train, block)
+	blocks := (total + block - 1) / block // per pass
+	alive := aheadBlocks(block)
+	ectx, cancel := context.WithCancel(ctx)
+	// Neither channel ever blocks its sender: at most alive buffers
+	// exist, and each is in one place at a time — being encoded, in
+	// ready, being consumed or in free.
+	ready := make(chan encodedBlock, alive)
+	free := make(chan []coding.Train, alive)
+	go n.encodeAhead(ectx, ds, passes, width, alive, ready, free)
+	defer func() {
+		cancel()
+		for range ready { // the producer closes ready when it returns
 		}
-		buf, done := bufs[k%2], make(chan error, 1)
-		go func() {
-			done <- sched.ParallelFor(width, min(block, total-lo), func(_, s int) error {
+	}()
+	for p := range passes {
+		if boundary != nil {
+			if err := boundary(p); err != nil {
+				return err
+			}
+		}
+		for k := 0; k < blocks; k++ {
+			b, ok := <-ready
+			if !ok { // the producer saw ectx cancelled before this block
+				return ctx.Err()
+			}
+			if b.err != nil {
+				return b.err
+			}
+			lo := k * block
+			for i, tr := range b.trains {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				buf[s] = enc.Encode(ds.Images[lo+s], steps, r.DeriveIndex(label, lo+s))
-				return nil
-			})
-		}()
-		return done
-	}
-	var next <-chan error // the block being encoded, if any
-	defer func() {
-		if next != nil {
-			<-next
-		}
-	}()
-	blocks := (total + block - 1) / block
-	if blocks > 0 {
-		next = start(0)
-	}
-	for k := 0; k < blocks; k++ {
-		err := <-next
-		next = nil
-		if err != nil {
-			return err
-		}
-		if k+1 < blocks {
-			next = start(k + 1)
-		}
-		lo := k * block
-		buf := bufs[k%2]
-		for s := lo; s < min(lo+block, total); s++ {
-			if err := ctx.Err(); err != nil {
-				return err
+				fn(p, lo+i, tr)
+				b.trains[i] = nil
 			}
-			fn(s, buf[s-lo])
-			buf[s-lo] = nil
+			free <- b.trains
 		}
 	}
 	return nil
+}
+
+// encodeAhead is forEachEncoded's producer. It encodes the passes' blocks
+// in order into at most alive buffers, taking a buffer back from free
+// before each block past the first alive ones, and sends each block (or
+// its error, after which it stops) on ready. It closes ready when it
+// returns: after the last block, after a failed one, or when ctx is
+// cancelled while it waits for a buffer.
+func (n *Network) encodeAhead(ctx context.Context, ds *dataset.Dataset, passes []encodePass,
+	width, alive int, ready chan<- encodedBlock, free <-chan []coding.Train) {
+	defer close(ready)
+	total := ds.Len()
+	block := width * encodeAheadPerWorker
+	enc, steps := n.Cfg.Encoder, n.Cfg.Steps
+	started := 0
+	for _, pass := range passes {
+		for lo := 0; lo < total; lo += block {
+			var buf []coding.Train
+			if started < alive {
+				buf = make([]coding.Train, block)
+			} else {
+				select {
+				case buf = <-free:
+				case <-ctx.Done():
+					return
+				}
+			}
+			started++
+			buf = buf[:min(block, total-lo)]
+			err := sched.ParallelFor(width, len(buf), func(_, i int) error {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				buf[i] = enc.Encode(ds.Images[lo+i], steps, pass.r.DeriveIndex(pass.label, lo+i))
+				return nil
+			})
+			ready <- encodedBlock{trains: buf, err: err}
+			if err != nil {
+				return
+			}
+		}
+	}
 }

@@ -83,20 +83,21 @@ func DefaultConfig(neurons int) Config {
 	}
 }
 
-// Validate reports whether the configuration is coherent.
+// Validate reports whether the configuration is coherent. The float
+// checks are written so that NaN fails them.
 func (c Config) Validate() error {
 	switch {
 	case c.Inputs <= 0 || c.Neurons <= 0:
 		return errors.New("snn: sizes must be positive")
 	case c.Steps <= 0:
 		return errors.New("snn: steps must be positive")
-	case c.WMax <= 0:
+	case !(c.WMax > 0):
 		return errors.New("snn: WMax must be positive")
-	case c.EtaPost < 0 || c.XTar < 0:
+	case !(c.EtaPost >= 0) || !(c.XTar >= 0):
 		return errors.New("snn: STDP parameters must be non-negative")
-	case c.TauPre <= 0:
+	case !(c.TauPre > 0):
 		return errors.New("snn: TauPre must be positive")
-	case c.NormTarget <= 0:
+	case !(c.NormTarget > 0):
 		return errors.New("snn: NormTarget must be positive")
 	case c.Encoder == nil:
 		return errors.New("snn: encoder required")
@@ -120,6 +121,7 @@ type Network struct {
 	decayPre float32
 	drive    []float32
 	spikeBuf []int32
+	stdpPre  []float32 // applySTDP's per-input factors
 	counts   []int
 	norm     *numeric.NormScratch // NormalizeClamp scratch
 	driveBuf []float32            // EvaluateEncoded block scratch, reused across calls
@@ -138,6 +140,7 @@ func newNetwork(cfg Config, w *numeric.Matrix, pool *neuron.Pool, assign []int) 
 		decayPre: float32(math.Exp(-cfg.LIF.DT / cfg.TauPre)),
 		drive:    make([]float32, cfg.Neurons),
 		spikeBuf: make([]int32, 0, cfg.Neurons),
+		stdpPre:  make([]float32, cfg.Inputs),
 		counts:   make([]int, cfg.Neurons),
 		norm:     numeric.NewNormScratch(cfg.Inputs, cfg.Neurons),
 	}
@@ -214,77 +217,114 @@ func (n *Network) present(tr coding.Train, learn bool) []int {
 
 // applySTDP applies the Diehl&Cook post-spike rule to the columns of the
 // spiking neurons.
+//
+// The per-row factor EtaPost*(xpre[i]-XTar) is computed once per step:
+// Go evaluates the rule's product left to right, so storing that factor
+// rounds it exactly as the one-expression update does. The clamp to
+// [0, WMax] tests the result's bits with two unsigned range compares,
+// which compile to conditional moves; float compares would compile to
+// branches that mispredict often here. Bits in [0x80000001, 0xFF800000]
+// are the floats below 0 (−0 and NaN excluded) and become +0; bits in
+// (bits(WMax), 0x7F800000] are the floats above WMax and become WMax.
+// That is the branchy clamp `if w < 0 {0} else if w > WMax {WMax}` for
+// every input, given a WMax that is positive and not NaN, which
+// Config.Validate guarantees.
 func (n *Network) applySTDP(spikes []int32) {
+	if len(spikes) == 0 {
+		return
+	}
 	cfg := &n.Cfg
 	cols := n.Cfg.Neurons
+	pre := n.stdpPre
+	for i, x := range n.xpre {
+		pre[i] = cfg.EtaPost * (x - cfg.XTar)
+	}
+	wmax := cfg.WMax
+	top := math.Float32bits(wmax)
+	above, span := top+1, 0x7F800000-top
+	data := n.W.Data
 	for _, j := range spikes {
-		col := int(j)
-		for i := 0; i < cfg.Inputs; i++ {
-			w := n.W.Data[i*cols+col]
-			w += cfg.EtaPost * (n.xpre[i] - cfg.XTar) * (cfg.WMax - w)
-			if w < 0 {
-				w = 0
-			} else if w > cfg.WMax {
-				w = cfg.WMax
+		k := int(j) // walks column j, one row per factor
+		for _, f := range pre {
+			w := data[k]
+			b := math.Float32bits(w + f*(wmax-w))
+			if b-0x80000001 < 0x7F800000 {
+				b = 0
 			}
-			n.W.Data[i*cols+col] = w
+			if b-above < span {
+				b = top
+			}
+			data[k] = math.Float32frombits(b)
+			k += cols
 		}
 	}
 }
 
-// TrainEpochCtx presents every sample of the dataset once with learning
-// enabled; the stream drives spike encoding. The context is checked
-// between sample presentations, so a cancelled training run returns
-// promptly with ctx.Err(). The network after a cancelled run is
-// exactly the one an uncancelled run has at that sample boundary, which
-// keeps partially trained networks deterministic.
-//
-// STDP and the adaptive thresholds chain every presentation to the one
-// before it, so presentations stay strictly sequential. Spike encoding
-// does not read the network: sample s's train is always
-// Encoder.Encode(ds.Images[s], Steps, r.DeriveIndex("enc", s)), and
-// those trains are encoded ahead of the presentation loop by a
-// sched.ParallelFor of GOMAXPROCS-1 slots (at least one) in bounded,
-// double-buffered blocks. The result is bit-identical to encoding each
-// sample inline; a panicking encoder fails the epoch with an error.
-func (n *Network) TrainEpochCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) error {
-	return n.trainEpoch(ctx, ds, r, aheadWidth())
+// TrainPlan is the schedule of one Network.Train call: STDP epochs, then
+// an optional label-assignment pass, all over one dataset.
+type TrainPlan struct {
+	// Epochs holds one stream per STDP epoch, in order: epoch e encodes
+	// sample s from Epochs[e].DeriveIndex("enc", s).
+	Epochs []*rng.Stream
+	// Assign, if non-nil, adds a label-assignment pass after the epochs,
+	// encoding sample s from Assign.DeriveIndex("assign", s).
+	Assign *rng.Stream
+	// Boundary, if non-nil, runs on Train's calling goroutine before
+	// every pass: Boundary(p) before epoch p, and Boundary(len(Epochs))
+	// before the assignment pass. No presentation runs meanwhile, so it
+	// may read and replace the weights. An error from it stops Train,
+	// which returns that error as it is.
+	Boundary func(p int) error
 }
 
-// trainEpoch is TrainEpochCtx with an explicit look-ahead width.
-func (n *Network) trainEpoch(ctx context.Context, ds *dataset.Dataset, r *rng.Stream, width int) error {
-	return n.forEachEncoded(ctx, ds, r, "enc", width, func(_ int, tr coding.Train) {
-		n.present(tr, true)
-	})
-}
-
-// AssignLabelsCtx assigns every neuron to the class it spikes most for,
-// using the given (typically training) dataset — the unsupervised
-// labeling step of Diehl&Cook. The context is checked between samples.
-// On cancellation or a panicking encoder's error the existing
+// Train runs the plan's STDP epochs over ds and then, if plan.Assign is
+// set, assigns every neuron to the class it spikes most for on ds — the
+// unsupervised labeling step of Diehl&Cook. The context is checked
+// before every sample presentation, so a cancelled run returns promptly
+// with ctx.Err(), and the network is exactly the one an uncancelled run
+// has at that sample boundary, which keeps partially trained networks
+// deterministic. On any error during the assignment pass the existing
 // assignments are left untouched (the tally is discarded).
 //
-// Inference presentations still move the adaptive thresholds, so the
-// tally pass stays sequential; as in TrainEpochCtx, the spike trains
-// (sample s encoded from r.DeriveIndex("assign", s)) are encoded ahead
-// on GOMAXPROCS-1 ParallelFor slots, bit-identically to inline encoding.
-func (n *Network) AssignLabelsCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) error {
-	return n.assignLabels(ctx, ds, r, aheadWidth())
+// STDP and the adaptive thresholds chain every presentation to the one
+// before it (inference presentations move the thresholds too), so
+// presentations and passes stay strictly sequential. Spike encoding
+// does not read the network, so one producer encodes every pass's
+// trains ahead of the presentations, through the pass boundaries, on a
+// sched.ParallelFor of GOMAXPROCS-1 slots (at least one), at most a
+// fixed number of trains ahead (see forEachEncoded). The result is
+// bit-identical to encoding each sample inline; a panicking encoder
+// fails the call with an error.
+func (n *Network) Train(ctx context.Context, ds *dataset.Dataset, plan TrainPlan) error {
+	return n.train(ctx, ds, plan, aheadWidth())
 }
 
-// assignLabels is AssignLabelsCtx with an explicit look-ahead width.
-func (n *Network) assignLabels(ctx context.Context, ds *dataset.Dataset, r *rng.Stream, width int) error {
-	resp := make([][dataset.NumClasses]float64, n.Cfg.Neurons)
-	classN := ds.ClassCounts()
-	err := n.forEachEncoded(ctx, ds, r, "assign", width, func(s int, tr coding.Train) {
+// train is Train with an explicit look-ahead width.
+func (n *Network) train(ctx context.Context, ds *dataset.Dataset, plan TrainPlan, width int) error {
+	passes := make([]encodePass, 0, len(plan.Epochs)+1)
+	for _, r := range plan.Epochs {
+		passes = append(passes, encodePass{r: r, label: "enc"})
+	}
+	var resp [][dataset.NumClasses]float64
+	if plan.Assign != nil {
+		passes = append(passes, encodePass{r: plan.Assign, label: "assign"})
+		resp = make([][dataset.NumClasses]float64, n.Cfg.Neurons)
+	}
+	epochs := len(plan.Epochs)
+	err := n.forEachEncoded(ctx, ds, passes, width, plan.Boundary, func(p, s int, tr coding.Train) {
+		if p < epochs {
+			n.present(tr, true)
+			return
+		}
 		c := ds.Labels[s]
 		for j, k := range n.present(tr, false) {
 			resp[j][c] += float64(k)
 		}
 	})
-	if err != nil {
+	if err != nil || resp == nil {
 		return err
 	}
+	classN := ds.ClassCounts()
 	for j := range resp {
 		best, bestV := -1, 0.0
 		for c := 0; c < dataset.NumClasses; c++ {
@@ -299,6 +339,21 @@ func (n *Network) assignLabels(ctx context.Context, ds *dataset.Dataset, r *rng.
 		n.Assign[j] = best // stays -1 only if the neuron never spiked
 	}
 	return nil
+}
+
+// TrainEpochCtx presents every sample of the dataset once with learning
+// enabled, sample s encoded from r.DeriveIndex("enc", s): Train with one
+// epoch and no assignment pass.
+func (n *Network) TrainEpochCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) error {
+	return n.Train(ctx, ds, TrainPlan{Epochs: []*rng.Stream{r}})
+}
+
+// AssignLabelsCtx assigns every neuron to the class it spikes most for
+// on the given (typically training) dataset, sample s encoded from
+// r.DeriveIndex("assign", s): Train with no epoch and an assignment
+// pass.
+func (n *Network) AssignLabelsCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) error {
+	return n.Train(ctx, ds, TrainPlan{Assign: r})
 }
 
 // Predict classifies one image using the assigned labels: the class whose

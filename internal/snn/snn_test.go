@@ -51,6 +51,29 @@ func TestConfigValidation(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero NormTarget must be invalid")
 	}
+	nan := math.NaN()
+	for _, row := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"WMax", func(c *Config) { c.WMax = float32(nan) }},
+		{"EtaPost", func(c *Config) { c.EtaPost = float32(nan) }},
+		{"XTar", func(c *Config) { c.XTar = float32(nan) }},
+		{"TauPre", func(c *Config) { c.TauPre = nan }},
+		{"NormTarget", func(c *Config) { c.NormTarget = float32(nan) }},
+		{"LIF.DT", func(c *Config) { c.LIF.DT = nan }},
+		{"LIF.TauM", func(c *Config) { c.LIF.TauM = nan }},
+		{"LIF.TauTheta", func(c *Config) { c.LIF.TauTheta = nan }},
+		{"LIF.VTh", func(c *Config) { c.LIF.VTh = float32(nan) }},
+		{"LIF.VReset", func(c *Config) { c.LIF.VReset = float32(nan) }},
+		{"LIF.ThetaPlus", func(c *Config) { c.LIF.ThetaPlus = float32(nan) }},
+	} {
+		bad = DefaultConfig(50)
+		row.set(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("NaN %s must be invalid", row.field)
+		}
+	}
 }
 
 func TestNewInitialization(t *testing.T) {

@@ -117,13 +117,21 @@ func (p *Pipeline) Train(ctx context.Context) (*TrainedModel, error) {
 		return nil, wrapStage("train", err)
 	}
 	root := p.sys.newRNG().Derive("run")
-	for e := 0; e < cfg.baseEpochs; e++ {
-		if err := baseline.TrainEpochCtx(ctx, train, root.DeriveIndex("base-epoch", e)); err != nil {
-			return nil, wrapStage("train", err)
-		}
-		p.sys.fw.Emit(ctx, Event{Stage: "train", Phase: "progress", Epoch: e + 1, Epochs: cfg.baseEpochs})
+	epochs := make([]*rng.Stream, cfg.baseEpochs)
+	for e := range epochs {
+		epochs[e] = root.DeriveIndex("base-epoch", e)
 	}
-	if err := baseline.AssignLabelsCtx(ctx, train, root.Derive("base-assign")); err != nil {
+	err = baseline.Train(ctx, train, snn.TrainPlan{
+		Epochs: epochs,
+		Assign: root.Derive("base-assign"),
+		Boundary: func(pass int) error {
+			if pass > 0 { // epoch number pass just ended
+				p.sys.fw.Emit(ctx, Event{Stage: "train", Phase: "progress", Epoch: pass, Epochs: cfg.baseEpochs})
+			}
+			return nil
+		},
+	})
+	if err != nil {
 		return nil, wrapStage("train", err)
 	}
 	p.sys.fw.Emit(ctx, Event{Stage: "train", Phase: "done"})
