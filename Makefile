@@ -79,17 +79,29 @@ bench-record:
 bench-check:
 	./scripts/bench-check.sh
 
-# The experiment suite's 2-way shard split: each shard runs at 4 workers
-# and at 1, and its JSON records must be byte-identical. CI's
-# experiments matrix runs one shard per job (SHARDS=i/2).
+# The 2-way shard split of the experiment suite and of `sparkxd run`'s
+# pipeline grid: each shard's JSON records must be byte-identical at 4
+# workers and at 1 (experiments) and at 2 and at 1 (sparkxd run).
+# RUN_GRID is small enough that one configuration fails at map; `run`
+# then writes its failure record and exits 1, so exit 1 is accepted and
+# any other non-zero exit fails. CI's experiments matrix runs one shard
+# per job (SHARDS=i/2).
 SHARDS ?= 1/2 2/2
+RUN_GRID = -neurons 20,30 -datasets mnist,fashion -train 40 -test 16 -epochs 1
 shard-smoke: build
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/sparkxd" ./cmd/sparkxd; \
 	for s in $(SHARDS); do \
 		echo "shard $$s: workers 4 vs 1"; \
 		$(GO) run ./cmd/experiments run --workers 4 --shard $$s --json > "$$dir/w4.json"; \
 		$(GO) run ./cmd/experiments run --workers 1 --shard $$s --json > "$$dir/w1.json"; \
 		cmp "$$dir/w4.json" "$$dir/w1.json"; \
+		echo "shard $$s: sparkxd run, workers 2 vs 1"; \
+		for w in 2 1; do \
+			"$$dir/sparkxd" run $(RUN_GRID) -workers $$w -shard $$s -json > "$$dir/r$$w.json" || [ $$? -eq 1 ]; \
+		done; \
+		test -s "$$dir/r1.json"; \
+		cmp "$$dir/r2.json" "$$dir/r1.json"; \
 	done
 
 # Scenario-sweep engine smoke: a tiny multi-axis grid on 2 workers,

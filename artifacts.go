@@ -31,6 +31,9 @@ type TrainedModel struct {
 	// trained and measured under (the test budget anchors BaselineAcc).
 	TrainSamples int
 	TestSamples  int
+	// BaseEpochs is the number of error-free training epochs of the
+	// baseline (zero in a model persisted before it was recorded).
+	BaseEpochs int
 	// BaselineAcc is the error-free accuracy of the baseline model
 	// (acc0 of Algorithm 1; zero until ImproveTolerance measures it).
 	BaselineAcc float64
@@ -50,6 +53,7 @@ type trainedModelJSON struct {
 	Seed         uint64          `json:"seed"`
 	TrainSamples int             `json:"train_samples,omitempty"`
 	TestSamples  int             `json:"test_samples,omitempty"`
+	BaseEpochs   int             `json:"base_epochs,omitempty"`
 	BaselineAcc  float64         `json:"baseline_acc"`
 	BERth        float64         `json:"ber_th"`
 	Curve        []RatePoint     `json:"curve,omitempty"`
@@ -72,6 +76,7 @@ func (m *TrainedModel) MarshalJSON() ([]byte, error) {
 		Seed:         m.Seed,
 		TrainSamples: m.TrainSamples,
 		TestSamples:  m.TestSamples,
+		BaseEpochs:   m.BaseEpochs,
 		BaselineAcc:  m.BaselineAcc,
 		BERth:        m.BERth,
 		Curve:        m.Curve,
@@ -96,6 +101,7 @@ func (m *TrainedModel) UnmarshalJSON(b []byte) error {
 		Seed:         raw.Seed,
 		TrainSamples: raw.TrainSamples,
 		TestSamples:  raw.TestSamples,
+		BaseEpochs:   raw.BaseEpochs,
 		BaselineAcc:  raw.BaselineAcc,
 		BERth:        raw.BERth,
 		Curve:        raw.Curve,

@@ -59,20 +59,45 @@ func runJob(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 }
 
-// dial builds the client for -addr.
-func dial(addr string, stderr io.Writer) (*client.Client, bool) {
+// addAddrFlag declares -addr, the job service a client command talks
+// to: job submit|status|wait|events|fetch, trace and loadgen.
+func addAddrFlag(fs *flag.FlagSet) *string {
+	return fs.String("addr", "http://127.0.0.1:8080", "job service base URL")
+}
+
+// dial builds the client for -addr; an error prints after prog.
+func dial(prog, addr string, stderr io.Writer) (*client.Client, bool) {
 	c, err := client.New(addr)
 	if err != nil {
-		fmt.Fprintf(stderr, "sparkxd job: %v\n", err)
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
 		return nil, false
 	}
 	return c, true
 }
 
+// runJobCall is the path job status, wait, events and fetch share:
+// declare -addr on fs, parse args, require the flag named need, dial
+// -addr (a dial error prints after prog) and return call's exit code.
+func runJobCall(fs *flag.FlagSet, args []string, need, prog string, stderr io.Writer, call func(*client.Client) int) int {
+	addr := addAddrFlag(fs)
+	if code, done := parseFlags(fs, args, stderr); done {
+		return code
+	}
+	if fs.Lookup(need).Value.String() == "" {
+		fmt.Fprintf(stderr, "%s: -%s is required\n", fs.Name(), need)
+		return 2
+	}
+	c, ok := dial(prog, *addr, stderr)
+	if !ok {
+		return 2
+	}
+	return call(c)
+}
+
 func runJobSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sparkxd job submit", flag.ContinueOnError)
 	var (
-		addr   = fs.String("addr", "http://127.0.0.1:8080", "job service base URL")
+		addr   = addAddrFlag(fs)
 		spec   = fs.String("spec", "-", `JobSpec JSON file ("-" = stdin)`)
 		idOnly = fs.Bool("id-only", false, "print only the job ID")
 	)
@@ -99,7 +124,7 @@ func runJobSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		fmt.Fprintf(stderr, "sparkxd job submit: decode spec: %v\n", err)
 		return 2
 	}
-	c, ok := dial(*addr, stderr)
+	c, ok := dial("sparkxd job", *addr, stderr)
 	if !ok {
 		return 2
 	}
@@ -118,113 +143,65 @@ func runJobSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) 
 
 func runJobStatus(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sparkxd job status", flag.ContinueOnError)
-	var (
-		addr = fs.String("addr", "http://127.0.0.1:8080", "job service base URL")
-		id   = fs.String("id", "", "job ID")
-	)
-	if code, done := parseFlags(fs, args, stderr); done {
-		return code
-	}
-	if *id == "" {
-		fmt.Fprintln(stderr, "sparkxd job status: -id is required")
-		return 2
-	}
-	c, ok := dial(*addr, stderr)
-	if !ok {
-		return 2
-	}
-	status, err := c.Job(ctx, *id)
-	if err != nil {
-		fmt.Fprintf(stderr, "sparkxd job status: %v\n", err)
-		return 1
-	}
-	printJSON(stdout, status)
-	return 0
+	id := fs.String("id", "", "job ID")
+	return runJobCall(fs, args, "id", "sparkxd job", stderr, func(c *client.Client) int {
+		status, err := c.Job(ctx, *id)
+		if err != nil {
+			fmt.Fprintf(stderr, "sparkxd job status: %v\n", err)
+			return 1
+		}
+		printJSON(stdout, status)
+		return 0
+	})
 }
 
 func runJobWait(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sparkxd job wait", flag.ContinueOnError)
 	var (
-		addr    = fs.String("addr", "http://127.0.0.1:8080", "job service base URL")
 		id      = fs.String("id", "", "job ID")
 		role    = fs.String("artifact", "", `on success, print this artifact's payload instead of the status (e.g. "sweep")`)
 		poll    = fs.Duration("poll", 100*time.Millisecond, "initial status poll interval (backs off exponentially)")
 		maxPoll = fs.Duration("max-poll", 2*time.Second, "poll interval backoff cap")
 	)
-	if code, done := parseFlags(fs, args, stderr); done {
-		return code
-	}
-	if *id == "" {
-		fmt.Fprintln(stderr, "sparkxd job wait: -id is required")
-		return 2
-	}
-	c, err := client.New(*addr, client.WithPollInterval(*poll))
-	if err != nil {
-		fmt.Fprintf(stderr, "sparkxd job wait: %v\n", err)
-		return 2
-	}
-	status, err := c.Wait(ctx, *id, client.WaitMaxInterval(*maxPoll))
-	if err != nil {
-		fmt.Fprintf(stderr, "sparkxd job wait: %v\n", err)
-		return 1
-	}
-	if *role == "" {
-		printJSON(stdout, status)
-		return 0
-	}
-	key, ok := status.Artifacts[*role]
-	if !ok {
-		fmt.Fprintf(stderr, "sparkxd job wait: job %s produced no %q artifact (have: %v)\n",
-			*id, *role, artifactRoles(status))
-		return 1
-	}
-	return printArtifactPayload(ctx, c, key, stdout, stderr)
+	return runJobCall(fs, args, "id", "sparkxd job wait", stderr, func(c *client.Client) int {
+		status, err := c.Wait(ctx, *id, client.WaitPollInterval(*poll), client.WaitMaxInterval(*maxPoll))
+		if err != nil {
+			fmt.Fprintf(stderr, "sparkxd job wait: %v\n", err)
+			return 1
+		}
+		if *role == "" {
+			printJSON(stdout, status)
+			return 0
+		}
+		key, ok := status.Artifacts[*role]
+		if !ok {
+			fmt.Fprintf(stderr, "sparkxd job wait: job %s produced no %q artifact (have: %v)\n",
+				*id, *role, artifactRoles(status))
+			return 1
+		}
+		return printArtifactPayload(ctx, c, key, stdout, stderr)
+	})
 }
 
 func runJobEvents(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sparkxd job events", flag.ContinueOnError)
-	var (
-		addr = fs.String("addr", "http://127.0.0.1:8080", "job service base URL")
-		id   = fs.String("id", "", "job ID")
-	)
-	if code, done := parseFlags(fs, args, stderr); done {
-		return code
-	}
-	if *id == "" {
-		fmt.Fprintln(stderr, "sparkxd job events: -id is required")
-		return 2
-	}
-	c, ok := dial(*addr, stderr)
-	if !ok {
-		return 2
-	}
-	enc := json.NewEncoder(stdout)
-	err := c.Events(ctx, *id, func(ev sparkxd.Event) error { return enc.Encode(ev) })
-	if err != nil {
-		fmt.Fprintf(stderr, "sparkxd job events: %v\n", err)
-		return 1
-	}
-	return 0
+	id := fs.String("id", "", "job ID")
+	return runJobCall(fs, args, "id", "sparkxd job", stderr, func(c *client.Client) int {
+		enc := json.NewEncoder(stdout)
+		if err := c.Events(ctx, *id, func(ev sparkxd.Event) error { return enc.Encode(ev) }); err != nil {
+			fmt.Fprintf(stderr, "sparkxd job events: %v\n", err)
+			return 1
+		}
+		return 0
+	})
 }
 
 func runJobFetch(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sparkxd job fetch", flag.ContinueOnError)
-	var (
-		addr = fs.String("addr", "http://127.0.0.1:8080", "job service base URL")
-		key  = fs.String("key", "", "artifact key (kind/sha256)")
-	)
-	if code, done := parseFlags(fs, args, stderr); done {
-		return code
-	}
-	if *key == "" {
-		fmt.Fprintln(stderr, "sparkxd job fetch: -key is required")
-		return 2
-	}
-	c, ok := dial(*addr, stderr)
-	if !ok {
-		return 2
-	}
-	return printArtifactPayload(ctx, c, sparkxd.ArtifactKey(*key), stdout, stderr)
+	key := fs.String("key", "", "artifact key (kind/sha256)")
+	return runJobCall(fs, args, "key", "sparkxd job", stderr, func(c *client.Client) int {
+		return printArtifactPayload(ctx, c, sparkxd.ArtifactKey(*key), stdout, stderr)
+	})
 }
 
 // printArtifactPayload fetches one artifact (integrity-verified) and

@@ -34,7 +34,7 @@ import (
 func runLoadgen(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sparkxd loadgen", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", "http://127.0.0.1:8080", "job service base URL")
+		addr     = addAddrFlag(fs)
 		clients  = fs.Int("clients", 4, "concurrent closed-loop clients")
 		duration = fs.Duration("duration", 10*time.Second, "how long clients keep submitting new jobs")
 		mix      = fs.String("mix", "1:0", "single:sweep job mix per client, e.g. 3:1")

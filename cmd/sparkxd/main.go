@@ -405,7 +405,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 
 	p := sys.Pipeline()
 	want := sparkxd.TrainedModel{Neurons: *neurons, Dataset: fl.String(),
-		TrainSamples: *trainN, TestSamples: *testN, Seed: *seed}
+		TrainSamples: *trainN, TestSamples: *testN, BaseEpochs: *epochs, Seed: *seed}
 	if err := resume(p, *resumeAt, want, false, stderr); err != nil {
 		fmt.Fprintf(stderr, "sparkxd sweep: %v\n", err)
 		return 1
@@ -570,7 +570,7 @@ func runSingle(ctx context.Context, args []string, stdout, stderr io.Writer) int
 
 	p := sys.Pipeline()
 	want := sparkxd.TrainedModel{Neurons: *neurons, Dataset: fl.String(),
-		TrainSamples: *trainN, TestSamples: *testN, Seed: *seed}
+		TrainSamples: *trainN, TestSamples: *testN, BaseEpochs: *epochs, Seed: *seed}
 	if err := resume(p, *resumeAt, want, true, stderr); err != nil {
 		fmt.Fprintf(stderr, "sparkxd: %v\n", err)
 		return 1
@@ -748,9 +748,9 @@ func putRemoteManifest(base string, roles map[string]sparkxd.ArtifactKey) error 
 // it: that report is only reusable together with the model it was
 // measured on, so it is never resumed alone. An empty location, or one
 // with no model persisted yet, leaves p as it is. A corrupt artifact or
-// a model that does not match want's neurons, dataset, sample budgets
-// and seed is an error — silently computing results from a mismatched
-// checkpoint would be worse than failing.
+// a model that does not match want's neurons, dataset, sample budgets,
+// base epochs and seed is an error — silently computing results from a
+// mismatched checkpoint would be worse than failing.
 func resume(p *sparkxd.Pipeline, location string, want sparkxd.TrainedModel, tolerance bool, stderr io.Writer) error {
 	if location == "" {
 		return nil
@@ -778,6 +778,8 @@ func resume(p *sparkxd.Pipeline, location string, want sparkxd.TrainedModel, tol
 	case m.TrainSamples != 0 && (m.TrainSamples != want.TrainSamples || m.TestSamples != want.TestSamples):
 		return fmt.Errorf("resume: %s was measured with -train %d -test %d, but got -train %d -test %d",
 			key, m.TrainSamples, m.TestSamples, want.TrainSamples, want.TestSamples)
+	case m.BaseEpochs != 0 && m.BaseEpochs != want.BaseEpochs:
+		return fmt.Errorf("resume: %s was trained for -epochs %d, but got -epochs %d", key, m.BaseEpochs, want.BaseEpochs)
 	case m.Seed != want.Seed:
 		return fmt.Errorf("resume: %s was trained with -seed %d, but got -seed %d", key, m.Seed, want.Seed)
 	}

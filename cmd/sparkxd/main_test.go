@@ -50,6 +50,9 @@ func TestDispatcher(t *testing.T) {
 		{"job status missing id", []string{"job", "status"}, 2, "-id is required", ""},
 		{"job wait missing id", []string{"job", "wait"}, 2, "-id is required", ""},
 		{"job fetch missing key", []string{"job", "fetch"}, 2, "-key is required", ""},
+		{"serve bad log level", []string{"serve", "-log-level", "nope"}, 2, "unknown log level", ""},
+		{"worker bad log level", []string{"worker", "-log-level", "nope"}, 2, "unknown log level", ""},
+		{"store serve bad log level", []string{"store", "serve", "-log-level", "nope"}, 2, "unknown log level", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"sparkxd"
 )
 
 // tinyRun is a configuration that trains in a fraction of a second.
@@ -33,6 +35,28 @@ func manifestRoles(t *testing.T, location string) string {
 	}
 	sort.Strings(names)
 	return strings.Join(names, ",")
+}
+
+// stripBaseEpochs rewrites location's improved model as one persisted
+// before TrainedModel recorded its base epochs.
+func stripBaseEpochs(t *testing.T, location string) {
+	t.Helper()
+	roles, err := readManifest(location)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sparkxd.OpenStore(location)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sparkxd.GetTrainedModel(st, roles["improved"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.BaseEpochs = 0
+	if err := persist(location, map[string]any{"improved": m}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // single and sweep persist a run into an artifact location and resume
@@ -80,6 +104,12 @@ func TestPersistAndResume(t *testing.T) {
 			if code != 1 || !strings.Contains(stderr, "was trained with 40 neurons, but -neurons is 50") {
 				t.Errorf("single -neurons 50 -resume: exit %d, want 1 naming 40 neurons\nstderr: %s", code, stderr)
 			}
+			// The last -epochs wins, so epochs2 is tinyRun trained for two.
+			epochs2 := append(append([]string{}, tinyRun...), "-epochs", "2")
+			code, _, stderr = runCLI(t, append([]string{"single", "-resume", loc}, epochs2...)...)
+			if code != 1 || !strings.Contains(stderr, "was trained for -epochs 1, but got -epochs 2") {
+				t.Errorf("single -epochs 2 -resume: exit %d, want 1 naming both epoch counts\nstderr: %s", code, stderr)
+			}
 
 			code, fresh, stderr = runCLI(t, append([]string{"sweep", "-json", "-artifacts", loc2}, tinyRun...)...)
 			if code != 0 || stderr != "" {
@@ -98,6 +128,17 @@ func TestPersistAndResume(t *testing.T) {
 			// The model was loaded, so nothing was trained.
 			if want := "resume: loaded improved model (mnist, N40)\n"; stderr != want {
 				t.Errorf("sweep -resume stderr = %q, want %q", stderr, want)
+			}
+			code, _, stderr = runCLI(t, append([]string{"sweep", "-json", "-resume", loc2}, epochs2...)...)
+			if code != 1 || !strings.Contains(stderr, "was trained for -epochs 1, but got -epochs 2") {
+				t.Errorf("sweep -epochs 2 -resume: exit %d, want 1 naming both epoch counts\nstderr: %s", code, stderr)
+			}
+			// A model persisted before the epoch count was recorded
+			// resumes under any -epochs.
+			stripBaseEpochs(t, loc2)
+			code, _, stderr = runCLI(t, append([]string{"sweep", "-json", "-resume", loc2}, epochs2...)...)
+			if want := "resume: loaded improved model (mnist, N40)\n"; code != 0 || stderr != want {
+				t.Errorf("sweep -epochs 2 -resume of a model without epochs: exit %d, stderr %q, want 0 and %q", code, stderr, want)
 			}
 
 			// A sweep of another seed into loc replaces the improved

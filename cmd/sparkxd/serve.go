@@ -6,13 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"time"
 
-	"sparkxd"
 	"sparkxd/internal/sched"
 	"sparkxd/internal/server"
-	"sparkxd/internal/store"
 )
 
 // runServe starts the HTTP job service: submit pipeline-stage and sweep
@@ -52,9 +49,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		shardSpec = fs.String("shard", "", "own slice i/m of the job-ID space in a federation (e.g. 1/2; needs -peers)")
 		peers     = fs.String("peers", "", "comma-separated base URLs of all m federation coordinators, shard order")
 		cacheDir  = fs.String("cache", "", "local read-through cache directory in front of a remote -store URL")
-		logLevel  = fs.String("log-level", "info", "structured log threshold on stderr: debug, info, warn, error")
-		debugAddr = fs.String("debug-addr", "", "serve pprof and runtime diagnostics on this address (empty = off)")
-		quiet     = fs.Bool("quiet", false, "suppress job lifecycle logs on stderr")
+		service   = addServiceFlags(fs, "suppress job lifecycle logs on stderr")
 	)
 	if code, done := parseFlags(fs, args, stderr); done {
 		return code
@@ -75,17 +70,11 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	if code != 0 {
 		return code
 	}
-	logger, code := newCLILogger("sparkxd serve", *quiet, *logLevel, stderr)
+	logger, stop, code := service.start("sparkxd serve", stdout, stderr)
 	if code != 0 {
 		return code
 	}
-	if *debugAddr != "" {
-		stop, ok := startDebugServer(*debugAddr, stdout, stderr)
-		if !ok {
-			return 1
-		}
-		defer stop()
-	}
+	defer stop()
 	srv, err := server.New(server.Config{
 		Store:          st,
 		Workers:        *workers,
@@ -112,58 +101,5 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	}
 	fmt.Fprintf(stdout, "listening on http://%s\n", ln.Addr())
 	fmt.Fprintf(stdout, "dispatch %s: join workers with `sparkxd worker -join http://%s`\n", mode, ln.Addr())
-
-	hs := &http.Server{Handler: srv.Handler()}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ctx.Done()
-		// Drain while the HTTP API is still up: workers need the lease
-		// and upload endpoints to finish their in-flight jobs.
-		srv.Drain(*drain)
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = hs.Shutdown(shutCtx)
-	}()
-	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintf(stderr, "sparkxd serve: %v\n", err)
-		return 1
-	}
-	<-done
-	return 0
-}
-
-// openServiceStore opens the -store of `sparkxd serve` or `sparkxd
-// worker`: nil when location is empty, else the directory or remote
-// store URL it names (a remote store's requests go through hc; nil
-// keeps the store client's default). With cacheDir, a remote store gets
-// a local read-through cache in front. The exit code is 2 for a -cache
-// without a remote -store and 1 for a store that fails to open, after
-// one line on stderr.
-func openServiceStore(cmd, location, cacheDir string, hc *http.Client, stderr io.Writer) (sparkxd.ArtifactStore, int) {
-	if cacheDir != "" && !sparkxd.IsStoreURL(location) {
-		fmt.Fprintf(stderr, "%s: -cache needs a remote -store URL\n", cmd)
-		return nil, 2
-	}
-	if location == "" {
-		return nil, 0
-	}
-	var st sparkxd.ArtifactStore
-	var err error
-	if sparkxd.IsStoreURL(location) {
-		st, err = sparkxd.RemoteStore(location, store.WithHTTPClient(hc))
-	} else {
-		st, err = sparkxd.OpenStore(location)
-	}
-	if err == nil && cacheDir != "" {
-		var cache sparkxd.ArtifactStore
-		if cache, err = sparkxd.OpenStore(cacheDir); err == nil {
-			st = sparkxd.ReadThroughStore(cache, st)
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "%s: %v\n", cmd, err)
-		return nil, 1
-	}
-	return st, 0
+	return serveUntilDone(ctx, "sparkxd serve", ln, srv.Handler(), func() { srv.Drain(*drain) }, stderr)
 }

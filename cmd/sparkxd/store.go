@@ -47,35 +47,24 @@ func runStore(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 func runStoreServe(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sparkxd store serve", flag.ContinueOnError)
 	var (
-		addr      = fs.String("addr", "127.0.0.1:8090", "listen address (host:port; port 0 picks a free port)")
-		storeDir  = fs.String("store", "", "artifact store directory (empty = in-memory, lost on exit)")
-		logLevel  = fs.String("log-level", "info", "structured log threshold on stderr: debug, info, warn, error")
-		debugAddr = fs.String("debug-addr", "", "serve pprof and runtime diagnostics on this address (empty = off)")
-		quiet     = fs.Bool("quiet", false, "suppress request logs on stderr")
+		addr     = fs.String("addr", "127.0.0.1:8090", "listen address (host:port; port 0 picks a free port)")
+		storeDir = fs.String("store", "", "artifact store directory (empty = in-memory, lost on exit)")
+		service  = addServiceFlags(fs, "suppress request logs on stderr")
 	)
 	if code, done := parseFlags(fs, args, stderr); done {
 		return code
 	}
-	logger, code := newCLILogger("sparkxd store serve", *quiet, *logLevel, stderr)
+	logger, stop, code := service.start("sparkxd store serve", stdout, stderr)
 	if code != 0 {
 		return code
 	}
-	if *debugAddr != "" {
-		stop, ok := startDebugServer(*debugAddr, stdout, stderr)
-		if !ok {
-			return 1
-		}
-		defer stop()
-	}
+	defer stop()
 
-	var st sparkxd.ArtifactStore
-	if *storeDir != "" {
-		var err error
-		if st, err = sparkxd.OpenStore(*storeDir); err != nil {
-			fmt.Fprintf(stderr, "sparkxd store serve: %v\n", err)
-			return 1
-		}
-	} else {
+	st, code := openServiceStore("sparkxd store serve", *storeDir, "", nil, stderr)
+	if code != 0 {
+		return code
+	}
+	if st == nil {
 		st = sparkxd.MemoryStore()
 	}
 
@@ -85,30 +74,13 @@ func runStoreServe(ctx context.Context, args []string, stdout, stderr io.Writer)
 	mux.HandleFunc("GET /v1/manifest", man.handleGet)
 	mux.HandleFunc("PUT /v1/manifest", man.handlePut)
 
-	var handler http.Handler = logRequests(logger, mux)
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "sparkxd store serve: %v\n", err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "listening on http://%s\n", ln.Addr())
-
-	hs := &http.Server{Handler: handler}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ctx.Done()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = hs.Shutdown(shutCtx)
-	}()
-	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintf(stderr, "sparkxd store serve: %v\n", err)
-		return 1
-	}
-	<-done
-	return 0
+	return serveUntilDone(ctx, "sparkxd store serve", ln, logRequests(logger, mux), nil, stderr)
 }
 
 // manifestEndpoint serves the shared role → key manifest of a store

@@ -32,35 +32,11 @@ func (s *syncBuffer) String() string {
 
 // startStoreServe launches `sparkxd store serve` on a free port through
 // the real CLI entry point and returns its base URL plus the exit-code
-// channel (closed after shutdown).
+// channel.
 func startStoreServe(t *testing.T, ctx context.Context, extra ...string) (string, <-chan int) {
 	t.Helper()
-	var stdout syncBuffer
-	var stderr bytes.Buffer
-	args := append([]string{"store", "serve", "-addr", "127.0.0.1:0", "-quiet"}, extra...)
-	codeCh := make(chan int, 1)
-	go func() {
-		codeCh <- run(ctx, args, &stdout, &stderr)
-	}()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		out := stdout.String()
-		if i := strings.Index(out, "listening on "); i >= 0 {
-			rest := out[i+len("listening on "):]
-			if j := strings.IndexByte(rest, '\n'); j >= 0 {
-				return strings.TrimSpace(rest[:j]), codeCh
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("store serve never announced its address\nstdout: %s\nstderr: %s", out, stderr.String())
-		}
-		select {
-		case code := <-codeCh:
-			t.Fatalf("store serve exited early with %d\nstderr: %s", code, stderr.String())
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
+	lines, codeCh := startCLI(t, ctx, 1, append([]string{"store", "serve", "-addr", "127.0.0.1:0", "-quiet"}, extra...)...)
+	return strings.TrimPrefix(lines[0], "listening on "), codeCh
 }
 
 // The store server round-trips artifacts and manifests over the wire

@@ -23,7 +23,7 @@ import (
 func runTrace(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sparkxd trace", flag.ContinueOnError)
 	var (
-		addr    = fs.String("addr", "http://127.0.0.1:8080", "job service base URL")
+		addr    = addAddrFlag(fs)
 		asJSON  = fs.Bool("json", false, "print the raw trace JSON instead of the waterfall")
 		noAttrs = fs.Bool("no-attrs", false, "omit span attributes from the waterfall")
 	)
@@ -39,9 +39,8 @@ func runTrace(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return 2
 	}
 	id := fs.Arg(0)
-	c, err := client.New(*addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "sparkxd trace: %v\n", err)
+	c, ok := dial("sparkxd trace", *addr, stderr)
+	if !ok {
 		return 2
 	}
 	tr, err := c.Trace(ctx, id)

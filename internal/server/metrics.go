@@ -6,7 +6,6 @@ import (
 	"sparkxd"
 	"sparkxd/internal/metrics"
 	"sparkxd/internal/store"
-	"sparkxd/internal/worker"
 )
 
 // serverMetrics is the coordinator's instrument set, exposed at
@@ -88,9 +87,20 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return float64(len(s.fleet))
 		})
 	// A coordinator backed by a read-through composite (remote store +
-	// local cache) surfaces the cache's counters; s.st is still the raw
-	// configured store here (the metered wrap happens after metrics).
-	worker.RegisterReadThrough(r, s.st)
+	// local cache, `serve -cache`) surfaces the cache's counters; s.st is
+	// still the raw configured store here (the metered wrap happens after
+	// metrics).
+	if rt, ok := s.st.(*store.ReadThrough); ok {
+		r.NewCounterFunc("sparkxd_store_cache_hits_total",
+			"Read-through store Gets served entirely from the local cache.",
+			func() uint64 { h, _, _ := rt.Stats(); return h })
+		r.NewCounterFunc("sparkxd_store_cache_misses_total",
+			"Read-through store Gets that consulted the remote store.",
+			func() uint64 { _, m, _ := rt.Stats(); return m })
+		r.NewCounterFunc("sparkxd_store_cache_fills_total",
+			"Remote envelopes copied into the read-through local cache.",
+			func() uint64 { _, _, f := rt.Stats(); return f })
+	}
 	return m
 }
 

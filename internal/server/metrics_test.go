@@ -295,3 +295,41 @@ func TestSubmitRejectsOutOfRangePriority(t *testing.T) {
 		t.Fatalf("error %q does not mention priority", msg)
 	}
 }
+
+// A coordinator over a read-through store (`serve -cache`) exports the
+// cache's counters: an artifact's first GET misses and fills the local
+// copy, the second hits it.
+func TestReadThroughCacheSeries(t *testing.T) {
+	remote := sparkxd.MemoryStore()
+	key, err := remote.Put("cli-note", map[string]int{"n": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Store: sparkxd.ReadThroughStore(sparkxd.MemoryStore(), remote), Workers: 1, Logger: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	for i := 0; i < 2; i++ {
+		resp, err := ts.Client().Get(ts.URL + "/v1/artifacts/" + string(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET artifact: status %d", resp.StatusCode)
+		}
+	}
+	out := scrape(t, ts)
+	for _, want := range []string{
+		"sparkxd_store_cache_hits_total 1",
+		"sparkxd_store_cache_misses_total 1",
+		"sparkxd_store_cache_fills_total 1",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}

@@ -34,7 +34,9 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -42,7 +44,6 @@ import (
 	"time"
 
 	"sparkxd"
-	"sparkxd/internal/logging"
 	"sparkxd/internal/tracing"
 	"sparkxd/internal/worker"
 )
@@ -221,6 +222,11 @@ func New(cfg Config) (*Server, error) {
 	if leaseTTL <= 0 {
 		leaseTTL = DefaultLeaseTTL
 	}
+	logger := cfg.Logger
+	if logger == nil {
+		// Every level off, so no record is ever formatted.
+		logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+	}
 	shard := shardInfo{index: cfg.ShardIndex, count: cfg.ShardCount, peers: cfg.Peers}
 	if err := shard.validate(); err != nil {
 		return nil, err
@@ -231,7 +237,7 @@ func New(cfg Config) (*Server, error) {
 		dispatch: dispatch,
 		leaseTTL: leaseTTL,
 		shard:    shard,
-		log:      logging.New(cfg.Logger),
+		log:      logger,
 		ctx:      ctx,
 		cancel:   cancel,
 		jobs:     make(map[string]*jobRec),

@@ -4,9 +4,7 @@ import (
 	"net/http"
 	"time"
 
-	"sparkxd"
 	"sparkxd/internal/metrics"
-	"sparkxd/internal/store"
 )
 
 // workerMetrics is the worker's instrument set, served by
@@ -67,28 +65,7 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 	for i, series := range sweepSeries {
 		r.NewCounterFunc(series[0], series[1], func() uint64 { return w.systems.sweepStats()[i] })
 	}
-	RegisterReadThrough(r, w.st)
 	return m
-}
-
-// RegisterReadThrough binds the hit/miss/fill counters of a
-// read-through store (remote store + local cache) into a registry as
-// sparkxd_store_cache_*_total; any other store registers nothing. A
-// worker and a coordinator over such a store export the same series.
-func RegisterReadThrough(r *metrics.Registry, st sparkxd.ArtifactStore) {
-	rt, ok := st.(*store.ReadThrough)
-	if !ok {
-		return
-	}
-	r.NewCounterFunc("sparkxd_store_cache_hits_total",
-		"Read-through store Gets served entirely from the local cache.",
-		func() uint64 { h, _, _ := rt.Stats(); return h })
-	r.NewCounterFunc("sparkxd_store_cache_misses_total",
-		"Read-through store Gets that consulted the remote store.",
-		func() uint64 { _, m, _ := rt.Stats(); return m })
-	r.NewCounterFunc("sparkxd_store_cache_fills_total",
-		"Remote envelopes copied into the read-through local cache.",
-		func() uint64 { _, _, f := rt.Stats(); return f })
 }
 
 // observeStage is the stageObserver of this worker's jobs.

@@ -20,7 +20,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -31,7 +33,6 @@ import (
 	"sparkxd"
 	"sparkxd/internal/core"
 	"sparkxd/internal/fleetapi"
-	"sparkxd/internal/logging"
 	"sparkxd/internal/store"
 	"sparkxd/internal/tracing"
 )
@@ -70,9 +71,8 @@ type Config struct {
 	HTTPClient *http.Client
 	// Store receives result artifacts (nil: the coordinator's store,
 	// through its /v1/artifacts routes as a store.HTTP client). Set it to
-	// the federation's shared remote store, optionally wrapped
-	// read-through, or to a coordinator's own store for its in-process
-	// worker. The coordinator must be backed by the same store, or
+	// the federation's shared remote store, or to a coordinator's own
+	// store for its in-process worker. The coordinator must be backed by the same store, or
 	// completions will fail its artifact verification.
 	Store sparkxd.ArtifactStore
 	// Logger, when non-nil, receives structured logs (job/lease/trace
@@ -192,13 +192,18 @@ func New(cfg Config) (*Worker, error) {
 	if flush <= 0 {
 		flush = 200 * time.Millisecond
 	}
+	logger := cfg.Logger
+	if logger == nil {
+		// Every level off, so no record is ever formatted.
+		logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+	}
 	w := &Worker{
 		name:          name,
 		slots:         slots,
 		poll:          poll,
 		drainTimeout:  drain,
 		flushInterval: flush,
-		log:           logging.New(cfg.Logger),
+		log:           logger,
 		api:           api,
 		st:            st,
 		freed:         make(chan struct{}, 1),

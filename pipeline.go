@@ -142,6 +142,7 @@ func (p *Pipeline) Train(ctx context.Context) (*TrainedModel, error) {
 		Seed:         cfg.seed,
 		TrainSamples: cfg.trainN,
 		TestSamples:  cfg.testN,
+		BaseEpochs:   cfg.baseEpochs,
 		net:          baseline,
 	}
 	return p.Baseline, nil
@@ -173,6 +174,7 @@ func (p *Pipeline) ImproveTolerance(ctx context.Context) (*TrainedModel, error) 
 		Seed:         p.Baseline.Seed,
 		TrainSamples: p.Baseline.TrainSamples,
 		TestSamples:  p.Baseline.TestSamples,
+		BaseEpochs:   p.Baseline.BaseEpochs,
 		BaselineAcc:  tr.BaselineAcc,
 		BERth:        tr.BERth,
 		Curve:        tr.PerRate,
