@@ -31,6 +31,9 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The tests twice: `test` checks the goldens on the AVX2 kernel bodies
+# (on amd64 CPUs with AVX2), `race` on the Go loops, which every -race
+# build runs.
 test:
 	$(GO) test ./...
 
@@ -38,19 +41,21 @@ race:
 	$(GO) test -race ./...
 
 # Bounded fuzzing of the AVX2 kernels (drive sums with their in-kernel
-# row checks, the LIF step with its inhibition pass, and the training
-# chain's normalize-and-clamp pass and trace decay) against their Go
-# references, of the STDP update's branch-free clamp against the
-# branchy loop on raw weight bits, of the evaluator's patched weight
-# load against the full load, of the sweep-spec validation on raw float
-# bit patterns, of job-spec normalization on raw JSON, of the store's
-# envelope decode on one-byte mutations, of the W3C traceparent parser
-# on raw strings, and of the IDX dataset readers on raw files (go test
-# -fuzz takes one target and one package per run).
+# row checks, the LIF step with its inhibition pass, the training
+# chain's normalize-and-clamp pass and trace decay, and the four-lane
+# Poisson rate coder) against their Go references, of the STDP update's
+# branch-free clamp against the branchy loop on raw weight bits, of the
+# evaluator's patched weight load against the full load, of the
+# sweep-spec validation on raw float bit patterns, of job-spec
+# normalization on raw JSON, of the store's envelope decode on one-byte
+# mutations, of the W3C traceparent parser on raw strings, and of the
+# IDX dataset readers on raw files (go test -fuzz takes one target and
+# one package per run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSumRows$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzNormalizeClamp$$' -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=20s ./internal/neuron
+	$(GO) test -run='^$$' -fuzz='^FuzzQuadEncode$$' -fuzztime=20s ./internal/coding
 	$(GO) test -run='^$$' -fuzz='^FuzzApplySTDP$$' -fuzztime=20s ./internal/snn
 	$(GO) test -run='^$$' -fuzz='^FuzzPatchedLoad$$' -fuzztime=20s ./internal/snn
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecValidate$$' -fuzztime=20s ./internal/engine
@@ -167,4 +172,4 @@ lint:
 vuln:
 	govulncheck ./...
 
-ci: build vet vet-generic perfbench-check fmt-check race fuzz bench examples-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke shard-smoke
+ci: build vet vet-generic perfbench-check fmt-check test race fuzz bench examples-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke shard-smoke

@@ -657,16 +657,11 @@ func writeManifest(location string, roles map[string]sparkxd.ArtifactKey) error 
 	if err != nil {
 		return err
 	}
-	return saveManifest(location, mergeManifest(old, roles))
-}
-
-// saveManifest writes roles as the whole manifest of directory dir.
-func saveManifest(dir string, roles map[string]sparkxd.ArtifactKey) error {
-	b, err := json.MarshalIndent(roles, "", "  ")
+	b, err := json.MarshalIndent(mergeManifest(old, roles), "", "  ")
 	if err != nil {
 		return fmt.Errorf("write manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(location, manifestName), append(b, '\n'), 0o644); err != nil {
 		return fmt.Errorf("write manifest: %w", err)
 	}
 	return nil

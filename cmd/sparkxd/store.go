@@ -48,7 +48,7 @@ func runStoreServe(ctx context.Context, args []string, stdout, stderr io.Writer)
 	fs := flag.NewFlagSet("sparkxd store serve", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8090", "listen address (host:port; port 0 picks a free port)")
-		storeDir = fs.String("store", "", "artifact store directory (empty = in-memory, lost on exit)")
+		storeDir = fs.String("store", "", "artifact store directory or store serve URL (empty = in-memory, lost on exit)")
 		service  = addServiceFlags(fs, "suppress request logs on stderr")
 	)
 	if code, done := parseFlags(fs, args, stderr); done {
@@ -84,15 +84,17 @@ func runStoreServe(ctx context.Context, args []string, stdout, stderr io.Writer)
 }
 
 // manifestEndpoint serves the shared role → key manifest of a store
-// server. Writes merge server-side under one mutex, so concurrent
-// `-artifacts http://...` runs interleave without losing roles (the
-// same mergeManifest a directory store gets from writeManifest). A
-// dir-backed endpoint persists through manifest.json next to the
-// artifacts; an in-memory one lives and dies with the process, like its
-// store.
+// server. Writes merge under one mutex, so concurrent `-artifacts
+// http://...` runs interleave without losing roles (the same
+// mergeManifest a directory store gets from writeManifest). A
+// store-backed endpoint reads and writes the manifest of its -store
+// location through readManifest and writeManifest: a directory's
+// manifest.json next to the artifacts, or, for a URL, the upstream
+// server's manifest, where the merge then runs. An in-memory endpoint
+// lives and dies with the process, like its store.
 type manifestEndpoint struct {
 	mu  sync.Mutex
-	dir string
+	dir string // the -store location; empty for in-memory
 	mem map[string]sparkxd.ArtifactKey
 }
 
@@ -121,12 +123,9 @@ func (m *manifestEndpoint) handlePut(w http.ResponseWriter, r *http.Request) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	roles, err := m.load()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if err := m.save(mergeManifest(roles, delta)); err != nil {
+	if m.dir == "" {
+		m.mem = mergeManifest(m.mem, delta)
+	} else if err := writeManifest(m.dir, delta); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -139,15 +138,6 @@ func (m *manifestEndpoint) load() (map[string]sparkxd.ArtifactKey, error) {
 		return m.mem, nil
 	}
 	return readManifest(m.dir)
-}
-
-// save persists the merged manifest (caller holds m.mu).
-func (m *manifestEndpoint) save(roles map[string]sparkxd.ArtifactKey) error {
-	if m.dir == "" {
-		m.mem = roles
-		return nil
-	}
-	return saveManifest(m.dir, roles)
 }
 
 // logRequests emits one structured line per request — method, path,

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"maps"
 	"net/http"
 	"strings"
 	"sync"
@@ -151,5 +153,63 @@ func TestStoreServePersistsAcrossRestart(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(buf.String(), string(key)) {
 		t.Errorf("manifest lost across restart: %q", buf.String())
+	}
+}
+
+// A store server whose -store is another store server's URL forwards
+// manifest writes upstream, where they merge: a PUT through the front
+// server reads back from both servers, and a later PUT that records a
+// different improved model drops the roles measured on the old one.
+func TestStoreServeChainsManifest(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	back, backCode := startStoreServe(t, ctx)
+	front, frontCode := startStoreServe(t, ctx, "-store", back)
+
+	put := func(body string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPut, front+"/v1/manifest", strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("PUT manifest: %v", err)
+		}
+		var msg bytes.Buffer
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("PUT %s through the front server = %d %q, want 204", body, resp.StatusCode, msg.String())
+		}
+	}
+	check := func(want map[string]string) {
+		t.Helper()
+		for _, base := range []string{front, back} {
+			resp, err := http.Get(base + "/v1/manifest")
+			if err != nil {
+				t.Fatalf("GET manifest: %v", err)
+			}
+			var got map[string]string
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil || !maps.Equal(got, want) {
+				t.Fatalf("GET %s/v1/manifest = %d %v (%v), want %v", base, resp.StatusCode, got, err, want)
+			}
+		}
+	}
+
+	put(`{"baseline": "model-0", "improved": "model-a", "tolerance": "tol-a", "placement": "map-a"}`)
+	check(map[string]string{"baseline": "model-0", "improved": "model-a", "tolerance": "tol-a", "placement": "map-a"})
+	put(`{"improved": "model-b", "tolerance": "tol-b"}`)
+	check(map[string]string{"baseline": "model-0", "improved": "model-b", "tolerance": "tol-b"})
+
+	cancel()
+	for name, codeCh := range map[string]<-chan int{"front": frontCode, "back": backCode} {
+		select {
+		case code := <-codeCh:
+			if code != 0 {
+				t.Errorf("%s store serve exited %d, want 0", name, code)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s store serve did not shut down after cancellation", name)
+		}
 	}
 }

@@ -11,10 +11,12 @@ package coding
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
 
+	"sparkxd/internal/numeric"
 	"sparkxd/internal/rng"
 )
 
@@ -77,26 +79,47 @@ func shortest(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 // as the per-draw loop would. The test is on integers: Float64 is
 // a/2^53 for a = u>>11 < 2^53, and a/2^53 < p exactly when
 // a < ceil(p*2^53) (both scalings by 2^53 are exact, and an integer is
-// below x exactly when it is below ceil(x)), so each pixel's threshold is
-// precomputed once. The append has no branch: every pixel's index is
-// stored at the arena's end, and the end advances by the compare's
-// result; the arena keeps one step's worth of slack for that. Other
-// MaxProb values keep the per-draw loop, because Bernoulli consumes no
-// draw at p >= 1.
+// below x exactly when it is below ceil(x)), so each intensity's
+// threshold is precomputed once (rateTable). The append has no branch:
+// every pixel's index is stored at the arena's end, and the end advances
+// by the compare's result; the arena keeps one step's worth of slack for
+// that. Other MaxProb values keep the per-draw loop, because Bernoulli
+// consumes no draw at p >= 1.
 func (e Rate) Encode(img []byte, steps int, r *rng.Stream) Train {
-	tr := make(Train, steps)
-	// Precompute per-pixel thresholds (or, on the per-draw path,
-	// probabilities); skip dark pixels and pixels with p <= 0 entirely —
-	// Bernoulli neither fires nor draws for them.
-	batched := e.MaxProb > 0 && e.MaxProb < 1
-	idx := make([]int32, 0, len(img))
-	var (
-		thr   []uint64  // batched: ceil(p * 2^53)
-		probs []float64 // per-draw: p
-	)
-	if batched {
-		thr = make([]uint64, 0, len(img))
+	if !(e.MaxProb > 0 && e.MaxProb < 1) {
+		return e.encodePerDraw(img, steps, r)
 	}
+	var tab rateTable
+	tab.fill(e.MaxProb)
+	idx, thr, expected := tab.lit(img, make([]int32, 0, len(img)), make([]uint64, 0, len(img)))
+	offs := make([]int, steps+1)
+	arena := make([]int32, 0, arenaCap(expected, steps, len(idx)))
+	u := make([]uint64, len(idx)) // one step's variates
+	for t := 0; t < steps; t++ {
+		arena = slices.Grow(arena, len(idx))
+		r.Fill(u)
+		dst := arena[len(arena) : len(arena)+len(u)]
+		n := 0
+		for k, x := range u {
+			dst[n] = idx[k]
+			// x>>11 and thr[k] are at most 2^53, so the difference's
+			// sign bit is set exactly when x>>11 < thr[k].
+			n += int((x>>11 - thr[k]) >> 63)
+		}
+		arena = arena[:len(arena)+n]
+		offs[t+1] = len(arena)
+	}
+	return trainOf(arena, offs)
+}
+
+// encodePerDraw is Encode for MaxProb outside (0, 1): one Bernoulli call
+// per pixel and step, skipping dark pixels and pixels with p <= 0, for
+// which Bernoulli neither fires nor draws.
+func (e Rate) encodePerDraw(img []byte, steps int, r *rng.Stream) Train {
+	var (
+		idx   []int32
+		probs []float64
+	)
 	expected := 0.0
 	for i, v := range img {
 		p := float64(v) / 255 * e.MaxProb
@@ -104,44 +127,81 @@ func (e Rate) Encode(img []byte, steps int, r *rng.Stream) Train {
 			continue
 		}
 		idx = append(idx, int32(i))
-		if batched {
-			thr = append(thr, rateThreshold(p))
+		probs = append(probs, p)
+		if p < 1 {
+			expected += p
 		} else {
-			probs = append(probs, p)
+			expected++ // p >= 1 spikes every step, and NaN never spikes
 		}
-		expected += p
 	}
 	offs := make([]int, steps+1)
-	arena := make([]int32, 0, int(expected*float64(steps))+16+len(idx))
-	if batched {
-		u := make([]uint64, len(idx)) // one step's variates
-		for t := 0; t < steps; t++ {
-			arena = slices.Grow(arena, len(idx))
-			r.Fill(u)
-			dst := arena[len(arena) : len(arena)+len(u)]
-			n := 0
-			for k, x := range u {
-				dst[n] = idx[k]
-				// x>>11 and thr[k] are at most 2^53, so the difference's
-				// sign bit is set exactly when x>>11 < thr[k].
-				n += int((x>>11 - thr[k]) >> 63)
-			}
-			arena = arena[:len(arena)+n]
-			offs[t+1] = len(arena)
-		}
-	} else {
-		for t := 0; t < steps; t++ {
-			for k, p := range probs {
-				if r.Bernoulli(p) {
-					arena = append(arena, idx[k])
-				}
-			}
-			offs[t+1] = len(arena)
-		}
-	}
+	arena := make([]int32, 0, arenaCap(expected, steps, len(idx)))
 	for t := 0; t < steps; t++ {
+		for k, p := range probs {
+			if r.Bernoulli(p) {
+				arena = append(arena, idx[k])
+			}
+		}
+		offs[t+1] = len(arena)
+	}
+	return trainOf(arena, offs)
+}
+
+// rateTable holds, for one MaxProb in (0, 1), every intensity v's spike
+// probability p = float64(v)/255*MaxProb and its threshold
+// rateThreshold(p): the per-pixel arithmetic of an encode, done once per
+// intensity.
+type rateTable struct {
+	maxProb float64
+	p       [256]float64
+	thr     [256]uint64
+}
+
+// fill makes t the table of maxProb, unless it already is.
+func (t *rateTable) fill(maxProb float64) {
+	if t.maxProb == maxProb {
+		return
+	}
+	t.maxProb = maxProb
+	for v := range t.p {
+		t.p[v] = float64(v) / 255 * maxProb
+		t.thr[v] = rateThreshold(t.p[v])
+	}
+}
+
+// lit appends to idx and thr the index and threshold of every pixel of
+// img with p > 0, and returns both with the expected spikes per step,
+// the sum of the pixels' p in pixel order. The append has no branch:
+// every pixel is stored at the end, which advances where the threshold
+// is nonzero, exactly where p > 0; the other pixels add p = 0 to the
+// sum, which leaves it as it is.
+func (t *rateTable) lit(img []byte, idx []int32, thr []uint64) ([]int32, []uint64, float64) {
+	n := len(idx)
+	idx, thr = slices.Grow(idx, len(img))[:n+len(img)], slices.Grow(thr, len(img))[:n+len(img)]
+	expected := 0.0
+	for i, v := range img {
+		idx[n], thr[n] = int32(i), t.thr[v]
+		expected += t.p[v]
+		n += int(-t.thr[v] >> 63)
+	}
+	return idx[:n], thr[:n], expected
+}
+
+// arenaCap is the capacity a train's arena starts with: the expected
+// spikes over all steps, plus slack for the noise and one step's worth
+// of lit pixels.
+func arenaCap(expected float64, steps, lit int) int {
+	return int(expected*float64(steps)) + 16 + lit
+}
+
+// trainOf slices arena into a train of len(offs)-1 steps, step t being
+// arena[offs[t]:offs[t+1]] with no spare capacity; empty steps stay nil,
+// as in the per-step form.
+func trainOf(arena []int32, offs []int) Train {
+	tr := make(Train, len(offs)-1)
+	for t := range tr {
 		if offs[t] == offs[t+1] {
-			continue // empty steps stay nil, as in the per-step form
+			continue
 		}
 		tr[t] = arena[offs[t]:offs[t+1]:offs[t+1]]
 	}
@@ -151,6 +211,103 @@ func (e Rate) Encode(img []byte, steps int, r *rng.Stream) Train {
 // rateThreshold returns ceil(p * 2^53), the integer threshold for a draw
 // u: u>>11 < rateThreshold(p) exactly when float64(u>>11)/2^53 < p.
 func rateThreshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+// QuadWidth is the most samples one Quad.Encode call encodes.
+const QuadWidth = 4
+
+// Quad is one worker's scratch for encoding up to QuadWidth samples per
+// call with Encode. It keeps its buffers from call to call, so a worker
+// that encodes a dataset quad by quad allocates little more than the
+// trains. The zero value is ready to use; a Quad must not be used by two
+// goroutines at once.
+type Quad struct {
+	tab  rateTable
+	idx  [QuadWidth][]int32  // each sample's lit pixels (rateTable.lit)
+	thr  [QuadWidth][]uint64 // and their thresholds
+	offs [QuadWidth][]int    // each train's per-step arena offsets
+	// thr4 interleaves thr for rng.BernoulliBits4: thr4[4k+j] is
+	// thr[j][k], or 0 past the end of thr[j].
+	thr4 []uint64
+	// masks holds one step's spikes: bit k%64 of masks[4*(k/64)+j] is
+	// set when sample j's pixel idx[j][k] spikes.
+	masks []uint64
+}
+
+// Encode sets dst[j] to enc.Encode(imgs[j], steps, rs[j]) for every
+// j < len(dst), and leaves each rs[j] where that call leaves it.
+// len(dst) is at most QuadWidth, imgs and rs are at least as long, and
+// the streams are distinct.
+//
+// A Rate with 0 < MaxProb < 1 encodes the samples side by side when the
+// AVX2 kernels are in use (numeric.AVX2): each step is one
+// rng.BernoulliBits4 call, with sample j's stream in lane j and its
+// thresholds in thr4. A lane whose sample has no pixel k has threshold 0
+// there, so its stream takes exactly the draws Encode's rng.Fill takes,
+// in the same order; every other threshold is at least 1. Each lane's set
+// bits are appended in ascending pixel order, the order of Encode's
+// append. Every other coder, and every build without the AVX2 kernels,
+// calls Encode once per sample.
+func (q *Quad) Encode(enc Encoder, imgs [][]byte, steps int, rs []*rng.Stream, dst []Train) {
+	if len(dst) > QuadWidth {
+		panic("coding: Quad.Encode of more than QuadWidth samples")
+	}
+	if e, ok := enc.(Rate); ok && e.MaxProb > 0 && e.MaxProb < 1 && numeric.AVX2() {
+		e.encodeLanes(q, imgs, steps, rs, dst)
+		return
+	}
+	for j := range dst {
+		dst[j] = enc.Encode(imgs[j], steps, rs[j])
+	}
+}
+
+// encodeLanes is Quad.Encode's side-by-side path.
+func (e Rate) encodeLanes(q *Quad, imgs [][]byte, steps int, rs []*rng.Stream, dst []Train) {
+	var (
+		lanes  [QuadWidth]*rng.Stream
+		arenas [QuadWidth][]int32
+	)
+	q.tab.fill(e.MaxProb)
+	full, most := math.MaxInt, 0
+	for j := range lanes {
+		q.idx[j], q.thr[j] = q.idx[j][:0], q.thr[j][:0]
+		if j < len(dst) {
+			var expected float64
+			q.idx[j], q.thr[j], expected = q.tab.lit(imgs[j], q.idx[j], q.thr[j])
+			lanes[j] = rs[j]
+			arenas[j] = make([]int32, 0, arenaCap(expected, steps, len(q.idx[j])))
+			q.offs[j] = slices.Grow(q.offs[j][:0], steps+1)[:steps+1]
+			q.offs[j][0] = 0
+		}
+		full, most = min(full, len(q.idx[j])), max(most, len(q.idx[j]))
+	}
+	q.thr4 = slices.Grow(q.thr4[:0], 4*most)[:4*most]
+	for j, thr := range q.thr {
+		for k, t := range thr {
+			q.thr4[4*k+j] = t
+		}
+		for k := len(thr); k < most; k++ {
+			q.thr4[4*k+j] = 0
+		}
+	}
+	words := (most + 63) / 64
+	q.masks = slices.Grow(q.masks[:0], 4*words)[:4*words]
+	for t := 0; t < steps; t++ {
+		rng.BernoulliBits4(&lanes, q.thr4, full, q.masks)
+		for j := range dst {
+			a, idx := arenas[j], q.idx[j]
+			for w := 0; w < words; w++ {
+				for m := q.masks[4*w+j]; m != 0; m &= m - 1 {
+					a = append(a, idx[64*w+bits.TrailingZeros64(m)])
+				}
+			}
+			arenas[j] = a
+			q.offs[j][t+1] = len(a)
+		}
+	}
+	for j := range dst {
+		dst[j] = trainOf(arenas[j], q.offs[j])
+	}
+}
 
 // DeterministicRate spikes each pixel at evenly spaced intervals
 // proportional to its intensity — rate coding without Poisson noise,

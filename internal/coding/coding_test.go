@@ -295,8 +295,9 @@ func rateReference(e Rate, img []byte, steps int, r *rng.Stream) Train {
 
 // TestRateMatchesPerDrawReference: the batched-draw encoder produces the
 // reference's train and leaves the stream where the reference leaves
-// it, on both sides of the batched path's 0 < MaxProb < 1 condition and
-// for images with no lit or only saturated pixels.
+// it, on both sides of the batched path's 0 < MaxProb < 1 condition
+// (far above 1 and NaN too, where p sizes no arena) and for images with
+// no lit or only saturated pixels.
 func TestRateMatchesPerDrawReference(t *testing.T) {
 	dark := make([]byte, 784)
 	saturated := make([]byte, 784)
@@ -304,7 +305,7 @@ func TestRateMatchesPerDrawReference(t *testing.T) {
 		saturated[i] = 255
 	}
 	imgs := map[string][]byte{"gradient": grad(), "dark": dark, "saturated": saturated}
-	for _, maxProb := range []float64{0, 0.05, 0.12, 0.999, 1, 1.5} {
+	for _, maxProb := range []float64{0, 0.05, 0.12, 0.999, 1, 1.5, 1e300, math.Inf(1), math.NaN()} {
 		for name, img := range imgs {
 			for seed := uint64(1); seed <= 3; seed++ {
 				e := Rate{MaxProb: maxProb}
@@ -466,4 +467,72 @@ func TestEqualNamesEncodeIdentically(t *testing.T) {
 	if same < 100 {
 		t.Fatalf("only %d of 2000 drawn pairs share a name; the pools must collide more", same)
 	}
+}
+
+// fuzzQuadImages cuts data into four images and reshapes them by kinds,
+// two bits per image: 0 keeps the bytes, 1 makes the image dark, 2
+// saturates it, and 3 keeps only its first half, so the four samples'
+// lit-pixel counts differ and the longest spans several mask words.
+func fuzzQuadImages(data []byte, kinds uint8) [QuadWidth][]byte {
+	var imgs [QuadWidth][]byte
+	n := min(len(data)/QuadWidth, 300)
+	for j := range imgs {
+		img := slices.Clone(data[j*n : (j+1)*n])
+		switch kinds >> (2 * j) & 3 {
+		case 1:
+			clear(img)
+		case 2:
+			for i := range img {
+				img[i] = 255
+			}
+		case 3:
+			img = img[:n/2]
+		}
+		imgs[j] = img
+	}
+	return imgs
+}
+
+// FuzzQuadEncode: Quad.Encode of one to four samples, under any MaxProb
+// (inside (0, 1) it runs the side-by-side path when the AVX2 kernels are
+// in use), gives each sample the train a scalar Rate.Encode call gives it
+// from the same stream, empty steps nil, and leaves each stream where
+// that call leaves it. One Quad encodes both calls of a run, the four
+// images in reverse order and then the first one to four of them, so
+// scratch left by one quad must not leak into the next.
+func FuzzQuadEncode(f *testing.F) {
+	img := grad()
+	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), img, uint8(0), uint8(3), 0.12, uint8(60))
+	f.Add(uint64(5), uint64(5), uint64(6), uint64(7), img[100:], uint8(0b11100100), uint8(2), 0.5, uint8(17))
+	f.Add(uint64(8), uint64(9), uint64(10), uint64(11), img, uint8(0b01010101), uint8(3), 0.12, uint8(9))
+	f.Add(uint64(12), uint64(13), uint64(14), uint64(15), img, uint8(0b10101010), uint8(0), math.Nextafter(1, 0), uint8(5))
+	f.Add(uint64(16), uint64(17), uint64(18), uint64(19), img, uint8(0b00100111), uint8(1), 1.0, uint8(7))
+	f.Fuzz(func(t *testing.T, s0, s1, s2, s3 uint64, data []byte, kinds, count uint8, maxProb float64, steps uint8) {
+		e := Rate{MaxProb: maxProb}
+		imgs := fuzzQuadImages(data, kinds)
+		seeds := [QuadWidth]uint64{s0, s1, s2, s3}
+		n := 1 + int(count)%QuadWidth
+		var q Quad
+		for _, order := range [][]int{{3, 2, 1, 0}, []int{0, 1, 2, 3}[:n]} {
+			var (
+				quad      [][]byte
+				got, want []*rng.Stream
+			)
+			for _, j := range order {
+				quad = append(quad, imgs[j])
+				got, want = append(got, rng.New(seeds[j])), append(want, rng.New(seeds[j]))
+			}
+			trains := make([]Train, len(order))
+			q.Encode(e, quad, int(steps)%64, got, trains)
+			for i, tr := range trains {
+				ref := e.Encode(quad[i], int(steps)%64, want[i])
+				if !slices.EqualFunc(tr, ref, func(a, b []int32) bool { return (a == nil) == (b == nil) && slices.Equal(a, b) }) {
+					t.Fatalf("MaxProb %v, images %v: sample %d's train differs from Rate.Encode's\n got %v\nwant %v", maxProb, order, i, tr, ref)
+				}
+				if got[i].Uint64() != want[i].Uint64() {
+					t.Fatalf("MaxProb %v, images %v: sample %d's stream diverged from Rate.Encode's", maxProb, order, i)
+				}
+			}
+		}
+	})
 }

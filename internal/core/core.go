@@ -130,12 +130,25 @@ func (f *Framework) LayoutFor(net *snn.Network, safe []bool) (*mapping.Layout, e
 // flipped bits. The input slice is not modified.
 func (f *Framework) CorruptWeights(w []float32, layout *mapping.Layout,
 	profile *errmodel.Profile, r *rng.Stream) ([]float32, int64) {
+	return f.corrupt(w, layout, f.injector(layout, profile), r)
+}
+
+// injector returns the framework's error model over profile, prepared
+// for layout. Prepare is its only writer, so concurrent corrupt calls
+// may share it.
+func (f *Framework) injector(layout *mapping.Layout, profile *errmodel.Profile) *errmodel.Injector {
+	inj := errmodel.NewInjector(f.ErrKind, profile)
+	inj.Prepare(layout)
+	return inj
+}
+
+// corrupt is CorruptWeights with an injector already prepared for
+// layout.
+func (f *Framework) corrupt(w []float32, layout *mapping.Layout, inj *errmodel.Injector, r *rng.Stream) ([]float32, int64) {
 	img := make([]byte, f.Format.ImageSize(len(w), layout.UnitBytes()))
 	if err := quant.Serialize(w, f.Format, img); err != nil {
 		panic("core: serialize: " + err.Error()) // sizes are internally consistent
 	}
-	inj := errmodel.NewInjector(f.ErrKind, profile)
-	inj.Prepare(layout)
 	flips := inj.Inject(img, layout, r)
 	out := make([]float32, len(w))
 	if err := quant.Deserialize(img, f.Format, out); err != nil {
@@ -166,17 +179,17 @@ func (f *Framework) EvaluateUnderErrorsCtx(ctx context.Context, net *snn.Network
 	if err != nil {
 		return 0, err
 	}
-	return f.evaluateCorrupted(ctx, net, es, layout, profile, injectSeed)
+	return f.evaluateCorrupted(ctx, net, es, layout, f.injector(layout, profile), injectSeed)
 }
 
 // evaluateCorrupted is the corrupt/load/evaluate step of
 // EvaluateUnderErrorsCtx over a pre-encoded test set: net's weights are
-// corrupted via (layout, profile) from injectSeed, loaded (with on-load
-// sanitization) into a clone, and the clone is evaluated. net is only
-// read, so it may be evaluated while other goroutines read it too.
+// corrupted via (layout, inj) from injectSeed, loaded (with on-load
+// sanitization) into a clone, and the clone is evaluated. net and inj
+// are only read, so other goroutines may read them meanwhile.
 func (f *Framework) evaluateCorrupted(ctx context.Context, net *snn.Network, es *snn.EncodedSet,
-	layout *mapping.Layout, profile *errmodel.Profile, injectSeed uint64) (float64, error) {
-	w, _ := f.CorruptWeights(net.W.Data, layout, profile, rng.New(injectSeed))
+	layout *mapping.Layout, inj *errmodel.Injector, injectSeed uint64) (float64, error) {
+	w, _ := f.corrupt(net.W.Data, layout, inj, rng.New(injectSeed))
 	clone := net.Clone()
 	if err := clone.SetWeightsFlat(w); err != nil {
 		panic("core: " + err.Error())
@@ -324,6 +337,9 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 		if err != nil {
 			return nil, fmt.Errorf("core: profile at BER %.0e: %w", rate, err)
 		}
+		// The rate's corruptions and its evaluation share one prepared
+		// injector.
+		inj := f.injector(layout, profile)
 		// One Train call per rate: its epochs, then label assignment,
 		// with the trains of all of them encoded ahead by one producer.
 		first := i * cfg.EpochsPerRate
@@ -343,7 +359,7 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 					// Inject errors into the stored weights, load
 					// (sanitized), then train: the network adapts around
 					// the corrupted cells.
-					w, _ := f.CorruptWeights(modelTemp.W.Data, layout, profile, root.DeriveIndex("inject", first+e))
+					w, _ := f.corrupt(modelTemp.W.Data, layout, inj, root.DeriveIndex("inject", first+e))
 					if err := modelTemp.SetWeightsFlat(w); err != nil {
 						return fmt.Errorf("core: load corrupted weights: %w", err)
 					}
@@ -364,7 +380,7 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 			if f.evalStarted != nil {
 				f.evalStarted(i)
 			}
-			ev.acc, ev.err = f.evaluateCorrupted(evalCtx, ev.model, es, layout, profile, injectSeed)
+			ev.acc, ev.err = f.evaluateCorrupted(evalCtx, ev.model, es, layout, inj, injectSeed)
 		}()
 		pending = ev
 	}
@@ -415,7 +431,7 @@ func (f *Framework) AnalyzeErrorTolerance(ctx context.Context, model *snn.Networ
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: profile at BER %.0e: %w", rate, err)
 		}
-		acc, err := f.evaluateCorrupted(ctx, model, es, layout, profile, root.DeriveIndex("inject", i).Uint64())
+		acc, err := f.evaluateCorrupted(ctx, model, es, layout, f.injector(layout, profile), root.DeriveIndex("inject", i).Uint64())
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: tolerance evaluation at BER %.0e: %w", rate, err)
 		}

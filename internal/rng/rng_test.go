@@ -308,3 +308,77 @@ func TestInt63n(t *testing.T) {
 		}
 	}
 }
+
+// TestBernoulliBits4MatchesOneStreamAtATime: every mask bit and every
+// stream's next draw equal those of a loop that takes each lane's draws
+// with Uint64, for position counts on both sides of the 64-bit mask
+// words, lanes with fewer positions than others (zero thresholds past
+// their count), nil lanes, both ends of the threshold range, and every
+// valid full hint. Masks start out filled with garbage.
+func TestBernoulliBits4MatchesOneStreamAtATime(t *testing.T) {
+	thr := New(99)
+	for _, n := range []int{0, 1, 5, 63, 64, 65, 128, 200} {
+		for trial := 0; trial < 6; trial++ {
+			var counts [4]int
+			for j := range counts {
+				counts[j] = n
+				if trial > 0 && j != trial%4 {
+					counts[j] = thr.Intn(n + 1)
+				}
+			}
+			if trial == 5 {
+				counts[1], counts[3] = 0, 0 // nil lanes
+			}
+			fewest := min(counts[0], counts[1], counts[2], counts[3])
+			thr4 := make([]uint64, 4*n)
+			for k := 0; k < n; k++ {
+				for j, c := range counts {
+					if k < c {
+						thr4[4*k+j] = []uint64{1, 1 << 53, 1 + thr.Uint64()>>11}[thr.Intn(3)]
+					}
+				}
+			}
+			for _, full := range []int{0, fewest / 2, fewest} {
+				var got, want [4]*Stream
+				for j, c := range counts {
+					if trial != 5 || c > 0 {
+						seed := uint64(1000*n + 10*trial + j)
+						got[j], want[j] = New(seed), New(seed)
+					}
+				}
+				masks := make([]uint64, 4*((n+63)/64)+4)
+				for step := 0; step < 2; step++ {
+					for i := range masks {
+						masks[i] = 0xa5a5a5a5a5a5a5a5
+					}
+					BernoulliBits4(&got, thr4, full, masks)
+					for j, c := range counts {
+						for k := 0; k < n; k++ {
+							bit := masks[4*(k/64)+j]>>(k%64)&1 == 1
+							if k >= c {
+								if bit {
+									t.Fatalf("n=%d trial %d full %d step %d: lane %d has bit %d past its %d positions", n, trial, full, step, j, k, c)
+								}
+								continue
+							}
+							if wantBit := want[j].Uint64()>>11 < thr4[4*k+j]; bit != wantBit {
+								t.Fatalf("n=%d trial %d full %d step %d: lane %d bit %d = %v, want %v", n, trial, full, step, j, k, bit, wantBit)
+							}
+						}
+						if k := n % 64; k != 0 && masks[4*(n/64)+j]>>k != 0 {
+							t.Fatalf("n=%d trial %d full %d step %d: lane %d has bits past position %d", n, trial, full, step, j, n)
+						}
+					}
+					if masks[len(masks)-1] != 0xa5a5a5a5a5a5a5a5 {
+						t.Fatalf("n=%d: BernoulliBits4 wrote past its mask words", n)
+					}
+				}
+				for j := range got {
+					if got[j] != nil && got[j].Uint64() != want[j].Uint64() {
+						t.Fatalf("n=%d trial %d full %d: lane %d's stream diverged from %d Uint64 calls", n, trial, full, j, 2*counts[j])
+					}
+				}
+			}
+		}
+	}
+}

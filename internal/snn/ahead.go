@@ -42,6 +42,23 @@ type encodePass struct {
 	label string
 }
 
+// quadsOf returns the number of encodeQuad calls that cover n samples.
+func quadsOf(n int) int { return (n + coding.QuadWidth - 1) / coding.QuadWidth }
+
+// encodeQuad encodes quad i of trains, whose entry k is sample lo+k:
+// the up to coding.QuadWidth trains from k = i*coding.QuadWidth on, in
+// one coding.Quad.Encode call through q.
+func (p encodePass) encodeQuad(q *coding.Quad, enc coding.Encoder, steps int, ds *dataset.Dataset,
+	lo int, trains []coding.Train, i int) {
+	k := i * coding.QuadWidth
+	dst := trains[k:min(k+coding.QuadWidth, len(trains))]
+	var rs [coding.QuadWidth]*rng.Stream
+	for j := range dst {
+		rs[j] = p.r.DeriveIndex(p.label, lo+k+j)
+	}
+	q.Encode(enc, ds.Images[lo+k:lo+k+len(dst)], steps, rs[:len(dst)], dst)
+}
+
 // encodedBlock is one block of trains handed from the encoder to the
 // consumer, or the error that stopped its encoding.
 type encodedBlock struct {
@@ -60,7 +77,8 @@ type encodedBlock struct {
 // producer goroutine encodes every pass's trains ahead of the consumer,
 // straight through the pass boundaries. It splits each pass into blocks
 // of width*encodeAheadPerWorker samples, encodes each block with a
-// sched.ParallelFor of width slots, and keeps at most aheadBlocks blocks
+// sched.ParallelFor of width slots, four samples per iteration
+// (encodeQuad), and keeps at most aheadBlocks blocks
 // alive: it starts a block only once the consumer has finished the block
 // that many before it. So the encoder never runs more than
 // aheadBlocks(block)*block trains ahead of the chain.
@@ -134,6 +152,7 @@ func (n *Network) encodeAhead(ctx context.Context, ds *dataset.Dataset, passes [
 	total := ds.Len()
 	block := width * encodeAheadPerWorker
 	enc, steps := n.Cfg.Encoder, n.Cfg.Steps
+	quads := make([]coding.Quad, width) // one per ParallelFor slot
 	started := 0
 	for _, pass := range passes {
 		for lo := 0; lo < total; lo += block {
@@ -149,11 +168,11 @@ func (n *Network) encodeAhead(ctx context.Context, ds *dataset.Dataset, passes [
 			}
 			started++
 			buf = buf[:min(block, total-lo)]
-			err := sched.ParallelFor(width, len(buf), func(_, i int) error {
+			err := sched.ParallelFor(width, quadsOf(len(buf)), func(w, q int) error {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				buf[i] = enc.Encode(ds.Images[lo+i], steps, pass.r.DeriveIndex(pass.label, lo+i))
+				pass.encodeQuad(&quads[w], enc, steps, ds, lo, buf, q)
 				return nil
 			})
 			ready <- encodedBlock{trains: buf, err: err}

@@ -71,11 +71,12 @@ func (n *Network) EncodeDatasetWith(ctx context.Context, ds *dataset.Dataset, en
 		trains: make([]coding.Train, ds.Len()),
 		labels: append([]uint8(nil), ds.Labels...),
 	}
-	err := sched.ParallelFor(workers, ds.Len(), func(_, s int) error {
+	quads := make([]coding.Quad, clampWorkers(workers, quadsOf(ds.Len()))) // one per ParallelFor slot
+	err := sched.ParallelFor(len(quads), quadsOf(ds.Len()), func(w, q int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		es.trains[s] = enc.Encode(ds.Images[s], n.Cfg.Steps, r.DeriveIndex("eval", s))
+		encodePass{r: r, label: "eval"}.encodeQuad(&quads[w], enc, n.Cfg.Steps, ds, 0, es.trains, q)
 		return nil
 	})
 	if err != nil {

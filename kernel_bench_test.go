@@ -6,7 +6,8 @@
 //
 //	BenchmarkRateEncode     the Poisson rate coder: 100 MNIST-like
 //	                        samples into 60-step trains, the pipeline
-//	                        workload's training set
+//	                        workload's training set, four samples per
+//	                        coding.Quad.Encode call
 //	BenchmarkDriveAccumulation
 //	                        Phase A: one sample's 60 per-step drive sums
 //	                        at the sweep shape (N200, rate-coded trains)
@@ -62,22 +63,33 @@ func benchTestSet(b *testing.B, n int) *dataset.Dataset {
 	return train
 }
 
-// benchTrain keeps BenchmarkRateEncode's result live.
-var benchTrain coding.Train
+// benchTrains keeps BenchmarkRateEncode's result live.
+var benchTrains []coding.Train
 
 // BenchmarkRateEncode measures the Poisson rate coder at the pipeline
-// workload's shape: one op encodes 100 MNIST-like samples into 60-step
-// trains, each from its own derived stream, as a training epoch's
-// encode-ahead goroutines do. Against BenchmarkTrainEpoch it separates
-// the encoder, which runs beside the STDP chain, from the chain.
+// workload's shape, through the entry point training and evaluation
+// encode with: one op encodes 100 MNIST-like samples into 60-step
+// trains, four samples per coding.Quad.Encode call and each from its own
+// derived stream, as one of a training epoch's encode-ahead slots does.
+// Against BenchmarkTrainEpoch it separates the encoder, which runs
+// beside the STDP chain, from the chain.
 func BenchmarkRateEncode(b *testing.B) {
 	enc := coding.NewRate()
 	set := benchTestSet(b, 100)
 	r := rng.New(1)
+	var (
+		q  coding.Quad
+		rs [coding.QuadWidth]*rng.Stream
+	)
+	benchTrains = make([]coding.Train, set.Len())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for s, img := range set.Images {
-			benchTrain = enc.Encode(img, 60, r.DeriveIndex("enc", s))
+		for lo := 0; lo < set.Len(); lo += coding.QuadWidth {
+			hi := min(lo+coding.QuadWidth, set.Len())
+			for s := lo; s < hi; s++ {
+				rs[s-lo] = r.DeriveIndex("enc", s)
+			}
+			q.Encode(enc, set.Images[lo:hi], 60, rs[:hi-lo], benchTrains[lo:hi])
 		}
 	}
 }
